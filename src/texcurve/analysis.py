@@ -4,6 +4,10 @@ Compares a texture evaluation path against a full-precision reference over
 a uniform parameter lattice, writes diffable CSV reports, renders the
 red/green deviation pixmaps, and computes a brute-force bound on the error
 attributable to subtexel coordinate quantization.
+
+`_MODES` is the one mode table: each evaluation mode names the layouts it
+accepts and its evaluator. Sweeps, the bound and the CLI validate modes and
+pick a layout's default mode through it.
 """
 
 from __future__ import annotations
@@ -27,29 +31,47 @@ from .texeval import (
     parameter_coords,
 )
 
-#: mode name -> (layouts it can evaluate, evaluator)
+#: mode name -> (layouts it can evaluate, evaluator fn(curve, t, cfg)).
+#: The surface modes evaluate the diagonal u = v = t. A layout's default
+#: mode is the first mode that lists it.
 _MODES = {
     "dc": ((Layout.DC_QUAD_2X2, Layout.DC_CUBIC_2X2X2), eval_dc),
     "dc-hybrid": ((Layout.DC_CUBIC_2X2X2,), eval_dc_cubic_hybrid),
     "seiler": ((Layout.SEILER_2D, Layout.SEILER_3D), eval_seiler_tex),
     "zigzag": ((Layout.DC_ZIGZAG,), eval_dc_zigzag),
-    "patch": ((Layout.BILINEAR_PATCH,), None),
-    "bicubic": ((Layout.BICUBIC_RGBA,), None),
+    "patch": ((Layout.BILINEAR_PATCH,),
+              lambda curve, t, cfg: eval_bilinear_patch(curve, t, t, cfg)),
+    "bicubic": ((Layout.BICUBIC_RGBA,),
+                lambda curve, t, cfg: eval_bicubic_rgba(curve, t, t, cfg)),
     "rational": ((Layout.RATIONAL_HOMOGENEOUS,), eval_rational_tex),
 }
 
 
+def _default_mode(layout: Layout) -> str:
+    """The first mode in `_MODES` that lists `layout`."""
+    return next(mode for mode, (layouts, _) in _MODES.items() if layout in layouts)
+
+
 def _mode_eval(curve: EncodedCurve, mode: str) -> Callable:
+    """The evaluator fn(curve, t, cfg) of `mode`, checked against the curve's layout."""
     if mode not in _MODES:
         raise LayoutError(f"unknown evaluation mode {mode!r}")
     layouts, fn = _MODES[mode]
     if curve.layout not in layouts:
         raise LayoutError(f"mode {mode!r} cannot evaluate layout {curve.layout.value}")
-    if mode == "patch":
-        return lambda t, cfg: eval_bilinear_patch(curve, t, t, cfg)
-    if mode == "bicubic":
-        return lambda t, cfg: eval_bicubic_rgba(curve, t, t, cfg)
-    return lambda t, cfg: fn(curve, t, cfg)
+    return fn
+
+
+def _reference_values(reference: Callable, ts: np.ndarray, shape) -> np.ndarray:
+    """`reference` over the lattice `ts`: one vectorized call, or one call
+    per sample when it does not accept the array or returns another shape."""
+    try:
+        ref = np.asarray(reference(ts), dtype=float)
+        if ref.shape != shape:
+            raise TypeError
+    except (TypeError, ValueError):
+        ref = np.stack([np.asarray(reference(float(t)), dtype=float) for t in ts])
+    return ref
 
 
 def _domain_lattice(curve: EncodedCurve, mode: str, samples: int) -> np.ndarray:
@@ -127,13 +149,8 @@ def sweep(
         raise DomainError("a sweep needs at least 2 samples")
     ts = _domain_lattice(curve, mode, samples)
     evaluate = _mode_eval(curve, mode)
-    test = np.asarray(evaluate(ts, cfg), dtype=float)
-    try:
-        ref = np.asarray(reference(ts), dtype=float)
-        if ref.shape != test.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        ref = np.stack([np.asarray(reference(float(t)), dtype=float) for t in ts])
+    test = np.asarray(evaluate(curve, ts, cfg), dtype=float)
+    ref = _reference_values(reference, ts, test.shape)
     return ErrorReport(
         curve_id=curve_id,
         reference_name=reference_name,
@@ -275,13 +292,13 @@ def error_bound_estimate(
     supplied, the residual between exact-coordinate blend and reference
     (texel quantization plus blend arithmetic) is added, so a sweep at the
     same lattice against the same reference can never exceed the result.
+
+    `mode` defaults to the curve layout's default mode and is validated
+    like sweep's. Surface layouts raise LayoutError.
     """
     if mode is None:
-        mode = "seiler" if curve.layout in (Layout.SEILER_2D, Layout.SEILER_3D) else (
-            "zigzag" if curve.layout is Layout.DC_ZIGZAG else "dc"
-        )
-    if curve.layout in (Layout.BILINEAR_PATCH, Layout.BICUBIC_RGBA):
-        raise LayoutError("the bound applies to 1-parameter curve layouts")
+        mode = _default_mode(curve.layout)
+    _mode_eval(curve, mode)
     ts = _domain_lattice(curve, mode, samples)
     coords = parameter_coords(curve, ts)
     extents = (curve.grid.width, curve.grid.height, curve.grid.depth)[: len(coords)]
@@ -319,11 +336,6 @@ def error_bound_estimate(
 
     allowance = 0.0
     if reference is not None:
-        try:
-            ref = np.asarray(reference(ts), dtype=float)
-            if ref.shape != exact.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            ref = np.stack([np.asarray(reference(float(t)), dtype=float) for t in ts])
+        ref = _reference_values(reference, ts, exact.shape)
         allowance = float(np.max(np.abs(exact - ref)))
     return coord_bound + allowance

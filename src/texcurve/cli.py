@@ -18,7 +18,6 @@ from .core import (
     DomainError,
     EncodedCurve,
     HomogeneousDivideError,
-    Layout,
     LayoutError,
     RangeError,
     SamplerConfig,
@@ -28,17 +27,6 @@ from .core import (
 )
 
 _FORMATS = {"unorm8": TexelFormat.UNORM8, "unorm16": TexelFormat.UNORM16, "f32": TexelFormat.FLOAT32}
-
-_DEFAULT_MODE = {
-    Layout.DC_QUAD_2X2: "dc",
-    Layout.DC_CUBIC_2X2X2: "dc",
-    Layout.DC_ZIGZAG: "zigzag",
-    Layout.SEILER_2D: "seiler",
-    Layout.SEILER_3D: "seiler",
-    Layout.BILINEAR_PATCH: "patch",
-    Layout.BICUBIC_RGBA: "bicubic",
-    Layout.RATIONAL_HOMOGENEOUS: "rational",
-}
 
 
 def _exit_code(exc: Exception) -> int:
@@ -178,28 +166,27 @@ def _cmd_encode(args) -> int:
 def _cmd_eval(args) -> int:
     curve = container.read_ctex(args.infile)
     cfg = _sampler_config(args)
-    mode = args.mode or _DEFAULT_MODE[curve.layout]
+    mode = args.mode or analysis._default_mode(curve.layout)
     if mode in ("patch", "bicubic"):
         u = args.u if args.u is not None else args.t
         v = args.v if args.v is not None else args.t
         if u is None or v is None:
             raise DomainError("surface evaluation needs --u and --v (or --t for the diagonal)")
+        analysis._mode_eval(curve, mode)  # rejects a layout the mode cannot evaluate
         fn = texeval.eval_bilinear_patch if mode == "patch" else texeval.eval_bicubic_rgba
-        if curve.layout is not (Layout.BILINEAR_PATCH if mode == "patch" else Layout.BICUBIC_RGBA):
-            raise LayoutError(f"mode {mode!r} cannot evaluate layout {curve.layout.value}")
         print(_fmt_vec(fn(curve, u, v, cfg)))
         return 0
     if args.t is None:
         raise DomainError("--t is required for curve evaluation")
     evaluate = analysis._mode_eval(curve, mode)
-    print(_fmt_vec(evaluate(args.t, cfg)))
+    print(_fmt_vec(evaluate(curve, args.t, cfg)))
     return 0
 
 
 def _cmd_sweep(args) -> int:
     spec = curvefile.read_curve_file(args.infile)
     curve = _encode_from_spec(spec, args)
-    mode = args.mode or _DEFAULT_MODE[curve.layout]
+    mode = args.mode or analysis._default_mode(curve.layout)
     cfg = _sampler_config(args)
     report = analysis.sweep(
         curve,
@@ -221,7 +208,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_render(args) -> int:
     spec = curvefile.read_curve_file(args.infile)
     curve = _encode_from_spec(spec, args)
-    mode = args.mode or _DEFAULT_MODE[curve.layout]
+    mode = args.mode or analysis._default_mode(curve.layout)
     cfg = _sampler_config(args)
     image = analysis.render_deviation_image(
         curve, _reference_for(spec, curve, mode), mode, cfg, args.width, args.height,

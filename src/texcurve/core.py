@@ -189,23 +189,19 @@ class TexelGrid:
 class SamplerConfig:
     """Fully determines the emulated fixed-function interpolation.
 
-    subtexel_bits = 0 means exact coordinates (no quantization).
+    subtexel_bits = 0 means exact coordinates (no quantization). Texel
+    storage always rounds to nearest and addressing always clamps to the
+    edge; those are the only behaviours modelled.
     """
 
     subtexel_bits: int = 8
     subtexel_rounding: str = "nearest"
-    texel_rounding: str = "nearest"
-    address_mode: str = "clamp_to_edge"
 
     def __post_init__(self):
         if not 0 <= self.subtexel_bits <= 24:
             raise DomainError("subtexel_bits must be in [0, 24]")
         if self.subtexel_rounding not in ("nearest", "floor"):
             raise DomainError("subtexel_rounding must be 'nearest' or 'floor'")
-        if self.texel_rounding != "nearest":
-            raise DomainError("only 'nearest' texel rounding is modelled")
-        if self.address_mode != "clamp_to_edge":
-            raise DomainError("only 'clamp_to_edge' addressing is modelled")
 
     @classmethod
     def ideal(cls) -> "SamplerConfig":

@@ -4,6 +4,8 @@ Coordinate model: normalized coordinates convert to texel space as
 coord * extent - 0.5, placing texel values at cell centers. Neighbor
 indices clamp to the edge; the fractional position along each axis is
 quantized to subtexel fixed point before the blend, which runs in float64.
+Bilinear and trilinear fetches and the explicit-fraction probe all run one
+blend kernel, a fixed chain of lerps along x, then y, then z.
 
 All entry points accept scalar coordinates or equal-length coordinate
 arrays; array calls return stacked results.
@@ -11,6 +13,7 @@ arrays; array calls return stacked results.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -105,6 +108,46 @@ def _require_finite(x, name: str):
         raise DomainError(f"{name} must be finite")
 
 
+def _blend(grid: TexelGrid, pairs, fractions):
+    """The one lerp chain behind every lookup.
+
+    `pairs` holds the clamped (i0, i1) index pair per axis and `fractions`
+    the blend fraction per axis, both in x, y[, z] order. Corner texels are
+    blended pairwise along x, then y, then z; that order is part of the
+    emulated result, bit for bit. Two axes read depth slice 0.
+    """
+    data = grid.data if len(pairs) == 3 else grid.data[0]
+    return _lerp_axes(data, (), pairs, [_col(f) for f in fractions])
+
+
+def _lerp_axes(data, index, pairs, cols):
+    """Lerp along the last axis of `pairs`, recursing into the earlier axes
+    with the outer indices chosen so far in `index`. Depth first, so only
+    one corner pair per axis is alive at a time."""
+    if not pairs:
+        return data[index]
+    i0, i1 = pairs[-1]
+    return lerp(
+        _lerp_axes(data, index + (i0,), pairs[:-1], cols[:-1]),
+        _lerp_axes(data, index + (i1,), pairs[:-1], cols[:-1]),
+        cols[-1],
+    )
+
+
+def _sample(grid: TexelGrid, coords, cfg: SamplerConfig):
+    """Normalized coordinates -> texel cells -> quantized fractions -> blend."""
+    for coord, name in zip(coords, "uvw"):
+        _require_finite(coord, name)
+    cells = [texel_cell(coord, extent) for coord, extent in zip(coords, grid.dims)]
+    fractions = tuple(quantize_fraction(frac, cfg) for _, frac in cells)
+    pairs = [_clamp_pair(base, extent) for (base, _), extent in zip(cells, grid.dims)]
+    value = _blend(grid, pairs, fractions)
+    if len(pairs) == 2:
+        pairs.append((np.zeros_like(pairs[0][0]),))
+    corners = tuple((x, y, z) for z, y, x in itertools.product(*reversed(pairs)))
+    return value, SampleTrace(texel_indices=corners, fractions=fractions, raw_value=value)
+
+
 def sample_bilinear(grid: TexelGrid, u, v, cfg: SamplerConfig):
     """One emulated bilinear fetch at normalized (u, v) on a 2-D grid.
 
@@ -114,110 +157,33 @@ def sample_bilinear(grid: TexelGrid, u, v, cfg: SamplerConfig):
     """
     if grid.depth != 1:
         raise LayoutError("bilinear sampling requires a 2-D grid")
-    _require_finite(u, "u")
-    _require_finite(v, "v")
-    bx, fx = texel_cell(u, grid.width)
-    by, fy = texel_cell(v, grid.height)
-    fxq = quantize_fraction(fx, cfg)
-    fyq = quantize_fraction(fy, cfg)
-    x0, x1 = _clamp_pair(bx, grid.width)
-    y0, y1 = _clamp_pair(by, grid.height)
-    plane = grid.data[0]
-    fxc, fyc = _col(fxq), _col(fyq)
-    top = lerp(plane[y0, x0], plane[y0, x1], fxc)
-    bottom = lerp(plane[y1, x0], plane[y1, x1], fxc)
-    value = lerp(top, bottom, fyc)
-    z = np.zeros_like(x0)
-    trace = SampleTrace(
-        texel_indices=((x0, y0, z), (x1, y0, z), (x0, y1, z), (x1, y1, z)),
-        fractions=(fxq, fyq),
-        raw_value=value,
-    )
-    return value, trace
+    return _sample(grid, (u, v), cfg)
 
 
 def sample_trilinear(grid: TexelGrid, u, v, w, cfg: SamplerConfig):
     """One emulated trilinear fetch on a 3-D grid.
 
-    Built literally as lerp(bilinear(near slice), bilinear(far slice), fw)
-    with the quantized depth fraction, so the decomposition identity holds
+    The blend is lerp(bilinear(near slice), bilinear(far slice), fw) with
+    the quantized depth fraction, so the decomposition identity holds
     exactly.
     """
     if grid.depth < 2:
         raise LayoutError("trilinear sampling requires a 3-D grid")
-    _require_finite(u, "u")
-    _require_finite(v, "v")
-    _require_finite(w, "w")
-    bx, fx = texel_cell(u, grid.width)
-    by, fy = texel_cell(v, grid.height)
-    bz, fz = texel_cell(w, grid.depth)
-    fxq = quantize_fraction(fx, cfg)
-    fyq = quantize_fraction(fy, cfg)
-    fzq = quantize_fraction(fz, cfg)
-    x0, x1 = _clamp_pair(bx, grid.width)
-    y0, y1 = _clamp_pair(by, grid.height)
-    z0, z1 = _clamp_pair(bz, grid.depth)
-    data = grid.data
-    fxc, fyc, fzc = _col(fxq), _col(fyq), _col(fzq)
-    near = lerp(
-        lerp(data[z0, y0, x0], data[z0, y0, x1], fxc),
-        lerp(data[z0, y1, x0], data[z0, y1, x1], fxc),
-        fyc,
-    )
-    far = lerp(
-        lerp(data[z1, y0, x0], data[z1, y0, x1], fxc),
-        lerp(data[z1, y1, x0], data[z1, y1, x1], fxc),
-        fyc,
-    )
-    value = lerp(near, far, fzc)
-    trace = SampleTrace(
-        texel_indices=(
-            (x0, y0, z0), (x1, y0, z0), (x0, y1, z0), (x1, y1, z0),
-            (x0, y0, z1), (x1, y0, z1), (x0, y1, z1), (x1, y1, z1),
-        ),
-        fractions=(fxq, fyq, fzq),
-        raw_value=value,
-    )
-    return value, trace
+    return _sample(grid, (u, v, w), cfg)
 
 
 def blend_with_fractions(grid: TexelGrid, bases, fractions):
     """Blend the cell at integer `bases` using explicit per-axis fractions.
 
     Bypasses coordinate conversion and quantization entirely; used to probe
-    what the blend would return at arbitrary fraction combinations. Uses the
-    exact lerp order of the sampling paths above, so results are bitwise
+    what the blend would return at arbitrary fraction combinations. Runs
+    the same lerp chain as the sampling paths above, so results are bitwise
     comparable with them.
     """
     if len(bases) != len(fractions):
         raise LayoutError("one base index and one fraction per axis")
-    if len(bases) == 2:
-        bx, by = bases
-        fx, fy = fractions
-        x0, x1 = _clamp_pair(np.asarray(bx, dtype=np.int64), grid.width)
-        y0, y1 = _clamp_pair(np.asarray(by, dtype=np.int64), grid.height)
-        plane = grid.data[0]
-        fxc, fyc = _col(fx), _col(fy)
-        top = lerp(plane[y0, x0], plane[y0, x1], fxc)
-        bottom = lerp(plane[y1, x0], plane[y1, x1], fxc)
-        return lerp(top, bottom, fyc)
-    if len(bases) == 3:
-        bx, by, bz = bases
-        fx, fy, fz = fractions
-        x0, x1 = _clamp_pair(np.asarray(bx, dtype=np.int64), grid.width)
-        y0, y1 = _clamp_pair(np.asarray(by, dtype=np.int64), grid.height)
-        z0, z1 = _clamp_pair(np.asarray(bz, dtype=np.int64), grid.depth)
-        data = grid.data
-        fxc, fyc, fzc = _col(fx), _col(fy), _col(fz)
-        near = lerp(
-            lerp(data[z0, y0, x0], data[z0, y0, x1], fxc),
-            lerp(data[z0, y1, x0], data[z0, y1, x1], fxc),
-            fyc,
-        )
-        far = lerp(
-            lerp(data[z1, y0, x0], data[z1, y0, x1], fxc),
-            lerp(data[z1, y1, x0], data[z1, y1, x1], fxc),
-            fyc,
-        )
-        return lerp(near, far, fzc)
-    raise LayoutError("blend supports 2 or 3 axes")
+    if len(bases) not in (2, 3):
+        raise LayoutError("blend supports 2 or 3 axes")
+    pairs = [_clamp_pair(np.asarray(base, dtype=np.int64), extent)
+             for base, extent in zip(bases, grid.dims)]
+    return _blend(grid, pairs, fractions)

@@ -1,7 +1,13 @@
 """Evaluate encoded curves through the emulated sampler.
 
-Each evaluator applies its layout's coordinate mapping, performs the
-lookup(s), and inverse-transforms the result back into curve space.
+`parameter_coords` is the one place that maps a 1-parameter layout's
+parameter to sample coordinates. The dc, seiler, zig-zag and rational
+evaluators check their layout and then share one path: coordinates, one
+bilinear or trilinear fetch, the inverse transform, and for rational
+curves the divide by the weight. The split-precision hybrid runs a single
+3-axis blend with an exact depth fraction; the two surface evaluators map
+(u, v) themselves.
+
 Parameters broadcast like the reference evaluators: scalar in, one point
 out; (n,) array in, (n, channels) out.
 """
@@ -17,10 +23,15 @@ from .core import (
     Layout,
     LayoutError,
     SamplerConfig,
-    lerp,
     remap_unit_to_texel_span,
 )
-from .sampler import sample_bilinear, sample_trilinear
+from .sampler import (
+    blend_with_fractions,
+    quantize_fraction,
+    sample_bilinear,
+    sample_trilinear,
+    texel_cell,
+)
 
 
 def _require_layout(curve: EncodedCurve, *layouts: Layout):
@@ -74,8 +85,9 @@ def _seiler_coords(layout: Layout, t):
 def parameter_coords(curve: EncodedCurve, t):
     """Normalized sample coordinates the texture path uses for parameter t.
 
-    Rational curves resolve through their inner layout. Exposed so error
-    analysis can probe the exact cells a sweep will touch.
+    The only place a 1-parameter layout's coordinates are chosen; rational
+    curves resolve through their inner layout. Error analysis probes the
+    exact cells a sweep will touch through it.
     """
     layout = curve.layout
     if layout is Layout.RATIONAL_HOMOGENEOUS:
@@ -93,50 +105,59 @@ def parameter_coords(curve: EncodedCurve, t):
     raise LayoutError(f"{layout.value} is not a 1-parameter curve layout")
 
 
+def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig):
+    """The shared 1-parameter path: coordinates, one fetch, inverse
+    transform, and for rational curves the divide by the weight channel.
+
+    The inverse transform runs before the divide (it is what undoes the
+    encode-time map exactly); the weight channel is guaranteed identity by
+    the encoder, so the decoded weight is the true weight polynomial value.
+    """
+    coords = parameter_coords(curve, t)
+    if len(coords) == 2:
+        raw, _ = sample_bilinear(curve.grid, *coords, cfg)
+    else:
+        raw, _ = sample_trilinear(curve.grid, *coords, cfg)
+    value = curve.transform.invert(raw)
+    if curve.layout is not Layout.RATIONAL_HOMOGENEOUS:
+        return value
+    den = value[..., -1:]
+    if np.any(np.abs(den) <= 1e-9):
+        raise HomogeneousDivideError("decoded weight too close to zero to divide by")
+    return value[..., :-1] / den
+
+
 def eval_dc(curve: EncodedCurve, t, cfg: SamplerConfig):
     """Evaluate a de Casteljau packing: one read at (t, t) or (t, t, t)."""
     _require_layout(curve, Layout.DC_QUAD_2X2, Layout.DC_CUBIC_2X2X2)
-    r = remap_unit_to_texel_span(_unit_param(t), 2)
-    if curve.layout is Layout.DC_QUAD_2X2:
-        raw, _ = sample_bilinear(curve.grid, r, r, cfg)
-    else:
-        raw, _ = sample_trilinear(curve.grid, r, r, r, cfg)
-    return curve.transform.invert(raw)
+    return _eval_curve(curve, t, cfg)
 
 
 def eval_dc_zigzag(curve: EncodedCurve, global_t, cfg: SamplerConfig):
     """Evaluate a zig-zag packing at global parameter in [0, segment_count]."""
     _require_layout(curve, Layout.DC_ZIGZAG)
-    u, v = _zigzag_coords(curve, global_t)
-    raw, _ = sample_bilinear(curve.grid, u, v, cfg)
-    return curve.transform.invert(raw)
+    return _eval_curve(curve, global_t, cfg)
 
 
 def eval_seiler_tex(curve: EncodedCurve, t, cfg: SamplerConfig):
     """Evaluate a difference-term packing at (t, st) or (t, st, st)."""
     _require_layout(curve, Layout.SEILER_2D, Layout.SEILER_3D)
-    coords = _seiler_coords(curve.layout, t)
-    if curve.layout is Layout.SEILER_2D:
-        raw, _ = sample_bilinear(curve.grid, coords[0], coords[1], cfg)
-    else:
-        raw, _ = sample_trilinear(curve.grid, coords[0], coords[1], coords[2], cfg)
-    return curve.transform.invert(raw)
+    return _eval_curve(curve, t, cfg)
 
 
 def eval_dc_cubic_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
-    """Split-precision cubic: two bilinear reads, final lerp at exact t.
+    """Split-precision cubic: the x and y fractions are quantized, the
+    depth fraction is the exact t.
 
-    The two quadratic slices go through the (possibly quantized) sampler,
-    but the last interpolation level runs at full precision with the
-    unquantized parameter, trading one extra read for accuracy.
+    One 3-axis blend whose first two levels match a bilinear read of each
+    quadratic slice, while the last interpolation level runs at full
+    precision with the unquantized parameter.
     """
     _require_layout(curve, Layout.DC_CUBIC_2X2X2)
-    t = _unit_param(t)
-    r = remap_unit_to_texel_span(t, 2)
-    near, _ = sample_bilinear(curve.grid.slice2d(0), r, r, cfg)
-    far, _ = sample_bilinear(curve.grid.slice2d(1), r, r, cfg)
-    tc = t[..., None] if t.ndim else t
-    raw = lerp(near, far, tc)
+    r = parameter_coords(curve, t)[0]  # the x, y and z coordinates coincide
+    base, frac = texel_cell(r, curve.grid.width)
+    f = quantize_fraction(frac, cfg)
+    raw = blend_with_fractions(curve.grid, (base, base, np.zeros_like(base)), (f, f, t))
     return curve.transform.invert(raw)
 
 
@@ -169,27 +190,9 @@ def eval_bicubic_rgba(curve: EncodedCurve, u, v, cfg: SamplerConfig):
 
 
 def eval_rational_tex(curve: EncodedCurve, t, cfg: SamplerConfig):
-    """Evaluate a homogeneous packing, then divide point by weight.
-
-    The inverse transform runs before the divide (it is what undoes the
-    encode-time map exactly); the weight channel is guaranteed identity by
-    the encoder, so the decoded weight is the true weight polynomial value.
-    """
+    """Evaluate a homogeneous packing through its inner layout, then divide
+    point by weight."""
     _require_layout(curve, Layout.RATIONAL_HOMOGENEOUS)
     if curve.transform.scale[-1] != 1.0 or curve.transform.offset[-1] != 0.0:
         raise LayoutError("rational curves must keep an identity transform on the weight channel")
-    inner = curve.inner_layout
-    if inner is Layout.SEILER_2D:
-        coords = _seiler_coords(inner, t)
-        raw, _ = sample_bilinear(curve.grid, coords[0], coords[1], cfg)
-    elif inner is Layout.DC_QUAD_2X2:
-        r = remap_unit_to_texel_span(_unit_param(t), 2)
-        raw, _ = sample_bilinear(curve.grid, r, r, cfg)
-    else:
-        r = remap_unit_to_texel_span(_unit_param(t), 2)
-        raw, _ = sample_trilinear(curve.grid, r, r, r, cfg)
-    hom = curve.transform.invert(raw)
-    den = hom[..., -1:]
-    if np.any(np.abs(den) <= 1e-9):
-        raise HomogeneousDivideError("decoded weight too close to zero to divide by")
-    return hom[..., :-1] / den
+    return _eval_curve(curve, t, cfg)

@@ -14,7 +14,8 @@ from texcurve import (
     render_deviation_image,
     sweep,
 )
-from texcurve.analysis import report_to_csv, write_csv, write_ppm
+from texcurve.analysis import _default_mode, report_to_csv, write_csv, write_ppm
+from texcurve.core import Layout
 from texcurve.reference import elevate_degree
 from conftest import IDEAL, BITS8, random_polygon
 
@@ -167,6 +168,22 @@ class TestRender:
         assert len(blob) == len(b"P6\n32 16\n255\n") + 32 * 16 * 3
 
 
+def test_default_mode_per_layout():
+    # the CLI and error_bound_estimate both take the first mode in the
+    # table that lists the layout
+    expect = {
+        Layout.DC_QUAD_2X2: "dc",
+        Layout.DC_CUBIC_2X2X2: "dc",
+        Layout.DC_ZIGZAG: "zigzag",
+        Layout.SEILER_2D: "seiler",
+        Layout.SEILER_3D: "seiler",
+        Layout.BILINEAR_PATCH: "patch",
+        Layout.BICUBIC_RGBA: "bicubic",
+        Layout.RATIONAL_HOMOGENEOUS: "rational",
+    }
+    assert {layout: _default_mode(layout) for layout in Layout} == expect
+
+
 class TestErrorBound:
     def test_ideal_bound_is_texel_allowance_only(self, rng):
         poly = random_polygon(rng, 3)
@@ -204,6 +221,17 @@ class TestErrorBound:
             if prev is not None:
                 assert worst <= prev
             prev = worst
+
+    def test_mode_validated_like_sweep(self, rng):
+        # a quadratic has no hybrid axis: treating its y axis as exact
+        # would halve the bound, and an unknown mode must not fall back to dc
+        poly = random_polygon(rng, 2)
+        enc = encode_dc_quadratic(poly, F32)
+        for mode in ("bogus", "dc-hybrid", "zigzag"):
+            with pytest.raises(LayoutError):
+                sweep(enc, bernstein_ref(poly), mode, BITS8, 64)
+            with pytest.raises(LayoutError):
+                error_bound_estimate(enc, BITS8, mode=mode)
 
     def test_surface_layouts_rejected(self, rng):
         from texcurve import encode_bilinear_patch

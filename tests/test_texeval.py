@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -262,3 +264,32 @@ class TestEndpointExactness:
                 got = fn(enc, t, IDEAL)
                 expect = np.float32(poly.points[idx]).astype(float)
                 assert np.all(np.abs(got - expect) <= 2 * np.spacing(np.abs(expect) + 1.0))
+
+
+def test_evaluation_leaves_no_reference_cycles(rng):
+    # lookups hold (n, channels) temporaries; a cycle would keep them alive
+    # until the cyclic collector happens to run, inflating peak memory
+    from texcurve.analysis import error_bound_estimate
+
+    quad = random_polygon(rng, 2, 2)
+    cubic = random_polygon(rng, 3)
+    cases = [
+        (eval_dc, encode_dc_quadratic(quad, F32)),
+        (eval_dc_cubic_hybrid, encode_dc_cubic(cubic, F32)),
+        (eval_seiler_tex, encode_seiler(random_polygon(rng, 5), F32)),
+        (eval_dc_zigzag, encode_dc_zigzag(random_c0_quadratics(rng, 3), F32)),
+        (eval_rational_tex, encode_rational(quad, [1.0, 0.7, 1.0], F32)),
+    ]
+    patch = encode_bilinear_patch(rng.uniform(0, 1, (2, 2)), F32)
+    t = np.linspace(0.0, 1.0, 16)
+    gc.collect()
+    gc.disable()
+    try:
+        for fn, enc in cases:
+            fn(enc, t, BITS8)
+            fn(enc, 0.5, BITS8)
+        eval_bilinear_patch(patch, t, t[::-1], BITS8)
+        error_bound_estimate(cases[1][1], BITS8, mode="dc-hybrid", samples=16)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
