@@ -7,8 +7,12 @@ sweep of every mode), the quantized fractions and texel indices a lookup
 records, direct blend probes, and the error bound. An error a call raises
 enters the digest as its class name.
 
-A change meant to keep outputs bitwise identical must leave DIGEST as it
-is. A change that alters outputs on purpose updates DIGEST and says why.
+LARGE_DIGEST covers every 1-parameter evaluator over a lattice longer than
+two evaluation blocks and not a multiple of one, plus scalar calls at the
+lattice points where blocks of 4096, 8192 or 16384 samples begin and end.
+
+A change meant to keep outputs bitwise identical must leave both digests as
+they are. A change that alters outputs on purpose updates them and says why.
 """
 
 import hashlib
@@ -52,6 +56,15 @@ CONFIGS = tuple(
     for rounding in ("nearest", "floor")
 )
 SWEEP_SAMPLES = 33
+
+LARGE_DIGEST = "96ee5791c353d8f1c7677daa6a35b7b4a06c77a89d2a8f4a90023f3641c985a7"
+LARGE_N = 20001
+LARGE_CONFIGS = tuple(
+    SamplerConfig(subtexel_bits=bits, subtexel_rounding=rounding)
+    for bits in (0, 8, 12)
+    for rounding in ("nearest", "floor")
+)
+BOUNDARY_INDICES = (0, 4095, 4096, 8191, 8192, 8193, 12288, 16383, 16384, 16385, 20000)
 
 
 def _curves(rng):
@@ -174,3 +187,29 @@ def corpus_digest() -> str:
 
 def test_golden_digest():
     assert corpus_digest() == DIGEST
+
+
+def large_digest() -> str:
+    curves = _curves(np.random.default_rng(20261018))
+    t = np.linspace(0.0, 1.0, LARGE_N)
+    h = hashlib.sha256()
+    for fmt in FORMATS:
+        for name, encode, evaluators, _, end in curves:
+            if name in ("patch", "bicubic"):
+                continue
+            h.update(f"{name} {fmt.value}".encode())
+            try:
+                curve = encode(fmt)
+            except TexCurveError as exc:
+                h.update(type(exc).__name__.encode())
+                continue
+            for cfg in LARGE_CONFIGS:
+                for fn in evaluators.values():
+                    _feed(h, fn, curve, t * end, cfg)
+                    for i in BOUNDARY_INDICES:
+                        _feed(h, fn, curve, float(t[i] * end), cfg)
+    return h.hexdigest()
+
+
+def test_golden_large_digest():
+    assert large_digest() == LARGE_DIGEST
