@@ -34,6 +34,7 @@ from .reference import (
     boehm_to_bezier,
     elevate_degree,
     eval_bernstein,
+    eval_bezier_chain,
     eval_bezier_segments,
     eval_deboor,
     eval_decasteljau,

@@ -64,7 +64,13 @@ def _encode_from_spec(spec: curvefile.CurveFile, args) -> EncodedCurve:
         if args.seed_texel == "search":
             optimize = True
         elif args.seed_texel is not None:
-            seed = np.array([float(v) for v in args.seed_texel.split(",")])
+            try:
+                seed = np.array([float(v) for v in args.seed_texel.split(",")])
+            except ValueError:
+                raise DomainError(
+                    f"--seed-texel takes comma-separated numbers or 'search', "
+                    f"got {args.seed_texel!r}"
+                ) from None
         return encoder.encode_dc_zigzag(
             _zigzag_segments(spec), fmt, seed, rescale=rescale, optimize_seed=optimize
         )
@@ -102,19 +108,7 @@ def _reference_for(spec: curvefile.CurveFile, curve: EncodedCurve, mode: str):
     """Full-precision reference callable matching the texture path's domain."""
     if mode == "zigzag":
         segments = _zigzag_segments(spec)
-        n = len(segments)
-
-        def ref(gt):
-            gt = np.atleast_1d(np.asarray(gt, dtype=float))
-            k = np.minimum(np.floor(gt), n - 1).astype(int)
-            out = np.empty((gt.shape[0], spec.channels))
-            for seg_idx in range(n):
-                mask = k == seg_idx
-                if np.any(mask):
-                    out[mask] = reference.eval_bernstein(segments[seg_idx], gt[mask] - seg_idx)
-            return out
-
-        return ref
+        return lambda gt: reference.eval_bezier_chain(segments, gt)
     if mode == "patch":
         net = spec.points.reshape(2, 2, spec.channels)
         return lambda t: reference.eval_tensor_surface(net, t, t)

@@ -268,7 +268,15 @@ def encode_dc_zigzag(
     elif seed is None:
         seed_vec = np.asarray(segments[0].points[1], dtype=float)
     else:
-        seed_vec = np.broadcast_to(np.asarray(seed, dtype=float), (channels,)).astype(float)
+        seed_vec = np.asarray(seed, dtype=float)
+        try:
+            seed_vec = np.broadcast_to(seed_vec, (channels,)).astype(float)
+        except ValueError:
+            raise ChannelMismatchError(
+                f"seed texel has {seed_vec.size} values for {channels}-channel segments"
+            ) from None
+        if not np.all(np.isfinite(seed_vec)):
+            raise DomainError("seed texel must be finite")
     top, bottom = _zigzag_rows(segments, seed_vec)
     values = np.stack([top, bottom], axis=0)[None]  # (1, 2, N+1, c)
     return _finish(values, fmt, Layout.DC_ZIGZAG, 2,

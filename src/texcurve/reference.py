@@ -327,6 +327,26 @@ def eval_bezier_segments(segments, t: float) -> np.ndarray:
     raise DomainError("unreachable span")  # pragma: no cover
 
 
+def eval_bezier_chain(segments, global_t) -> np.ndarray:
+    """Evaluate a chain of Bezier segments where segment k spans [k, k + 1].
+
+    This is the reference for the zig-zag packing's global parameter: an
+    integer parameter resolves to the right-hand segment at local t = 0,
+    except the chain's end, which stays in the last segment. Returns
+    (n, channels) points; a scalar parameter gives n = 1.
+    """
+    if not segments:
+        raise DomainError("no segments to evaluate")
+    gt = np.atleast_1d(np.asarray(global_t, dtype=float))
+    k = np.minimum(np.floor(gt), len(segments) - 1).astype(np.int64)
+    out = np.empty((gt.shape[0], segments[0].channels))
+    for i, seg in enumerate(segments):
+        mask = k == i
+        if np.any(mask):
+            out[mask] = eval_bernstein(seg, gt[mask] - i)
+    return out
+
+
 def power_to_bernstein(coeffs) -> ControlPolygon:
     """Convert power-basis coefficients (ascending powers of t) to control
     points: b_j = sum_{i<=j} [C(j,i)/C(d,i)] a_i."""

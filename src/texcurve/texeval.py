@@ -9,7 +9,13 @@ curves the divide by the weight. The split-precision hybrid runs a single
 (u, v) themselves.
 
 Parameters broadcast like the reference evaluators: scalar in, one point
-out; (n,) array in, (n, channels) out.
+out; (n,) array in, (n, channels) out. A 1-parameter evaluator runs a
+parameter array longer than `_BLOCK` in consecutive blocks of that length,
+writing each block's points into one output array. Every stage of the path
+is elementwise, so blocking changes no bit of the result; it keeps each
+(block, channels) temporary small enough for the lerp chain's passes to
+stay in the L2 cache (2^17 samples x 3 channels of float64 is 3 MB, one
+block is 192 kB).
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .core import (
     Layout,
     LayoutError,
     SamplerConfig,
+    TexCurveError,
     remap_unit_to_texel_span,
 )
 from .sampler import (
@@ -47,8 +54,32 @@ def _unit_param(t):
     return t
 
 
-def _zigzag_coords(curve: EncodedCurve, global_t):
-    """Column/row coordinates for a zig-zag grid.
+_BLOCK = 8192
+
+
+def _curve_param(curve: EncodedCurve, t):
+    """A 1-parameter curve's layout and its validated parameter array.
+
+    Rational curves resolve to their inner layout. Zig-zag chains take a
+    global parameter in [0, segment_count], every other 1-parameter layout
+    t in [0, 1]. Other layouts raise LayoutError.
+    """
+    layout = curve.layout
+    if layout is Layout.RATIONAL_HOMOGENEOUS:
+        layout = curve.inner_layout
+    if layout is Layout.DC_ZIGZAG:
+        n = curve.segment_count
+        gt = np.asarray(t, dtype=float)
+        if np.any(gt < 0.0) or np.any(gt > n) or not np.all(np.isfinite(gt)):
+            raise DomainError(f"zig-zag parameter outside [0, {n}]")
+        return layout, gt
+    if layout in (Layout.DC_QUAD_2X2, Layout.DC_CUBIC_2X2X2, Layout.SEILER_2D, Layout.SEILER_3D):
+        return layout, _unit_param(t)
+    raise LayoutError(f"{layout.value} is not a 1-parameter curve layout")
+
+
+def _zigzag_coords(n: int, gt):
+    """Column/row coordinates for a zig-zag grid of n segments.
 
     The v direction ascends with local t on even segments and descends on
     odd ones (that orientation is a convention of this implementation, not
@@ -56,10 +87,6 @@ def _zigzag_coords(curve: EncodedCurve, global_t):
     global_t resolves to the right-hand segment at local t = 0, except the
     final parameter which clamps into the last segment.
     """
-    n = curve.segment_count
-    gt = np.asarray(global_t, dtype=float)
-    if np.any(gt < 0.0) or np.any(gt > n) or not np.all(np.isfinite(gt)):
-        raise DomainError(f"zig-zag parameter outside [0, {n}]")
     k = np.minimum(np.floor(gt), n - 1).astype(np.int64)
     lt = gt - k
     u = (k + 0.5 + lt) / (n + 1)
@@ -71,12 +98,12 @@ def _zigzag_coords(curve: EncodedCurve, global_t):
 def _seiler_coords(layout: Layout, t):
     """(t, st[, st]) mapping, with the pixel-center remap applied after the
     s*t product. The second coordinate can only reach [0.25, 0.375] because
-    s*t never exceeds 0.25; that window is asserted on every evaluation."""
-    t = _unit_param(t)
+    s*t never exceeds 0.25; that window is checked on every evaluation."""
     m = (1.0 - t) * t
     rt = remap_unit_to_texel_span(t, 2)
     rm = remap_unit_to_texel_span(m, 2)
-    assert np.all(m <= 0.25) and np.all(rm >= 0.25) and np.all(rm <= 0.375)
+    if not (np.all(m <= 0.25) and np.all(rm >= 0.25) and np.all(rm <= 0.375)):
+        raise TexCurveError("seiler coordinate left its [0.25, 0.375] window")
     if layout is Layout.SEILER_3D:
         return rt, rm, rm
     return rt, rm
@@ -89,20 +116,36 @@ def parameter_coords(curve: EncodedCurve, t):
     curves resolve through their inner layout. Error analysis probes the
     exact cells a sweep will touch through it.
     """
-    layout = curve.layout
-    if layout is Layout.RATIONAL_HOMOGENEOUS:
-        layout = curve.inner_layout
+    layout, t = _curve_param(curve, t)
     if layout is Layout.DC_QUAD_2X2:
-        r = remap_unit_to_texel_span(_unit_param(t), 2)
+        r = remap_unit_to_texel_span(t, 2)
         return r, r
     if layout is Layout.DC_CUBIC_2X2X2:
-        r = remap_unit_to_texel_span(_unit_param(t), 2)
+        r = remap_unit_to_texel_span(t, 2)
         return r, r, r
-    if layout in (Layout.SEILER_2D, Layout.SEILER_3D):
-        return _seiler_coords(layout, t)
     if layout is Layout.DC_ZIGZAG:
-        return _zigzag_coords(curve, t)
-    raise LayoutError(f"{layout.value} is not a 1-parameter curve layout")
+        return _zigzag_coords(curve.segment_count, t)
+    return _seiler_coords(layout, t)
+
+
+def _in_blocks(body, curve: EncodedCurve, t, cfg: SamplerConfig):
+    """body(curve, t, cfg) over consecutive `_BLOCK`-long slices of a 1-D t.
+
+    Scalars and arrays of at most one block run the body once. A longer
+    array is validated whole first, so an invalid parameter anywhere raises
+    before any block runs, as it does from an unblocked call.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1 or t.shape[0] <= _BLOCK:
+        return body(curve, t, cfg)
+    _curve_param(curve, t)
+    out = None
+    for start in range(0, t.shape[0], _BLOCK):
+        part = body(curve, t[start : start + _BLOCK], cfg)
+        if out is None:
+            out = np.empty(t.shape + part.shape[1:])
+        out[start : start + _BLOCK] = part
+    return out
 
 
 def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig):
@@ -130,19 +173,27 @@ def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig):
 def eval_dc(curve: EncodedCurve, t, cfg: SamplerConfig):
     """Evaluate a de Casteljau packing: one read at (t, t) or (t, t, t)."""
     _require_layout(curve, Layout.DC_QUAD_2X2, Layout.DC_CUBIC_2X2X2)
-    return _eval_curve(curve, t, cfg)
+    return _in_blocks(_eval_curve, curve, t, cfg)
 
 
 def eval_dc_zigzag(curve: EncodedCurve, global_t, cfg: SamplerConfig):
     """Evaluate a zig-zag packing at global parameter in [0, segment_count]."""
     _require_layout(curve, Layout.DC_ZIGZAG)
-    return _eval_curve(curve, global_t, cfg)
+    return _in_blocks(_eval_curve, curve, global_t, cfg)
 
 
 def eval_seiler_tex(curve: EncodedCurve, t, cfg: SamplerConfig):
     """Evaluate a difference-term packing at (t, st) or (t, st, st)."""
     _require_layout(curve, Layout.SEILER_2D, Layout.SEILER_3D)
-    return _eval_curve(curve, t, cfg)
+    return _in_blocks(_eval_curve, curve, t, cfg)
+
+
+def _eval_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
+    r = parameter_coords(curve, t)[0]  # the x, y and z coordinates coincide
+    base, frac = texel_cell(r, curve.grid.width)
+    f = quantize_fraction(frac, cfg)
+    raw = blend_with_fractions(curve.grid, (base, base, np.zeros_like(base)), (f, f, t))
+    return curve.transform.invert(raw)
 
 
 def eval_dc_cubic_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
@@ -154,11 +205,7 @@ def eval_dc_cubic_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
     precision with the unquantized parameter.
     """
     _require_layout(curve, Layout.DC_CUBIC_2X2X2)
-    r = parameter_coords(curve, t)[0]  # the x, y and z coordinates coincide
-    base, frac = texel_cell(r, curve.grid.width)
-    f = quantize_fraction(frac, cfg)
-    raw = blend_with_fractions(curve.grid, (base, base, np.zeros_like(base)), (f, f, t))
-    return curve.transform.invert(raw)
+    return _in_blocks(_eval_hybrid, curve, t, cfg)
 
 
 def eval_bilinear_patch(curve: EncodedCurve, u, v, cfg: SamplerConfig):
@@ -195,4 +242,4 @@ def eval_rational_tex(curve: EncodedCurve, t, cfg: SamplerConfig):
     _require_layout(curve, Layout.RATIONAL_HOMOGENEOUS)
     if curve.transform.scale[-1] != 1.0 or curve.transform.offset[-1] != 0.0:
         raise LayoutError("rational curves must keep an identity transform on the weight channel")
-    return _eval_curve(curve, t, cfg)
+    return _in_blocks(_eval_curve, curve, t, cfg)

@@ -63,17 +63,8 @@ def _layout_instances(rng, index):
     n = (index % 8) + 1
     segs = random_c0_quadratics(rng, n, 2)
 
-    def zigzag_ref(gt, segs=segs, n=n):
-        gt = np.atleast_1d(np.asarray(gt, dtype=float))
-        k = np.minimum(np.floor(gt), n - 1).astype(int)
-        res = np.empty((gt.shape[0], segs[0].channels))
-        for j in range(n):
-            mask = k == j
-            if np.any(mask):
-                res[mask] = tc.eval_bernstein(segs[j], gt[mask] - j)
-        return res
-
-    out.append((f"zigzag N={n}", tc.encode_dc_zigzag(segs, F32), "zigzag", zigzag_ref))
+    out.append((f"zigzag N={n}", tc.encode_dc_zigzag(segs, F32), "zigzag",
+                lambda gt, segs=segs: tc.eval_bezier_chain(segs, gt)))
 
     sd = 2 + index % 4
     spoly = random_polygon(rng, sd, 2)

@@ -142,6 +142,23 @@ class TestEval:
         assert code == 0
         assert float(stdout.strip()) == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("seed, code, message", [
+        ("abc", 5, "--seed-texel takes comma-separated numbers"),
+        ("0.5,x", 5, "--seed-texel takes comma-separated numbers"),
+        ("nan", 5, "seed texel must be finite"),
+        ("inf", 5, "seed texel must be finite"),
+        ("1,2", 1, "seed texel has 2 values for 1-channel segments"),
+    ])
+    def test_bad_seed_texel_rejected(self, tmp_path, capsys, seed, code, message):
+        path = tmp_path / "zz.curve"
+        path.write_text(ZIGZAG_CHAIN)
+        ctex = tmp_path / "zz.ctex"
+        got, _, stderr = run(capsys, "encode", "--layout", "zigzag", "--in", str(path),
+                             "--out", str(ctex), "--seed-texel", seed)
+        assert got == code
+        assert stderr.startswith(f"error: {message}")
+        assert not ctex.exists()
+
 
 class TestSweepRender:
     def test_sweep_bits_ordering(self, hump, tmp_path, capsys):

@@ -123,6 +123,17 @@ class TestZigzag:
         with pytest.raises(DomainError):
             encode_dc_zigzag([ControlPolygon([0.0, 0.5, 0.0])], F32, seed=0.5, optimize_seed=True)
 
+    @pytest.mark.parametrize("seed", [np.nan, np.inf, [0.5, -np.inf]])
+    def test_non_finite_seed(self, seed):
+        segs = [ControlPolygon([[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]])]
+        with pytest.raises(DomainError, match="finite"):
+            encode_dc_zigzag(segs, F32, seed=seed)
+
+    @pytest.mark.parametrize("seed", [[1.0, 2.0], [[1.0]]])
+    def test_seed_channel_mismatch(self, seed):
+        with pytest.raises(ChannelMismatchError, match="1-channel"):
+            encode_dc_zigzag([ControlPolygon([0.0, 0.5, 0.0])], F32, seed=seed)
+
 
 class TestSeiler:
     def test_cubic_hump_rows(self):

@@ -32,6 +32,7 @@ from texcurve import (
     encode_rational,
     encode_seiler,
     eval_bernstein,
+    eval_bezier_chain,
     eval_bicubic_rgba,
     eval_bilinear_patch,
     eval_dc,
@@ -82,14 +83,6 @@ def _curves(rng):
     w2 = rng.uniform(0.5, 1.0, 3)
     w3 = rng.uniform(0.5, 1.0, 4)
 
-    def zigzag_ref(gt):
-        gt = np.atleast_1d(np.asarray(gt, dtype=float))
-        k = np.minimum(np.floor(gt), 2).astype(np.int64)
-        out = np.empty((gt.shape[0], 2))
-        for i, seg in enumerate(segments):
-            out[k == i] = eval_bernstein(seg, gt[k == i] - i)
-        return out
-
     def bernstein(poly):
         return lambda t: eval_bernstein(poly, t)
 
@@ -109,7 +102,7 @@ def _curves(rng):
         ("seiler-3d", lambda f: encode_seiler(seiler3, f, rescale=True),
          {"seiler": eval_seiler_tex}, bernstein(seiler3), 1.0),
         ("zigzag", lambda f: encode_dc_zigzag(segments, f, rescale=True),
-         {"zigzag": eval_dc_zigzag}, zigzag_ref, 3.0),
+         {"zigzag": eval_dc_zigzag}, lambda gt: eval_bezier_chain(segments, gt), 3.0),
         ("patch", lambda f: encode_bilinear_patch(patch, f, rescale=True),
          {"patch": diagonal(eval_bilinear_patch)}, surface(patch), 1.0),
         ("bicubic", lambda f: encode_bicubic_rgba(bicubic, f, rescale=True),

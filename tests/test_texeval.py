@@ -1,7 +1,12 @@
 import gc
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from texcurve import (
     ControlPolygon,
@@ -30,6 +35,7 @@ from texcurve import (
     remap_unit_to_texel_span,
     sample_bilinear,
 )
+from texcurve.texeval import _BLOCK
 from conftest import IDEAL, BITS8, random_c0_quadratics, random_polygon
 
 F32 = TexelFormat.FLOAT32
@@ -142,6 +148,24 @@ class TestEvalSeilerTex:
             ts = np.linspace(0, 1, 257)
             dev = np.abs(eval_seiler_tex(enc, ts, IDEAL) - eval_bernstein(poly, ts))
             assert np.max(dev) <= 1e-6
+
+    def test_coordinate_window_checked_under_optimize(self):
+        # the window check must raise, not assert: `python -O` strips asserts
+        script = (
+            "import texcurve as tc\n"
+            "from texcurve import texeval\n"
+            "enc = tc.encode_seiler(tc.ControlPolygon([0.0, 1.0, 1.0, 0.0]), tc.TexelFormat.FLOAT32)\n"
+            "texeval.remap_unit_to_texel_span = lambda x, extent: x * 0 + 0.5\n"
+            "try:\n"
+            "    tc.eval_seiler_tex(enc, 0.5, tc.SamplerConfig())\n"
+            "except tc.TexCurveError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.startswith("TexCurveError seiler coordinate")
 
 
 class TestHybrid:
@@ -293,3 +317,59 @@ def test_evaluation_leaves_no_reference_cycles(rng):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _one_parameter_cases():
+    """(name, evaluator, curve, domain end) for every 1-parameter evaluator."""
+    rng = np.random.default_rng(7)
+    quad = random_polygon(rng, 2, 2)
+    cubic = random_polygon(rng, 3, 3)
+    u8 = TexelFormat.UNORM8
+    return (
+        ("dc-quad", eval_dc, encode_dc_quadratic(quad, F32), 1.0),
+        ("dc-cubic", eval_dc, encode_dc_cubic(cubic, u8, rescale=True), 1.0),
+        ("dc-hybrid", eval_dc_cubic_hybrid, encode_dc_cubic(cubic, F32), 1.0),
+        ("seiler-2d", eval_seiler_tex, encode_seiler(random_polygon(rng, 3, 2), F32), 1.0),
+        ("seiler-3d", eval_seiler_tex, encode_seiler(random_polygon(rng, 5), u8, rescale=True), 1.0),
+        ("zigzag", eval_dc_zigzag, encode_dc_zigzag(random_c0_quadratics(rng, 5, 2), F32), 5.0),
+        ("rational-seiler", eval_rational_tex,
+         encode_rational(quad, [1.0, 0.7, 1.0], F32, scheme="seiler"), 1.0),
+        ("rational-dc", eval_rational_tex,
+         encode_rational(random_polygon(rng, 3), [1.0, 0.6, 0.8, 1.0], F32, scheme="dc"), 1.0),
+    )
+
+
+ONE_PARAMETER_CASES = _one_parameter_cases()
+SPLIT_N = 2 * _BLOCK + 17
+
+
+class TestBlocking:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(ONE_PARAMETER_CASES),
+        st.sampled_from((IDEAL, BITS8, SamplerConfig(subtexel_bits=12, subtexel_rounding="floor"))),
+        st.lists(st.integers(min_value=0, max_value=SPLIT_N), max_size=4),
+    )
+    def test_split_invariance(self, case, cfg, cuts):
+        _, fn, enc, end = case
+        t = np.linspace(0.0, end, SPLIT_N)
+        whole = fn(enc, t, cfg)
+        bounds = [0, *sorted(cuts), SPLIT_N]
+        parts = [fn(enc, t[a:b], cfg) for a, b in zip(bounds, bounds[1:]) if b > a]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(ONE_PARAMETER_CASES),
+        st.integers(min_value=2 * _BLOCK, max_value=SPLIT_N - 1),
+        st.sampled_from((-0.5, -1e-300, 1.5, np.inf, np.nan)),
+    )
+    def test_bad_parameter_in_last_block(self, case, position, bad):
+        _, fn, enc, end = case
+        t = np.linspace(0.0, end, SPLIT_N)
+        t[position] = end * bad if bad == 1.5 else bad
+        with pytest.raises(DomainError) as blocked:
+            fn(enc, t, BITS8)
+        with pytest.raises(DomainError) as unblocked:
+            fn(enc, t[2 * _BLOCK :], BITS8)
+        assert str(blocked.value) == str(unblocked.value)
