@@ -10,6 +10,8 @@ enters the digest as its class name.
 LARGE_DIGEST covers every 1-parameter evaluator over a lattice longer than
 two evaluation blocks and not a multiple of one, plus scalar calls at the
 lattice points where blocks of 4096, 8192 or 16384 samples begin and end.
+BOUND_DIGEST covers the error bound of every 1-parameter mode over the same
+lattice length, with and without a reference.
 
 A change meant to keep outputs bitwise identical must leave both digests as
 they are. A change that alters outputs on purpose updates them and says why.
@@ -66,6 +68,7 @@ LARGE_CONFIGS = tuple(
     for rounding in ("nearest", "floor")
 )
 BOUNDARY_INDICES = (0, 4095, 4096, 8191, 8192, 8193, 12288, 16383, 16384, 16385, 20000)
+BOUND_DIGEST = "08668cbff5ca4fd56c839b42d93c055261fadc65334b043a11365aa2a00d281f"
 
 
 def _curves(rng):
@@ -206,3 +209,28 @@ def large_digest() -> str:
 
 def test_golden_large_digest():
     assert large_digest() == LARGE_DIGEST
+
+
+def bound_digest() -> str:
+    curves = _curves(np.random.default_rng(20261019))
+    h = hashlib.sha256()
+    for fmt in FORMATS:
+        for name, encode, evaluators, ref, _ in curves:
+            if name in ("patch", "bicubic"):
+                continue
+            h.update(f"{name} {fmt.value}".encode())
+            try:
+                curve = encode(fmt)
+            except TexCurveError as exc:
+                h.update(type(exc).__name__.encode())
+                continue
+            for cfg in LARGE_CONFIGS:
+                for mode in evaluators:
+                    _feed(h, error_bound_estimate, curve, cfg, mode=mode, samples=LARGE_N)
+                    _feed(h, error_bound_estimate, curve, cfg, reference=ref, mode=mode,
+                          samples=LARGE_N)
+    return h.hexdigest()
+
+
+def test_golden_bound_digest():
+    assert bound_digest() == BOUND_DIGEST
