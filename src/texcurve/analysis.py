@@ -12,15 +12,25 @@ pick a layout's default mode through it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DomainError, EncodedCurve, Layout, LayoutError, SamplerConfig
+from .core import (
+    ChannelMismatchError,
+    DomainError,
+    EncodedCurve,
+    Layout,
+    LayoutError,
+    SamplerConfig,
+)
 from .sampler import blend_with_fractions, texel_cell
 from .texeval import (
+    _decode,
+    _in_blocks,
     eval_bicubic_rgba,
     eval_bilinear_patch,
     eval_dc,
@@ -63,14 +73,11 @@ def _mode_eval(curve: EncodedCurve, mode: str) -> Callable:
 
 
 def _reference_values(reference: Callable, ts: np.ndarray, shape) -> np.ndarray:
-    """`reference` over the lattice `ts`: one vectorized call, or one call
-    per sample when it does not accept the array or returns another shape."""
-    try:
-        ref = np.asarray(reference(ts), dtype=float)
-        if ref.shape != shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        ref = np.stack([np.asarray(reference(float(t)), dtype=float) for t in ts])
+    """`reference` called once on the whole lattice `ts`; it must return
+    `shape`, (samples, channels)."""
+    ref = np.asarray(reference(ts), dtype=float)
+    if ref.shape != shape:
+        raise ChannelMismatchError(f"reference returned shape {ref.shape}, expected {shape}")
     return ref
 
 
@@ -141,9 +148,10 @@ def sweep(
 ) -> ErrorReport:
     """Compare the texture path against `reference` on a uniform lattice.
 
-    `reference` is called with the whole parameter array first; if it does
-    not support that it is invoked per sample. Results are deterministic
-    and independent of evaluation order.
+    `reference` is called once with the whole parameter array and must
+    return (samples, channels) (else ChannelMismatchError); errors it raises
+    propagate, so wrap a scalar-only reference such as `eval_deboor`.
+    Results are deterministic and independent of evaluation order.
     """
     if samples < 2:
         raise DomainError("a sweep needs at least 2 samples")
@@ -275,6 +283,29 @@ def write_ppm(image: np.ndarray, path) -> None:
         fh.write(image.astype(np.uint8).tobytes())
 
 
+def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np.ndarray:
+    """(samples, 2, channels): the exact-coordinate blend of each sample and
+    its worst distance from a probe blend at the adjacent representable
+    fractions."""
+    coords = parameter_coords(curve, t)
+    extents = (curve.grid.width, curve.grid.height, curve.grid.depth)
+    bases, fracs = zip(*(texel_cell(c, extent) for c, extent in zip(coords, extents)))
+    exact = _decode(curve, blend_with_fractions(curve.grid, bases, fracs))
+    dev = np.zeros_like(exact)
+    if cfg.subtexel_bits > 0:
+        step = float(1 << cfg.subtexel_bits)
+        options = []
+        for frac in fracs:
+            lo = np.floor(frac * step) / step
+            options.append((lo, np.minimum(lo + 1.0 / step, 1.0)))
+        if hybrid:  # the hybrid's depth fraction is never quantized
+            options[-1] = (fracs[-1],)
+        for combo in itertools.product(*options):
+            probe = _decode(curve, blend_with_fractions(curve.grid, bases, combo))
+            dev = np.maximum(dev, np.abs(probe - exact))
+    return np.stack([exact, dev], axis=1)
+
+
 def error_bound_estimate(
     curve: EncodedCurve,
     cfg: SamplerConfig,
@@ -293,6 +324,9 @@ def error_bound_estimate(
     (texel quantization plus blend arithmetic) is added, so a sweep at the
     same lattice against the same reference can never exceed the result.
 
+    Blends decode and the lattice runs in blocks as in the evaluators; the
+    reference is called once with the whole lattice, as in `sweep`.
+
     `mode` defaults to the curve layout's default mode and is validated
     like sweep's. Surface layouts raise LayoutError.
     """
@@ -300,42 +334,9 @@ def error_bound_estimate(
         mode = _default_mode(curve.layout)
     _mode_eval(curve, mode)
     ts = _domain_lattice(curve, mode, samples)
-    coords = parameter_coords(curve, ts)
-    extents = (curve.grid.width, curve.grid.height, curve.grid.depth)[: len(coords)]
-    bases = []
-    exact_fracs = []
-    for coord, extent in zip(coords, extents):
-        base, frac = texel_cell(coord, extent)
-        bases.append(base)
-        exact_fracs.append(frac)
-
-    def finish(values):
-        out = curve.transform.invert(values)
-        if curve.layout is Layout.RATIONAL_HOMOGENEOUS:
-            den = out[..., -1:]
-            return out[..., :-1] / den
-        return out
-
-    exact = finish(blend_with_fractions(curve.grid, tuple(bases), tuple(exact_fracs)))
-
-    coord_bound = 0.0
-    if cfg.subtexel_bits > 0:
-        step = float(1 << cfg.subtexel_bits)
-        hybrid_axis = len(coords) - 1 if mode == "dc-hybrid" else None
-        options = []
-        for axis, frac in enumerate(exact_fracs):
-            if axis == hybrid_axis:
-                options.append((frac,))
-            else:
-                lo = np.floor(frac * step) / step
-                hi = np.minimum(lo + 1.0 / step, 1.0)
-                options.append((lo, hi))
-        for combo in itertools.product(*options):
-            probe = finish(blend_with_fractions(curve.grid, tuple(bases), combo))
-            coord_bound = max(coord_bound, float(np.max(np.abs(probe - exact))))
-
+    body = functools.partial(_bound_block, hybrid=mode == "dc-hybrid")
+    exact, dev = np.moveaxis(_in_blocks(body, curve, ts, cfg), 1, 0)
     allowance = 0.0
     if reference is not None:
-        ref = _reference_values(reference, ts, exact.shape)
-        allowance = float(np.max(np.abs(exact - ref)))
-    return coord_bound + allowance
+        allowance = float(np.max(np.abs(exact - _reference_values(reference, ts, exact.shape))))
+    return float(np.max(dev)) + allowance

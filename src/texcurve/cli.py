@@ -190,12 +190,7 @@ def _cmd_sweep(args) -> int:
         args.samples,
         curve_id=args.infile,
     )
-    text = analysis.report_to_csv(report)
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_or_print(args.out, analysis.report_to_csv(report))
     return 0
 
 

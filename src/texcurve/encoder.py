@@ -27,7 +27,7 @@ from .core import (
     UnsupportedDegreeError,
     ValueTransform,
 )
-from .reference import seiler_terms
+from .reference import homogeneous, seiler_terms
 from .sampler import quantize_texel
 
 
@@ -345,16 +345,9 @@ def encode_rational(
     an affine map does not commute with that divide; rescale therefore
     applies to the point channels only.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.shape[0] != num.points.shape[0]:
-        raise ChannelMismatchError("one weight per control point required")
-    if np.any(w <= 0.0):
-        raise DomainError("rational weights must all be positive")
-    if num.channels + 1 > 4:
-        raise ChannelMismatchError("point channels + weight channel exceed 4")
+    hom = homogeneous(num, weights)
     if num.degree not in (2, 3):
         raise UnsupportedDegreeError("rational encoding supports degrees 2 and 3")
-    hom = ControlPolygon(np.concatenate([num.points * w[:, None], w[:, None]], axis=1))
     if scheme == "seiler":
         values = _seiler_values(hom)
         inner = Layout.SEILER_2D

@@ -23,6 +23,7 @@ from .core import (
     ControlPolygon,
     DomainError,
     HomogeneousDivideError,
+    MAX_CHANNELS,
     UnsupportedDegreeError,
     lerp,
 )
@@ -37,16 +38,25 @@ def pascal_row(n: int) -> Tuple[int, ...]:
     return tuple(row)
 
 
-def eval_bernstein(poly: ControlPolygon, t):
-    """Evaluate sum_i C(d,i) (1-t)^(d-i) t^i b_i."""
-    d = poly.degree
+def bernstein_sum(points, t):
+    """sum_i C(d,i) (1-t)^(d-i) t^i points[i] over the d + 1 points.
+
+    Each points[i] broadcasts against t[..., None]: a (channels,) control
+    point gives (..., channels), as do per-sample points of that shape.
+    """
+    d = len(points) - 1
     row = pascal_row(d)
     tt = np.asarray(t, dtype=float)[..., None]
     s = 1.0 - tt
-    acc = row[0] * s**d * poly.points[0]
+    acc = row[0] * s**d * points[0]
     for i in range(1, d + 1):
-        acc = acc + row[i] * s ** (d - i) * tt**i * poly.points[i]
+        acc = acc + row[i] * s ** (d - i) * tt**i * points[i]
     return acc
+
+
+def eval_bernstein(poly: ControlPolygon, t):
+    """Evaluate sum_i C(d,i) (1-t)^(d-i) t^i b_i."""
+    return bernstein_sum(poly.points, t)
 
 
 def eval_decasteljau(poly: ControlPolygon, t):
@@ -143,19 +153,26 @@ def eval_seiler(poly: ControlPolygon, t):
     return lerp(poly.points[0], poly.points[d], tt) + st * rec(1)
 
 
+def homogeneous(num: ControlPolygon, weights) -> ControlPolygon:
+    """The homogeneous control polygon (w_i b_i, w_i) of a rational curve,
+    with one positive weight per control point."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or w.shape[0] != num.points.shape[0]:
+        raise ChannelMismatchError("one weight per control point required")
+    if np.any(w <= 0.0):
+        raise DomainError("rational weights must all be positive")
+    if num.channels + 1 > MAX_CHANNELS:
+        raise ChannelMismatchError("point channels + weight channel exceed 4")
+    return ControlPolygon(np.concatenate([num.points * w[:, None], w[:, None]], axis=1))
+
+
 def eval_rational(num: ControlPolygon, weights, t):
     """Rational curve via the homogeneous trick.
 
     Evaluates the curve with control points (w_i b_i, w_i) in the Bernstein
     basis, then divides the point part by the weight part.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.shape[0] != num.points.shape[0]:
-        raise ChannelMismatchError("one weight per control point required")
-    if np.any(w <= 0.0):
-        raise DomainError("rational weights must all be positive")
-    hom = ControlPolygon(np.concatenate([num.points * w[:, None], w[:, None]], axis=1))
-    val = eval_bernstein(hom, t)
+    val = eval_bernstein(homogeneous(num, weights), t)
     den = val[..., -1:]
     if np.any(np.abs(den) <= 1e-12):
         raise HomogeneousDivideError("homogeneous weight vanished at evaluation")
@@ -179,15 +196,7 @@ def eval_tensor_surface(grid_points, u, v):
     if g.ndim != 3:
         raise DomainError("control grid must be 2-D (scalars) or 3-D (vectors)")
     rows = [eval_bernstein(ControlPolygon(g[i]), u) for i in range(g.shape[0])]
-    stacked = np.stack(rows, axis=0)
-    m = g.shape[0] - 1
-    row = pascal_row(m)
-    vv = np.asarray(v, dtype=float)[..., None]
-    s = 1.0 - vv
-    acc = row[0] * s**m * stacked[0]
-    for i in range(1, m + 1):
-        acc = acc + row[i] * s ** (m - i) * vv**i * stacked[i]
-    return acc
+    return bernstein_sum(rows, v)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 `parameter_coords` is the one place that maps a 1-parameter layout's
 parameter to sample coordinates. The dc, seiler, zig-zag and rational
 evaluators check their layout and then share one path: coordinates, one
-bilinear or trilinear fetch, the inverse transform, and for rational
-curves the divide by the weight. The split-precision hybrid runs a single
-3-axis blend with an exact depth fraction; the two surface evaluators map
-(u, v) themselves.
+bilinear or trilinear fetch, and `_decode` (the inverse transform, and for
+rational curves the divide by the weight). The split-precision hybrid runs
+a single 3-axis blend with an exact depth fraction; the two surface
+evaluators map (u, v) themselves. Every evaluator and the error bound
+decode through `_decode`.
 
 Parameters broadcast like the reference evaluators: scalar in, one point
 out; (n,) array in, (n, channels) out. A 1-parameter evaluator runs a
@@ -32,6 +33,7 @@ from .core import (
     TexCurveError,
     remap_unit_to_texel_span,
 )
+from .reference import bernstein_sum
 from .sampler import (
     blend_with_fractions,
     quantize_fraction,
@@ -60,12 +62,15 @@ _BLOCK = 8192
 def _curve_param(curve: EncodedCurve, t):
     """A 1-parameter curve's layout and its validated parameter array.
 
-    Rational curves resolve to their inner layout. Zig-zag chains take a
-    global parameter in [0, segment_count], every other 1-parameter layout
-    t in [0, 1]. Other layouts raise LayoutError.
+    Rational curves resolve to their inner layout and must keep an identity
+    transform on the weight channel. Zig-zag chains take a global parameter
+    in [0, segment_count], every other 1-parameter layout t in [0, 1].
+    Other layouts raise LayoutError, before the parameter is checked.
     """
     layout = curve.layout
     if layout is Layout.RATIONAL_HOMOGENEOUS:
+        if curve.transform.scale[-1] != 1.0 or curve.transform.offset[-1] != 0.0:
+            raise LayoutError("rational curves must keep an identity transform on the weight channel")
         layout = curve.inner_layout
     if layout is Layout.DC_ZIGZAG:
         n = curve.segment_count
@@ -148,19 +153,14 @@ def _in_blocks(body, curve: EncodedCurve, t, cfg: SamplerConfig):
     return out
 
 
-def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig):
-    """The shared 1-parameter path: coordinates, one fetch, inverse
-    transform, and for rational curves the divide by the weight channel.
+def _decode(curve: EncodedCurve, raw):
+    """Filtered texel values to curve points: the inverse transform, and for
+    rational curves the divide by the weight channel.
 
-    The inverse transform runs before the divide (it is what undoes the
-    encode-time map exactly); the weight channel is guaranteed identity by
-    the encoder, so the decoded weight is the true weight polynomial value.
+    The inverse transform runs before the divide (it undoes the encode-time
+    map exactly); `_curve_param` holds the weight channel to an identity
+    transform, so the decoded weight is the true weight polynomial value.
     """
-    coords = parameter_coords(curve, t)
-    if len(coords) == 2:
-        raw, _ = sample_bilinear(curve.grid, *coords, cfg)
-    else:
-        raw, _ = sample_trilinear(curve.grid, *coords, cfg)
     value = curve.transform.invert(raw)
     if curve.layout is not Layout.RATIONAL_HOMOGENEOUS:
         return value
@@ -168,6 +168,16 @@ def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig):
     if np.any(np.abs(den) <= 1e-9):
         raise HomogeneousDivideError("decoded weight too close to zero to divide by")
     return value[..., :-1] / den
+
+
+def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig):
+    """The shared 1-parameter path: coordinates, one fetch, decode."""
+    coords = parameter_coords(curve, t)
+    if len(coords) == 2:
+        raw, _ = sample_bilinear(curve.grid, *coords, cfg)
+    else:
+        raw, _ = sample_trilinear(curve.grid, *coords, cfg)
+    return _decode(curve, raw)
 
 
 def eval_dc(curve: EncodedCurve, t, cfg: SamplerConfig):
@@ -193,7 +203,7 @@ def _eval_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
     base, frac = texel_cell(r, curve.grid.width)
     f = quantize_fraction(frac, cfg)
     raw = blend_with_fractions(curve.grid, (base, base, np.zeros_like(base)), (f, f, t))
-    return curve.transform.invert(raw)
+    return _decode(curve, raw)
 
 
 def eval_dc_cubic_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
@@ -214,7 +224,7 @@ def eval_bilinear_patch(curve: EncodedCurve, u, v, cfg: SamplerConfig):
     ru = remap_unit_to_texel_span(_unit_param(u), 2)
     rv = remap_unit_to_texel_span(_unit_param(v), 2)
     raw, _ = sample_bilinear(curve.grid, ru, rv, cfg)
-    return curve.transform.invert(raw)
+    return _decode(curve, raw)
 
 
 def eval_bicubic_rgba(curve: EncodedCurve, u, v, cfg: SamplerConfig):
@@ -224,22 +234,12 @@ def eval_bicubic_rgba(curve: EncodedCurve, u, v, cfg: SamplerConfig):
     _require_layout(curve, Layout.BICUBIC_RGBA)
     r = remap_unit_to_texel_span(_unit_param(u), 2)
     raw, _ = sample_trilinear(curve.grid, r, r, r, cfg)
-    iso = curve.transform.invert(raw)
-    vv = _unit_param(v)
-    s = 1.0 - vv
-    out = (
-        s**3 * iso[..., 0]
-        + 3.0 * s**2 * vv * iso[..., 1]
-        + 3.0 * s * vv**2 * iso[..., 2]
-        + vv**3 * iso[..., 3]
-    )
-    return out[..., None]
+    iso = _decode(curve, raw)
+    return bernstein_sum(np.moveaxis(iso, -1, 0)[..., None], _unit_param(v))
 
 
 def eval_rational_tex(curve: EncodedCurve, t, cfg: SamplerConfig):
     """Evaluate a homogeneous packing through its inner layout, then divide
     point by weight."""
     _require_layout(curve, Layout.RATIONAL_HOMOGENEOUS)
-    if curve.transform.scale[-1] != 1.0 or curve.transform.offset[-1] != 0.0:
-        raise LayoutError("rational curves must keep an identity transform on the weight channel")
     return _in_blocks(_eval_curve, curve, t, cfg)

@@ -1,21 +1,29 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from texcurve import (
+    ChannelMismatchError,
     ControlPolygon,
+    HomogeneousDivideError,
     LayoutError,
     SamplerConfig,
     TexelFormat,
     encode_dc_cubic,
     encode_dc_quadratic,
+    encode_rational,
     encode_seiler,
     error_bound_estimate,
     eval_bernstein,
+    eval_rational,
+    eval_rational_tex,
     render_deviation_image,
     sweep,
 )
 from texcurve.analysis import _default_mode, report_to_csv, write_csv, write_ppm
-from texcurve.core import Layout
+from texcurve.core import Layout, ValueTransform
 from texcurve.reference import elevate_degree
 from conftest import IDEAL, BITS8, random_polygon
 
@@ -239,3 +247,63 @@ class TestErrorBound:
         enc = encode_bilinear_patch(rng.uniform(0, 1, (2, 2)), F32)
         with pytest.raises(LayoutError):
             error_bound_estimate(enc, BITS8)
+
+    def test_vanishing_decoded_weight_raises_like_the_evaluator(self, rng):
+        # weights of 0.001 store as unorm8 code 0, so every decoded weight is 0
+        poly = random_polygon(rng, 2, 2, lo=0.0)
+        enc = encode_rational(poly, np.full(3, 0.001), U8, scheme="dc")
+        with pytest.raises(HomogeneousDivideError):
+            eval_rational_tex(enc, np.linspace(0.0, 1.0, 64), BITS8)
+        with pytest.raises(HomogeneousDivideError):
+            error_bound_estimate(enc, BITS8, samples=64)
+
+    def test_scaled_weight_channel_rejected(self, rng):
+        poly = random_polygon(rng, 2, 2, lo=0.0)
+        w = np.array([1.0, 0.5, 1.0])
+        enc = encode_rational(poly, w, F32)
+        bad = dataclasses.replace(enc, transform=ValueTransform([1.0, 1.0, 2.0], [0.0, 0.0, 0.0]))
+        ref = lambda t: eval_rational(poly, w, t)
+        with pytest.raises(LayoutError):
+            sweep(bad, ref, "rational", BITS8, 64)
+        with pytest.raises(LayoutError):
+            error_bound_estimate(bad, BITS8, samples=64)
+        with pytest.raises(LayoutError):  # the layout is checked before the parameter
+            eval_rational_tex(bad, 2.0, BITS8)
+
+    def test_peak_memory_is_one_block(self, rng):
+        poly = random_polygon(rng, 3, 3)
+        enc = encode_dc_cubic(poly, F32)
+        tracemalloc.start()
+        try:
+            error_bound_estimate(enc, BITS8, reference=bernstein_ref(poly), samples=2**17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
+
+
+class TestReferenceCall:
+    """The reference is called once, with the whole lattice."""
+
+    def test_type_error_propagates(self, rng):
+        poly = random_polygon(rng, 3)
+        enc = encode_dc_cubic(poly, F32)
+
+        def scalar_only(t):
+            if np.ndim(t):
+                raise TypeError("scalar parameters only")
+            return eval_bernstein(poly, t)
+
+        with pytest.raises(TypeError, match="scalar parameters only"):
+            sweep(enc, scalar_only, "dc", BITS8, 64)
+        with pytest.raises(TypeError, match="scalar parameters only"):
+            error_bound_estimate(enc, BITS8, reference=scalar_only, samples=64)
+
+    def test_wrong_shape_rejected(self, rng):
+        poly = random_polygon(rng, 3, 2)
+        enc = encode_dc_cubic(poly, F32)
+        one_channel = lambda t: eval_bernstein(poly, t)[:, :1]
+        with pytest.raises(ChannelMismatchError):
+            sweep(enc, one_channel, "dc", BITS8, 64)
+        with pytest.raises(ChannelMismatchError):
+            error_bound_estimate(enc, BITS8, reference=one_channel, samples=64)
