@@ -25,6 +25,7 @@ from texcurve import (
 from texcurve.analysis import _default_mode, report_to_csv, write_csv, write_ppm
 from texcurve.core import Layout, ValueTransform
 from texcurve.reference import elevate_degree
+from texcurve.texeval import parameter_coords
 from conftest import IDEAL, BITS8, random_polygon
 
 F32 = TexelFormat.FLOAT32
@@ -267,6 +268,8 @@ class TestErrorBound:
             sweep(bad, ref, "rational", BITS8, 64)
         with pytest.raises(LayoutError):
             error_bound_estimate(bad, BITS8, samples=64)
+        with pytest.raises(LayoutError):
+            parameter_coords(bad, 0.5)
         with pytest.raises(LayoutError):  # the layout is checked before the parameter
             eval_rational_tex(bad, 2.0, BITS8)
 
