@@ -328,8 +328,11 @@ def error_bound_estimate(
     reference is called once with the whole lattice, as in `sweep`.
 
     `mode` defaults to the curve layout's default mode and is validated
-    like sweep's. Surface layouts raise LayoutError.
+    like sweep's. Surface layouts raise LayoutError. The bound holds for a
+    sweep at the same lattice, so `samples` must be at least 2 as there.
     """
+    if samples < 2:
+        raise DomainError("a bound needs at least 2 samples, like the sweep it bounds")
     if mode is None:
         mode = _default_mode(curve.layout)
     _mode_eval(curve, mode)

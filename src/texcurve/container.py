@@ -33,6 +33,11 @@ _LAYOUTS = {v: k for k, v in LAYOUT_CODES.items()}
 _NO_INNER = 0xFF
 
 _HEADER = struct.Struct("<5sIIIBBBBBI")
+_PAYLOAD_DTYPES = {
+    TexelFormat.UNORM8: np.dtype("<u1"),
+    TexelFormat.UNORM16: np.dtype("<u2"),
+    TexelFormat.FLOAT32: np.dtype("<f4"),
+}
 
 
 def _payload_bytes(grid: TexelGrid) -> bytes:
@@ -40,17 +45,12 @@ def _payload_bytes(grid: TexelGrid) -> bytes:
     if grid.fmt is TexelFormat.FLOAT32:
         return flat.astype("<f4").tobytes()
     codes = np.rint(flat * grid.fmt.levels).astype(np.uint32)
-    kind = "<u1" if grid.fmt is TexelFormat.UNORM8 else "<u2"
-    return codes.astype(kind).tobytes()
+    return codes.astype(_PAYLOAD_DTYPES[grid.fmt]).tobytes()
 
 
-def _payload_values(raw: bytes, fmt: TexelFormat, count: int) -> np.ndarray:
-    if fmt is TexelFormat.FLOAT32:
-        vals = np.frombuffer(raw, dtype="<f4", count=count).astype(float)
-    else:
-        kind = "<u1" if fmt is TexelFormat.UNORM8 else "<u2"
-        vals = np.frombuffer(raw, dtype=kind, count=count).astype(float) / fmt.levels
-    return vals
+def _payload_values(raw: bytes, fmt: TexelFormat) -> np.ndarray:
+    vals = np.frombuffer(raw, dtype=_PAYLOAD_DTYPES[fmt]).astype(float)
+    return vals if fmt is TexelFormat.FLOAT32 else vals / fmt.levels
 
 
 def curve_to_bytes(curve: EncodedCurve) -> bytes:
@@ -82,15 +82,19 @@ def curve_from_bytes(blob: bytes) -> EncodedCurve:
     )
     if fmt_code not in _FORMATS or layout_code not in _LAYOUTS:
         raise LayoutError("unknown format or layout code")
+    if inner_code != _NO_INNER and inner_code not in _LAYOUTS:
+        raise LayoutError("unknown inner-layout code")
     fmt = _FORMATS[fmt_code]
     layout = _LAYOUTS[layout_code]
     inner = None if inner_code == _NO_INNER else _LAYOUTS[inner_code]
     off = _HEADER.size
     tsize = 2 * channels * 8
+    size = off + tsize + w * h * d * channels * _PAYLOAD_DTYPES[fmt].itemsize
+    if len(blob) != size:
+        raise LayoutError(f"CTEX1 container of these dims is {size} bytes, got {len(blob)}")
     scale_offset = struct.unpack(f"<{2 * channels}d", blob[off : off + tsize])
     transform = ValueTransform(np.array(scale_offset[:channels]), np.array(scale_offset[channels:]))
-    count = w * h * d * channels
-    values = _payload_values(blob[off + tsize :], fmt, count)
+    values = _payload_values(blob[off + tsize :], fmt)
     grid = TexelGrid((w, h, d), channels, fmt, values.reshape(d, h, w, channels))
     return EncodedCurve(
         grid=grid,

@@ -43,14 +43,17 @@ def bernstein_sum(points, t):
 
     Each points[i] broadcasts against t[..., None]: a (channels,) control
     point gives (..., channels), as do per-sample points of that shape.
+    Each term is written channel-major (Fortran order), so the product with
+    a control point and the running sum loop over the samples, not over
+    the channels; the result is channel-major too.
     """
     d = len(points) - 1
     row = pascal_row(d)
     tt = np.asarray(t, dtype=float)[..., None]
     s = 1.0 - tt
-    acc = row[0] * s**d * points[0]
+    acc = np.multiply(row[0] * s**d, points[0], order="F")
     for i in range(1, d + 1):
-        acc = acc + row[i] * s ** (d - i) * tt**i * points[i]
+        acc = acc + np.multiply(row[i] * s ** (d - i) * tt**i, points[i], order="F")
     return acc
 
 

@@ -6,11 +6,13 @@ indices clamp to the edge; the fractional position along each axis is
 quantized to subtexel fixed point before the blend, which runs in float64.
 Bilinear and trilinear fetches and the explicit-fraction probe all run one
 blend kernel, a fixed chain of lerps along x, then y, then z. The kernel
-views the grid as a flat (texels, channels) table and gathers each corner
-with one `take` at offset x + w*y + w*h*z.
+views the grid as a flat (channels, texels) table and gathers each corner
+with one `take` at offset x + w*y + w*h*z, so every lerp runs over
+channel rows whose sample axis is contiguous.
 
 All entry points accept scalar coordinates or equal-length coordinate
-arrays; array calls return stacked results.
+arrays; array calls return stacked results of shape (n, channels), stored
+channel-major (Fortran order).
 """
 
 from __future__ import annotations
@@ -99,12 +101,6 @@ def _clamp_pair(base, extent: int):
     return i0, i1
 
 
-def _col(f):
-    """Shape a fraction for broadcasting against (..., channels) texels."""
-    f = np.asarray(f, dtype=float)
-    return f[..., None] if f.ndim else f
-
-
 def _require_finite(x, name: str):
     if not np.all(np.isfinite(np.asarray(x, dtype=float))):
         raise DomainError(f"{name} must be finite")
@@ -118,28 +114,33 @@ def _blend(grid: TexelGrid, pairs, fractions):
     blended pairwise along x, then y, then z; that order is part of the
     emulated result, bit for bit. Two axes read depth slice 0.
 
-    The texels are read as one flat (texels, channels) table: each axis's
+    The texels are read as one flat (channels, texels) table: each axis's
     index pair becomes a pair of offsets scaled by the axis stride (1, w,
     w*h), and each corner is one `take` at the summed offset x + w*y + w*h*z.
-    A flat take costs a fraction of a 3-array fancy index.
+    A flat take costs a fraction of a 3-array fancy index. Each corner is
+    (channels, ...) with the samples contiguous, so fractions broadcast
+    unchanged and each lerp's inner loop runs over the samples rather than
+    the 1 to 4 channels. The result is a view with the channel axis last,
+    so it stays channel-major.
     """
-    texels = grid.data.reshape(-1, grid.channels)
+    texels = grid.data.reshape(-1, grid.channels).T
     strides = (1, grid.width, grid.width * grid.height)
     offsets = [(i0 * stride, i1 * stride) for (i0, i1), stride in zip(pairs, strides)]
-    return _lerp_axes(texels, 0, offsets, [_col(f) for f in fractions])
+    value = _lerp_axes(texels, 0, offsets, [np.asarray(f, dtype=float) for f in fractions])
+    return value.transpose(*range(1, value.ndim), 0)
 
 
-def _lerp_axes(texels, offset, offsets, cols):
+def _lerp_axes(texels, offset, offsets, fractions):
     """Lerp along the last axis of `offsets`, recursing into the earlier
     axes with the flat offset of the outer indices chosen so far. Depth
     first, so only one corner pair per axis is alive at a time."""
     if not offsets:
-        return texels.take(offset, axis=0)
+        return texels.take(offset, axis=1)
     o0, o1 = offsets[-1]
     return lerp(
-        _lerp_axes(texels, offset + o0, offsets[:-1], cols[:-1]),
-        _lerp_axes(texels, offset + o1, offsets[:-1], cols[:-1]),
-        cols[-1],
+        _lerp_axes(texels, offset + o0, offsets[:-1], fractions[:-1]),
+        _lerp_axes(texels, offset + o1, offsets[:-1], fractions[:-1]),
+        fractions[-1],
     )
 
 

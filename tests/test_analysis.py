@@ -7,6 +7,7 @@ import pytest
 from texcurve import (
     ChannelMismatchError,
     ControlPolygon,
+    DomainError,
     HomogeneousDivideError,
     LayoutError,
     SamplerConfig,
@@ -230,6 +231,16 @@ class TestErrorBound:
             if prev is not None:
                 assert worst <= prev
             prev = worst
+
+    @pytest.mark.parametrize("samples", [-1, 0, 1])
+    def test_sample_count_checked_like_sweep(self, rng, samples):
+        poly = random_polygon(rng, 2)
+        enc = encode_dc_quadratic(poly, F32)
+        for cfg in (IDEAL, BITS8):
+            with pytest.raises(DomainError):
+                sweep(enc, bernstein_ref(poly), "dc", cfg, samples)
+            with pytest.raises(DomainError):
+                error_bound_estimate(enc, cfg, samples=samples)
 
     def test_mode_validated_like_sweep(self, rng):
         # a quadratic has no hybrid axis: treating its y axis as exact

@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
-from texcurve import LayoutError, TexelFormat, read_ctex, write_ctex
-from texcurve.container import curve_from_bytes, curve_to_bytes, sidecar_text
+from texcurve import DomainError, LayoutError, TexelFormat, read_ctex, write_ctex
+from texcurve.container import _HEADER, curve_from_bytes, curve_to_bytes, sidecar_text
 from texcurve.encoder import (
     encode_bicubic_rgba,
     encode_dc_cubic,
@@ -64,6 +66,40 @@ def test_bad_magic_rejected():
 def test_truncated_rejected():
     with pytest.raises(LayoutError):
         curve_from_bytes(b"CTE")
+
+
+def _quadratic_blob(rng):
+    return curve_to_bytes(encode_dc_quadratic(random_polygon(rng, 2, 3), TexelFormat.FLOAT32))
+
+
+def test_trailing_bytes_rejected(rng):
+    with pytest.raises(LayoutError):
+        curve_from_bytes(_quadratic_blob(rng) + b"\x00")
+
+
+def test_truncated_transform_rejected(rng):
+    # header (26 bytes) plus 5 of the 48 transform bytes
+    with pytest.raises(LayoutError):
+        curve_from_bytes(_quadratic_blob(rng)[: _HEADER.size + 5])
+
+
+def test_truncated_payload_rejected(rng):
+    with pytest.raises(LayoutError):
+        curve_from_bytes(_quadratic_blob(rng)[:-1])
+
+
+def test_unknown_inner_layout_rejected(rng):
+    blob = bytearray(_quadratic_blob(rng))
+    blob[_HEADER.size - 6] = 99  # the inner_layout byte
+    with pytest.raises(LayoutError):
+        curve_from_bytes(bytes(blob))
+
+
+def test_non_finite_transform_rejected(rng):
+    blob = bytearray(_quadratic_blob(rng))
+    blob[_HEADER.size : _HEADER.size + 8] = struct.pack("<d", float("nan"))
+    with pytest.raises(DomainError):
+        curve_from_bytes(bytes(blob))
 
 
 def test_sidecar_contents(rng):
