@@ -157,7 +157,7 @@ def test_bernstein_sum_matches_sample_major_form(degree, channels):
 
 
 def _evaluations(rng, channels, fmt, cfg):
-    """(name, thunk) for every evaluator on seeded curves of `channels`."""
+    """(name, fn, parameter) for every evaluator on seeded curves of `channels`."""
     t = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, 2 * _BLOCK + 14)])
     poly = {d: ControlPolygon(rng.uniform(0.0, 1.0, (d + 1, channels))) for d in (2, 3, 5)}
     chain = rng.uniform(0.0, 1.0, (7, channels))
