@@ -126,7 +126,7 @@ def _blend(grid: TexelGrid, pairs, fractions):
     texels = grid.data.reshape(-1, grid.channels).T
     strides = (1, grid.width, grid.width * grid.height)
     offsets = [(i0 * stride, i1 * stride) for (i0, i1), stride in zip(pairs, strides)]
-    value = _lerp_axes(texels, 0, offsets, [np.asarray(f, dtype=float) for f in fractions])
+    value = _lerp_axes(texels, 0, offsets, fractions)
     return value.transpose(*range(1, value.ndim), 0)
 
 
