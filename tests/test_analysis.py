@@ -1,5 +1,8 @@
 import dataclasses
+import functools
+import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from texcurve import (
     TexelFormat,
     encode_dc_cubic,
     encode_dc_quadratic,
+    encode_dc_zigzag,
     encode_rational,
     encode_seiler,
     error_bound_estimate,
@@ -23,11 +27,13 @@ from texcurve import (
     render_deviation_image,
     sweep,
 )
+from texcurve import analysis
 from texcurve.analysis import _default_mode, report_to_csv, write_csv, write_ppm
 from texcurve.core import Layout, ValueTransform
 from texcurve.reference import elevate_degree
-from texcurve.texeval import parameter_coords
-from conftest import IDEAL, BITS8, random_polygon
+from texcurve.sampler import blend_with_fractions, texel_cell
+from texcurve.texeval import _BLOCK, _decode, _in_blocks, parameter_coords
+from conftest import IDEAL, BITS8, random_c0_quadratics, random_polygon
 
 F32 = TexelFormat.FLOAT32
 U8 = TexelFormat.UNORM8
@@ -321,3 +327,74 @@ class TestReferenceCall:
             sweep(enc, one_channel, "dc", BITS8, 64)
         with pytest.raises(ChannelMismatchError):
             error_bound_estimate(enc, BITS8, reference=one_channel, samples=64)
+
+
+def per_combination_bound_block(curve, t, cfg, hybrid):
+    """The bound block as one blend per fraction combination: the exact
+    blend, then one `blend_with_fractions` probe per combination of the
+    adjacent representable fractions, each decoded and compared."""
+    coords = parameter_coords(curve, t)
+    extents = (curve.grid.width, curve.grid.height, curve.grid.depth)
+    bases, fracs = zip(*(texel_cell(c, extent) for c, extent in zip(coords, extents)))
+    exact = _decode(curve, blend_with_fractions(curve.grid, bases, fracs))
+    dev = np.zeros_like(exact)
+    if cfg.subtexel_bits > 0:
+        step = float(1 << cfg.subtexel_bits)
+        options = []
+        for frac in fracs:
+            lo = np.floor(frac * step) / step
+            options.append((lo, np.minimum(lo + 1.0 / step, 1.0)))
+        if hybrid:
+            options[-1] = (fracs[-1],)
+        for combo in itertools.product(*options):
+            probe = _decode(curve, blend_with_fractions(curve.grid, bases, combo))
+            dev = np.maximum(dev, np.abs(probe - exact))
+    return np.stack([exact, dev], axis=1)
+
+
+def _bound_cases(fmt):
+    """(mode, curve) for every 1-parameter mode, rational inner layouts included."""
+    rng = np.random.default_rng([11, len(fmt.value)])
+    quad = random_polygon(rng, 2, 2, lo=0.0)
+    cubic = random_polygon(rng, 3, 3, lo=0.0)
+    dc_cubic = encode_dc_cubic(cubic, fmt, rescale=True)
+    return (
+        ("dc", encode_dc_quadratic(quad, fmt, rescale=True)),
+        ("dc", dc_cubic),
+        ("dc-hybrid", dc_cubic),
+        ("seiler", encode_seiler(random_polygon(rng, 3, 2), fmt, rescale=True)),
+        ("seiler", encode_seiler(random_polygon(rng, 5), fmt, rescale=True)),
+        ("zigzag", encode_dc_zigzag(random_c0_quadratics(rng, 4, 2), fmt, rescale=True)),
+        ("rational", encode_rational(quad, [1.0, 0.7, 1.0], fmt, scheme="seiler",
+                                     rescale=True)),
+        ("rational", encode_rational(quad, [0.9, 0.6, 1.0], fmt, scheme="dc", rescale=True)),
+        ("rational", encode_rational(random_polygon(rng, 3, 1, lo=0.0), [1.0, 0.6, 0.8, 0.9],
+                                     fmt, scheme="dc", rescale=True)),
+    )
+
+
+#: the bound reads only the bit count, never the rounding
+BOUND_CONFIGS = tuple(SamplerConfig(subtexel_bits=b) for b in (0, 1, 8, 12))
+
+
+@pytest.mark.parametrize("fmt", (U8, TexelFormat.UNORM16, F32), ids=lambda f: f.value)
+def test_bound_matches_per_combination_probes(fmt):
+    """The bound's blocks and its value equal, bit for bit, a bound that
+    blends each probe combination on its own."""
+    for mode, curve in _bound_cases(fmt):
+        channels = curve.grid.channels - (curve.layout is Layout.RATIONAL_HOMOGENEOUS)
+        end = float(curve.segment_count) if mode == "zigzag" else 1.0
+        ts = np.linspace(0.0, end, _BLOCK + 300)
+        zero = lambda t: np.zeros((np.size(t), channels))
+        hybrid = mode == "dc-hybrid"
+        for cfg in BOUND_CONFIGS:
+            got = _in_blocks(functools.partial(analysis._bound_block, hybrid=hybrid), curve, ts, cfg)
+            want = _in_blocks(functools.partial(per_combination_bound_block, hybrid=hybrid),
+                              curve, ts, cfg)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (mode, cfg)
+            for ref in (None, zero):
+                bound = error_bound_estimate(curve, cfg, reference=ref, mode=mode, samples=1001)
+                with mock.patch.object(analysis, "_bound_block", per_combination_bound_block):
+                    expect = error_bound_estimate(curve, cfg, reference=ref, mode=mode,
+                                                  samples=1001)
+                assert np.float64(bound).tobytes() == np.float64(expect).tobytes(), (mode, cfg)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -138,10 +139,12 @@ class TestSampleBilinear:
 
     def test_rejects_non_finite(self):
         g = grid2([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(DomainError):
-            sample_bilinear(g, float("nan"), 0.5, IDEAL)
-        with pytest.raises(DomainError):
-            sample_bilinear(g, 0.5, float("inf"), IDEAL)
+        for bad, shape in itertools.product((np.nan, np.inf, -np.inf), ((), (1,), (7,))):
+            for axis, name in enumerate("uv"):
+                coords = [np.full(shape, 0.5) for _ in range(2)]
+                coords[axis][...] = bad
+                with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+                    sample_bilinear(g, *coords, BITS8)
 
     @given(
         st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=4, max_size=4),
@@ -207,6 +210,15 @@ class TestSampleTrilinear:
         g = grid2([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(LayoutError):
             sample_trilinear(g, 0.5, 0.5, 0.5, IDEAL)
+
+    def test_rejects_non_finite(self):
+        g = grid3(np.zeros((2, 2, 2)))
+        for bad, shape in itertools.product((np.nan, np.inf, -np.inf), ((), (1,), (7,))):
+            for axis, name in enumerate("uvw"):
+                coords = [np.full(shape, 0.5) for _ in range(3)]
+                coords[axis][...] = bad
+                with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+                    sample_trilinear(g, *coords, BITS8)
 
     def test_decomposition_is_exact(self, rng):
         data = rng.uniform(0, 1, (2, 2, 2))

@@ -342,6 +342,24 @@ def _one_parameter_cases():
 ONE_PARAMETER_CASES = _one_parameter_cases()
 SPLIT_N = 2 * _BLOCK + 17
 
+#: parameters outside [0, end]: below 0, above the end, and not finite
+BAD_PARAMETERS = (
+    lambda end: -0.5,
+    lambda end: -1e-300,
+    lambda end: end * 1.5,
+    lambda end: float(np.nextafter(end, np.inf)),  # 1 + 2^-52 when end is 1
+    lambda end: np.inf,
+    lambda end: -np.inf,
+    lambda end: np.nan,
+)
+BAD_PARAMETER_IDS = ("-0.5", "-1e-300", "end*1.5", "above-end", "inf", "-inf", "nan")
+
+
+def _domain_message(name, end):
+    if name == "zigzag":
+        return f"zig-zag parameter outside [0, {int(end)}]"
+    return "parameter outside [0, 1]"
+
 
 class TestBlocking:
     @settings(max_examples=40, deadline=None)
@@ -361,15 +379,35 @@ class TestBlocking:
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from(ONE_PARAMETER_CASES),
-        st.integers(min_value=2 * _BLOCK, max_value=SPLIT_N - 1),
-        st.sampled_from((-0.5, -1e-300, 1.5, np.inf, np.nan)),
+        st.sampled_from(((), (1,), (7,), (SPLIT_N,))),
+        st.integers(min_value=0),
+        st.sampled_from(BAD_PARAMETERS),
     )
-    def test_bad_parameter_in_last_block(self, case, position, bad):
-        _, fn, enc, end = case
-        t = np.linspace(0.0, end, SPLIT_N)
-        t[position] = end * bad if bad == 1.5 else bad
-        with pytest.raises(DomainError) as blocked:
+    def test_bad_parameter_in_last_block(self, case, shape, position, bad):
+        name, fn, enc, end = case
+        value = bad(end)
+        if shape == ():
+            t = value
+        else:
+            t = np.linspace(0.0, end, shape[0])
+            lo = 2 * _BLOCK if shape[0] > 2 * _BLOCK else 0
+            t[lo + position % (shape[0] - lo)] = value
+        with pytest.raises(DomainError) as raised:
             fn(enc, t, BITS8)
-        with pytest.raises(DomainError) as unblocked:
-            fn(enc, t[2 * _BLOCK :], BITS8)
-        assert str(blocked.value) == str(unblocked.value)
+        assert str(raised.value) == _domain_message(name, end)
+        if np.ndim(t) and t.shape[0] > 2 * _BLOCK:
+            with pytest.raises(DomainError) as unblocked:
+                fn(enc, t[2 * _BLOCK :], BITS8)
+            assert str(unblocked.value) == str(raised.value)
+
+    @pytest.mark.parametrize("shape", ((), (1,), (7,)))
+    @pytest.mark.parametrize("bad", BAD_PARAMETERS, ids=BAD_PARAMETER_IDS)
+    @pytest.mark.parametrize("case", ONE_PARAMETER_CASES, ids=lambda case: case[0])
+    def test_bad_parameter_every_evaluator(self, case, bad, shape):
+        name, fn, enc, end = case
+        t = bad(end) if shape == () else np.full(shape, end / 2)
+        if shape:
+            t[-1] = bad(end)
+        with pytest.raises(DomainError) as raised:
+            fn(enc, t, BITS8)
+        assert str(raised.value) == _domain_message(name, end)
