@@ -13,7 +13,6 @@ pick a layout's default mode through it.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -27,7 +26,7 @@ from .core import (
     LayoutError,
     SamplerConfig,
 )
-from .sampler import blend_with_fractions, texel_cell
+from .sampler import _blend_options, _corners, _lookup
 from .texeval import (
     _decode,
     _in_blocks,
@@ -286,11 +285,15 @@ def write_ppm(image: np.ndarray, path) -> None:
 def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np.ndarray:
     """(samples, 2, channels): the exact-coordinate blend of each sample and
     its worst distance from a probe blend at the adjacent representable
-    fractions."""
-    coords = parameter_coords(curve, t)
-    extents = (curve.grid.width, curve.grid.height, curve.grid.depth)
-    bases, fracs = zip(*(texel_cell(c, extent) for c, extent in zip(coords, extents)))
-    exact = _decode(curve, blend_with_fractions(curve.grid, bases, fracs))
+    fractions.
+
+    The exact blend and every probe share one gather of the cell's corners.
+    The hybrid's depth axis is probed at its exact fraction only, since the
+    hybrid never quantizes it.
+    """
+    pairs, fracs, _ = _lookup(curve.grid, parameter_coords(curve, t), cfg)
+    corners = _corners(curve.grid, pairs)
+    exact = _decode(curve, _blend_options(corners, [(f,) for f in fracs])[0])
     dev = np.zeros_like(exact)
     if cfg.subtexel_bits > 0:
         step = float(1 << cfg.subtexel_bits)
@@ -298,11 +301,10 @@ def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np
         for frac in fracs:
             lo = np.floor(frac * step) / step
             options.append((lo, np.minimum(lo + 1.0 / step, 1.0)))
-        if hybrid:  # the hybrid's depth fraction is never quantized
+        if hybrid:
             options[-1] = (fracs[-1],)
-        for combo in itertools.product(*options):
-            probe = _decode(curve, blend_with_fractions(curve.grid, bases, combo))
-            dev = np.maximum(dev, np.abs(probe - exact))
+        for probe in _blend_options(corners, options):
+            dev = np.maximum(dev, np.abs(_decode(curve, probe) - exact))
     return np.stack([exact, dev], axis=1)
 
 

@@ -246,8 +246,24 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
+def _number(kind, flag: str):
+    """An argparse type that parses `kind` and raises DomainError (exit 5)
+    for text that is not one. argparse turns a ValueError from a type into
+    a usage error with exit 2, which is RangeError's code."""
+    what = "an integer" if kind is int else "a number"
+
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise DomainError(f"{flag} takes {what}, got {text!r}") from None
+
+    return parse
+
+
 def _add_sampler_flags(p: argparse.ArgumentParser):
-    p.add_argument("--bits", type=int, default=8, help="subtexel fixed-point bits (0 = exact)")
+    p.add_argument("--bits", type=_number(int, "--bits"), default=8,
+                   help="subtexel fixed-point bits (0 = exact)")
     p.add_argument("--subtexel-rounding", choices=("nearest", "floor"), default="nearest")
 
 
@@ -277,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a CTEX1 container at one parameter")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--u", type=float, default=None)
-    p.add_argument("--v", type=float, default=None)
+    p.add_argument("--t", type=_number(float, "--t"), default=None)
+    p.add_argument("--u", type=_number(float, "--u"), default=None)
+    p.add_argument("--v", type=_number(float, "--v"), default=None)
     p.add_argument("--mode", choices=tuple(analysis._MODES), default=None)
     _add_sampler_flags(p)
     p.set_defaults(fn=_cmd_eval)
@@ -287,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="CSV error report of texture path vs reference")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    p.add_argument("--samples", type=int, default=1024)
+    p.add_argument("--samples", type=_number(int, "--samples"), default=1024)
     p.add_argument("--mode", choices=tuple(analysis._MODES), default=None)
     _add_encode_flags(p)
     _add_sampler_flags(p)
@@ -296,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="P6 deviation image of texture path vs reference")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--width", type=int, default=1024)
-    p.add_argument("--height", type=int, default=256)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--width", type=_number(int, "--width"), default=1024)
+    p.add_argument("--height", type=_number(int, "--height"), default=256)
+    p.add_argument("--samples", type=_number(int, "--samples"), default=None)
     p.add_argument("--mode", choices=tuple(analysis._MODES), default=None)
     _add_encode_flags(p)
     _add_sampler_flags(p)
@@ -321,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except TexCurveError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -326,6 +326,6 @@ def remap_unit_to_texel_span(x, extent: int):
     if extent < 2:
         raise DomainError("remap needs at least 2 texels along the axis")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0) or not np.all(np.isfinite(x)):
+    if not ((x >= 0.0) & (x <= 1.0)).all():  # also false for NaN and inf
         raise DomainError("parameter outside [0, 1]; clamp first if that is intended")
     return (0.5 + x * (extent - 1)) / extent

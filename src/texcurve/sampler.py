@@ -4,11 +4,15 @@ Coordinate model: normalized coordinates convert to texel space as
 coord * extent - 0.5, placing texel values at cell centers. Neighbor
 indices clamp to the edge; the fractional position along each axis is
 quantized to subtexel fixed point before the blend, which runs in float64.
-Bilinear and trilinear fetches and the explicit-fraction probe all run one
-blend kernel, a fixed chain of lerps along x, then y, then z. The kernel
-views the grid as a flat (channels, texels) table and gathers each corner
-with one `take` at offset x + w*y + w*h*z, so every lerp runs over
-channel rows whose sample axis is contiguous.
+The stages up to the blend (texel cell, exact fraction, used fraction,
+clamped index pair) are written once, in `_lookup`; the public fetches wrap
+it with a finiteness check and a `SampleTrace`, and the texture evaluators
+and the error bound call it directly and build no trace. Every lookup then
+runs one blend kernel: `_corners` gathers each corner texel once, with one
+`take` from the grid viewed as a flat (channels, texels) table, and
+`_blend_options` runs the fixed chain of lerps along x, then y, then z, at
+every combination of the fractions it is given per axis. Each lerp runs
+over channel rows whose sample axis is contiguous.
 
 All entry points accept scalar coordinates or equal-length coordinate
 arrays; array calls return stacked results of shape (n, channels), stored
@@ -96,23 +100,42 @@ def texel_cell(coord, extent: int):
 
 
 def _clamp_pair(base, extent: int):
-    i0 = np.clip(base, 0, extent - 1)
-    i1 = np.clip(base + 1, 0, extent - 1)
-    return i0, i1
+    top = extent - 1
+    return np.minimum(np.maximum(base, 0), top), np.minimum(np.maximum(base + 1, 0), top)
 
 
 def _require_finite(x, name: str):
-    if not np.all(np.isfinite(np.asarray(x, dtype=float))):
+    if not np.isfinite(np.asarray(x, dtype=float)).all():
         raise DomainError(f"{name} must be finite")
 
 
-def _blend(grid: TexelGrid, pairs, fractions):
-    """The one lerp chain behind every lookup.
+def _lookup(grid: TexelGrid, coords, cfg: SamplerConfig, depth_fraction=None):
+    """The stages of one lookup up to the blend, written once.
 
-    `pairs` holds the clamped (i0, i1) index pair per axis and `fractions`
-    the blend fraction per axis, both in x, y[, z] order. Corner texels are
-    blended pairwise along x, then y, then z; that order is part of the
-    emulated result, bit for bit. Two axes read depth slice 0.
+    Normalized coordinates -> texel cell -> exact fraction -> used fraction
+    (quantized) -> clamped index pair, per axis in x, y[, z] order. Returns
+    the pairs, the exact fractions and the used fractions. A coordinate
+    object passed for several axes of one extent (the dc layouts pass one
+    array for every axis) runs its stages once. With `depth_fraction` (the
+    split-precision hybrid) `coords` are x and y only, and the depth axis
+    blends slices 0 and 1 at that fraction, which is used unquantized. The
+    coordinates are not checked here.
+    """
+    stages = {}
+    for coord, extent in zip(coords, grid.dims):
+        if (id(coord), extent) not in stages:
+            base, frac = texel_cell(coord, extent)
+            stages[id(coord), extent] = (_clamp_pair(base, extent), frac,
+                                         quantize_fraction(frac, cfg))
+    axes = [stages[id(coord), extent] for coord, extent in zip(coords, grid.dims)]
+    if depth_fraction is not None:
+        axes.append((_clamp_pair(0, grid.depth), depth_fraction, depth_fraction))
+    pairs, exact, used = (list(stage) for stage in zip(*axes))
+    return pairs, exact, used
+
+
+def _corners(grid: TexelGrid, pairs):
+    """The corner texels of the cells that `pairs` index, x varying fastest.
 
     The texels are read as one flat (channels, texels) table: each axis's
     index pair becomes a pair of offsets scaled by the axis stride (1, w,
@@ -120,42 +143,51 @@ def _blend(grid: TexelGrid, pairs, fractions):
     A flat take costs a fraction of a 3-array fancy index. Each corner is
     (channels, ...) with the samples contiguous, so fractions broadcast
     unchanged and each lerp's inner loop runs over the samples rather than
-    the 1 to 4 channels. The result is a view with the channel axis last,
-    so it stays channel-major.
+    the 1 to 4 channels.
     """
     texels = grid.data.reshape(-1, grid.channels).T
-    strides = (1, grid.width, grid.width * grid.height)
-    offsets = [(i0 * stride, i1 * stride) for (i0, i1), stride in zip(pairs, strides)]
-    value = _lerp_axes(texels, 0, offsets, fractions)
-    return value.transpose(*range(1, value.ndim), 0)
+    offsets = [0]
+    for (i0, i1), stride in zip(pairs, (1, grid.width, grid.width * grid.height)):
+        offsets = [offset + i * stride for i in (i0, i1) for offset in offsets]
+    return [texels.take(offset, axis=1) for offset in offsets]
 
 
-def _lerp_axes(texels, offset, offsets, fractions):
-    """Lerp along the last axis of `offsets`, recursing into the earlier
-    axes with the flat offset of the outer indices chosen so far. Depth
-    first, so only one corner pair per axis is alive at a time."""
-    if not offsets:
-        return texels.take(offset, axis=1)
-    o0, o1 = offsets[-1]
-    return lerp(
-        _lerp_axes(texels, offset + o0, offsets[:-1], fractions[:-1]),
-        _lerp_axes(texels, offset + o1, offsets[:-1], fractions[:-1]),
-        fractions[-1],
-    )
+def _blend_options(corners, options):
+    """The one lerp chain, at every combination of per-axis fractions.
+
+    `options` holds a tuple of fractions per axis, in x, y[, z] order.
+    Corners are blended pairwise along x, then y, then z; that order is
+    part of the emulated result, bit for bit. Each level's lerps are shared
+    by every combination of the later axes' options, so n options per axis
+    cost one lerp per (level, option prefix, corner pair) rather than a
+    whole chain per combination. Returns one blend per combination, in
+    `itertools.product(*options)` order, each a view with the channel axis
+    last, so it stays channel-major.
+    """
+    levels = [corners]
+    for fractions in options:
+        levels = [[lerp(a, b, f) for a, b in zip(level[0::2], level[1::2])]
+                  for level in levels for f in fractions]
+    return [value.transpose(*range(1, value.ndim), 0) for (value,) in levels]
+
+
+def _blend(grid: TexelGrid, pairs, fractions):
+    """The blend at one fraction per axis: the one-option case of
+    `_blend_options` over the corners of `pairs`. Two axes read depth
+    slice 0."""
+    return _blend_options(_corners(grid, pairs), [(f,) for f in fractions])[0]
 
 
 def _sample(grid: TexelGrid, coords, cfg: SamplerConfig):
-    """Normalized coordinates -> texel cells -> quantized fractions -> blend."""
+    """Checked coordinates -> `_lookup` -> blend, plus the trace."""
     for coord, name in zip(coords, "uvw"):
         _require_finite(coord, name)
-    cells = [texel_cell(coord, extent) for coord, extent in zip(coords, grid.dims)]
-    fractions = tuple(quantize_fraction(frac, cfg) for _, frac in cells)
-    pairs = [_clamp_pair(base, extent) for (base, _), extent in zip(cells, grid.dims)]
+    pairs, _, fractions = _lookup(grid, coords, cfg)
     value = _blend(grid, pairs, fractions)
     if len(pairs) == 2:
         pairs.append((np.zeros_like(pairs[0][0]),))
     corners = tuple((x, y, z) for z, y, x in itertools.product(*reversed(pairs)))
-    return value, SampleTrace(texel_indices=corners, fractions=fractions, raw_value=value)
+    return value, SampleTrace(texel_indices=corners, fractions=tuple(fractions), raw_value=value)
 
 
 def sample_bilinear(grid: TexelGrid, u, v, cfg: SamplerConfig):

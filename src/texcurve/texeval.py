@@ -3,11 +3,13 @@
 `parameter_coords` is the one place that maps a 1-parameter layout's
 parameter to sample coordinates. The dc, seiler, zig-zag and rational
 evaluators check their layout and then share one path: coordinates, one
-bilinear or trilinear fetch, and `_decode` (the inverse transform, and for
-rational curves the divide by the weight). The split-precision hybrid runs
-a single 3-axis blend with an exact depth fraction; the two surface
-evaluators map (u, v) themselves. Every evaluator and the error bound
-decode through `_decode`.
+staged lookup (`sampler._lookup`, then the blend) that builds no trace, and
+`_decode` (the inverse transform, and for rational curves the divide by the
+weight). The parameter is validated once, by `_curve_param`. The
+split-precision hybrid runs the same lookup with the exact t as its depth
+fraction; the two surface evaluators map (u, v) themselves and fetch
+through the public samplers. Every evaluator and the error bound decode
+through `_decode`.
 
 Parameters broadcast like the reference evaluators: scalar in, one point
 out; (n,) array in, (n, channels) out, stored channel-major (Fortran
@@ -36,14 +38,9 @@ from .core import (
     TexCurveError,
     remap_unit_to_texel_span,
 )
+from . import sampler
 from .reference import bernstein_sum
-from .sampler import (
-    blend_with_fractions,
-    quantize_fraction,
-    sample_bilinear,
-    sample_trilinear,
-    texel_cell,
-)
+from .sampler import sample_bilinear, sample_trilinear
 
 
 def _require_layout(curve: EncodedCurve, *layouts: Layout):
@@ -54,7 +51,7 @@ def _require_layout(curve: EncodedCurve, *layouts: Layout):
 
 def _unit_param(t):
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0) or not np.all(np.isfinite(t)):
+    if not ((t >= 0.0) & (t <= 1.0)).all():  # also false for NaN and inf
         raise DomainError("parameter outside [0, 1]")
     return t
 
@@ -78,7 +75,7 @@ def _curve_param(curve: EncodedCurve, t):
     if layout is Layout.DC_ZIGZAG:
         n = curve.segment_count
         gt = np.asarray(t, dtype=float)
-        if np.any(gt < 0.0) or np.any(gt > n) or not np.all(np.isfinite(gt)):
+        if not ((gt >= 0.0) & (gt <= n)).all():
             raise DomainError(f"zig-zag parameter outside [0, {n}]")
         return layout, gt
     if layout in (Layout.DC_QUAD_2X2, Layout.DC_CUBIC_2X2X2, Layout.SEILER_2D, Layout.SEILER_3D):
@@ -110,7 +107,7 @@ def _seiler_coords(layout: Layout, t):
     m = (1.0 - t) * t
     rt = remap_unit_to_texel_span(t, 2)
     rm = remap_unit_to_texel_span(m, 2)
-    if not (np.all(m <= 0.25) and np.all(rm >= 0.25) and np.all(rm <= 0.375)):
+    if not ((m <= 0.25) & (rm >= 0.25) & (rm <= 0.375)).all():
         raise TexCurveError("seiler coordinate left its [0.25, 0.375] window")
     if layout is Layout.SEILER_3D:
         return rt, rm, rm
@@ -168,19 +165,19 @@ def _decode(curve: EncodedCurve, raw):
     if curve.layout is not Layout.RATIONAL_HOMOGENEOUS:
         return value
     den = value[..., -1:]
-    if np.any(np.abs(den) <= 1e-9):
+    if (np.abs(den) <= 1e-9).any():
         raise HomogeneousDivideError("decoded weight too close to zero to divide by")
     return value[..., :-1] / den
 
 
 def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig):
-    """The shared 1-parameter path: coordinates, one fetch, decode."""
-    coords = parameter_coords(curve, t)
-    if len(coords) == 2:
-        raw, _ = sample_bilinear(curve.grid, *coords, cfg)
-    else:
-        raw, _ = sample_trilinear(curve.grid, *coords, cfg)
-    return _decode(curve, raw)
+    """The shared 1-parameter path: coordinates, one lookup, decode.
+
+    `parameter_coords` has validated t, so the coordinates are finite and
+    the lookup checks nothing again.
+    """
+    pairs, _, used = sampler._lookup(curve.grid, parameter_coords(curve, t), cfg)
+    return _decode(curve, sampler._blend(curve.grid, pairs, used))
 
 
 def eval_dc(curve: EncodedCurve, t, cfg: SamplerConfig):
@@ -203,10 +200,8 @@ def eval_seiler_tex(curve: EncodedCurve, t, cfg: SamplerConfig):
 
 def _eval_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
     r = parameter_coords(curve, t)[0]  # the x, y and z coordinates coincide
-    base, frac = texel_cell(r, curve.grid.width)
-    f = quantize_fraction(frac, cfg)
-    raw = blend_with_fractions(curve.grid, (base, base, np.zeros_like(base)), (f, f, t))
-    return _decode(curve, raw)
+    pairs, _, used = sampler._lookup(curve.grid, (r, r), cfg, depth_fraction=t)
+    return _decode(curve, sampler._blend(curve.grid, pairs, used))
 
 
 def eval_dc_cubic_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):

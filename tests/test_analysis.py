@@ -27,12 +27,12 @@ from texcurve import (
     render_deviation_image,
     sweep,
 )
-from texcurve import analysis
+from texcurve import analysis, sampler
 from texcurve.analysis import _default_mode, report_to_csv, write_csv, write_ppm
 from texcurve.core import Layout, ValueTransform
 from texcurve.reference import elevate_degree
 from texcurve.sampler import blend_with_fractions, texel_cell
-from texcurve.texeval import _BLOCK, _decode, _in_blocks, parameter_coords
+from texcurve.texeval import _BLOCK, _decode, _in_blocks, eval_dc, parameter_coords
 from conftest import IDEAL, BITS8, random_c0_quadratics, random_polygon
 
 F32 = TexelFormat.FLOAT32
@@ -398,3 +398,29 @@ def test_bound_matches_per_combination_probes(fmt):
                     expect = error_bound_estimate(curve, cfg, reference=ref, mode=mode,
                                                   samples=1001)
                 assert np.float64(bound).tobytes() == np.float64(expect).tobytes(), (mode, cfg)
+
+
+@pytest.mark.parametrize("mode, degree, lerps", [
+    ("dc", 3, 31),         # exact 4 + 2 + 1, probes 8 + 8 + 8
+    ("dc-hybrid", 3, 27),  # exact 7, probes 8 + 8 + 4
+    ("dc", 2, 11),         # exact 2 + 1, probes 4 + 4
+])
+def test_one_gather_and_shared_lerps_per_bound_block(monkeypatch, mode, degree, lerps):
+    enc = (encode_dc_cubic if degree == 3 else encode_dc_quadratic)(
+        random_polygon(np.random.default_rng(5), degree, 3), F32)
+    counts = {"lerp": 0, "gather": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sampler, "lerp", counted(sampler.lerp, "lerp"))
+    monkeypatch.setattr(analysis, "_corners", counted(analysis._corners, "gather"))
+    error_bound_estimate(enc, BITS8, mode=mode, samples=256)
+    assert counts == {"lerp": lerps, "gather": 1}
+    if mode == "dc" and degree == 3:
+        counts["lerp"] = 0
+        eval_dc(enc, 0.37, BITS8)
+        assert counts["lerp"] == 7

@@ -111,6 +111,27 @@ class TestEncode:
         assert code == 1
 
 
+@pytest.mark.parametrize("argv, flag, what", [
+    (["sweep", "--layout", "dc", "--in", "x.curve", "--samples", "abc"], "--samples", "an integer"),
+    (["sweep", "--layout", "dc", "--in", "x.curve", "--bits", "8.5"], "--bits", "an integer"),
+    (["eval", "--in", "x.ctex", "--t", "abc"], "--t", "a number"),
+    (["eval", "--in", "x.ctex", "--u", "0.5x"], "--u", "a number"),
+    (["eval", "--in", "x.ctex", "--v", ""], "--v", "a number"),
+    (["eval", "--in", "x.ctex", "--bits", "eight"], "--bits", "an integer"),
+    (["render", "--layout", "dc", "--in", "x.curve", "--out", "x.ppm", "--width", "1e3"],
+     "--width", "an integer"),
+    (["render", "--layout", "dc", "--in", "x.curve", "--out", "x.ppm", "--height", "tall"],
+     "--height", "an integer"),
+    (["render", "--layout", "dc", "--in", "x.curve", "--out", "x.ppm", "--samples", "many"],
+     "--samples", "an integer"),
+])
+def test_non_number_flag_is_a_domain_error(capsys, argv, flag, what):
+    code, stdout, err = run(capsys, *argv)
+    assert code == 5
+    assert stdout == ""
+    assert err == f"error: {flag} takes {what}, got {argv[-1]!r}\n"
+
+
 class TestEval:
     def test_seiler_hump_prints_value(self, hump, tmp_path, capsys):
         ctex = str(tmp_path / "c.ctex")

@@ -18,6 +18,9 @@ from texcurve import (
     sample_bilinear,
     sample_trilinear,
 )
+from texcurve import sampler
+from texcurve.sampler import blend_with_fractions
+from texcurve.texeval import _BLOCK
 
 IDEAL = SamplerConfig.ideal()
 BITS8 = SamplerConfig(subtexel_bits=8)
@@ -232,3 +235,48 @@ class TestSampleTrilinear:
             far, _ = sample_bilinear(g.slice2d(z_far), u, v, BITS8)
             fz = float(trace.fractions[2])
             assert tri[0] == near[0] * (1.0 - fz) + far[0] * fz
+
+
+def _draw(rng, shape):
+    """Fractions in [0, 1] with 0, 1 and 1/2 mixed in."""
+    if shape == ():
+        return float(rng.choice([0.0, 1.0, 0.5, rng.uniform()]))
+    x = rng.uniform(0.0, 1.0, shape)
+    x.reshape(-1)[:3] = np.array([0.0, 1.0, 0.5])[: x.size]
+    return x
+
+
+class TestOptionKernel:
+    @given(
+        channels=st.integers(1, 4),
+        axes=st.sampled_from((2, 3)),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(2, 4)),
+        shape=st.sampled_from(((), (1,), (_BLOCK + 5,), (3, 4))),
+        counts=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+        single_depth=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_combination_matches_blend_with_fractions(
+        self, channels, axes, dims, shape, counts, single_depth, seed
+    ):
+        rng = np.random.default_rng(seed)
+        w, h, d = dims if axes == 3 else dims[:2] + (1,)
+        data = rng.uniform(-2.0, 2.0, (d, h, w, channels))
+        data.reshape(-1)[rng.integers(0, data.size)] = -0.0
+        grid = TexelGrid((w, h, d), channels, TexelFormat.FLOAT32, data)
+        bases = [rng.integers(-1, extent + 1, shape) for extent in grid.dims[:axes]]
+        options = [tuple(_draw(rng, shape) for _ in range(k)) for k in counts[:axes]]
+        if single_depth:  # as in the hybrid, whose depth fraction is never probed
+            options[-1] = options[-1][:1]
+        pairs = [sampler._clamp_pair(np.asarray(b, dtype=np.int64), extent)
+                 for b, extent in zip(bases, grid.dims)]
+
+        got = sampler._blend_options(sampler._corners(grid, pairs), options)
+        combos = list(itertools.product(*options))
+        assert len(got) == len(combos)
+        for value, combo in zip(got, combos):
+            want = blend_with_fractions(grid, bases, combo)
+            assert value.shape == np.shape(bases[0]) + (channels,)
+            assert value.dtype == want.dtype == np.float64
+            assert value.tobytes() == want.tobytes()
