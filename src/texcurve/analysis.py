@@ -303,8 +303,8 @@ def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np
             options.append((lo, np.minimum(lo + 1.0 / step, 1.0)))
         if hybrid:
             options[-1] = (fracs[-1],)
-        for probe in _blend_options(corners, options):
-            dev = np.maximum(dev, np.abs(_decode(curve, probe) - exact))
+        probes = _decode(curve, np.stack(_blend_options(corners, options)))
+        dev = np.abs(probes - exact).max(axis=0)
     return np.stack([exact, dev], axis=1)
 
 

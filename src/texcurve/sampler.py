@@ -121,13 +121,13 @@ def _lookup(grid: TexelGrid, coords, cfg: SamplerConfig, depth_fraction=None):
     blends slices 0 and 1 at that fraction, which is used unquantized. The
     coordinates are not checked here.
     """
-    stages = {}
+    stages, axes = {}, []
     for coord, extent in zip(coords, grid.dims):
-        if (id(coord), extent) not in stages:
+        key = (id(coord), extent)
+        if key not in stages:
             base, frac = texel_cell(coord, extent)
-            stages[id(coord), extent] = (_clamp_pair(base, extent), frac,
-                                         quantize_fraction(frac, cfg))
-    axes = [stages[id(coord), extent] for coord, extent in zip(coords, grid.dims)]
+            stages[key] = (_clamp_pair(base, extent), frac, quantize_fraction(frac, cfg))
+        axes.append(stages[key])
     if depth_fraction is not None:
         axes.append((_clamp_pair(0, grid.depth), depth_fraction, depth_fraction))
     pairs, exact, used = (list(stage) for stage in zip(*axes))
