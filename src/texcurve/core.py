@@ -298,6 +298,12 @@ class EncodedCurve:
                 raise LayoutError("rational encoding supports degrees 2 and 3")
             if self.inner_layout not in (Layout.SEILER_2D, Layout.DC_QUAD_2X2, Layout.DC_CUBIC_2X2X2):
                 raise LayoutError("rational curves must record an integral inner layout")
+            dims = _LAYOUT_RULES[self.inner_layout][1]
+            if self.grid.dims != dims:
+                raise LayoutError(
+                    f"rational curves packed as {self.inner_layout.value} require grid dims "
+                    f"{dims}, got {self.grid.dims}"
+                )
         if self.layout is not Layout.RATIONAL_HOMOGENEOUS and self.inner_layout is not None:
             raise LayoutError("inner_layout is only meaningful for rational curves")
 

@@ -168,3 +168,17 @@ class TestEncodedCurveInvariants:
     def test_rational_needs_inner_layout(self):
         with pytest.raises(LayoutError):
             EncodedCurve(self._grid((2, 2, 1), 2), Layout.RATIONAL_HOMOGENEOUS, degree=2)
+
+    @pytest.mark.parametrize("inner, dims", [
+        (Layout.SEILER_2D, (2, 2, 1)),
+        (Layout.DC_QUAD_2X2, (2, 2, 1)),
+        (Layout.DC_CUBIC_2X2X2, (2, 2, 2)),
+    ])
+    def test_rational_dims_follow_inner_layout(self, inner, dims):
+        # the evaluators read as many axes as the inner layout has; a grid
+        # of the other depth must not reach them
+        EncodedCurve(self._grid(dims, 2), Layout.RATIONAL_HOMOGENEOUS, degree=2, inner_layout=inner)
+        other = (2, 2, 3 - dims[2])
+        with pytest.raises(LayoutError, match="require grid dims"):
+            EncodedCurve(self._grid(other, 2), Layout.RATIONAL_HOMOGENEOUS, degree=2,
+                         inner_layout=inner)
