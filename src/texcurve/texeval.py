@@ -173,8 +173,8 @@ def _decode(curve: EncodedCurve, raw):
 def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig):
     """The shared 1-parameter path: coordinates, one lookup, decode.
 
-    `parameter_coords` has validated t, so the coordinates are finite and
-    the lookup checks nothing again.
+    `parameter_coords` has validated t and `EncodedCurve` the grid's dims,
+    so the coordinates are finite and the lookup checks nothing again.
     """
     pairs, _, used = sampler._lookup(curve.grid, parameter_coords(curve, t), cfg)
     return _decode(curve, sampler._blend(curve.grid, pairs, used))
