@@ -6,6 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from texcurve import (
     ChannelMismatchError,
@@ -22,6 +24,7 @@ from texcurve import (
     encode_seiler,
     error_bound_estimate,
     eval_bernstein,
+    eval_bezier_chain,
     eval_rational,
     eval_rational_tex,
     render_deviation_image,
@@ -424,3 +427,205 @@ def test_one_gather_and_shared_lerps_per_bound_block(monkeypatch, mode, degree, 
         counts["lerp"] = 0
         eval_dc(enc, 0.37, BITS8)
         assert counts["lerp"] == 7
+
+
+# -- per-element oracles ---------------------------------------------------
+# The parent's per-row CSV writer and per-sample rasterizer, kept verbatim
+# as oracles: the whole-array forms must give the same bytes.
+
+def _fmt_oracle(x):
+    return repr(float(x))
+
+
+def csv_oracle(report):
+    c = report.channels
+    cols = (["t"] + [f"ref_{i}" for i in range(c)] + [f"test_{i}" for i in range(c)]
+            + [f"absdev_{i}" for i in range(c)])
+    lines = [",".join(cols)]
+    for j in range(report.sample_count):
+        row = ([_fmt_oracle(report.t[j])]
+               + [_fmt_oracle(v) for v in report.reference[j]]
+               + [_fmt_oracle(v) for v in report.test[j]]
+               + [_fmt_oracle(v) for v in report.absdev[j]])
+        lines.append(",".join(row))
+    lines.append("#max," + ",".join(_fmt_oracle(v) for v in report.max_dev))
+    lines.append("#mean," + ",".join(_fmt_oracle(v) for v in report.mean_dev))
+    lines.append("#rms," + ",".join(_fmt_oracle(v) for v in report.rms_dev))
+    return "\n".join(lines) + "\n"
+
+
+def render_oracle(report, width, height):
+    white, red, green = (255, 255, 255), (255, 0, 0), (0, 255, 0)
+    img = np.zeros((height, width, 3), dtype=np.uint8)
+    if report.channels == 1:
+        both = np.concatenate([report.reference[:, 0], report.test[:, 0]])
+        lo, hi = float(both.min()), float(both.max())
+        if hi == lo:
+            lo, hi = lo - 0.5, hi + 0.5
+        pad = 0.05 * (hi - lo)
+        lo, hi = lo - pad, hi + pad
+
+        def to_px(tv, val):
+            x = int(round(tv / report.t[-1] * (width - 1))) if report.t[-1] else 0
+            y = int(round((hi - val) / (hi - lo) * (height - 1)))
+            return x, min(max(y, 0), height - 1)
+
+        for j in range(report.sample_count):
+            rx, ry = to_px(report.t[j], report.reference[j, 0])
+            tx, ty = to_px(report.t[j], report.test[j, 0])
+            delta = report.test[j, 0] - report.reference[j, 0]
+            img[ty, tx] = red if delta < 0 else green if delta > 0 else white
+            img[ry, rx] = white
+        return img
+    pts = np.concatenate([report.reference, report.test], axis=0)
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    pad = 0.05 * span
+    lo, span = lo - pad, span + 2 * pad
+
+    def to_px2(p):
+        x = int(round((p[0] - lo[0]) / span[0] * (width - 1)))
+        y = int(round((1.0 - (p[1] - lo[1]) / span[1]) * (height - 1)))
+        return min(max(x, 0), width - 1), min(max(y, 0), height - 1)
+
+    for j in range(report.sample_count):
+        delta = report.test[j] - report.reference[j]
+        key = delta[1] if delta[1] != 0.0 else delta[0]
+        tx, ty = to_px2(report.test[j])
+        img[ty, tx] = red if key < 0 else green if key > 0 else white
+        rx, ry = to_px2(report.reference[j])
+        img[ry, rx] = white
+    return img
+
+
+def _report(t, ref, test):
+    return analysis.ErrorReport("", "reference", "dc", IDEAL, t, ref, test)
+
+
+#: values where repr changes notation (1e-4, 1e16), signed zero, the
+#: smallest subnormal, and a few plain ones
+CSV_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-5, 9.999999999999999e-05, 1e-4,
+                         1.0000000000000002e-4, 1e16, 9999999999999998.0, 1.0000000000000002e16,
+                         0.1, 1.0 / 3.0, -2.5, 1.0])
+
+
+def _csv_values(rng, shape):
+    """Specials mixed with random mantissas over exponents 1e-8 .. 1e17."""
+    special = rng.choice(CSV_SPECIALS, size=shape)
+    scaled = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-8, 18, shape)
+    return np.where(rng.random(shape) < 0.4, special, scaled)
+
+
+class TestCsvOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(channels=st.integers(1, 4), n=st.integers(1, 64) | st.just(4097),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_row_writer(self, channels, n, seed):
+        rng = np.random.default_rng(seed)
+        t = np.sort(_csv_values(rng, n))
+        report = _report(t, _csv_values(rng, (n, channels)), _csv_values(rng, (n, channels)))
+        assert report_to_csv(report) == csv_oracle(report)
+
+    def test_sweeps_match_per_row_writer(self, rng):
+        poly = random_polygon(rng, 3, 2)
+        report = sweep(encode_dc_cubic(poly, U8, rescale=True), bernstein_ref(poly), "dc",
+                       BITS8, 4097)
+        assert report_to_csv(report) == csv_oracle(report)
+        segments = random_c0_quadratics(rng, 3, 1)
+        report = sweep(encode_dc_zigzag(segments, F32),
+                       lambda gt: eval_bezier_chain(segments, gt), "zigzag", BITS8, 4097)
+        assert report_to_csv(report) == csv_oracle(report)
+
+
+def _render_cases():
+    """(t, reference, test, width, height) cases the rasterizer must order
+    exactly as the per-sample loop does."""
+    cases = []
+    # a 2x2 image with colliding pixels, zero deltas and a coinciding pair
+    t = np.linspace(0.0, 1.0, 5)
+    ref = np.array([[0.0], [0.5], [0.5], [1.0], [0.25]])
+    test = np.array([[0.0], [0.25], [0.75], [1.0], [0.5]])
+    cases.append((t, ref, test, 2, 2))
+    # positions that land exactly on .5: x = t * 2 walks 0, .5, 1, 1.5, 2
+    cases.append((t, ref, test, 3, 3))
+    # a zig-zag domain end > 1, more samples than columns
+    t3 = np.linspace(0.0, 3.0, 31)
+    wave = np.sin(t3)[:, None]
+    cases.append((t3, wave, wave + np.where(np.arange(31) % 3 == 0, 0.0, 0.01)[:, None], 4, 6))
+    # 2 channels: collisions, a zero delta on channel 1 only, coinciding pixels
+    pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [0.5, 0.25], [0.25, 0.75]])
+    moved = pts + np.array([[0.0, 0.0], [0.1, 0.0], [-0.1, 0.0], [0.0, -0.2], [0.0, 0.3]])
+    cases.append((t, pts, moved, 2, 2))
+    cases.append((t, pts, moved, 3, 5))
+    # zero deltas everywhere, and a flat curve (hi == lo)
+    cases.append((t, pts, pts.copy(), 4, 4))
+    flat = np.full((5, 1), 0.3)
+    cases.append((t, flat, flat.copy(), 5, 3))
+    return cases
+
+
+def _half_pixel_values(height, count=8):
+    """Reference values whose y position (hi - v) / (hi - lo) * (height - 1)
+    is exactly k + 1/2 for the image range [0, 1] padded by 5% a side."""
+    lo, hi = -0.05, 1.05
+    out = []
+    for k in range(height - 1):
+        v = hi - (k + 0.5) / (height - 1) * (hi - lo)
+        if 0.0 < v < 1.0 and (hi - v) / (hi - lo) * (height - 1) == k + 0.5:
+            out.append(v)
+    return out[:count]
+
+
+class TestRenderOracle:
+    def _render(self, t, ref, test, width, height):
+        report = _report(t, ref, test)
+        with mock.patch.object(analysis, "sweep", return_value=report):
+            img = render_deviation_image(None, None, "dc", IDEAL, width, height)
+        return img, render_oracle(report, width, height)
+
+    @pytest.mark.parametrize("case", range(len(_render_cases())))
+    def test_matches_per_sample_loop(self, case):
+        img, want = self._render(*_render_cases()[case])
+        assert img.dtype == want.dtype and img.tobytes() == want.tobytes()
+
+    def test_half_pixel_positions_round_half_even(self):
+        halves = _half_pixel_values(9)
+        assert len(halves) >= 2
+        n = len(halves) + 2
+        ref = np.array([0.0] + halves + [1.0])[:, None]
+        t = np.linspace(0.0, 1.0, n)
+        for width in (3, n, 2 * n - 1):
+            # odd samples dip below the reference; the range stays [0, 1]
+            img, want = self._render(t, ref, ref - 0.01 * (np.arange(n) % 2)[:, None], width, 9)
+            assert img.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(channels=st.sampled_from([1, 2]), n=st.integers(2, 40), width=st.integers(2, 9),
+           height=st.integers(2, 9), end=st.sampled_from([1.0, 3.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_collisions(self, channels, n, width, height, end, seed):
+        rng = np.random.default_rng(seed)
+        ref = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0], (n, channels)) + np.where(
+            rng.random((n, channels)) < 0.5, 0.0, rng.uniform(-1.0, 1.0, (n, channels)))
+        delta = rng.choice([0.0, 0.0, 1e-3, -1e-3, 0.5, -0.5], (n, channels))
+        img, want = self._render(np.linspace(0.0, end, n), ref, ref + delta, width, height)
+        assert img.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_encoded_curves_match_per_sample_loop(self, rng, channels):
+        poly = random_polygon(rng, 3, channels, 0.1, 0.9)
+        enc = encode_dc_cubic(poly, U8, rescale=True)
+        ref = bernstein_ref(poly)
+        for width, height, samples in ((64, 32, None), (16, 16, 200)):
+            img = render_deviation_image(enc, ref, "dc", BITS8, width, height, samples)
+            report = sweep(enc, ref, "dc", BITS8, samples or width)
+            assert img.tobytes() == render_oracle(report, width, height).tobytes()
+
+    def test_zigzag_curve_matches_per_sample_loop(self, rng):
+        segments = random_c0_quadratics(rng, 3, 1)
+        enc = encode_dc_zigzag(segments, F32)
+        ref = lambda gt: eval_bezier_chain(segments, gt)
+        img = render_deviation_image(enc, ref, "zigzag", BITS8, 50, 20)
+        report = sweep(enc, ref, "zigzag", BITS8, 50)
+        assert img.tobytes() == render_oracle(report, 50, 20).tobytes()

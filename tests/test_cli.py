@@ -1,7 +1,10 @@
+import io
+
 import numpy as np
 import pytest
 
-from texcurve.cli import main
+from texcurve import ControlPolygon, TexelFormat, encoder
+from texcurve.cli import _describe, _fmt_vec, main
 
 CUBIC_HUMP = """\
 # scalar cubic with a 0.75 hump
@@ -270,3 +273,50 @@ class TestInspect:
         run(capsys, "encode", "--layout", "dc", "--in", hump, "--out", a)
         run(capsys, "encode", "--layout", "dc", "--in", hump, "--out", b)
         assert (tmp_path / "a.ctex").read_bytes() == (tmp_path / "b.ctex").read_bytes()
+
+
+def describe_oracle(curve, out):
+    """The nested-loop texel listing, kept as the oracle of the one-pass form."""
+    grid = curve.grid
+    print(f"layout {curve.layout.value} degree {curve.degree} segments {curve.segment_count}",
+          file=out)
+    print(f"grid {grid.width}x{grid.height}x{grid.depth} channels {grid.channels} "
+          f"format {grid.fmt.value}", file=out)
+    if curve.inner_layout is not None:
+        print(f"inner layout {curve.inner_layout.value}", file=out)
+    print(f"transform scale {_fmt_vec(curve.transform.scale)} "
+          f"offset {_fmt_vec(curve.transform.offset)}", file=out)
+    for z in range(grid.depth):
+        for y in range(grid.height):
+            for x in range(grid.width):
+                print(f"texel {x} {y} {z}: {_fmt_vec(grid.texel(x, y, z))}", file=out)
+
+
+def _described_curves():
+    rng = np.random.default_rng(11)
+    quad = ControlPolygon(rng.uniform(-1.0, 1.0, (3, 2)))
+    pts = rng.uniform(0.0, 1.0, (2 * 5 + 1, 3))
+    chain = [ControlPolygon(pts[2 * k:2 * k + 3]) for k in range(5)]
+    cubic = ControlPolygon(rng.uniform(-2.0, 2.0, (4, 1)))
+    return [
+        encoder.encode_dc_quadratic(quad, TexelFormat.FLOAT32),
+        encoder.encode_dc_cubic(cubic, TexelFormat.UNORM8, rescale=True),
+        encoder.encode_seiler(cubic, TexelFormat.FLOAT32),
+        encoder.encode_seiler(ControlPolygon(rng.uniform(0.0, 1.0, (6, 2))),
+                              TexelFormat.UNORM16, rescale=True),
+        encoder.encode_dc_zigzag(chain, TexelFormat.UNORM16, rescale=True, optimize_seed=True),
+        encoder.encode_rational(ControlPolygon([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                                [1.0, 0.5 ** 0.5, 1.0], TexelFormat.FLOAT32, scheme="dc"),
+        encoder.encode_bicubic_rgba(rng.uniform(-0.0, 1.0, (4, 4)), TexelFormat.FLOAT32),
+        encoder.encode_bilinear_patch([[[0.0, -0.0], [1.0, 0.5]], [[5e-324, 1e16], [1e-5, 1.0]]],
+                                      TexelFormat.FLOAT32),
+    ]
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_describe_matches_nested_loops(index):
+    curve = _described_curves()[index]
+    got, want = io.StringIO(), io.StringIO()
+    _describe(curve, got)
+    describe_oracle(curve, want)
+    assert got.getvalue() == want.getvalue()

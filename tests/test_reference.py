@@ -11,6 +11,7 @@ from texcurve import (
     boehm_to_bezier,
     elevate_degree,
     eval_bernstein,
+    eval_bezier_chain,
     eval_bezier_segments,
     eval_deboor,
     eval_decasteljau,
@@ -290,3 +291,46 @@ class TestPowerBasis:
     def test_degree_cap(self):
         with pytest.raises(UnsupportedDegreeError):
             power_to_bernstein(np.zeros(11))
+
+
+def chain_oracle(segments, global_t):
+    """The per-segment masked chain evaluation, kept as the oracle of the
+    one-gather form."""
+    gt = np.atleast_1d(np.asarray(global_t, dtype=float))
+    k = np.minimum(np.floor(gt), len(segments) - 1).astype(np.int64)
+    out = np.empty((gt.shape[0], segments[0].channels))
+    for i, seg in enumerate(segments):
+        mask = k == i
+        if np.any(mask):
+            out[mask] = eval_bernstein(seg, gt[mask] - i)
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestBezierChain:
+    def test_joins_end_and_interior_match_oracle(self, rng):
+        for channels in (1, 2, 4):
+            segments = [random_polygon(rng, 2, channels) for _ in range(4)]
+            gt = np.concatenate([np.arange(5.0), rng.uniform(0.0, 4.0, 300),
+                                 np.nextafter(np.arange(1.0, 5.0), 0.0)])
+            assert _same_bits(eval_bezier_chain(segments, gt), chain_oracle(segments, gt))
+
+    def test_scalar_parameter(self, rng):
+        segments = [random_polygon(rng, 2, 2) for _ in range(3)]
+        for gt in (0.0, 1.0, 1.5, 3.0, np.float64(2.25)):
+            got = eval_bezier_chain(segments, gt)
+            assert got.shape == (1, 2)
+            assert _same_bits(got, chain_oracle(segments, gt))
+
+    def test_mixed_degrees(self, rng):
+        segments = [random_polygon(rng, d, 3) for d in (2, 3, 2, 5, 3)]
+        gt = np.concatenate([np.linspace(0.0, 5.0, 1001), np.arange(6.0)])
+        assert _same_bits(eval_bezier_chain(segments, gt), chain_oracle(segments, gt))
+
+    def test_single_segment(self, rng):
+        segments = [random_polygon(rng, 3, 1)]
+        gt = np.linspace(0.0, 1.0, 17)
+        assert _same_bits(eval_bezier_chain(segments, gt), chain_oracle(segments, gt))

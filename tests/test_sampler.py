@@ -19,6 +19,7 @@ from texcurve import (
     sample_trilinear,
 )
 from texcurve import sampler
+from texcurve.encoder import _quantize_array
 from texcurve.sampler import blend_with_fractions
 from texcurve.texeval import _BLOCK
 
@@ -70,6 +71,53 @@ class TestQuantizeTexel:
     def test_matches_integer_oracle(self, v):
         assert quantize_texel(v, TexelFormat.UNORM8) == unorm_oracle(v, 255)
         assert quantize_texel(v, TexelFormat.UNORM16) == unorm_oracle(v, 65535)
+
+
+#: clamped, signed-zero, subnormal, exact-tie and endpoint inputs
+QUANTIZE_EXTRAS = np.array([
+    -0.0, 0.0, 0.5, 1.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-300,
+    -1e-300, -0.25, -1.0, -np.inf, np.nextafter(1.0, 2.0), 1.75, 1e300, np.inf,
+    np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+])
+
+
+def _fraction_quantized(values, levels):
+    return np.array([unorm_oracle(float(v), levels) for v in values.ravel()]).reshape(values.shape)
+
+
+class TestQuantizeArray:
+    """The whole-array quantizer against the `Fraction` oracle, bit for bit."""
+
+    @pytest.mark.parametrize("fmt", [TexelFormat.UNORM8, TexelFormat.UNORM16],
+                             ids=lambda f: f.value)
+    def test_every_midpoint_and_its_neighbours(self, fmt):
+        # (k + 1/2) / L for every k, and two nextafter steps on each side
+        levels = fmt.levels
+        mid = (np.arange(levels) + 0.5) / levels
+        points = [mid, QUANTIZE_EXTRAS]
+        up, down = mid, mid
+        for _ in range(2):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            points += [up, down]
+        values = np.concatenate(points)
+        got = _quantize_array(values, fmt)
+        assert got.dtype == np.float64
+        assert got.tobytes() == _fraction_quantized(values, levels).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=24),
+           st.sampled_from([(-1,), (2, -1)]))
+    def test_matches_oracle_on_arbitrary_floats(self, values, shape):
+        arr = np.array(values * 2 if shape == (2, -1) else values).reshape(shape)
+        for fmt in (TexelFormat.UNORM8, TexelFormat.UNORM16):
+            assert _quantize_array(arr, fmt).tobytes() == \
+                _fraction_quantized(arr, fmt.levels).tobytes()
+
+    def test_scalar_wrapper_agrees(self):
+        for v in QUANTIZE_EXTRAS:
+            for fmt in (TexelFormat.UNORM8, TexelFormat.UNORM16):
+                assert np.float64(quantize_texel(v, fmt)).tobytes() == \
+                    np.float64(unorm_oracle(float(v), fmt.levels)).tobytes()
 
 
 class TestQuantizeFraction:
