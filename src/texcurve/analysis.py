@@ -169,13 +169,13 @@ def sweep(
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def report_to_csv(report: ErrorReport) -> str:
     """Serialize a report: header row, one row per sample, then summary
-    rows prefixed #max, #mean, #rms."""
+    rows prefixed #max, #mean, #rms.
+
+    Every value is `repr` of a Python float: the rows are one `%r` format
+    applied to the flat `tolist()` of the (samples, 1 + 3 channels) table.
+    """
     c = report.channels
     cols = (
         ["t"]
@@ -183,19 +183,15 @@ def report_to_csv(report: ErrorReport) -> str:
         + [f"test_{i}" for i in range(c)]
         + [f"absdev_{i}" for i in range(c)]
     )
-    lines = [",".join(cols)]
-    for j in range(report.sample_count):
-        row = (
-            [_fmt(report.t[j])]
-            + [_fmt(v) for v in report.reference[j]]
-            + [_fmt(v) for v in report.test[j]]
-            + [_fmt(v) for v in report.absdev[j]]
-        )
-        lines.append(",".join(row))
-    lines.append("#max," + ",".join(_fmt(v) for v in report.max_dev))
-    lines.append("#mean," + ",".join(_fmt(v) for v in report.mean_dev))
-    lines.append("#rms," + ",".join(_fmt(v) for v in report.rms_dev))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([report.t, report.reference, report.test, report.absdev])
+    row = ",".join(["%r"] * table.shape[1]) + "\n"
+    rows = (row * report.sample_count) % tuple(table.ravel().tolist())
+    summary = "".join(
+        f"{name}," + ",".join(map(repr, values.tolist())) + "\n"
+        for name, values in (("#max", report.max_dev), ("#mean", report.mean_dev),
+                             ("#rms", report.rms_dev))
+    )
+    return ",".join(cols) + "\n" + rows + summary
 
 
 def write_csv(report: ErrorReport, path) -> None:
@@ -203,9 +199,8 @@ def write_csv(report: ErrorReport, path) -> None:
         fh.write(report_to_csv(report))
 
 
-WHITE = (255, 255, 255)
-RED = (255, 0, 0)
-GREEN = (0, 255, 0)
+#: pixel colours: white (reference, or no deviation), red (test below), green (test above)
+_PALETTE = np.array([(255, 255, 255), (255, 0, 0), (0, 255, 0)], dtype=np.uint8)
 
 
 def render_deviation_image(
@@ -223,54 +218,59 @@ def render_deviation_image(
     1-channel curves plot parameter horizontally and value vertically.
     2-channel curves plot the point coordinates directly; the deviation
     sign comes from channel 1, falling back to channel 0 on ties.
+
+    Pixel positions round half to even (`np.rint`, as `round` does). Sample
+    j paints its test pixel, then its reference pixel; where pixels
+    collide, the last of these writes wins. Non-finite sweep values raise
+    DomainError.
     """
     if width < 2 or height < 2:
         raise DomainError("image must be at least 2x2")
     report = sweep(curve, reference, mode, cfg, samples or width)
     if report.channels not in (1, 2):
         raise LayoutError("deviation rendering supports 1-channel or 2-channel curves")
-    img = np.zeros((height, width, 3), dtype=np.uint8)
+    ref, test = report.reference, report.test
+    if not (np.isfinite(ref).all() and np.isfinite(test).all()):
+        raise DomainError("cannot render a sweep with non-finite values")
 
     if report.channels == 1:
-        both = np.concatenate([report.reference[:, 0], report.test[:, 0]])
+        both = np.concatenate([ref[:, 0], test[:, 0]])
         lo, hi = float(both.min()), float(both.max())
         if hi == lo:
             lo, hi = lo - 0.5, hi + 0.5
         pad = 0.05 * (hi - lo)
         lo, hi = lo - pad, hi + pad
+        x = np.rint(report.t / report.t[-1] * (width - 1))
 
-        def to_px(tv, val):
-            x = int(round(tv / report.t[-1] * (width - 1))) if report.t[-1] else 0
-            y = int(round((hi - val) / (hi - lo) * (height - 1)))
-            return x, min(max(y, 0), height - 1)
+        def to_px(vals):
+            return x, np.clip(np.rint((hi - vals[:, 0]) / (hi - lo) * (height - 1)), 0, height - 1)
 
-        for j in range(report.sample_count):
-            rx, ry = to_px(report.t[j], report.reference[j, 0])
-            tx, ty = to_px(report.t[j], report.test[j, 0])
-            delta = report.test[j, 0] - report.reference[j, 0]
-            img[ty, tx] = RED if delta < 0 else GREEN if delta > 0 else WHITE
-            img[ry, rx] = WHITE
-        return img
+        key = test[:, 0] - ref[:, 0]
+    else:
+        pts = np.concatenate([ref, test], axis=0)
+        lo = pts.min(axis=0)
+        hi = pts.max(axis=0)
+        span = np.where(hi > lo, hi - lo, 1.0)
+        pad = 0.05 * span
+        lo, span = lo - pad, span + 2 * pad
 
-    pts = np.concatenate([report.reference, report.test], axis=0)
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    pad = 0.05 * span
-    lo, span = lo - pad, span + 2 * pad
+        def to_px(vals):
+            px = np.rint((vals[:, 0] - lo[0]) / span[0] * (width - 1))
+            py = np.rint((1.0 - (vals[:, 1] - lo[1]) / span[1]) * (height - 1))
+            return np.clip(px, 0, width - 1), np.clip(py, 0, height - 1)
 
-    def to_px2(p):
-        x = int(round((p[0] - lo[0]) / span[0] * (width - 1)))
-        y = int(round((1.0 - (p[1] - lo[1]) / span[1]) * (height - 1)))
-        return min(max(x, 0), width - 1), min(max(y, 0), height - 1)
+        delta = test - ref
+        key = np.where(delta[:, 1] != 0.0, delta[:, 1], delta[:, 0])
 
-    for j in range(report.sample_count):
-        delta = report.test[j] - report.reference[j]
-        key = delta[1] if delta[1] != 0.0 else delta[0]
-        tx, ty = to_px2(report.test[j])
-        img[ty, tx] = RED if key < 0 else GREEN if key > 0 else WHITE
-        rx, ry = to_px2(report.reference[j])
-        img[ry, rx] = WHITE
+    # writes in order: test pixel 0, reference pixel 0, test pixel 1, ...
+    (tx, ty), (rx, ry) = to_px(test), to_px(ref)
+    pixel = np.stack([ty * width + tx, ry * width + rx], axis=1).ravel().astype(np.int64)
+    colour = np.stack([np.select([key < 0, key > 0], [1, 2], 0), np.zeros_like(key, dtype=int)],
+                      axis=1).ravel()
+    # the first occurrence in the reversed order is the last write
+    painted, last = np.unique(pixel[::-1], return_index=True)
+    img = np.zeros((height, width, 3), dtype=np.uint8)
+    img.reshape(-1, 3)[painted] = _PALETTE[colour[::-1][last]]
     return img
 
 

@@ -8,6 +8,7 @@ errors, 3 unsupported degree, 4 mode/layout mismatch, 5 domain errors,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 import numpy as np
@@ -127,24 +128,23 @@ def _sampler_config(args) -> SamplerConfig:
 
 
 def _describe(curve: EncodedCurve, out=None):
+    """Write the header and one `texel x y z:` line per texel, in z, y, x order."""
     out = out or sys.stdout
     grid = curve.grid
-    print(
+    lines = [
         f"layout {curve.layout.value} degree {curve.degree} segments {curve.segment_count}",
-        file=out,
-    )
-    print(
         f"grid {grid.width}x{grid.height}x{grid.depth} channels {grid.channels} "
         f"format {grid.fmt.value}",
-        file=out,
-    )
+    ]
     if curve.inner_layout is not None:
-        print(f"inner layout {curve.inner_layout.value}", file=out)
-    print(f"transform scale {_fmt_vec(curve.transform.scale)} offset {_fmt_vec(curve.transform.offset)}", file=out)
-    for z in range(grid.depth):
-        for y in range(grid.height):
-            for x in range(grid.width):
-                print(f"texel {x} {y} {z}: {_fmt_vec(grid.texel(x, y, z))}", file=out)
+        lines.append(f"inner layout {curve.inner_layout.value}")
+    lines.append(f"transform scale {_fmt_vec(curve.transform.scale)} "
+                 f"offset {_fmt_vec(curve.transform.offset)}")
+    cells = itertools.product(range(grid.depth), range(grid.height), range(grid.width))
+    texels = grid.data.reshape(-1, grid.channels).tolist()
+    lines += [f"texel {x} {y} {z}: {' '.join(map(repr, texel))}"
+              for (z, y, x), texel in zip(cells, texels)]
+    out.write("\n".join(lines) + "\n")
 
 
 def _cmd_encode(args) -> int:

@@ -28,7 +28,6 @@ from .core import (
     ValueTransform,
 )
 from .reference import homogeneous, seiler_terms
-from .sampler import quantize_texel
 
 
 def fit_range(values, fmt: TexelFormat) -> ValueTransform:
@@ -56,14 +55,49 @@ def fit_range(values, fmt: TexelFormat) -> ValueTransform:
     return ValueTransform(scale, offset)
 
 
+#: Dekker's splitter for float64: 2^27 + 1
+_SPLITTER = 134217729.0
+
+
 def _quantize_array(values: np.ndarray, fmt: TexelFormat) -> np.ndarray:
+    """Quantize texels to the storage format in one exact array pass.
+
+    float32 rounds each value to the nearest 32-bit float; a value beyond
+    its range becomes inf, which `_finish` rejects. unorm formats clamp v
+    to [0, 1] and store k/L (L = fmt.levels) with k = floor(v·L + 1/2),
+    round half up, decided exactly:
+
+    - Dekker's split c = (2^27 + 1)·v, hi = c - (c - v), lo = v - hi gives
+      v = hi + lo exactly, hi with at most 26 significant bits and lo with
+      at most 27. As L < 2^17, a = hi·L and b = lo·L are exact products.
+    - TwoSum s = a + b, e = (a - (s - (s - a))) + (b - (s - a)) gives
+      s + e = v·L exactly, with |e| <= ulp(s)/2 <= 2^-37 since s <= L.
+    - With f = floor(s), d = s - f is exact (Sterbenz for s >= 1, d = s
+      below), and -1/2 < d + e < 1, so k = f + [d + e >= 1/2].
+    - The test runs as d - 1/2 >= -e. For d >= 1/4, d - 1/2 is exact
+      (Sterbenz), so the comparison is exact. For d < 1/4 both sides of
+      the decision are false: d + e < 1/2, and the rounded d - 1/2 is at
+      most -1/4 < -e.
+    - k <= L is exact, and k / L is the one correctly rounded division that
+      the int k / L of a `Fraction` decision gives.
+
+    A subnormal v can make lo·L inexact, but then v·L is below 2^-1000 and
+    every term is tiny, so k = 0 regardless. -0.0 stores as +0.0, NaN as
+    NaN. `sampler.quantize_texel` is this kernel on one value.
+    """
     if fmt is TexelFormat.FLOAT32:
-        return values.astype(np.float32).astype(float)
-    out = np.empty_like(values, dtype=float)
-    it = np.nditer(values, flags=["multi_index"])
-    for v in it:
-        out[it.multi_index] = quantize_texel(float(v), fmt)
-    return out
+        with np.errstate(over="ignore"):
+            return values.astype(np.float32).astype(float)
+    levels = float(fmt.levels)
+    v = np.clip(values, 0.0, 1.0)
+    c = _SPLITTER * v
+    hi = c - (c - v)
+    a, b = hi * levels, (v - hi) * levels
+    s = a + b
+    bs = s - a
+    e = (a - (s - bs)) + (b - bs)
+    f = np.floor(s)
+    return (f + (s - f - 0.5 >= -e)) / levels
 
 
 def _check_range(values: np.ndarray, fmt: TexelFormat, context: str):
@@ -92,7 +126,8 @@ def _finish(
     inner_layout: Optional[Layout] = None,
     context: str = "encode",
 ) -> EncodedCurve:
-    """Shared tail of every encoder: rescale, range-check, quantize, wrap."""
+    """Shared tail of every encoder: rescale, range-check, quantize, reject
+    non-finite stored texels, wrap."""
     channels = values.shape[-1]
     if rescale:
         transform = fit_range(values, fmt)
@@ -109,12 +144,15 @@ def _finish(
         transform = ValueTransform.identity(channels)
         stored = values
         _check_range(stored, fmt, context)
-    grid = TexelGrid(
-        (values.shape[2], values.shape[1], values.shape[0]),
-        channels,
-        fmt,
-        _quantize_array(stored, fmt),
-    )
+    data = _quantize_array(stored, fmt)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        raise RangeError(
+            f"{context}: texel {idx} has value {float(stored[idx])!r}, which {fmt.value} "
+            f"stores as {float(data[idx])!r}; only finite texels can be stored"
+        )
+    grid = TexelGrid((values.shape[2], values.shape[1], values.shape[0]), channels, fmt, data)
     return EncodedCurve(
         grid=grid,
         layout=layout,

@@ -346,16 +346,29 @@ def eval_bezier_chain(segments, global_t) -> np.ndarray:
     integer parameter resolves to the right-hand segment at local t = 0,
     except the chain's end, which stays in the last segment. Returns
     (n, channels) points; a scalar parameter gives n = 1.
+
+    Each sample gathers its segment's control points, and one
+    `bernstein_sum` per distinct degree evaluates them at local t = gt - k.
+    The segments must share a channel count (else ChannelMismatchError),
+    and every parameter must lie in [0, segment count] (else DomainError).
     """
     if not segments:
         raise DomainError("no segments to evaluate")
+    channels = segments[0].channels
+    if any(seg.channels != channels for seg in segments):
+        raise ChannelMismatchError("all chain segments must share a channel count")
     gt = np.atleast_1d(np.asarray(global_t, dtype=float))
+    if not np.all((gt >= 0.0) & (gt <= len(segments))):
+        raise DomainError(f"chain parameter outside [0, {len(segments)}]")
     k = np.minimum(np.floor(gt), len(segments) - 1).astype(np.int64)
-    out = np.empty((gt.shape[0], segments[0].channels))
-    for i, seg in enumerate(segments):
-        mask = k == i
-        if np.any(mask):
-            out[mask] = eval_bernstein(seg, gt[mask] - i)
+    degrees = np.array([seg.degree for seg in segments])
+    out = np.empty((gt.shape[0], channels))
+    for d in np.unique(degrees):
+        ids = np.flatnonzero(degrees == d)
+        rows = np.flatnonzero(degrees[k] == d)
+        stacked = np.stack([segments[i].points for i in ids], axis=1)  # (d + 1, len(ids), c)
+        kk = k[rows]
+        out[rows] = bernstein_sum(stacked[:, np.searchsorted(ids, kk)], gt[rows] - kk)
     return out
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,25 +34,18 @@ from .core import (
     TexelGrid,
     lerp,
 )
+from .encoder import _quantize_array
 
 
 def quantize_texel(v: float, fmt: TexelFormat) -> float:
     """Quantize one value to the storage format.
 
     unorm formats clamp to [0, 1] and round half away from zero onto the
-    k/levels lattice; the tie decision is made in exact rational arithmetic
-    so it never depends on a double rounding of v*levels. float32 rounds to
-    the nearest 32-bit float.
+    k/levels lattice; the tie decision is exact, so it never depends on a
+    double rounding of v*levels. float32 rounds to the nearest 32-bit
+    float. This is `encoder._quantize_array` on one value.
     """
-    if fmt is TexelFormat.FLOAT32:
-        return float(np.float32(v))
-    levels = fmt.levels
-    v = min(max(float(v), 0.0), 1.0)
-    scaled = Fraction(v) * levels
-    k = scaled.numerator // scaled.denominator
-    if scaled - k >= Fraction(1, 2):
-        k += 1
-    return k / levels
+    return float(_quantize_array(np.asarray(v, dtype=float), fmt))
 
 
 def quantize_fraction(f, cfg: SamplerConfig):

@@ -176,6 +176,20 @@ class TestRender:
         with pytest.raises(LayoutError):
             render_deviation_image(enc, bernstein_ref(poly), "dc", IDEAL, 32, 32)
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_sweep_values_rejected(self, rng, channels, bad):
+        poly = random_polygon(rng, 3, channels, 0.1, 0.9)
+        enc = encode_dc_cubic(poly, F32)
+
+        def ref(t):
+            out = eval_bernstein(poly, t)
+            out[len(t) // 2, channels - 1] = bad
+            return out
+
+        with pytest.raises(DomainError, match="non-finite"):
+            render_deviation_image(enc, ref, "dc", IDEAL, 32, 16)
+
     def test_ppm_header(self, rng, tmp_path):
         poly = random_polygon(rng, 2, 1, 0.2, 0.8)
         enc = encode_dc_quadratic(poly, F32)

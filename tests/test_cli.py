@@ -135,6 +135,27 @@ def test_non_number_flag_is_a_domain_error(capsys, argv, flag, what):
     assert err == f"error: {flag} takes {what}, got {argv[-1]!r}\n"
 
 
+# a cubic whose middle point overflows float32
+HUGE_CUBIC = "degree 3\nchannels 1\n0\n1e300\n1\n0\n"
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["encode", "--layout", "dc", "--sidecar"], "x.ctex"),
+    (["encode", "--layout", "seiler"], "x.ctex"),
+    (["sweep", "--layout", "dc"], "x.csv"),
+    (["render", "--layout", "dc", "--width", "8", "--height", "8"], "x.ppm"),
+])
+def test_float32_overflow_exits_2_and_writes_nothing(tmp_path, capsys, argv, out):
+    path = tmp_path / "huge.curve"
+    path.write_text(HUGE_CUBIC)
+    code, stdout, err = run(capsys, *argv, "--format", "f32", "--in", str(path),
+                            "--out", str(tmp_path / out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and "float32 stores as inf" in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 class TestEval:
     def test_seiler_hump_prints_value(self, hump, tmp_path, capsys):
         ctex = str(tmp_path / "c.ctex")

@@ -253,3 +253,25 @@ class TestFitRange:
         tf = fit_range(vals, U8)
         assert tf.scale[0] == 1.0 and tf.offset[0] == 0.0
         assert tf.scale[1] == 0.25
+
+
+class TestNonFiniteTexels:
+    def test_float32_overflow_is_a_range_error(self):
+        # 1e300 rounds to inf in float32; storing it would make every
+        # evaluation and sweep non-finite
+        poly = ControlPolygon([0.0, 1e300, 1.0, 0.0])
+        with pytest.raises(RangeError, match="float32 stores as inf"):
+            encode_dc_cubic(poly, TexelFormat.FLOAT32)
+        with pytest.raises(RangeError, match="float32 stores as inf"):
+            encode_seiler(poly, TexelFormat.FLOAT32)
+
+    def test_float32_overflow_rescales(self):
+        poly = ControlPolygon([0.0, 1e300, 1.0, 0.0])
+        curve = encode_dc_cubic(poly, TexelFormat.FLOAT32, rescale=True)
+        assert np.isfinite(curve.grid.data).all()
+
+    def test_nan_texel_is_a_range_error_in_every_format(self):
+        # control polygons reject NaN; a raw control net reaches the quantizer
+        for fmt in TexelFormat:
+            with pytest.raises(RangeError, match="stores as nan"):
+                encode_bilinear_patch([[0.0, np.nan], [0.5, 1.0]], fmt)

@@ -3,6 +3,7 @@ import pytest
 
 from texcurve import (
     BSplineCurve,
+    ChannelMismatchError,
     ControlPolygon,
     DomainError,
     HomogeneousDivideError,
@@ -334,3 +335,14 @@ class TestBezierChain:
         segments = [random_polygon(rng, 3, 1)]
         gt = np.linspace(0.0, 1.0, 17)
         assert _same_bits(eval_bezier_chain(segments, gt), chain_oracle(segments, gt))
+
+    def test_mixed_channel_counts_rejected(self, rng):
+        segments = [random_polygon(rng, 2, 2), random_polygon(rng, 2, 1)]
+        with pytest.raises(ChannelMismatchError):
+            eval_bezier_chain(segments, [0.5, 1.5])
+
+    @pytest.mark.parametrize("gt", [-0.5, -1e-300, np.nextafter(2.0, 3.0), 2.5, np.nan, np.inf])
+    def test_parameter_outside_chain_rejected(self, rng, gt):
+        segments = [random_polygon(rng, 2, 1) for _ in range(2)]
+        with pytest.raises(DomainError, match=r"outside \[0, 2\]"):
+            eval_bezier_chain(segments, np.array([0.5, gt]))
