@@ -265,8 +265,8 @@ def render_deviation_image(
     # writes in order: test pixel 0, reference pixel 0, test pixel 1, ...
     (tx, ty), (rx, ry) = to_px(test), to_px(ref)
     pixel = np.stack([ty * width + tx, ry * width + rx], axis=1).ravel().astype(np.int64)
-    colour = np.stack([np.select([key < 0, key > 0], [1, 2], 0), np.zeros_like(key, dtype=int)],
-                      axis=1).ravel()
+    colour = np.zeros(pixel.shape, dtype=np.intp)  # reference pixels are white
+    colour[0::2] = np.select([key < 0, key > 0], [1, 2], 0)
     # the first occurrence in the reversed order is the last write
     painted, last = np.unique(pixel[::-1], return_index=True)
     img = np.zeros((height, width, 3), dtype=np.uint8)
