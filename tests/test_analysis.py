@@ -598,9 +598,9 @@ class TestRenderOracle:
             img = render_deviation_image(None, None, "dc", IDEAL, width, height)
         return img, render_oracle(report, width, height)
 
-    @pytest.mark.parametrize("case", range(len(_render_cases())))
+    @pytest.mark.parametrize("case", _render_cases())
     def test_matches_per_sample_loop(self, case):
-        img, want = self._render(*_render_cases()[case])
+        img, want = self._render(*case)
         assert img.dtype == want.dtype and img.tobytes() == want.tobytes()
 
     def test_half_pixel_positions_round_half_even(self):
