@@ -36,7 +36,7 @@ from texcurve.core import Layout, ValueTransform
 from texcurve.reference import elevate_degree
 from texcurve.sampler import blend_with_fractions, texel_cell
 from texcurve.texeval import _BLOCK, _decode, _in_blocks, eval_dc, parameter_coords
-from conftest import IDEAL, BITS8, random_c0_quadratics, random_polygon
+from conftest import IDEAL, BITS8, one_curve_per_layout, random_c0_quadratics, random_polygon
 
 F32 = TexelFormat.FLOAT32
 U8 = TexelFormat.UNORM8
@@ -215,6 +215,37 @@ def test_default_mode_per_layout():
         Layout.RATIONAL_HOMOGENEOUS: "rational",
     }
     assert {layout: _default_mode(layout) for layout in Layout} == expect
+
+
+#: mode -> the layouts it evaluates, written out here rather than read from
+#: the mode table
+MODE_LAYOUTS = {
+    "dc": {Layout.DC_QUAD_2X2, Layout.DC_CUBIC_2X2X2},
+    "dc-hybrid": {Layout.DC_CUBIC_2X2X2},
+    "seiler": {Layout.SEILER_2D, Layout.SEILER_3D},
+    "zigzag": {Layout.DC_ZIGZAG},
+    "patch": {Layout.BILINEAR_PATCH},
+    "bicubic": {Layout.BICUBIC_RGBA},
+    "rational": {Layout.RATIONAL_HOMOGENEOUS},
+}
+CURVES = one_curve_per_layout()
+
+
+def _unused_reference(t):
+    pytest.fail("the reference was called before the mode was checked")
+
+
+@pytest.mark.parametrize("mode, layout", [
+    pytest.param(mode, layout, id=f"{mode}-{layout.value}")
+    for mode in [*MODE_LAYOUTS, "bogus"] for layout in Layout
+    if layout not in MODE_LAYOUTS.get(mode, ())
+])
+def test_sweep_and_bound_reject_mode_layout_mismatches(mode, layout):
+    with pytest.raises(LayoutError):
+        sweep(CURVES[layout], _unused_reference, mode, BITS8, 16)
+    with pytest.raises(LayoutError):
+        error_bound_estimate(CURVES[layout], BITS8, reference=_unused_reference,
+                             mode=mode, samples=16)
 
 
 class TestErrorBound:

@@ -35,8 +35,10 @@ from texcurve import (
     remap_unit_to_texel_span,
     sample_bilinear,
 )
+from texcurve import sampler
+from texcurve.core import Layout
 from texcurve.texeval import _BLOCK
-from conftest import IDEAL, BITS8, random_c0_quadratics, random_polygon
+from conftest import IDEAL, BITS8, one_curve_per_layout, random_c0_quadratics, random_polygon
 
 F32 = TexelFormat.FLOAT32
 
@@ -405,3 +407,60 @@ class TestBlocking:
         with pytest.raises(DomainError) as raised:
             fn(enc, t, BITS8)
         assert str(raised.value) == _domain_message(name, end)
+
+
+# -- layout checks and fetch counts ------------------------------------------
+
+CURVES = one_curve_per_layout()
+_DC = {Layout.DC_QUAD_2X2, Layout.DC_CUBIC_2X2X2}
+
+#: (name, fn(curve, t, cfg), the layouts it evaluates), written out here
+#: rather than read from the mode table
+EVALUATORS = (
+    ("eval_dc", eval_dc, _DC),
+    ("eval_dc_cubic_hybrid", eval_dc_cubic_hybrid, {Layout.DC_CUBIC_2X2X2}),
+    ("eval_dc_zigzag", eval_dc_zigzag, {Layout.DC_ZIGZAG}),
+    ("eval_seiler_tex", eval_seiler_tex, {Layout.SEILER_2D, Layout.SEILER_3D}),
+    ("eval_rational_tex", eval_rational_tex, {Layout.RATIONAL_HOMOGENEOUS}),
+    ("eval_bilinear_patch", lambda curve, t, cfg: eval_bilinear_patch(curve, t, t, cfg),
+     {Layout.BILINEAR_PATCH}),
+    ("eval_bicubic_rgba", lambda curve, t, cfg: eval_bicubic_rgba(curve, t, t, cfg),
+     {Layout.BICUBIC_RGBA}),
+)
+
+
+@pytest.mark.parametrize("layout", Layout, ids=lambda layout: layout.value)
+@pytest.mark.parametrize("fn, accepts", [pytest.param(fn, accepts, id=name)
+                                         for name, fn, accepts in EVALUATORS])
+def test_evaluator_rejects_every_other_layout(fn, accepts, layout):
+    curve = CURVES[layout]
+    if layout in accepts:
+        assert np.isfinite(fn(curve, 0.5, BITS8)).all()
+    else:
+        with pytest.raises(LayoutError):
+            fn(curve, 0.5, BITS8)
+
+
+@pytest.mark.parametrize("fn, layout, lerps, corners", [
+    (lambda curve, t, cfg: eval_bilinear_patch(curve, t, t, cfg), Layout.BILINEAR_PATCH, 3, 4),
+    (lambda curve, t, cfg: eval_bicubic_rgba(curve, t, t, cfg), Layout.BICUBIC_RGBA, 7, 8),
+], ids=("patch", "bicubic"))
+def test_surface_evaluator_fetches_once(monkeypatch, fn, layout, lerps, corners):
+    """A scalar surface evaluation is one fetch: one lerp chain over one
+    gather of the cell's corners."""
+    counts = {"lerp": 0, "corners": 0}
+    lerp, gather = sampler.lerp, sampler._corners
+
+    def counted_lerp(*args):
+        counts["lerp"] += 1
+        return lerp(*args)
+
+    def counted_corners(*args):
+        taken = gather(*args)
+        counts["corners"] += len(taken)
+        return taken
+
+    monkeypatch.setattr(sampler, "lerp", counted_lerp)
+    monkeypatch.setattr(sampler, "_corners", counted_corners)
+    fn(CURVES[layout], 0.37, BITS8)
+    assert counts == {"lerp": lerps, "corners": corners}
