@@ -5,9 +5,9 @@ a uniform parameter lattice, writes diffable CSV reports, renders the
 red/green deviation pixmaps, and computes a brute-force bound on the error
 attributable to subtexel coordinate quantization.
 
-`_MODES` is the one mode table: each evaluation mode names the layouts it
-accepts and its evaluator. Sweeps, the bound and the CLI validate modes and
-pick a layout's default mode through it.
+Sweeps, the bound and the CLI validate modes and pick a layout's default
+mode through `texeval`'s one mode table, which this module re-exports as
+`_MODES` together with `_default_mode` and `_mode_eval`.
 """
 
 from __future__ import annotations
@@ -22,53 +22,11 @@ from .core import (
     ChannelMismatchError,
     DomainError,
     EncodedCurve,
-    Layout,
     LayoutError,
     SamplerConfig,
 )
 from .sampler import _blend_options, _corners, _lookup
-from .texeval import (
-    _decode,
-    _in_blocks,
-    eval_bicubic_rgba,
-    eval_bilinear_patch,
-    eval_dc,
-    eval_dc_cubic_hybrid,
-    eval_dc_zigzag,
-    eval_rational_tex,
-    eval_seiler_tex,
-    parameter_coords,
-)
-
-#: mode name -> (layouts it can evaluate, evaluator fn(curve, t, cfg)).
-#: The surface modes evaluate the diagonal u = v = t. A layout's default
-#: mode is the first mode that lists it.
-_MODES = {
-    "dc": ((Layout.DC_QUAD_2X2, Layout.DC_CUBIC_2X2X2), eval_dc),
-    "dc-hybrid": ((Layout.DC_CUBIC_2X2X2,), eval_dc_cubic_hybrid),
-    "seiler": ((Layout.SEILER_2D, Layout.SEILER_3D), eval_seiler_tex),
-    "zigzag": ((Layout.DC_ZIGZAG,), eval_dc_zigzag),
-    "patch": ((Layout.BILINEAR_PATCH,),
-              lambda curve, t, cfg: eval_bilinear_patch(curve, t, t, cfg)),
-    "bicubic": ((Layout.BICUBIC_RGBA,),
-                lambda curve, t, cfg: eval_bicubic_rgba(curve, t, t, cfg)),
-    "rational": ((Layout.RATIONAL_HOMOGENEOUS,), eval_rational_tex),
-}
-
-
-def _default_mode(layout: Layout) -> str:
-    """The first mode in `_MODES` that lists `layout`."""
-    return next(mode for mode, (layouts, _) in _MODES.items() if layout in layouts)
-
-
-def _mode_eval(curve: EncodedCurve, mode: str) -> Callable:
-    """The evaluator fn(curve, t, cfg) of `mode`, checked against the curve's layout."""
-    if mode not in _MODES:
-        raise LayoutError(f"unknown evaluation mode {mode!r}")
-    layouts, fn = _MODES[mode]
-    if curve.layout not in layouts:
-        raise LayoutError(f"mode {mode!r} cannot evaluate layout {curve.layout.value}")
-    return fn
+from .texeval import _MODES, _decode, _default_mode, _in_blocks, _mode_eval, parameter_coords
 
 
 def _reference_values(reference: Callable, ts: np.ndarray, shape) -> np.ndarray:

@@ -6,8 +6,9 @@ indices clamp to the edge; the fractional position along each axis is
 quantized to subtexel fixed point before the blend, which runs in float64.
 The stages up to the blend (texel cell, exact fraction, used fraction,
 clamped index pair) are written once, in `_lookup`; the public fetches wrap
-it with a finiteness check and a `SampleTrace`, and the texture evaluators
-and the error bound call it directly and build no trace. Every lookup then
+it with a finiteness check and a `SampleTrace`. Every texture evaluator
+reaches it through `texeval._fetch` and the error bound calls it directly;
+neither builds a trace. Every lookup then
 runs one blend kernel: `_corners` gathers each corner texel once, with one
 `take` from the grid viewed as a flat (channels, texels) table, and
 `_blend_options` runs the fixed chain of lerps along x, then y, then z, at

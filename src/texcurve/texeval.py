@@ -1,15 +1,15 @@
 """Evaluate encoded curves through the emulated sampler.
 
-`parameter_coords` is the one place that maps a 1-parameter layout's
-parameter to sample coordinates. The dc, seiler, zig-zag and rational
-evaluators check their layout and then share one path: coordinates, one
-staged lookup (`sampler._lookup`, then the blend) that builds no trace, and
-`_decode` (the inverse transform, and for rational curves the divide by the
-weight). The parameter is validated once, by `_curve_param`. The
-split-precision hybrid runs the same lookup with the exact t as its depth
-fraction; the two surface evaluators map (u, v) themselves and fetch
-through the public samplers. Every evaluator and the error bound decode
-through `_decode`.
+`_MODES` is the one mode table: the layouts each evaluation mode
+evaluates, and its evaluator. The public evaluators check their layout
+through it, as sweeps, the error bound and the CLI check their mode.
+Every evaluator reads the grid through one `_fetch` (the staged lookup
+`sampler._lookup`, the blend, then `_decode`: the inverse transform, and
+for rational curves the divide by the weight) and builds no `SampleTrace`.
+`parameter_coords` is the one 1-parameter coordinate picker and
+`_eval_curve` the one 1-parameter path, which the split-precision hybrid
+runs with the exact t as its depth fraction; `_curve_param` validates the
+parameter once. The surface evaluators map (u, v) and call `_fetch`.
 
 Parameters broadcast like the reference evaluators: scalar in, one point
 out; (n,) array in, (n, channels) out, stored channel-major (Fortran
@@ -26,6 +26,9 @@ loop over the block's samples instead of over its 1 to 4 channels.
 
 from __future__ import annotations
 
+import functools
+from typing import Callable
+
 import numpy as np
 
 from .core import (
@@ -40,13 +43,6 @@ from .core import (
 )
 from . import sampler
 from .reference import bernstein_sum
-from .sampler import sample_bilinear, sample_trilinear
-
-
-def _require_layout(curve: EncodedCurve, *layouts: Layout):
-    if curve.layout not in layouts:
-        names = ", ".join(l.value for l in layouts)
-        raise LayoutError(f"expected layout in ({names}), got {curve.layout.value}")
 
 
 def _unit_param(t):
@@ -170,38 +166,43 @@ def _decode(curve: EncodedCurve, raw):
     return value[..., :-1] / den
 
 
-def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig):
-    """The shared 1-parameter path: coordinates, one lookup, decode.
-
-    `parameter_coords` has validated t and `EncodedCurve` the grid's dims,
-    so the coordinates are finite and the lookup checks nothing again.
-    """
-    pairs, _, used = sampler._lookup(curve.grid, parameter_coords(curve, t), cfg)
+def _fetch(curve: EncodedCurve, coords, cfg: SamplerConfig, depth_fraction=None):
+    """The one texel fetch: the staged lookup, the blend, then `_decode`.
+    The evaluators have validated the coordinates and `EncodedCurve` the
+    grid's dims, so nothing is checked again."""
+    pairs, _, used = sampler._lookup(curve.grid, coords, cfg, depth_fraction)
     return _decode(curve, sampler._blend(curve.grid, pairs, used))
+
+
+def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool = False):
+    """The 1-parameter path: coordinates, then one fetch. The `hybrid`
+    (a dc cubic) fetches x and y at the dc coordinate and blends depth at
+    the exact t."""
+    coords = parameter_coords(curve, t)
+    if hybrid:
+        return _fetch(curve, coords[:2], cfg, depth_fraction=t)
+    return _fetch(curve, coords, cfg)
+
+
+_eval_hybrid = functools.partial(_eval_curve, hybrid=True)
 
 
 def eval_dc(curve: EncodedCurve, t, cfg: SamplerConfig):
     """Evaluate a de Casteljau packing: one read at (t, t) or (t, t, t)."""
-    _require_layout(curve, Layout.DC_QUAD_2X2, Layout.DC_CUBIC_2X2X2)
+    _mode_eval(curve, "dc")
     return _in_blocks(_eval_curve, curve, t, cfg)
 
 
 def eval_dc_zigzag(curve: EncodedCurve, global_t, cfg: SamplerConfig):
     """Evaluate a zig-zag packing at global parameter in [0, segment_count]."""
-    _require_layout(curve, Layout.DC_ZIGZAG)
+    _mode_eval(curve, "zigzag")
     return _in_blocks(_eval_curve, curve, global_t, cfg)
 
 
 def eval_seiler_tex(curve: EncodedCurve, t, cfg: SamplerConfig):
     """Evaluate a difference-term packing at (t, st) or (t, st, st)."""
-    _require_layout(curve, Layout.SEILER_2D, Layout.SEILER_3D)
+    _mode_eval(curve, "seiler")
     return _in_blocks(_eval_curve, curve, t, cfg)
-
-
-def _eval_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
-    r = parameter_coords(curve, t)[0]  # the x, y and z coordinates coincide
-    pairs, _, used = sampler._lookup(curve.grid, (r, r), cfg, depth_fraction=t)
-    return _decode(curve, sampler._blend(curve.grid, pairs, used))
 
 
 def eval_dc_cubic_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
@@ -212,32 +213,61 @@ def eval_dc_cubic_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
     quadratic slice, while the last interpolation level runs at full
     precision with the unquantized parameter.
     """
-    _require_layout(curve, Layout.DC_CUBIC_2X2X2)
+    _mode_eval(curve, "dc-hybrid")
     return _in_blocks(_eval_hybrid, curve, t, cfg)
 
 
 def eval_bilinear_patch(curve: EncodedCurve, u, v, cfg: SamplerConfig):
     """Evaluate a bilinear patch: one read at (remapped u, remapped v)."""
-    _require_layout(curve, Layout.BILINEAR_PATCH)
+    _mode_eval(curve, "patch")
     ru = remap_unit_to_texel_span(_unit_param(u), 2)
     rv = remap_unit_to_texel_span(_unit_param(v), 2)
-    raw, _ = sample_bilinear(curve.grid, ru, rv, cfg)
-    return _decode(curve, raw)
+    return _fetch(curve, (ru, rv), cfg)
 
 
 def eval_bicubic_rgba(curve: EncodedCurve, u, v, cfg: SamplerConfig):
     """Evaluate a bicubic packing: one trilinear read at (u, u, u) yields
     the four isoline control points in the channels; the cross-direction
     cubic in v runs at full precision."""
-    _require_layout(curve, Layout.BICUBIC_RGBA)
+    _mode_eval(curve, "bicubic")
     r = remap_unit_to_texel_span(_unit_param(u), 2)
-    raw, _ = sample_trilinear(curve.grid, r, r, r, cfg)
-    iso = _decode(curve, raw)
+    iso = _fetch(curve, (r, r, r), cfg)
     return bernstein_sum(np.moveaxis(iso, -1, 0)[..., None], _unit_param(v))
 
 
 def eval_rational_tex(curve: EncodedCurve, t, cfg: SamplerConfig):
     """Evaluate a homogeneous packing through its inner layout, then divide
     point by weight."""
-    _require_layout(curve, Layout.RATIONAL_HOMOGENEOUS)
+    _mode_eval(curve, "rational")
     return _in_blocks(_eval_curve, curve, t, cfg)
+
+
+#: mode name -> (layouts it can evaluate, evaluator fn(curve, t, cfg)).
+#: The surface modes evaluate the diagonal u = v = t. A layout's default
+#: mode is the first mode that lists it.
+_MODES = {
+    "dc": ((Layout.DC_QUAD_2X2, Layout.DC_CUBIC_2X2X2), eval_dc),
+    "dc-hybrid": ((Layout.DC_CUBIC_2X2X2,), eval_dc_cubic_hybrid),
+    "seiler": ((Layout.SEILER_2D, Layout.SEILER_3D), eval_seiler_tex),
+    "zigzag": ((Layout.DC_ZIGZAG,), eval_dc_zigzag),
+    "patch": ((Layout.BILINEAR_PATCH,),
+              lambda curve, t, cfg: eval_bilinear_patch(curve, t, t, cfg)),
+    "bicubic": ((Layout.BICUBIC_RGBA,),
+                lambda curve, t, cfg: eval_bicubic_rgba(curve, t, t, cfg)),
+    "rational": ((Layout.RATIONAL_HOMOGENEOUS,), eval_rational_tex),
+}
+
+
+def _default_mode(layout: Layout) -> str:
+    """The first mode in `_MODES` that lists `layout`."""
+    return next(mode for mode, (layouts, _) in _MODES.items() if layout in layouts)
+
+
+def _mode_eval(curve: EncodedCurve, mode: str) -> Callable:
+    """The evaluator fn(curve, t, cfg) of `mode`, checked against the curve's layout."""
+    if mode not in _MODES:
+        raise LayoutError(f"unknown evaluation mode {mode!r}")
+    layouts, fn = _MODES[mode]
+    if curve.layout not in layouts:
+        raise LayoutError(f"mode {mode!r} cannot evaluate layout {curve.layout.value}")
+    return fn

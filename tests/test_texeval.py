@@ -464,3 +464,25 @@ def test_surface_evaluator_fetches_once(monkeypatch, fn, layout, lerps, corners)
     monkeypatch.setattr(sampler, "_corners", counted_corners)
     fn(CURVES[layout], 0.37, BITS8)
     assert counts == {"lerp": lerps, "corners": corners}
+
+
+def test_no_evaluator_builds_a_trace(monkeypatch):
+    """Evaluators, sweeps and the bound read the grid without a
+    `SampleTrace`: only the public samplers build one."""
+    from texcurve import analysis
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("a SampleTrace was built")
+
+    monkeypatch.setattr(sampler, "SampleTrace", no_trace)
+    t = np.linspace(0.0, 1.0, 9)
+    for _, fn, accepts in EVALUATORS:
+        for layout in accepts:
+            fn(CURVES[layout], t, BITS8)
+            fn(CURVES[layout], 0.5, BITS8)
+    for mode, (layouts, fn) in analysis._MODES.items():
+        curve = CURVES[layouts[0]]
+        report = analysis.sweep(curve, lambda ts: fn(curve, ts, BITS8), mode, BITS8, 16)
+        assert not report.max_dev.any()
+        if mode not in ("patch", "bicubic"):
+            analysis.error_bound_estimate(curve, BITS8, mode=mode, samples=16)
