@@ -90,7 +90,17 @@ class ErrorReport:
 
     @property
     def rms_dev(self) -> np.ndarray:
-        return np.sqrt(np.mean(self.absdev**2, axis=0))
+        """Per-channel root mean square deviation. A channel whose squares
+        overflow while its maximum m is finite is recomputed as
+        m * sqrt(mean((absdev / m)^2)); every other channel keeps the plain
+        formula's bits."""
+        with np.errstate(over="ignore"):
+            rms = np.sqrt(np.mean(self.absdev**2, axis=0))
+        m = self.max_dev
+        redo = np.isinf(rms) & np.isfinite(m)
+        if redo.any():
+            rms[redo] = m[redo] * np.sqrt(np.mean((self.absdev[:, redo] / m[redo]) ** 2, axis=0))
+        return rms
 
 
 def sweep(

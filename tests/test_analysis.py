@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from texcurve import (
     ChannelMismatchError,
@@ -560,6 +561,30 @@ def _csv_values(rng, shape):
     special = rng.choice(CSV_SPECIALS, size=shape)
     scaled = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-8, 18, shape)
     return np.where(rng.random(shape) < 0.4, special, scaled)
+
+
+class TestRms:
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(st.integers(1, 64), st.integers(1, 4)).flatmap(
+        lambda shape: hnp.arrays(float, (2, *shape), elements=st.floats(-1e150, 1e150))))
+    def test_reports_that_do_not_overflow_keep_the_plain_formula(self, values):
+        ref, test = values
+        report = _report(np.linspace(0.0, 1.0, ref.shape[0]), ref, test)
+        with np.errstate(over="raise"):
+            plain = np.sqrt(np.mean(report.absdev**2, axis=0))
+        assert report.rms_dev.tobytes() == plain.tobytes()
+
+    def test_overflowing_channel_is_rescaled_by_its_maximum(self):
+        ref = np.zeros((4, 3))
+        test = np.array([[1e300, 0.25, 1e300], [3e299, 0.5, np.inf], [0.0, 1.0, 0.0],
+                         [2e300, 0.0, 0.0]])
+        report = _report(np.linspace(0.0, 1.0, 4), ref, test)
+        rms = report.rms_dev
+        peak = 2e300
+        assert rms[0] == peak * np.sqrt(np.mean((test[:, 0] / peak) ** 2))
+        assert 1e300 < rms[0] < peak
+        assert rms[1] == np.sqrt(np.mean(test[:, 1] ** 2))
+        assert rms[2] == np.inf  # an infinite deviation keeps an infinite rms
 
 
 class TestCsvOracle:

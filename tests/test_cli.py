@@ -156,6 +156,21 @@ def test_float32_overflow_exits_2_and_writes_nothing(tmp_path, capsys, argv, out
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_rescaled_huge_sweep_reports_a_finite_rms(tmp_path, capsys):
+    # squaring the deviations overflows, their root mean square does not
+    path = tmp_path / "huge.curve"
+    path.write_text(HUGE_CUBIC)
+    code, stdout, err = run(capsys, "sweep", "--layout", "dc", "--format", "f32", "--rescale",
+                            "--samples", "4", "--in", str(path))
+    assert (code, err) == (0, "")
+    lines = stdout.splitlines()
+    absdev = np.array([float(line.rsplit(",", 1)[1]) for line in lines[1:5]])
+    summary = dict(line.split(",") for line in lines[5:])
+    peak = float(summary["#max"])
+    assert peak == absdev.max() > 1e296
+    assert float(summary["#rms"]) == peak * np.sqrt(np.mean((absdev / peak) ** 2))
+
+
 class TestEval:
     def test_seiler_hump_prints_value(self, hump, tmp_path, capsys):
         ctex = str(tmp_path / "c.ctex")
