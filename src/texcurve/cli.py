@@ -1,8 +1,9 @@
 """Command-line front end: encode, eval, sweep, render, convert, inspect.
 
-stdout carries data, stderr carries diagnostics. Exit codes: 2 range
-errors, 3 unsupported degree, 4 mode/layout mismatch, 5 domain errors,
-1 anything else. All outputs are byte-reproducible for fixed inputs.
+stdout carries data, stderr carries diagnostics. Exit codes: 0 success
+(`--help` included), 2 range errors, 3 unsupported degree, 4 mode/layout
+mismatch, 5 domain errors and command-line usage errors, 1 anything else.
+All outputs are byte-reproducible for fixed inputs.
 """
 
 from __future__ import annotations
@@ -248,8 +249,8 @@ def _cmd_inspect(args) -> int:
 
 def _number(kind, flag: str):
     """An argparse type that parses `kind` and raises DomainError (exit 5)
-    for text that is not one. argparse turns a ValueError from a type into
-    a usage error with exit 2, which is RangeError's code."""
+    for text that is not one, with a message that names the flag and the
+    kind of number it takes."""
     what = "an integer" if kind is int else "a number"
 
     def parse(text: str):
@@ -279,8 +280,17 @@ def _add_encode_flags(p: argparse.ArgumentParser):
                    help="inner layout for rational curves")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise DomainError (exit 5)
+    instead of exiting 2, which is RangeError's code. Subparsers inherit
+    the class."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="texcurve",
+    parser = _Parser(prog="texcurve",
                                      description="curves in texel grids, evaluated by an emulated GPU sampler")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -133,6 +136,32 @@ def test_non_number_flag_is_a_domain_error(capsys, argv, flag, what):
     assert code == 5
     assert stdout == ""
     assert err == f"error: {flag} takes {what}, got {argv[-1]!r}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--layout", "bogus", "--in", "x.curve"], "argument --layout: invalid choice: 'bogus'"),
+    (["eval", "--in", "x.ctex", "--nosuch", "1"], "unrecognized arguments: --nosuch 1"),
+    (["eval", "--nosuch", "1"], "the following arguments are required: --in"),
+    ([], "the following arguments are required: command"),
+    (["sweep", "--layout", "dc"], "the following arguments are required: --in"),
+    (["convert", "--in", "x.curve"], "one of the arguments --power-to-bernstein"),
+    (["eval", "--in", "x.ctex", "--mode", "bogus"], "argument --mode: invalid choice: 'bogus'"),
+])
+def test_usage_error_is_a_domain_error(capsys, argv, message):
+    # exit 2 is RangeError's code, so argparse's own usage errors exit 5
+    code, stdout, err = run(capsys, *argv)
+    assert code == 5
+    assert stdout == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["encode", "eval", "sweep", "render", "convert", "inspect"])
+def test_help_exits_0(command):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    done = subprocess.run([sys.executable, "-m", "texcurve", command, "--help"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout.startswith(f"usage: texcurve {command}") and done.stderr == ""
 
 
 # a cubic whose middle point overflows float32
