@@ -362,10 +362,7 @@ def encode_bicubic_rgba(control_grid, fmt: TexelFormat, *, rescale: bool = False
             f"bicubic packing needs a 4x4 grid of scalars (got shape {g.shape}); "
             "vector-valued entries overflow the four channels"
         )
-    values = np.empty((2, 2, 2, 4))
-    for c in range(4):
-        values[..., c] = _dc_cubic_values(g[c][:, None])[..., 0]
-    return _finish(values, fmt, Layout.BICUBIC_RGBA, 3, rescale=rescale, context="bicubic")
+    return _finish(_dc_cubic_values(g.T), fmt, Layout.BICUBIC_RGBA, 3, rescale=rescale, context="bicubic")
 
 
 def encode_rational(
