@@ -325,18 +325,38 @@ def boehm_to_bezier(spline: BSplineCurve) -> List[Tuple[ControlPolygon, Tuple[fl
     return out
 
 
-def eval_bezier_segments(segments, t: float) -> np.ndarray:
-    """Evaluate a piecewise Bezier list (as returned by boehm_to_bezier)."""
+def _eval_pieces(polys, starts, ends, t, outside: str) -> np.ndarray:
+    """(n, channels) points of Bezier pieces at 1-D t: each t on the first
+    piece whose end exceeds it, else the last, at local (t - start) / (end -
+    start), by one gather and one `bernstein_sum` per degree. Mixed channel
+    counts raise ChannelMismatchError, t off the pieces DomainError(`outside`)."""
+    if len({poly.channels for poly in polys}) > 1:
+        raise ChannelMismatchError("all chain segments must share a channel count")
+    bad = ~((t >= starts[0]) & (t <= ends[-1]))
+    if bad.any():
+        raise DomainError(outside.format(t=t[bad][0]))
+    k = np.minimum(np.searchsorted(ends, t, side="right"), len(polys) - 1)
+    local = (t - starts[k]) / (ends[k] - starts[k])
+    degrees = np.array([poly.degree for poly in polys])
+    out = np.empty((t.shape[0], polys[0].channels))
+    for d in np.unique(degrees):
+        ids = np.flatnonzero(degrees == d)
+        rows = np.flatnonzero(degrees[k] == d)
+        stacked = np.stack([polys[i].points for i in ids], axis=1)  # (d + 1, len(ids), c)
+        out[rows] = bernstein_sum(stacked[:, np.searchsorted(ids, k[rows])], local[rows])
+    return out
+
+
+def eval_bezier_segments(segments, t) -> np.ndarray:
+    """Evaluate a piecewise Bezier list (as returned by boehm_to_bezier) at
+    scalar or array t; a join takes the right-hand segment."""
     if not segments:
         raise DomainError("no segments to evaluate")
-    lo = segments[0][1][0]
-    hi = segments[-1][1][1]
-    if not lo <= t <= hi:
-        raise DomainError(f"t={t} outside piecewise domain [{lo}, {hi}]")
-    for poly, (s0, s1) in segments:
-        if t < s1 or s1 == hi:
-            return eval_bernstein(poly, (t - s0) / (s1 - s0))
-    raise DomainError("unreachable span")  # pragma: no cover
+    starts, ends = np.array([span for _, span in segments], dtype=float).T
+    outside = f"t={{t}} outside piecewise domain [{segments[0][1][0]}, {segments[-1][1][1]}]"
+    t = np.asarray(t, dtype=float)
+    out = _eval_pieces([poly for poly, _ in segments], starts, ends, t.reshape(-1), outside)
+    return out.reshape(t.shape + out.shape[1:])
 
 
 def eval_bezier_chain(segments, global_t) -> np.ndarray:
@@ -345,31 +365,16 @@ def eval_bezier_chain(segments, global_t) -> np.ndarray:
     This is the reference for the zig-zag packing's global parameter: an
     integer parameter resolves to the right-hand segment at local t = 0,
     except the chain's end, which stays in the last segment. Returns
-    (n, channels) points; a scalar parameter gives n = 1.
-
-    Each sample gathers its segment's control points, and one
-    `bernstein_sum` per distinct degree evaluates them at local t = gt - k.
-    The segments must share a channel count (else ChannelMismatchError),
-    and every parameter must lie in [0, segment count] (else DomainError).
+    (n, channels) points; a scalar parameter gives n = 1. Local t is
+    (gt - k) / 1.0, exactly gt - k. Segments must share a channel count
+    (else ChannelMismatchError); parameters lie in [0, segment count].
     """
     if not segments:
         raise DomainError("no segments to evaluate")
-    channels = segments[0].channels
-    if any(seg.channels != channels for seg in segments):
-        raise ChannelMismatchError("all chain segments must share a channel count")
+    n = len(segments)
     gt = np.atleast_1d(np.asarray(global_t, dtype=float))
-    if not np.all((gt >= 0.0) & (gt <= len(segments))):
-        raise DomainError(f"chain parameter outside [0, {len(segments)}]")
-    k = np.minimum(np.floor(gt), len(segments) - 1).astype(np.int64)
-    degrees = np.array([seg.degree for seg in segments])
-    out = np.empty((gt.shape[0], channels))
-    for d in np.unique(degrees):
-        ids = np.flatnonzero(degrees == d)
-        rows = np.flatnonzero(degrees[k] == d)
-        stacked = np.stack([segments[i].points for i in ids], axis=1)  # (d + 1, len(ids), c)
-        kk = k[rows]
-        out[rows] = bernstein_sum(stacked[:, np.searchsorted(ids, kk)], gt[rows] - kk)
-    return out
+    return _eval_pieces(segments, np.arange(n, dtype=float), np.arange(1.0, n + 1), gt,
+                        f"chain parameter outside [0, {n}]")
 
 
 def power_to_bernstein(coeffs) -> ControlPolygon:

@@ -346,3 +346,66 @@ class TestBezierChain:
         segments = [random_polygon(rng, 2, 1) for _ in range(2)]
         with pytest.raises(DomainError, match=r"outside \[0, 2\]"):
             eval_bezier_chain(segments, np.array([0.5, gt]))
+
+
+def segments_oracle(segments, t):
+    """The per-segment scalar loop, kept as the oracle of the one-gather
+    form."""
+    lo = segments[0][1][0]
+    hi = segments[-1][1][1]
+    if not lo <= t <= hi:
+        raise DomainError(f"t={t} outside piecewise domain [{lo}, {hi}]")
+    for poly, (s0, s1) in segments:
+        if t < s1 or s1 == hi:
+            return eval_bernstein(poly, (t - s0) / (s1 - s0))
+
+
+def _spline_cases():
+    """(id, spline): clamped B-splines of degrees 1-4 with uniform, random
+    and repeated interior knots."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for p in (1, 2, 3, 4):
+        for name, inner in (("uniform", np.arange(1.0, 5.0)),
+                            ("random", np.sort(rng.uniform(0.0, 3.0, 5))),
+                            ("double", np.array([1.0, 1.0, 2.0, 2.5, 2.5])),
+                            ("full", np.repeat([0.75, 1.5], p))):
+            hi = max(float(inner.max()) + 0.5, 1.0)
+            knots = np.concatenate([np.zeros(p + 1), inner, np.full(p + 1, hi)])
+            pts = rng.uniform(-1.0, 1.0, (knots.shape[0] - p - 1, 2))
+            cases.append((f"p{p}-{name}", BSplineCurve(pts, knots, p)))
+    return cases
+
+
+@pytest.mark.parametrize("spline", [case for _, case in _spline_cases()],
+                         ids=[name for name, _ in _spline_cases()])
+def test_segments_match_per_segment_loop(spline):
+    segments = boehm_to_bezier(spline)
+    a, b = spline.domain
+    joins = np.array([end for _, (_, end) in segments])
+    t = np.concatenate([np.linspace(a, b, 301), [a, np.nextafter(a, b)], joins,
+                        np.nextafter(joins, -np.inf), np.nextafter(joins[:-1], np.inf)])
+    expect = np.array([segments_oracle(segments, float(x)) for x in t])
+    assert _same_bits(eval_bezier_segments(segments, t), expect)
+    for x, row in zip(t, expect):
+        assert _same_bits(eval_bezier_segments(segments, float(x)), row)
+
+
+def test_segments_take_any_parameter_shape(rng):
+    spline = BSplineCurve(rng.uniform(-1, 1, (6, 3)), [0, 0, 0, 0, 1, 2, 3, 3, 3, 3], 3)
+    segments = boehm_to_bezier(spline)
+    t = rng.uniform(0.0, 3.0, (4, 5))
+    got = eval_bezier_segments(segments, t)
+    assert got.shape == (4, 5, 3)
+    assert _same_bits(got.reshape(-1, 3), eval_bezier_segments(segments, t.ravel()))
+    assert eval_bezier_segments(segments, 1.5).shape == (3,)
+
+
+@pytest.mark.parametrize("t", [-0.5, np.nextafter(2.0, 3.0), np.nan, np.inf])
+def test_segments_outside_domain_keep_their_message(rng, t):
+    segments = boehm_to_bezier(BSplineCurve(rng.uniform(-1, 1, 4), [0, 0, 0, 1, 2, 2, 2], 2))
+    message = f"t={t} outside piecewise domain [0.0, 2.0]"
+    for arg in (t, np.array([1.0, t, 0.5])):
+        with pytest.raises(DomainError) as raised:
+            eval_bezier_segments(segments, arg)
+        assert str(raised.value) == message
