@@ -291,7 +291,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="texcurve",
-                                     description="curves in texel grids, evaluated by an emulated GPU sampler")
+                     description="curves in texel grids, evaluated by an emulated GPU sampler")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="pack a curve description into a CTEX1 container")
