@@ -18,13 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    ChannelMismatchError,
-    DomainError,
-    EncodedCurve,
-    LayoutError,
-    SamplerConfig,
-)
+from .core import ChannelMismatchError, DomainError, EncodedCurve, LayoutError, SamplerConfig
 from .sampler import _blend_options, _corners, _lookup
 from .texeval import _MODES, _decode, _default_mode, _in_blocks, _mode_eval, parameter_coords
 
@@ -90,10 +84,8 @@ class ErrorReport:
 
     @property
     def rms_dev(self) -> np.ndarray:
-        """Per-channel root mean square deviation. A channel whose squares
-        overflow while its maximum m is finite is recomputed as
-        m * sqrt(mean((absdev / m)^2)); every other channel keeps the plain
-        formula's bits."""
+        """Per-channel root mean square deviation. Where squaring overflows but
+        the maximum m is finite it is m * sqrt(mean((absdev / m)^2))."""
         with np.errstate(over="ignore"):
             rms = np.sqrt(np.mean(self.absdev**2, axis=0))
         m = self.max_dev

@@ -167,7 +167,6 @@ def _cmd_eval(args) -> int:
         v = args.v if args.v is not None else args.t
         if u is None or v is None:
             raise DomainError("surface evaluation needs --u and --v (or --t for the diagonal)")
-        analysis._mode_eval(curve, mode)  # rejects a layout the mode cannot evaluate
         fn = texeval.eval_bilinear_patch if mode == "patch" else texeval.eval_bicubic_rgba
         print(_fmt_vec(fn(curve, u, v, cfg)))
         return 0

@@ -167,9 +167,8 @@ def _decode(curve: EncodedCurve, raw):
 
 
 def _fetch(curve: EncodedCurve, coords, cfg: SamplerConfig, depth_fraction=None):
-    """The one texel fetch: the staged lookup, the blend, then `_decode`.
-    The evaluators have validated the coordinates and `EncodedCurve` the
-    grid's dims, so nothing is checked again."""
+    """The one texel fetch: the staged lookup, the blend, then `_decode`. The
+    evaluators validated the coordinates and `EncodedCurve` the grid's dims."""
     pairs, _, used = sampler._lookup(curve.grid, coords, cfg, depth_fraction)
     return _decode(curve, sampler._blend(curve.grid, pairs, used))
 
