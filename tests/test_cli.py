@@ -208,13 +208,13 @@ class TestEval:
         assert code == 0
         assert stdout.strip() == "0.75"
 
-    @pytest.mark.parametrize("mode", ["dc", "patch", "bicubic"])
-    def test_mode_layout_mismatch_exits_4(self, hump, tmp_path, capsys, mode):
+    def test_mode_layout_mismatch_exits_4(self, hump, tmp_path, capsys):
         ctex = str(tmp_path / "c.ctex")
         run(capsys, "encode", "--layout", "seiler", "--in", hump, "--out", ctex)
-        code, _, err = run(capsys, "eval", "--in", ctex, "--t", "0.5", "--mode", mode)
-        assert code == 4
-        assert err == f"error: mode {mode!r} cannot evaluate layout seiler_2d\n"
+        for mode in ("dc", "patch", "bicubic"):
+            code, _, err = run(capsys, "eval", "--in", ctex, "--t", "0.5", "--mode", mode)
+            assert code == 4
+            assert err == f"error: mode {mode!r} cannot evaluate layout seiler_2d\n"
 
     def test_domain_error_exits_5(self, hump, tmp_path, capsys):
         ctex = str(tmp_path / "c.ctex")
