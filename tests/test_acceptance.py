@@ -191,8 +191,8 @@ def test_criterion_7_conversions():
             pts = rng.uniform(-1.0, 1.0, (4 + interior, 2))
             spline = tc.BSplineCurve(pts, knots, 3)
             segments = tc.boehm_to_bezier(spline)
-            for t in np.linspace(0.0, 1.0, 1000):
-                a = tc.eval_bezier_segments(segments, float(t))
+            ts = np.linspace(0.0, 1.0, 1000)
+            for a, t in zip(tc.eval_bezier_segments(segments, ts), ts):
                 b = tc.eval_deboor(spline, float(t))
                 assert np.max(np.abs(a - b)) <= 1e-10
 
