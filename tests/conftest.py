@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from texcurve import ControlPolygon, SamplerConfig
+from texcurve import (
+    ControlPolygon,
+    SamplerConfig,
+    TexelFormat,
+    encode_bicubic_rgba,
+    encode_bilinear_patch,
+    encode_dc_cubic,
+    encode_dc_quadratic,
+    encode_dc_zigzag,
+    encode_rational,
+    encode_seiler,
+)
 
 
 IDEAL = SamplerConfig.ideal()
@@ -25,17 +36,6 @@ def rng():
 
 def one_curve_per_layout():
     """Layout -> one small float32 curve encoded in it, for every Layout."""
-    from texcurve import (
-        TexelFormat,
-        encode_bicubic_rgba,
-        encode_bilinear_patch,
-        encode_dc_cubic,
-        encode_dc_quadratic,
-        encode_dc_zigzag,
-        encode_rational,
-        encode_seiler,
-    )
-
     rng = np.random.default_rng(11)
     f32 = TexelFormat.FLOAT32
     curves = (
