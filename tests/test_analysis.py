@@ -31,7 +31,7 @@ from texcurve import (
     render_deviation_image,
     sweep,
 )
-from texcurve import analysis, sampler
+from texcurve import analysis, sampler, texeval
 from texcurve.analysis import _default_mode, report_to_csv, write_csv, write_ppm
 from texcurve.core import Layout, ValueTransform
 from texcurve.reference import elevate_degree
@@ -216,6 +216,7 @@ def test_default_mode_per_layout():
         Layout.RATIONAL_HOMOGENEOUS: "rational",
     }
     assert {layout: _default_mode(layout) for layout in Layout} == expect
+    assert analysis._MODES is texeval._MODES  # the one table, reached through either module
 
 
 #: mode -> the layouts it evaluates, written out here rather than read from
