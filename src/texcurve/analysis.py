@@ -109,7 +109,7 @@ def sweep(
 
     `reference` is called once with the whole parameter array and must
     return (samples, channels) (else ChannelMismatchError); errors it raises
-    propagate, so wrap a scalar-only reference such as `eval_deboor`.
+    propagate. Every evaluator in `reference` takes such an array.
     Results are deterministic and independent of evaluation order.
     """
     if samples < 2:

@@ -6,8 +6,10 @@ rational (homogeneous) curves, tensor-product surfaces, de Boor evaluation
 of B-splines, knot-insertion conversion to piecewise Bezier form, and
 power <-> Bernstein basis conversion.
 
-Curve evaluators broadcast over the parameter: a scalar t yields one
-(channels,) point, an (n,) array yields (n, channels).
+Curve evaluators, de Boor's included, broadcast over the parameter: a
+scalar t yields one (channels,) point, an (n,) array yields (n, channels).
+De Boor evaluation and knot insertion share one knot-span rule,
+`_find_span`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .core import (
     HomogeneousDivideError,
     MAX_CHANNELS,
     UnsupportedDegreeError,
+    _freeze,
     lerp,
 )
 
@@ -192,8 +195,6 @@ def eval_tensor_surface(grid_points, u, v):
         g = np.asarray(grid_points, dtype=float)
     except ValueError as exc:
         raise DomainError("control grid is ragged") from exc
-    if g.dtype == object:
-        raise DomainError("control grid is ragged")
     if g.ndim == 2:
         g = g[..., None]
     if g.ndim != 3:
@@ -223,71 +224,59 @@ class BSplineCurve:
             raise UnsupportedDegreeError("spline degree must be >= 1")
         if knots.ndim != 1 or knots.shape[0] != pts.shape[0] + self.degree + 1:
             raise DomainError("knot count must equal control count + degree + 1")
+        if not (np.isfinite(knots).all() and np.isfinite(pts).all()):
+            raise DomainError("spline knots and control points must be finite")
         if np.any(np.diff(knots) < 0):
             raise DomainError("knots must be non-decreasing")
-        pts = np.ascontiguousarray(pts)
-        pts.setflags(write=False)
-        knots = np.ascontiguousarray(knots)
-        knots.setflags(write=False)
-        object.__setattr__(self, "control_points", pts)
-        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "control_points", _freeze(pts))
+        object.__setattr__(self, "knots", _freeze(knots))
 
     @property
     def domain(self) -> Tuple[float, float]:
         return (float(self.knots[self.degree]), float(self.knots[self.control_points.shape[0]]))
 
 
-def _find_span(knots: np.ndarray, degree: int, n_ctrl: int, t: float) -> int:
-    """Knot span index k with knots[k] <= t < knots[k+1].
-
-    The right domain end maps into the last nonzero span (NURBS Book A2.1
-    convention).
-    """
-    if t >= knots[n_ctrl]:
-        k = n_ctrl - 1
-        while knots[k] == knots[k + 1]:
-            k -= 1
-        return k
-    lo, hi = degree, n_ctrl
-    while True:
-        k = (lo + hi) // 2
-        if t < knots[k]:
-            hi = k
-        elif t >= knots[k + 1]:
-            lo = k + 1
-        else:
-            return k
-
-
-def eval_deboor(spline: BSplineCurve, t: float) -> np.ndarray:
-    """Standard de Boor recursion at parameter t."""
+def _find_span(spline: BSplineCurve, t: np.ndarray, outside: str) -> np.ndarray:
+    """Knot span index k with knots[k] <= t < knots[k+1], elementwise over t
+    (NURBS Book A2.1): one `searchsorted`, capped so that the right domain
+    end maps into the last nonzero span, the one before the first copy of
+    the end knot. t off the domain raises DomainError(`outside`, formatted
+    with the first such t and the domain ends a and b), as does an empty
+    domain."""
     a, b = spline.domain
-    if not a <= t <= b:
-        raise DomainError(f"t={t} outside spline domain [{a}, {b}]")
+    if not a < b:
+        raise DomainError("spline domain is empty")
+    bad = ~((t >= a) & (t <= b))
+    if bad.any():
+        raise DomainError(outside.format(t=t[bad][0], a=a, b=b))
+    U = spline.knots
+    return np.minimum(np.searchsorted(U, t, side="right"), np.searchsorted(U, b, side="left")) - 1
+
+
+def eval_deboor(spline: BSplineCurve, t) -> np.ndarray:
+    """de Boor's recursion (NURBS Book A3.1) at scalar or array t, every
+    point through the same arithmetic as a scalar call."""
+    t = np.asarray(t, dtype=float)
+    k = _find_span(spline, t, "t={t} outside spline domain [{a}, {b}]")
     p = spline.degree
     U = spline.knots
-    n_ctrl = spline.control_points.shape[0]
-    k = _find_span(U, p, n_ctrl, t)
-    d = [spline.control_points[j + k - p].astype(float) for j in range(p + 1)]
+    d = [spline.control_points[j + k - p] for j in range(p + 1)]
     for r in range(1, p + 1):
         for j in range(p, r - 1, -1):
             i = j + k - p
-            alpha = (t - U[i]) / (U[i + p - r + 1] - U[i])
+            alpha = ((t - U[i]) / (U[i + p - r + 1] - U[i]))[..., None]
             d[j] = (1.0 - alpha) * d[j - 1] + alpha * d[j]
     return d[p]
 
 
 def insert_knot(spline: BSplineCurve, u: float) -> BSplineCurve:
     """Insert one knot at u (Boehm's construction), leaving the curve unchanged."""
-    a, b = spline.domain
-    if not a <= u <= b:
-        raise DomainError(f"knot {u} outside spline domain [{a}, {b}]")
+    outside = "knot {t} outside spline domain [{a}, {b}]"
+    k = int(_find_span(spline, np.asarray(u, dtype=float), outside))
     p = spline.degree
     U = spline.knots
     P = spline.control_points
-    n_ctrl = P.shape[0]
-    k = _find_span(U, p, n_ctrl, u)
-    Q = np.empty((n_ctrl + 1, P.shape[1]), dtype=float)
+    Q = np.empty((P.shape[0] + 1, P.shape[1]), dtype=float)
     Q[: k - p + 1] = P[: k - p + 1]
     for i in range(k - p + 1, k + 1):
         alpha = (u - U[i]) / (U[i + p] - U[i])

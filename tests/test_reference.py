@@ -19,9 +19,11 @@ from texcurve import (
     eval_rational,
     eval_seiler,
     eval_tensor_surface,
+    insert_knot,
     power_to_bernstein,
     seiler_terms,
 )
+from texcurve.reference import _find_span
 from conftest import random_polygon
 
 
@@ -221,6 +223,25 @@ class TestDeBoor:
         with pytest.raises(DomainError):
             eval_deboor(spline, 1.5)
 
+    def test_empty_domain_rejected(self):
+        spline = BSplineCurve(np.zeros(3), [0, 0, 0, 0, 0, 0], 2)
+        for call in (eval_deboor, insert_knot):
+            with pytest.raises(DomainError, match="spline domain is empty"):
+                call(spline, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_knots_and_points_rejected(self, bad):
+        pts = np.zeros((4, 2))
+        knots = np.array([0.0, 0, 0, 0, 1, 1, 1, 1])
+        # the bad knot keeps the vector non-decreasing wherever the
+        # comparison is defined, so only the finiteness check can catch it
+        knots[{-np.inf: 0, np.inf: -1}.get(bad, 4)] = bad
+        with pytest.raises(DomainError, match="must be finite"):
+            BSplineCurve(pts, knots, 3)
+        pts[1, 0] = bad
+        with pytest.raises(DomainError, match="must be finite"):
+            BSplineCurve(pts, [0, 0, 0, 0, 1, 1, 1, 1], 3)
+
 
 class TestBoehm:
     def test_already_bezier(self, rng):
@@ -409,3 +430,128 @@ def test_segments_outside_domain_keep_their_message(rng, t):
         with pytest.raises(DomainError) as raised:
             eval_bezier_segments(segments, arg)
         assert str(raised.value) == message
+
+
+def span_oracle(knots, degree, n_ctrl, t):
+    """The binary search with its right-end walk, kept as the oracle of
+    `_find_span`'s one `searchsorted` rule."""
+    if t >= knots[n_ctrl]:
+        k = n_ctrl - 1
+        while knots[k] == knots[k + 1]:
+            k -= 1
+        return k
+    lo, hi = degree, n_ctrl
+    while True:
+        k = (lo + hi) // 2
+        if t < knots[k]:
+            hi = k
+        elif t >= knots[k + 1]:
+            lo = k + 1
+        else:
+            return k
+
+
+def deboor_oracle(spline, t):
+    """The scalar de Boor recursion, kept as the oracle of the array form."""
+    a, b = spline.domain
+    if not a <= t <= b:
+        raise DomainError(f"t={t} outside spline domain [{a}, {b}]")
+    p = spline.degree
+    U = spline.knots
+    k = span_oracle(U, p, spline.control_points.shape[0], t)
+    d = [spline.control_points[j + k - p].astype(float) for j in range(p + 1)]
+    for r in range(1, p + 1):
+        for j in range(p, r - 1, -1):
+            i = j + k - p
+            alpha = (t - U[i]) / (U[i + p - r + 1] - U[i])
+            d[j] = (1.0 - alpha) * d[j - 1] + alpha * d[j]
+    return d[p]
+
+
+def insert_knot_oracle(spline, u):
+    """Boehm's insertion on the oracle span: (control points, knots)."""
+    p = spline.degree
+    U = spline.knots
+    P = spline.control_points
+    k = span_oracle(U, p, P.shape[0], u)
+    Q = np.empty((P.shape[0] + 1, P.shape[1]), dtype=float)
+    Q[: k - p + 1] = P[: k - p + 1]
+    for i in range(k - p + 1, k + 1):
+        alpha = (u - U[i]) / (U[i + p] - U[i])
+        Q[i] = (1.0 - alpha) * P[i - 1] + alpha * P[i]
+    Q[k + 1 :] = P[k:]
+    return Q, np.insert(U, k + 1, u)
+
+
+def _deboor_cases():
+    """`_spline_cases` plus end knots repeated past the degree and an
+    unclamped uniform knot vector."""
+    rng = np.random.default_rng(43)
+    extra = (("p2-end-past-degree", [0, 0, 0, 0.5, 1, 1, 1, 1], 2),
+             ("p2-start-past-degree", [0, 0, 0, 0, 0.5, 1, 1, 1], 2),
+             ("p3-both-past-degree", [0, 0, 0, 0, 0, 1, 2, 2, 2, 2, 2], 3),
+             ("p3-unclamped", np.arange(10.0), 3))
+    return _spline_cases() + [
+        (name, BSplineCurve(rng.uniform(-1.0, 1.0, (len(knots) - p - 1, 3)), knots, p))
+        for name, knots, p in extra
+    ]
+
+
+def _knots_and_lattice(spline):
+    """301 lattice points, both ends, every knot in the domain and the
+    in-domain `nextafter` of each on either side."""
+    a, b = spline.domain
+    U = spline.knots
+    knots = np.unique(U[(U >= a) & (U <= b)])
+    t = np.concatenate([np.linspace(a, b, 301), [a, b], knots,
+                        np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+    return knots, t[(t >= a) & (t <= b)]
+
+
+@pytest.mark.parametrize("spline", [case for _, case in _deboor_cases()],
+                         ids=[name for name, _ in _deboor_cases()])
+def test_deboor_matches_per_point_loop(spline):
+    _, t = _knots_and_lattice(spline)
+    n_ctrl = spline.control_points.shape[0]
+    spans = [span_oracle(spline.knots, spline.degree, n_ctrl, float(x)) for x in t]
+    assert _find_span(spline, t, "").tolist() == spans
+    expect = np.array([deboor_oracle(spline, float(x)) for x in t])
+    assert _same_bits(eval_deboor(spline, t), expect)
+    grid = t[: t.size // 2 * 2].reshape(2, -1)
+    assert _same_bits(eval_deboor(spline, grid), expect[: grid.size].reshape(grid.shape + (-1,)))
+    for x, row in zip(t, expect):
+        assert _same_bits(eval_deboor(spline, float(x)), row)
+
+
+@pytest.mark.parametrize("spline", [case for _, case in _deboor_cases()],
+                         ids=[name for name, _ in _deboor_cases()])
+def test_insert_knot_matches_oracle(spline):
+    knots, _ = _knots_and_lattice(spline)
+    a, b = spline.domain
+    for u in np.concatenate([knots, np.linspace(a, b, 7)]):
+        got = insert_knot(spline, float(u))
+        points, new_knots = insert_knot_oracle(spline, float(u))
+        assert _same_bits(got.control_points, points)
+        assert _same_bits(got.knots, new_knots)
+
+
+def test_deboor_takes_any_parameter_shape(rng):
+    spline = BSplineCurve(rng.uniform(-1, 1, (6, 3)), [0, 0, 0, 0, 1, 2, 3, 3, 3, 3], 3)
+    t = rng.uniform(0.0, 3.0, (4, 5))
+    got = eval_deboor(spline, t)
+    assert got.shape == (4, 5, 3)
+    assert _same_bits(got.reshape(-1, 3), eval_deboor(spline, t.ravel()))
+    assert eval_deboor(spline, 1.5).shape == (3,)
+    assert eval_deboor(spline, np.empty(0)).shape == (0, 3)
+
+
+@pytest.mark.parametrize("t", [-0.5, np.nextafter(2.0, 3.0), np.nan, np.inf, -np.inf])
+def test_deboor_outside_domain_keeps_its_message(rng, t):
+    spline = BSplineCurve(rng.uniform(-1, 1, 4), [0, 0, 0, 1, 2, 2, 2], 2)
+    for arg in (t, np.array([1.0, t, 0.5])):
+        with pytest.raises(DomainError) as raised:
+            eval_deboor(spline, arg)
+        assert str(raised.value) == f"t={t} outside spline domain [0.0, 2.0]"
+    with pytest.raises(DomainError) as raised:
+        insert_knot(spline, t)
+    assert str(raised.value) == f"knot {t} outside spline domain [0.0, 2.0]"
