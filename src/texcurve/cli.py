@@ -20,6 +20,7 @@ from .core import (
     DomainError,
     EncodedCurve,
     HomogeneousDivideError,
+    Layout,
     LayoutError,
     RangeError,
     SamplerConfig,
@@ -106,21 +107,20 @@ def _encode_from_spec(spec: curvefile.CurveFile, args) -> EncodedCurve:
     raise LayoutError(f"unknown layout {layout!r}")
 
 
-def _reference_for(spec: curvefile.CurveFile, curve: EncodedCurve, mode: str):
-    """Full-precision reference callable matching the texture path's domain."""
-    if mode == "zigzag":
+def _reference_for(spec: curvefile.CurveFile, curve: EncodedCurve):
+    """Full-precision reference callable for the curve's layout, over the
+    texture path's domain. It is picked from the layout, not the mode, so a
+    mode that cannot evaluate the layout fails in the sweep's mode check."""
+    layout = curve.layout
+    if layout is Layout.DC_ZIGZAG:
         segments = _zigzag_segments(spec)
         return lambda gt: reference.eval_bezier_chain(segments, gt)
-    if mode == "patch":
-        net = spec.points.reshape(2, 2, spec.channels)
+    if layout in (Layout.BILINEAR_PATCH, Layout.BICUBIC_RGBA):
+        net = spec.points.reshape(curve.degree + 1, curve.degree + 1, spec.channels)
         return lambda t: reference.eval_tensor_surface(net, t, t)
-    if mode == "bicubic":
-        net = spec.points.reshape(4, 4)
-        return lambda t: reference.eval_tensor_surface(net, t, t)
-    if mode == "rational":
-        poly = ControlPolygon(spec.points)
-        return lambda t: reference.eval_rational(poly, spec.weights, t)
     poly = ControlPolygon(spec.points)
+    if layout is Layout.RATIONAL_HOMOGENEOUS:
+        return lambda t: reference.eval_rational(poly, spec.weights, t)
     return lambda t: reference.eval_bernstein(poly, t)
 
 
@@ -184,7 +184,7 @@ def _cmd_sweep(args) -> int:
     cfg = _sampler_config(args)
     report = analysis.sweep(
         curve,
-        _reference_for(spec, curve, mode),
+        _reference_for(spec, curve),
         mode,
         cfg,
         args.samples,
@@ -200,7 +200,7 @@ def _cmd_render(args) -> int:
     mode = args.mode or analysis._default_mode(curve.layout)
     cfg = _sampler_config(args)
     image = analysis.render_deviation_image(
-        curve, _reference_for(spec, curve, mode), mode, cfg, args.width, args.height,
+        curve, _reference_for(spec, curve), mode, cfg, args.width, args.height,
         samples=args.samples,
     )
     analysis.write_ppm(image, args.out)

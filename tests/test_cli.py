@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from texcurve import ControlPolygon, TexelFormat, encoder
+from texcurve import ControlPolygon, TexelFormat, analysis, encoder
 from texcurve.cli import _describe, _fmt_vec, main
 
 CUBIC_HUMP = """\
@@ -293,6 +293,43 @@ class TestSweepRender:
         assert all(float(v) <= 1e-6 for v in maxline.split(",")[1:])
 
 
+#: CLI layout -> (a curve file valid for it, the layout value it encodes
+#: to, the modes that evaluate that layout)
+MODE_MATRIX = {
+    "dc": (CUBIC_HUMP, "dc_cubic_2x2x2", ("dc", "dc-hybrid")),
+    "seiler": (CUBIC_HUMP, "seiler_2d", ("seiler",)),
+    "zigzag": (ZIGZAG_CHAIN, "dc_zigzag", ("zigzag",)),
+    "patch": ("degree 1\nchannels 1\n0\n0.5\n0.25\n1\n", "bilinear_patch", ("patch",)),
+    "bicubic": ("degree 3\nchannels 1\n" + "".join(f"{i / 15}\n" for i in range(16)),
+                "bicubic_rgba", ("bicubic",)),
+    "rational": (RATIONAL_ARC, "rational_homogeneous", ("rational",)),
+}
+
+
+@pytest.mark.parametrize("command", ["sweep", "render"])
+@pytest.mark.parametrize("layout", list(MODE_MATRIX))
+def test_sweep_and_render_mode_mismatch_exits_4(tmp_path, capsys, layout, command):
+    text, value, accepted = MODE_MATRIX[layout]
+    path = tmp_path / "c.curve"
+    path.write_text(text)
+    ppm = tmp_path / "dev.ppm"
+    for mode in (None,) + tuple(analysis._MODES):
+        argv = [command, "--layout", layout, "--in", str(path), "--samples", "16"]
+        if command == "render":
+            argv += ["--width", "8", "--height", "8", "--out", str(ppm)]
+        if mode is not None:
+            argv += ["--mode", mode]
+        code, out, err = run(capsys, *argv)
+        if mode is None or mode in accepted:
+            assert (code, err) == (0, ""), argv
+            assert ppm.exists() if command == "render" else out.startswith("t,ref_0,"), argv
+        else:
+            assert (code, out) == (4, ""), argv
+            assert err == f"error: mode {mode!r} cannot evaluate layout {value}\n"
+            assert not ppm.exists(), argv
+        ppm.unlink(missing_ok=True)
+
+
 class TestConvert:
     def test_power_to_bernstein(self, tmp_path, capsys):
         path = tmp_path / "p.curve"
@@ -324,6 +361,15 @@ class TestConvert:
         assert len(lines) == 2
         assert (tmp_path / "seg-0.curve").exists()
         assert (tmp_path / "seg-1.curve").exists()
+
+    def test_non_finite_knots_exit_5(self, tmp_path, capsys):
+        path = tmp_path / "spline.curve"
+        path.write_text(CUBIC_HUMP.replace("channels 1", "channels 1\nknots 0 0 0 0 inf inf inf inf"))
+        code, out, err = run(capsys, "convert", "--bspline-to-bezier", "--in", str(path),
+                             "--out", str(tmp_path / "seg"))
+        assert (code, out) == (5, "")
+        assert err == "error: spline knots and control points must be finite\n"
+        assert not (tmp_path / "seg-0.curve").exists()
 
 
 class TestInspect:
