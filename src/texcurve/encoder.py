@@ -122,27 +122,25 @@ def _finish(
     *,
     segment_count: int = 1,
     rescale: bool = False,
-    rescale_channels: Optional[np.ndarray] = None,
     inner_layout: Optional[Layout] = None,
     context: str = "encode",
 ) -> EncodedCurve:
     """Shared tail of every encoder: rescale, range-check, quantize, reject
-    non-finite stored texels, wrap."""
+    non-finite stored texels, wrap. A rational curve's rescale leaves its
+    weight channel, the last, under the identity (see `encode_rational`),
+    so its stored values are range-checked like unscaled ones."""
     channels = values.shape[-1]
+    rational = layout is Layout.RATIONAL_HOMOGENEOUS
     if rescale:
         transform = fit_range(values, fmt)
-        if rescale_channels is not None:
-            keep = np.ones(channels, dtype=bool)
-            keep[rescale_channels] = False
-            scale = np.where(keep, 1.0, transform.scale)
-            offset = np.where(keep, 0.0, transform.offset)
-            transform = ValueTransform(scale, offset)
+        if rational:
+            transform = ValueTransform(np.append(transform.scale[:-1], 1.0),
+                                       np.append(transform.offset[:-1], 0.0))
         stored = transform.apply(values)
-        if rescale_channels is not None:
-            _check_range(stored, fmt, context)
     else:
         transform = ValueTransform.identity(channels)
         stored = values
+    if rational or not rescale:
         _check_range(stored, fmt, context)
     data = _quantize_array(stored, fmt)
     bad = np.argwhere(~np.isfinite(data))
@@ -395,14 +393,12 @@ def encode_rational(
             inner = Layout.DC_CUBIC_2X2X2
     else:
         raise DomainError(f"unknown rational scheme {scheme!r}")
-    point_channels = np.arange(num.channels)
     return _finish(
         values,
         fmt,
         Layout.RATIONAL_HOMOGENEOUS,
         num.degree,
         rescale=rescale,
-        rescale_channels=point_channels if rescale else None,
         inner_layout=inner,
         context="rational",
     )
