@@ -364,7 +364,8 @@ class TestConvert:
 
     def test_non_finite_knots_exit_5(self, tmp_path, capsys):
         path = tmp_path / "spline.curve"
-        path.write_text(CUBIC_HUMP.replace("channels 1", "channels 1\nknots 0 0 0 0 inf inf inf inf"))
+        knots = "knots 0 0 0 0 inf inf inf inf"
+        path.write_text(CUBIC_HUMP.replace("channels 1", f"channels 1\n{knots}"))
         code, out, err = run(capsys, "convert", "--bspline-to-bezier", "--in", str(path),
                              "--out", str(tmp_path / "seg"))
         assert (code, out) == (5, "")
