@@ -42,16 +42,9 @@ def fit_range(values, fmt: TexelFormat) -> ValueTransform:
     flat = vals.reshape(-1, vals.shape[-1])
     lo = flat.min(axis=0)
     hi = flat.max(axis=0)
-    scale = np.ones_like(lo)
-    offset = np.zeros_like(lo)
-    for c in range(lo.shape[0]):
-        if lo[c] >= 0.0 and hi[c] <= 1.0:
-            continue
-        if hi[c] == lo[c]:
-            offset[c] = -lo[c]
-        else:
-            scale[c] = 1.0 / (hi[c] - lo[c])
-            offset[c] = -lo[c] * scale[c]
+    fit = (lo < 0.0) | (hi > 1.0)
+    scale = 1.0 / np.where(fit & (hi != lo), hi - lo, 1.0)
+    offset = np.where(fit, -lo * scale, 0.0)
     return ValueTransform(scale, offset)
 
 
@@ -216,59 +209,48 @@ def encode_dc_cubic(poly: ControlPolygon, fmt: TexelFormat, *, rescale: bool = F
                    rescale=rescale, context="dc cubic")
 
 
-def _zigzag_rows(segments: Sequence[ControlPolygon], seed: np.ndarray):
-    """Forward substitution of the zig-zag texel rows.
+def _zigzag_rows(points: np.ndarray, seed: np.ndarray):
+    """Forward substitution of the zig-zag texel rows of the (N, 3, c)
+    segment points.
 
     Row constraints per segment k with points (P0, P1, P2):
       even k: T_k = P0, U_(k+1) = P2, T_(k+1) + U_k = 2 P1
       odd k:  U_k = P0, T_(k+1) = P2, U_(k+1) + T_k = 2 P1
-    U_0 is the free variable.
+    U_0 is the free variable. The solved texels form one chain x_0 = U_0,
+    x_(k+1) = 2 P1_k - x_k, in U on even rows and T on odd ones; the end
+    points fill the other row. The chain stays a loop: a closed form
+    (alternating sums) would round differently.
     """
-    n = len(segments)
-    channels = segments[0].channels
-    top = np.empty((n + 1, channels))
-    bottom = np.empty((n + 1, channels))
-    top[0] = segments[0].points[0]
-    bottom[0] = seed
-    for k, seg in enumerate(segments):
-        p0, p1, p2 = seg.points
-        if k % 2 == 0:
-            bottom[k + 1] = p2
-            top[k + 1] = 2.0 * p1 - bottom[k]
-        else:
-            top[k + 1] = p2
-            bottom[k + 1] = 2.0 * p1 - top[k]
-    return top, bottom
+    n = points.shape[0]
+    twice = 2.0 * points[:, 1]
+    chain = np.empty((n + 1,) + twice.shape[1:])
+    chain[0] = seed
+    for k in range(n):
+        chain[k + 1] = twice[k] - chain[k]
+    ends = np.concatenate([points[:1, 0], points[:, 2]])
+    even = (np.arange(n + 1) % 2 == 0)[:, None]
+    return np.where(even, ends, chain), np.where(even, chain, ends)
 
 
-def _zigzag_best_seed(segments: Sequence[ControlPolygon]) -> np.ndarray:
+def _zigzag_best_seed(points: np.ndarray) -> np.ndarray:
     """Seed minimizing the max texel excursion outside [0, 1] per channel.
 
     Every texel is affine in the seed with slope +1, -1 or 0, so the
     feasible seed set is an interval per channel; its midpoint is the
     1-D Chebyshev center and remains optimal when the interval is empty.
+    U_0 is the seed itself, so the interval always has finite ends. Each
+    end is the first extreme in texel order (top row, then bottom), which
+    fixes the sign of a zero end.
     """
-    channels = segments[0].channels
-    zero = np.zeros(channels)
-    one = np.ones(channels)
-    t0, b0 = _zigzag_rows(segments, zero)
-    t1, b1 = _zigzag_rows(segments, one)
-    base = np.concatenate([t0, b0])
-    slope = np.concatenate([t1, b1]) - base
-    seed = np.empty(channels)
-    for c in range(channels):
-        lo, hi = -np.inf, np.inf
-        for const, sl in zip(base[:, c], slope[:, c]):
-            if sl > 0.5:
-                lo = max(lo, -const)
-                hi = min(hi, 1.0 - const)
-            elif sl < -0.5:
-                lo = max(lo, const - 1.0)
-                hi = min(hi, const)
-        if not np.isfinite(lo):
-            lo, hi = 0.0, 1.0
-        seed[c] = 0.5 * (lo + hi)
-    return seed
+    zero = np.zeros(points.shape[2])
+    base = np.concatenate(_zigzag_rows(points, zero))
+    slope = np.concatenate(_zigzag_rows(points, zero + 1.0)) - base
+    up, down = slope > 0.5, slope < -0.5
+    lows = np.where(up, -base, np.where(down, base - 1.0, -np.inf))
+    highs = np.where(up, 1.0 - base, np.where(down, base, np.inf))
+    lo = np.take_along_axis(lows, lows.argmax(axis=0)[None], axis=0)[0]
+    hi = np.take_along_axis(highs, highs.argmin(axis=0)[None], axis=0)[0]
+    return 0.5 * (lo + hi)
 
 
 def encode_dc_zigzag(
@@ -294,15 +276,17 @@ def encode_dc_zigzag(
             raise UnsupportedDegreeError("zig-zag packing holds quadratic segments only")
         if seg.channels != channels:
             raise ChannelMismatchError("all segments must share a channel count")
-    for k in range(len(segments) - 1):
-        if not np.array_equal(segments[k].points[2], segments[k + 1].points[0]):
-            raise JoinError(f"segments {k} and {k + 1} do not join exactly (C0 violated)")
+    points = np.stack([seg.points for seg in segments])  # (N, 3, c)
+    broken = np.flatnonzero((points[:-1, 2] != points[1:, 0]).any(axis=1))
+    if broken.size:
+        k = int(broken[0])
+        raise JoinError(f"segments {k} and {k + 1} do not join exactly (C0 violated)")
     if optimize_seed:
         if seed is not None:
             raise DomainError("pass either an explicit seed or optimize_seed, not both")
-        seed_vec = _zigzag_best_seed(segments)
+        seed_vec = _zigzag_best_seed(points)
     elif seed is None:
-        seed_vec = np.asarray(segments[0].points[1], dtype=float)
+        seed_vec = points[0, 1]
     else:
         seed_vec = np.asarray(seed, dtype=float)
         try:
@@ -313,8 +297,7 @@ def encode_dc_zigzag(
             ) from None
         if not np.all(np.isfinite(seed_vec)):
             raise DomainError("seed texel must be finite")
-    top, bottom = _zigzag_rows(segments, seed_vec)
-    values = np.stack([top, bottom], axis=0)[None]  # (1, 2, N+1, c)
+    values = np.stack(_zigzag_rows(points, seed_vec))[None]  # (1, 2, N+1, c)
     return _finish(values, fmt, Layout.DC_ZIGZAG, 2,
                    segment_count=len(segments), rescale=rescale, context="zig-zag")
 
@@ -414,13 +397,10 @@ def zigzag_residuals(curve: EncodedCurve, segments: Sequence[ControlPolygon]) ->
     """
     if curve.layout is not Layout.DC_ZIGZAG:
         raise LayoutError("constraint audit applies to zig-zag grids only")
-    top = curve.grid.data[0, 0]
-    bottom = curve.grid.data[0, 1]
-    res = np.empty((len(segments), curve.grid.channels))
-    for k, seg in enumerate(segments):
-        p1 = curve.transform.apply(seg.points[1])
-        if k % 2 == 0:
-            res[k] = np.abs(top[k + 1] + bottom[k] - 2.0 * p1)
-        else:
-            res[k] = np.abs(bottom[k + 1] + top[k] - 2.0 * p1)
-    return res
+    n = len(segments)
+    top, bottom = curve.grid.data[0, :, : n + 1]
+    p1 = curve.transform.apply(np.stack([seg.points[1] for seg in segments]))
+    even = (np.arange(n) % 2 == 0)[:, None]
+    solved = np.where(even, top[1:], bottom[1:])
+    across = np.where(even, bottom[:-1], top[:-1])
+    return np.abs(solved + across - 2.0 * p1)

@@ -366,6 +366,15 @@ def eval_bezier_chain(segments, global_t) -> np.ndarray:
                         f"chain parameter outside [0, {n}]")
 
 
+@lru_cache(maxsize=None)
+def _pascal_matrix(d: int) -> np.ndarray:
+    """(d + 1, d + 1) integers C(j, i) at [j, i], zero above the diagonal.
+    The basis conversions below loop over the input index i only: each
+    output row sums its terms in ascending i, from +0.0, as a per-row sum
+    does."""
+    return _freeze(np.array([pascal_row(j) + (0,) * (d - j) for j in range(d + 1)]))
+
+
 def power_to_bernstein(coeffs) -> ControlPolygon:
     """Convert power-basis coefficients (ascending powers of t) to control
     points: b_j = sum_{i<=j} [C(j,i)/C(d,i)] a_i."""
@@ -378,11 +387,11 @@ def power_to_bernstein(coeffs) -> ControlPolygon:
     d = a.shape[0] - 1
     if d > 8:
         raise UnsupportedDegreeError("basis conversion is supported up to degree 8")
-    row_d = pascal_row(d)
-    b = np.empty_like(a)
-    for j in range(d + 1):
-        row_j = pascal_row(j)
-        b[j] = sum(row_j[i] / row_d[i] * a[i] for i in range(j + 1))
+    C = _pascal_matrix(d)
+    coef = C / C[d]  # coef[j, i] = C(j,i)/C(d,i)
+    b = np.zeros_like(a)
+    for i in range(d + 1):
+        b[i:] = b[i:] + coef[i:, i, None] * a[i]
     return ControlPolygon(b)
 
 
@@ -392,15 +401,13 @@ def bernstein_to_power(poly: ControlPolygon) -> np.ndarray:
     if d > 8:
         raise UnsupportedDegreeError("basis conversion is supported up to degree 8")
     b = poly.points
-    row_d = pascal_row(d)
-    a = np.empty_like(b)
-    for k in range(d + 1):
-        row_k = pascal_row(k)
-        acc = np.zeros(b.shape[1])
-        for i in range(k + 1):
-            acc = acc + (-1) ** (k - i) * row_k[i] * b[i]
-        a[k] = row_d[k] * acc
-    return a
+    C = _pascal_matrix(d)
+    k, i = np.indices(C.shape)
+    signed = np.where((k - i) % 2, -C, C)  # signed[k, i] = (-1)^(k-i) C(k,i)
+    acc = np.zeros_like(b)
+    for i in range(d + 1):
+        acc[i:] = acc[i:] + signed[i:, i, None] * b[i]
+    return C[d, :, None] * acc
 
 
 def elevate_degree(poly: ControlPolygon, target_degree: int) -> ControlPolygon:
@@ -409,11 +416,6 @@ def elevate_degree(poly: ControlPolygon, target_degree: int) -> ControlPolygon:
         raise UnsupportedDegreeError("cannot lower the degree by elevation")
     pts = poly.points
     for d in range(poly.degree, target_degree):
-        new = np.empty((d + 2, pts.shape[1]), dtype=float)
-        new[0] = pts[0]
-        new[d + 1] = pts[d]
-        for i in range(1, d + 1):
-            w = i / (d + 1)
-            new[i] = w * pts[i - 1] + (1.0 - w) * pts[i]
-        pts = new
+        w = (np.arange(1, d + 1) / (d + 1))[:, None]
+        pts = np.concatenate([pts[:1], w * pts[:-1] + (1.0 - w) * pts[1:], pts[-1:]])
     return ControlPolygon(pts)

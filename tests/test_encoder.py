@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from texcurve import (
     ChannelMismatchError,
@@ -8,6 +10,7 @@ from texcurve import (
     JoinError,
     Layout,
     RangeError,
+    TexCurveError,
     TexelFormat,
     UnsupportedDegreeError,
     encode_bicubic_rgba,
@@ -21,6 +24,7 @@ from texcurve import (
     quantize_texel,
     zigzag_residuals,
 )
+from texcurve import encoder
 from conftest import random_c0_quadratics
 
 F32 = TexelFormat.FLOAT32
@@ -275,3 +279,205 @@ class TestNonFiniteTexels:
         for fmt in TexelFormat:
             with pytest.raises(RangeError, match="stores as nan"):
                 encode_bilinear_patch([[0.0, np.nan], [0.5, 1.0]], fmt)
+
+
+# The per-element loops the array encoder replaced, kept as its bit oracles.
+
+
+def fit_range_oracle(values):
+    vals = np.asarray(values, dtype=float)
+    flat = vals.reshape(-1, vals.shape[-1])
+    lo = flat.min(axis=0)
+    hi = flat.max(axis=0)
+    scale = np.ones_like(lo)
+    offset = np.zeros_like(lo)
+    for c in range(lo.shape[0]):
+        if lo[c] >= 0.0 and hi[c] <= 1.0:
+            continue
+        if hi[c] == lo[c]:
+            offset[c] = -lo[c]
+        else:
+            scale[c] = 1.0 / (hi[c] - lo[c])
+            offset[c] = -lo[c] * scale[c]
+    return scale, offset
+
+
+def zigzag_rows_oracle(segments, seed):
+    n = len(segments)
+    channels = segments[0].channels
+    top = np.empty((n + 1, channels))
+    bottom = np.empty((n + 1, channels))
+    top[0] = segments[0].points[0]
+    bottom[0] = seed
+    for k, seg in enumerate(segments):
+        p0, p1, p2 = seg.points
+        if k % 2 == 0:
+            bottom[k + 1] = p2
+            top[k + 1] = 2.0 * p1 - bottom[k]
+        else:
+            top[k + 1] = p2
+            bottom[k + 1] = 2.0 * p1 - top[k]
+    return top, bottom
+
+
+def zigzag_best_seed_oracle(segments):
+    channels = segments[0].channels
+    t0, b0 = zigzag_rows_oracle(segments, np.zeros(channels))
+    t1, b1 = zigzag_rows_oracle(segments, np.ones(channels))
+    base = np.concatenate([t0, b0])
+    slope = np.concatenate([t1, b1]) - base
+    seed = np.empty(channels)
+    for c in range(channels):
+        lo, hi = -np.inf, np.inf
+        for const, sl in zip(base[:, c], slope[:, c]):
+            if sl > 0.5:
+                lo = max(lo, -const)
+                hi = min(hi, 1.0 - const)
+            elif sl < -0.5:
+                lo = max(lo, const - 1.0)
+                hi = min(hi, const)
+        if not np.isfinite(lo):
+            lo, hi = 0.0, 1.0
+        seed[c] = 0.5 * (lo + hi)
+    return seed
+
+
+def zigzag_residuals_oracle(curve, segments):
+    top = curve.grid.data[0, 0]
+    bottom = curve.grid.data[0, 1]
+    res = np.empty((len(segments), curve.grid.channels))
+    for k, seg in enumerate(segments):
+        p1 = curve.transform.apply(seg.points[1])
+        if k % 2 == 0:
+            res[k] = np.abs(top[k + 1] + bottom[k] - 2.0 * p1)
+        else:
+            res[k] = np.abs(bottom[k + 1] + top[k] - 2.0 * p1)
+    return res
+
+
+def zigzag_encode_oracle(segments, fmt, seed, rescale, optimize_seed):
+    """The old encode_dc_zigzag after its checks, on the oracle rows and seed."""
+    if optimize_seed:
+        seed = zigzag_best_seed_oracle(segments)
+    elif seed is None:
+        seed = segments[0].points[1]
+    top, bottom = zigzag_rows_oracle(segments, np.asarray(seed, dtype=float))
+    return encoder._finish(np.stack([top, bottom])[None], fmt, Layout.DC_ZIGZAG, 2,
+                           segment_count=len(segments), rescale=rescale, context="zig-zag")
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _channel_values(rng, kind, size):
+    """One channel of `size` values: in [0, 1], out of it at a drawn scale,
+    constant, a few repeated values (ties between equal extremes) or signed
+    zeros and units."""
+    if kind == "in":
+        return rng.uniform(0.0, 1.0, size)
+    if kind == "out":
+        return rng.uniform(-3.0, 3.0, size) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == "const":
+        return np.full(size, rng.choice([0.0, -0.0, 0.5, 1.0, -2.0, 7.25]))
+    if kind == "ties":
+        return rng.choice([0.0, 0.25, 0.5, 1.0, 1.5], size)
+    return rng.choice([0.0, -0.0, 1.0, -1.0], size)
+
+
+_KINDS = ("in", "out", "const", "ties", "zeros")
+
+
+def _zigzag_case(rng, n, channels, kinds):
+    """n C0-joined quadratics whose channels each follow one kind."""
+    pts = np.stack([_channel_values(rng, kind, 2 * n + 1) for kind in kinds], axis=1)
+    return [ControlPolygon(pts[2 * k : 2 * k + 3]) for k in range(n)]
+
+
+@st.composite
+def zigzag_cases(draw):
+    n = draw(st.integers(1, 64))
+    channels = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=channels, max_size=channels))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _zigzag_case(rng, n, channels, kinds), rng
+
+
+def _outcome(fn):
+    """(grid bits, scale bits, offset bits) or (error type, message)."""
+    try:
+        curve = fn()
+    except TexCurveError as exc:
+        return type(exc), str(exc)
+    return curve.grid.data.tobytes(), curve.transform.scale.tobytes(), curve.transform.offset.tobytes()
+
+
+def _check_zigzag_against_oracles(segments, rng):
+    points = np.stack([seg.points for seg in segments])
+    seed = rng.choice([0.0, -0.0, 0.5, 1.0]) + np.zeros(segments[0].channels)
+    for want, got in zip(zigzag_rows_oracle(segments, seed), encoder._zigzag_rows(points, seed)):
+        assert _same_bits(got, want)
+    assert _same_bits(encoder._zigzag_best_seed(points), zigzag_best_seed_oracle(segments))
+    for fmt in TexelFormat:
+        for rescale in (False, True):
+            for seed_arg, optimize in ((None, False), (seed, False), (None, True)):
+                got = _outcome(lambda: encode_dc_zigzag(segments, fmt, seed_arg, rescale=rescale,
+                                                        optimize_seed=optimize))
+                want = _outcome(lambda: zigzag_encode_oracle(segments, fmt, seed_arg, rescale,
+                                                             optimize))
+                assert got == want
+                if isinstance(got[0], bytes):
+                    curve = encode_dc_zigzag(segments, fmt, seed_arg, rescale=rescale,
+                                             optimize_seed=optimize)
+                    assert _same_bits(zigzag_residuals(curve, segments),
+                                      zigzag_residuals_oracle(curve, segments))
+
+
+class TestArrayEncoderOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(zigzag_cases())
+    def test_zigzag_matches_per_element_loops(self, case):
+        _check_zigzag_against_oracles(*case)
+
+    def test_zigzag_seeded_cases(self):
+        rng = np.random.default_rng(97)
+        for _ in range(40):
+            n = int(rng.integers(1, 65))
+            channels = int(rng.integers(1, 5))
+            kinds = rng.choice(_KINDS, channels)
+            _check_zigzag_against_oracles(_zigzag_case(rng, n, channels, kinds), rng)
+
+    def test_seed_takes_the_first_extreme(self):
+        # the seed-0 rows hold -0.0 and 0.0 as tied lower limits; the first
+        # one in texel order sets the sign of the zero seed
+        segs = [ControlPolygon([0.0, -0.0, 0.0]), ControlPolygon([0.0, 0.5, 0.0])]
+        points = np.stack([seg.points for seg in segs])
+        want = zigzag_best_seed_oracle(segs)
+        assert _same_bits(want, np.array([-0.0]))
+        assert _same_bits(encoder._zigzag_best_seed(points), want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 12), st.lists(st.sampled_from(_KINDS), min_size=4,
+                                                           max_size=4), st.integers(0, 2**32 - 1))
+    def test_fit_range_matches_per_channel_loop(self, channels, count, kinds, seed):
+        rng = np.random.default_rng(seed)
+        values = np.stack([_channel_values(rng, kind, count) for kind in kinds[:channels]], axis=-1)
+        for shaped in (values, values.reshape(1, 1, count, channels)):
+            for fmt in TexelFormat:
+                tf = fit_range(shaped, fmt)
+                scale, offset = fit_range_oracle(shaped)
+                assert _same_bits(tf.scale, scale) and _same_bits(tf.offset, offset)
+
+    def test_join_error_names_the_first_broken_join(self):
+        segs = [ControlPolygon([0.0, 0.5, 0.25]), ControlPolygon([0.25, 0.5, 0.75]),
+                ControlPolygon([0.7, 0.1, 0.2]), ControlPolygon([0.2, 0.1, 0.0]),
+                ControlPolygon([0.5, 0.5, 0.5])]
+        with pytest.raises(JoinError) as raised:
+            encode_dc_zigzag(segs, F32)
+        assert str(raised.value) == "segments 1 and 2 do not join exactly (C0 violated)"
+
+    def test_signed_zero_joins_hold(self):
+        segs = [ControlPolygon([[0.5, 0.0], [0.25, 1.0], [0.0, -0.0]]),
+                ControlPolygon([[-0.0, 0.0], [0.25, 1.0], [0.5, 0.0]])]
+        assert encode_dc_zigzag(segs, F32).segment_count == 2

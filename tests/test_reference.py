@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from texcurve import (
     BSplineCurve,
@@ -23,7 +25,7 @@ from texcurve import (
     power_to_bernstein,
     seiler_terms,
 )
-from texcurve.reference import _find_span
+from texcurve.reference import _find_span, pascal_row
 from conftest import random_polygon
 
 
@@ -555,3 +557,87 @@ def test_deboor_outside_domain_keeps_its_message(rng, t):
     with pytest.raises(DomainError) as raised:
         insert_knot(spline, t)
     assert str(raised.value) == f"knot {t} outside spline domain [0.0, 2.0]"
+
+
+# The per-element loops the array basis conversions replaced, kept as their
+# bit oracles.
+
+
+def power_to_bernstein_oracle(a):
+    d = a.shape[0] - 1
+    row_d = pascal_row(d)
+    b = np.empty_like(a)
+    for j in range(d + 1):
+        row_j = pascal_row(j)
+        b[j] = sum(row_j[i] / row_d[i] * a[i] for i in range(j + 1))
+    return b
+
+
+def bernstein_to_power_oracle(b):
+    d = b.shape[0] - 1
+    row_d = pascal_row(d)
+    a = np.empty_like(b)
+    for k in range(d + 1):
+        row_k = pascal_row(k)
+        acc = np.zeros(b.shape[1])
+        for i in range(k + 1):
+            acc = acc + (-1) ** (k - i) * row_k[i] * b[i]
+        a[k] = row_d[k] * acc
+    return a
+
+
+def elevate_degree_oracle(pts, target_degree):
+    for d in range(pts.shape[0] - 1, target_degree):
+        new = np.empty((d + 2, pts.shape[1]), dtype=float)
+        new[0] = pts[0]
+        new[d + 1] = pts[d]
+        for i in range(1, d + 1):
+            w = i / (d + 1)
+            new[i] = w * pts[i - 1] + (1.0 - w) * pts[i]
+        pts = new
+    return pts
+
+
+def _coefficients(rng, count, channels):
+    """count x channels values: signed zeros, small integers and random
+    mantissas over 1e-3..1e3, mixed per entry."""
+    kind = rng.integers(0, 3, (count, channels))
+    zeros = rng.choice([0.0, -0.0], (count, channels))
+    ints = rng.integers(-3, 4, (count, channels)).astype(float)
+    wide = rng.uniform(-1.0, 1.0, (count, channels)) * 10.0 ** rng.uniform(-3, 3, (count, channels))
+    return np.choose(kind, [zeros, ints, wide])
+
+
+def _check_basis_against_oracles(rng, degree, channels):
+    a = _coefficients(rng, degree + 1, channels)
+    if degree == 0:
+        assert _same_bits(power_to_bernstein(a).points,
+                          power_to_bernstein_oracle(np.concatenate([a, np.zeros_like(a)])))
+        return
+    assert _same_bits(power_to_bernstein(a).points, power_to_bernstein_oracle(a))
+    poly = ControlPolygon(a)
+    assert _same_bits(bernstein_to_power(poly), bernstein_to_power_oracle(poly.points))
+    for target in range(degree, degree + 4):
+        assert _same_bits(elevate_degree(poly, target).points,
+                          elevate_degree_oracle(poly.points, target))
+
+
+class TestArrayBasisOracles:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_conversions_match_per_element_loops(self, degree, channels, seed):
+        _check_basis_against_oracles(np.random.default_rng(seed), degree, channels)
+
+    def test_seeded_cases(self):
+        rng = np.random.default_rng(53)
+        for degree in range(9):
+            for channels in range(1, 5):
+                for _ in range(6):
+                    _check_basis_against_oracles(rng, degree, channels)
+
+    def test_signed_zero_sums(self):
+        # the oracle sums start from +0.0, so all -0.0 input gives +0.0 terms
+        a = np.array([[-0.0, 0.0], [-0.0, -0.0], [0.0, -0.0]])
+        assert _same_bits(power_to_bernstein(a).points, power_to_bernstein_oracle(a))
+        assert _same_bits(bernstein_to_power(ControlPolygon(a)), bernstein_to_power_oracle(a))
+        assert _same_bits(elevate_degree(ControlPolygon(a), 5).points, elevate_degree_oracle(a, 5))
