@@ -32,9 +32,10 @@ def _reference_values(reference: Callable, ts: np.ndarray, shape) -> np.ndarray:
     return ref
 
 
-def _domain_lattice(curve: EncodedCurve, mode: str, samples: int) -> np.ndarray:
-    hi = float(curve.segment_count) if mode == "zigzag" else 1.0
-    return np.linspace(0.0, hi, samples)
+def _domain_lattice(curve: EncodedCurve, samples: int) -> np.ndarray:
+    """`samples` evenly spaced parameters over [0, segment_count]; only a
+    zig-zag chain has more than one segment."""
+    return np.linspace(0.0, float(curve.segment_count), samples)
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def sweep(
     """
     if samples < 2:
         raise DomainError("a sweep needs at least 2 samples")
-    ts = _domain_lattice(curve, mode, samples)
+    ts = _domain_lattice(curve, samples)
     evaluate = _mode_eval(curve, mode)
     test = np.asarray(evaluate(curve, ts, cfg), dtype=float)
     ref = _reference_values(reference, ts, test.shape)
@@ -298,7 +299,7 @@ def error_bound_estimate(
     if mode is None:
         mode = _default_mode(curve.layout)
     _mode_eval(curve, mode)
-    ts = _domain_lattice(curve, mode, samples)
+    ts = _domain_lattice(curve, samples)
     body = functools.partial(_bound_block, hybrid=mode == "dc-hybrid")
     exact, dev = np.moveaxis(_in_blocks(body, curve, ts, cfg), 1, 0)
     allowance = 0.0

@@ -263,7 +263,10 @@ class EncodedCurve:
     """A texel grid plus the metadata needed to decode it.
 
     `inner_layout` is only meaningful for rational curves, where it records
-    which integral layout the homogeneous channels were packed with.
+    which integral layout the homogeneous channels were packed with. Only a
+    zig-zag chain holds more than one segment, and a rational curve keeps
+    an identity transform on its weight channel, the last: an affine map
+    does not commute with the divide by the weight.
     """
 
     grid: TexelGrid
@@ -280,6 +283,10 @@ class EncodedCurve:
             raise ChannelMismatchError("transform channel count must match the grid")
         if self.segment_count < 1:
             raise DomainError("segment_count must be >= 1")
+        if self.layout is not Layout.DC_ZIGZAG and self.segment_count != 1:
+            raise LayoutError(
+                f"{self.layout.value} holds one segment, got segment_count {self.segment_count}"
+            )
         rule = _LAYOUT_RULES.get(self.layout)
         if rule is not None:
             degrees, dims = rule
@@ -303,6 +310,10 @@ class EncodedCurve:
                 raise LayoutError(
                     f"rational curves packed as {self.inner_layout.value} require grid dims "
                     f"{dims}, got {self.grid.dims}"
+                )
+            if self.transform.scale[-1] != 1.0 or self.transform.offset[-1] != 0.0:
+                raise LayoutError(
+                    "rational curves must keep an identity transform on the weight channel"
                 )
         if self.layout is not Layout.RATIONAL_HOMOGENEOUS and self.inner_layout is not None:
             raise LayoutError("inner_layout is only meaningful for rational curves")

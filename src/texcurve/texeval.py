@@ -58,15 +58,15 @@ _BLOCK = 8192
 def _curve_param(curve: EncodedCurve, t):
     """A 1-parameter curve's layout and its validated parameter array.
 
-    Rational curves resolve to their inner layout and must keep an identity
-    transform on the weight channel. Zig-zag chains take a global parameter
-    in [0, segment_count], every other 1-parameter layout t in [0, 1].
-    Other layouts raise LayoutError, before the parameter is checked.
+    Rational curves resolve to their inner layout. Zig-zag chains take a
+    global parameter in [0, segment_count], every other 1-parameter layout
+    t in [0, 1]. Other layouts raise LayoutError, before the parameter is
+    checked. The curve's own invariants (the weight channel's identity
+    transform, one segment outside the zig-zag) hold since `EncodedCurve`
+    checked them at construction.
     """
     layout = curve.layout
     if layout is Layout.RATIONAL_HOMOGENEOUS:
-        if curve.transform.scale[-1] != 1.0 or curve.transform.offset[-1] != 0.0:
-            raise LayoutError("rational curves must keep an identity transform on the weight channel")
         layout = curve.inner_layout
     if layout is Layout.DC_ZIGZAG:
         n = curve.segment_count
@@ -154,7 +154,7 @@ def _decode(curve: EncodedCurve, raw):
     rational curves the divide by the weight channel.
 
     The inverse transform runs before the divide (it undoes the encode-time
-    map exactly); `_curve_param` holds the weight channel to an identity
+    map exactly); `EncodedCurve` holds the weight channel to an identity
     transform, so the decoded weight is the true weight polynomial value.
     """
     value = curve.transform.invert(raw)

@@ -26,7 +26,6 @@ from texcurve import (
     error_bound_estimate,
     eval_bernstein,
     eval_bezier_chain,
-    eval_rational,
     eval_rational_tex,
     render_deviation_image,
     sweep,
@@ -327,18 +326,13 @@ class TestErrorBound:
 
     def test_scaled_weight_channel_rejected(self, rng):
         poly = random_polygon(rng, 2, 2, lo=0.0)
-        w = np.array([1.0, 0.5, 1.0])
-        enc = encode_rational(poly, w, F32)
-        bad = dataclasses.replace(enc, transform=ValueTransform([1.0, 1.0, 2.0], [0.0, 0.0, 0.0]))
-        ref = lambda t: eval_rational(poly, w, t)
-        with pytest.raises(LayoutError):
-            sweep(bad, ref, "rational", BITS8, 64)
-        with pytest.raises(LayoutError):
-            error_bound_estimate(bad, BITS8, samples=64)
-        with pytest.raises(LayoutError):
-            parameter_coords(bad, 0.5)
-        with pytest.raises(LayoutError):  # the layout is checked before the parameter
-            eval_rational_tex(bad, 2.0, BITS8)
+        enc = encode_rational(poly, [1.0, 0.5, 1.0], F32)
+        # the curve itself refuses the transform, so no sweep, bound or
+        # evaluation ever sees it
+        for scale, offset in (([1.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+                              ([1.0, 1.0, 1.0], [0.0, 0.0, 0.5])):
+            with pytest.raises(LayoutError, match="identity transform on the weight channel"):
+                dataclasses.replace(enc, transform=ValueTransform(scale, offset))
 
     def test_peak_memory_is_one_block(self, rng):
         poly = random_polygon(rng, 3, 3)

@@ -109,3 +109,21 @@ def test_sidecar_contents(rng):
     assert "degree: 3" in text
     assert "dims: 2 2 1" in text
     assert "format: float32" in text
+
+
+def test_multi_segment_dc_blob_rejected(rng):
+    # only a zig-zag chain holds more than one segment
+    blob = bytearray(_quadratic_blob(rng))
+    blob[_HEADER.size - 4 : _HEADER.size] = struct.pack("<I", 5)
+    with pytest.raises(LayoutError, match="holds one segment, got segment_count 5"):
+        curve_from_bytes(bytes(blob))
+
+
+def test_scaled_weight_channel_blob_rejected(rng):
+    curve = encode_rational(random_polygon(rng, 2, 2, 0.1, 0.9), [1.0, 0.7, 1.0],
+                            TexelFormat.FLOAT32, scheme="dc")
+    blob = bytearray(curve_to_bytes(curve))
+    at = _HEADER.size + 8 * (curve.grid.channels - 1)  # the weight channel's scale
+    blob[at : at + 8] = struct.pack("<d", 2.0)
+    with pytest.raises(LayoutError, match="identity transform on the weight channel"):
+        curve_from_bytes(bytes(blob))

@@ -165,6 +165,35 @@ class TestEncodedCurveInvariants:
         with pytest.raises(LayoutError):
             EncodedCurve(self._grid((4, 2, 1)), Layout.DC_ZIGZAG, degree=2, segment_count=2)
 
+    @pytest.mark.parametrize("layout, dims, degree", [
+        (Layout.DC_QUAD_2X2, (2, 2, 1), 2),
+        (Layout.DC_CUBIC_2X2X2, (2, 2, 2), 3),
+        (Layout.SEILER_2D, (2, 2, 1), 3),
+        (Layout.SEILER_3D, (2, 2, 2), 5),
+        (Layout.BILINEAR_PATCH, (2, 2, 1), 1),
+        (Layout.BICUBIC_RGBA, (2, 2, 2), 3),
+    ])
+    def test_one_segment_outside_the_zigzag(self, layout, dims, degree):
+        EncodedCurve(self._grid(dims), layout, degree=degree, segment_count=1)
+        with pytest.raises(LayoutError, match="holds one segment, got segment_count 2"):
+            EncodedCurve(self._grid(dims), layout, degree=degree, segment_count=2)
+
+    def test_rational_holds_one_segment(self):
+        with pytest.raises(LayoutError, match="holds one segment"):
+            EncodedCurve(self._grid((2, 2, 1), 2), Layout.RATIONAL_HOMOGENEOUS, degree=2,
+                         segment_count=3, inner_layout=Layout.SEILER_2D)
+
+    def test_rational_weight_channel_keeps_the_identity(self):
+        grid = self._grid((2, 2, 1), 2)
+        points_only = ValueTransform(np.array([2.0, 1.0]), np.array([-1.0, 0.0]))
+        EncodedCurve(grid, Layout.RATIONAL_HOMOGENEOUS, degree=2, transform=points_only,
+                     inner_layout=Layout.SEILER_2D)
+        for scale, offset in (([1.0, 2.0], [0.0, 0.0]), ([1.0, 1.0], [0.0, -0.5])):
+            with pytest.raises(LayoutError, match="identity transform on the weight channel"):
+                EncodedCurve(grid, Layout.RATIONAL_HOMOGENEOUS, degree=2,
+                             transform=ValueTransform(np.array(scale), np.array(offset)),
+                             inner_layout=Layout.SEILER_2D)
+
     def test_rational_needs_inner_layout(self):
         with pytest.raises(LayoutError):
             EncodedCurve(self._grid((2, 2, 1), 2), Layout.RATIONAL_HOMOGENEOUS, degree=2)
