@@ -2,8 +2,10 @@
 
 stdout carries data, stderr carries diagnostics. Exit codes: 0 success
 (`--help` included), 2 range errors, 3 unsupported degree, 4 mode/layout
-mismatch, 5 domain errors and command-line usage errors, 1 anything else.
-All outputs are byte-reproducible for fixed inputs.
+mismatch, 5 domain errors, command-line usage errors and requests too large
+to allocate (such as `--samples 100000000000`), 1 anything else. A failed
+command writes nothing to stdout and creates no output file. All outputs
+are byte-reproducible for fixed inputs.
 """
 
 from __future__ import annotations
@@ -355,6 +357,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

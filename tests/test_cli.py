@@ -434,3 +434,26 @@ def test_describe_matches_nested_loops(index):
     _describe(curve, got)
     describe_oracle(curve, want)
     assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["sweep"], "x.csv"),
+    (["sweep"], None),
+    (["render", "--width", "8", "--height", "8"], "x.ppm"),
+])
+def test_oversized_request_exits_5_and_writes_nothing(hump, tmp_path, capsys, monkeypatch,
+                                                      argv, out):
+    # an allocation that fails the way a huge --samples does, without making one
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(analysis, "_domain_lattice", refuse)
+    before = sorted(tmp_path.iterdir())
+    args = [*argv, "--layout", "dc", "--in", hump, "--samples", "100000000000"]
+    if out:
+        args += ["--out", str(tmp_path / out)]
+    code, stdout, err = run(capsys, *args)
+    assert code == 5
+    assert stdout == ""
+    assert err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
+    assert sorted(tmp_path.iterdir()) == before
