@@ -3,9 +3,9 @@
 stdout carries data, stderr carries diagnostics. Exit codes: 0 success
 (`--help` included), 2 range errors, 3 unsupported degree, 4 mode/layout
 mismatch, 5 domain errors, command-line usage errors and requests too large
-to allocate (such as `--samples 100000000000`), 1 anything else. A failed
-command writes nothing to stdout and creates no output file. All outputs
-are byte-reproducible for fixed inputs.
+to allocate (such as `--samples 100000000000`, which fails before any
+output is written), 1 anything else. All outputs are byte-reproducible for
+fixed inputs.
 """
 
 from __future__ import annotations

@@ -74,8 +74,16 @@ def parse_curve_text(text: str) -> CurveFile:
 
 
 def read_curve_file(path) -> CurveFile:
+    """Parse the file at `path`; bytes that do not decode as text raise
+    DomainError, as unparseable text does."""
     with open(path, "r") as fh:
-        return parse_curve_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(
+                f"curve file {path} is not text: {exc.reason} at byte {exc.start}"
+            ) from None
+    return parse_curve_text(text)
 
 
 def curve_text(degree: int, points: np.ndarray, *, knots=None, weights=None) -> str:

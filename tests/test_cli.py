@@ -457,3 +457,11 @@ def test_oversized_request_exits_5_and_writes_nothing(hump, tmp_path, capsys, mo
     assert stdout == ""
     assert err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_binary_curve_file_exits_5(hump, tmp_path, capsys):
+    ctex = str(tmp_path / "c.ctex")
+    run(capsys, "encode", "--layout", "dc", "--in", hump, "--out", ctex)
+    code, stdout, err = run(capsys, "sweep", "--layout", "dc", "--in", ctex)
+    assert (code, stdout) == (5, "")
+    assert err.startswith(f"error: curve file {ctex} is not text: ")
