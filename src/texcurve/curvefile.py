@@ -74,15 +74,12 @@ def parse_curve_text(text: str) -> CurveFile:
 
 
 def read_curve_file(path) -> CurveFile:
-    """Parse the file at `path`; bytes that do not decode as text raise
-    DomainError, as unparseable text does."""
-    with open(path, "r") as fh:
-        try:
+    """Parse the file at `path`; bytes that are not text raise DomainError."""
+    try:
+        with open(path, "r") as fh:
             text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise DomainError(
-                f"curve file {path} is not text: {exc.reason} at byte {exc.start}"
-            ) from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"curve file {path} is not text ({exc.reason})") from None
     return parse_curve_text(text)
 
 

@@ -238,9 +238,8 @@ def _zigzag_best_seed(points: np.ndarray) -> np.ndarray:
     Every texel is affine in the seed with slope +1, -1 or 0, so the
     feasible seed set is an interval per channel; its midpoint is the
     1-D Chebyshev center and remains optimal when the interval is empty.
-    U_0 is the seed itself, so the interval always has finite ends. Each
-    end is the first extreme in texel order (top row, then bottom), which
-    fixes the sign of a zero end.
+    U_0 is the seed itself, so both ends are finite. Each is the first
+    extreme in texel order (T row, then U), which fixes a zero end's sign.
     """
     zero = np.zeros(points.shape[2])
     base = np.concatenate(_zigzag_rows(points, zero))
@@ -397,10 +396,7 @@ def zigzag_residuals(curve: EncodedCurve, segments: Sequence[ControlPolygon]) ->
     """
     if curve.layout is not Layout.DC_ZIGZAG:
         raise LayoutError("constraint audit applies to zig-zag grids only")
-    n = len(segments)
-    top, bottom = curve.grid.data[0, :, : n + 1]
+    k = np.arange(len(segments))
+    rows = curve.grid.data[0]  # (2, N+1, c): T, then U
     p1 = curve.transform.apply(np.stack([seg.points[1] for seg in segments]))
-    even = (np.arange(n) % 2 == 0)[:, None]
-    solved = np.where(even, top[1:], bottom[1:])
-    across = np.where(even, bottom[:-1], top[:-1])
-    return np.abs(solved + across - 2.0 * p1)
+    return np.abs(rows[k % 2, k + 1] + rows[1 - k % 2, k] - 2.0 * p1)

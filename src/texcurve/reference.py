@@ -369,9 +369,8 @@ def eval_bezier_chain(segments, global_t) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _pascal_matrix(d: int) -> np.ndarray:
     """(d + 1, d + 1) integers C(j, i) at [j, i], zero above the diagonal.
-    The basis conversions below loop over the input index i only: each
-    output row sums its terms in ascending i, from +0.0, as a per-row sum
-    does."""
+    The conversions below loop over the input index i only, so each output
+    row sums its terms in ascending i from +0.0, as a per-row sum does."""
     return _freeze(np.array([pascal_row(j) + (0,) * (d - j) for j in range(d + 1)]))
 
 
@@ -402,8 +401,7 @@ def bernstein_to_power(poly: ControlPolygon) -> np.ndarray:
         raise UnsupportedDegreeError("basis conversion is supported up to degree 8")
     b = poly.points
     C = _pascal_matrix(d)
-    k, i = np.indices(C.shape)
-    signed = np.where((k - i) % 2, -C, C)  # signed[k, i] = (-1)^(k-i) C(k,i)
+    signed = C * (-1) ** np.add.outer(np.arange(d + 1), np.arange(d + 1))  # (-1)^(k-i) C(k,i)
     acc = np.zeros_like(b)
     for i in range(d + 1):
         acc[i:] = acc[i:] + signed[i:, i, None] * b[i]

@@ -464,4 +464,4 @@ def test_binary_curve_file_exits_5(hump, tmp_path, capsys):
     run(capsys, "encode", "--layout", "dc", "--in", hump, "--out", ctex)
     code, stdout, err = run(capsys, "sweep", "--layout", "dc", "--in", ctex)
     assert (code, stdout) == (5, "")
-    assert err.startswith(f"error: curve file {ctex} is not text: ")
+    assert err.startswith(f"error: curve file {ctex} is not text (")
