@@ -33,8 +33,7 @@ def _reference_values(reference: Callable, ts: np.ndarray, shape) -> np.ndarray:
 
 
 def _domain_lattice(curve: EncodedCurve, samples: int) -> np.ndarray:
-    """`samples` evenly spaced parameters over [0, segment_count]; only a
-    zig-zag chain has more than one segment."""
+    """`samples` parameters from 0 to the segment count (1 but for a zig-zag)."""
     return np.linspace(0.0, float(curve.segment_count), samples)
 
 

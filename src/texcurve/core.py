@@ -284,9 +284,7 @@ class EncodedCurve:
         if self.segment_count < 1:
             raise DomainError("segment_count must be >= 1")
         if self.layout is not Layout.DC_ZIGZAG and self.segment_count != 1:
-            raise LayoutError(
-                f"{self.layout.value} holds one segment, got segment_count {self.segment_count}"
-            )
+            raise LayoutError(f"{self.layout.value} holds one segment, got {self.segment_count}")
         rule = _LAYOUT_RULES.get(self.layout)
         if rule is not None:
             degrees, dims = rule

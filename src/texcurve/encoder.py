@@ -223,7 +223,7 @@ def _zigzag_rows(points: np.ndarray, seed: np.ndarray):
     """
     n = points.shape[0]
     twice = 2.0 * points[:, 1]
-    chain = np.empty((n + 1,) + twice.shape[1:])
+    chain = np.empty((n + 1, points.shape[2]))
     chain[0] = seed
     for k in range(n):
         chain[k + 1] = twice[k] - chain[k]

@@ -368,15 +368,14 @@ def eval_bezier_chain(segments, global_t) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _pascal_matrix(d: int) -> np.ndarray:
-    """(d + 1, d + 1) integers C(j, i) at [j, i], zero above the diagonal.
-    The conversions below loop over the input index i only, so each output
-    row sums its terms in ascending i from +0.0, as a per-row sum does."""
+    """(d + 1, d + 1) integers C(j, i) at [j, i], zero above the diagonal. The
+    conversions loop over i, so each row sums in ascending i from +0.0."""
     return _freeze(np.array([pascal_row(j) + (0,) * (d - j) for j in range(d + 1)]))
 
 
 def power_to_bernstein(coeffs) -> ControlPolygon:
     """Convert power-basis coefficients (ascending powers of t) to control
-    points: b_j = sum_{i<=j} [C(j,i)/C(d,i)] a_i."""
+    points: b_j = sum_{i<=j} [C(j,i)/C(d,i)] a_i; non-finite points raise DomainError."""
     a = np.asarray(coeffs, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
@@ -387,25 +386,29 @@ def power_to_bernstein(coeffs) -> ControlPolygon:
     if d > 8:
         raise UnsupportedDegreeError("basis conversion is supported up to degree 8")
     C = _pascal_matrix(d)
-    coef = C / C[d]  # coef[j, i] = C(j,i)/C(d,i)
     b = np.zeros_like(a)
-    for i in range(d + 1):
-        b[i:] = b[i:] + coef[i:, i, None] * a[i]
+    with np.errstate(over="ignore", invalid="ignore"):  # ControlPolygon refuses inf and NaN
+        for i in range(d + 1):
+            b[i:] = b[i:] + (C[i:, i] / C[d, i])[:, None] * a[i]
     return ControlPolygon(b)
 
 
 def bernstein_to_power(poly: ControlPolygon) -> np.ndarray:
-    """Inverse of power_to_bernstein: a_k = C(d,k) sum_{i<=k} (-1)^(k-i) C(k,i) b_i."""
+    """Inverse of power_to_bernstein: a_k = C(d,k) sum_{i<=k} (-1)^(k-i) C(k,i) b_i.
+    Coefficients that overflow float64 raise DomainError."""
     d = poly.degree
     if d > 8:
         raise UnsupportedDegreeError("basis conversion is supported up to degree 8")
     b = poly.points
     C = _pascal_matrix(d)
-    signed = C * (-1) ** np.add.outer(np.arange(d + 1), np.arange(d + 1))  # (-1)^(k-i) C(k,i)
     acc = np.zeros_like(b)
-    for i in range(d + 1):
-        acc[i:] = acc[i:] + signed[i:, i, None] * b[i]
-    return C[d, :, None] * acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(d + 1):
+            acc[i:] = acc[i:] + (C[i:, i] * (-1) ** np.arange(d + 1 - i))[:, None] * b[i]
+        a = C[d, :, None] * acc
+    if not np.isfinite(a).all():
+        raise DomainError("power coefficients overflow float64")
+    return a
 
 
 def elevate_degree(poly: ControlPolygon, target_degree: int) -> ControlPolygon:

@@ -115,7 +115,7 @@ def test_multi_segment_dc_blob_rejected(rng):
     # only a zig-zag chain holds more than one segment
     blob = bytearray(_quadratic_blob(rng))
     blob[_HEADER.size - 4 : _HEADER.size] = struct.pack("<I", 5)
-    with pytest.raises(LayoutError, match="holds one segment, got segment_count 5"):
+    with pytest.raises(LayoutError, match="holds one segment, got 5"):
         curve_from_bytes(bytes(blob))
 
 

@@ -175,7 +175,7 @@ class TestEncodedCurveInvariants:
     ])
     def test_one_segment_outside_the_zigzag(self, layout, dims, degree):
         EncodedCurve(self._grid(dims), layout, degree=degree, segment_count=1)
-        with pytest.raises(LayoutError, match="holds one segment, got segment_count 2"):
+        with pytest.raises(LayoutError, match="holds one segment, got 2"):
             EncodedCurve(self._grid(dims), layout, degree=degree, segment_count=2)
 
     def test_rational_holds_one_segment(self):

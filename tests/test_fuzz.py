@@ -175,6 +175,8 @@ _CURVE_FILES = {
     "bicubic.curve": ("degree 3\nchannels 1\n" + "0.25\n0.5\n0.75\n1\n" * 4, "bicubic"),
     "sextic.curve": ("degree 6\nchannels 1\n" + "0\n1\n" * 3 + "0\n", "seiler"),
     "huge.curve": ("degree 3\nchannels 1\n0\n1e300\n1\n0\n", "dc"),
+    # both basis conversions overflow on it
+    "wide.curve": ("degree 1\nchannels 2\n1e308 1e308\n1e308 -1e308\n", "patch"),
 }
 
 

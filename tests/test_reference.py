@@ -316,6 +316,17 @@ class TestPowerBasis:
         with pytest.raises(UnsupportedDegreeError):
             power_to_bernstein(np.zeros(11))
 
+    @pytest.mark.parametrize("coeffs", [[np.inf, 0.0], [0.0, np.nan], [1e308, 1e308],
+                                        [1e308, 1e308, -1e308, -1e308]])
+    def test_non_finite_or_overflowing_points_rejected(self, coeffs):
+        with pytest.raises(DomainError, match="finite"):
+            power_to_bernstein(coeffs)
+
+    @pytest.mark.parametrize("points", [[1e308, -1e308], [1e308, -1e308, 1e308, -1e308]])
+    def test_overflowing_coefficients_rejected(self, points):
+        with pytest.raises(DomainError, match="overflow float64"):
+            bernstein_to_power(ControlPolygon(points))
+
 
 def chain_oracle(segments, global_t):
     """The per-segment masked chain evaluation, kept as the oracle of the
