@@ -317,6 +317,14 @@ class EncodedCurve:
             raise LayoutError("inner_layout is only meaningful for rational curves")
 
 
+def _unit_param(t):
+    """t as a float array, DomainError unless every value lies in [0, 1]."""
+    t = np.asarray(t, dtype=float)
+    if not ((t >= 0.0) & (t <= 1.0)).all():  # also false for NaN and inf
+        raise DomainError("parameter outside [0, 1]")
+    return t
+
+
 def lerp(a, b, t):
     """Linear interpolation a*(1-t) + b*t in full working precision.
 

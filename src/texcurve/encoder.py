@@ -392,10 +392,18 @@ def zigzag_residuals(curve: EncodedCurve, segments: Sequence[ControlPolygon]) ->
     Returns |T_(k+1) + U_k - 2 P1| (even k) or |U_(k+1) + T_k - 2 P1|
     (odd k) per segment and channel, measured against the transformed
     middle control points. Each residual should stay within one texel
-    quantization step of the format.
+    quantization step of the format. The audit needs one segment per
+    stored segment (LayoutError otherwise), each with the grid's channel
+    count (ChannelMismatchError otherwise).
     """
     if curve.layout is not Layout.DC_ZIGZAG:
         raise LayoutError("constraint audit applies to zig-zag grids only")
+    if len(segments) != curve.segment_count:
+        raise LayoutError(f"audit needs {curve.segment_count} segments, got {len(segments)}")
+    for seg in segments:
+        if seg.channels != curve.grid.channels:
+            raise ChannelMismatchError(
+                f"segment has {seg.channels} channels, the grid {curve.grid.channels}")
     k = np.arange(len(segments))
     rows = curve.grid.data[0]  # (2, N+1, c): T, then U
     p1 = curve.transform.apply(np.stack([seg.points[1] for seg in segments]))

@@ -8,6 +8,9 @@ power <-> Bernstein basis conversion.
 
 Curve evaluators, de Boor's included, broadcast over the parameter: a
 scalar t yields one (channels,) point, an (n,) array yields (n, channels).
+The Bezier evaluators take parameters in [0, 1], as the texture evaluators
+do, and raise DomainError for any other value, NaN and +-inf included;
+outside [0, 1] the Bernstein powers overflow long before t is huge.
 De Boor evaluation and knot insertion share one knot-span rule,
 `_find_span`.
 """
@@ -28,6 +31,7 @@ from .core import (
     MAX_CHANNELS,
     UnsupportedDegreeError,
     _freeze,
+    _unit_param,
     lerp,
 )
 
@@ -62,12 +66,12 @@ def bernstein_sum(points, t):
 
 def eval_bernstein(poly: ControlPolygon, t):
     """Evaluate sum_i C(d,i) (1-t)^(d-i) t^i b_i."""
-    return bernstein_sum(poly.points, t)
+    return bernstein_sum(poly.points, _unit_param(t))
 
 
 def eval_decasteljau(poly: ControlPolygon, t):
     """Evaluate by repeated pairwise linear interpolation of the polygon."""
-    tt = np.asarray(t, dtype=float)[..., None, None]
+    tt = _unit_param(t)[..., None, None]
     beta = np.broadcast_to(poly.points, tt.shape[:-2] + poly.points.shape).astype(float)
     for _ in range(poly.degree):
         beta = beta[..., :-1, :] * (1.0 - tt) + beta[..., 1:, :] * tt
@@ -146,7 +150,7 @@ def eval_seiler(poly: ControlPolygon, t):
     """
     terms = seiler_terms(poly)
     d = poly.degree
-    tt = np.asarray(t, dtype=float)[..., None]
+    tt = _unit_param(t)[..., None]
     st = (1.0 - tt) * tt
 
     def rec(i: int):
@@ -200,7 +204,7 @@ def eval_tensor_surface(grid_points, u, v):
     if g.ndim != 3:
         raise DomainError("control grid must be 2-D (scalars) or 3-D (vectors)")
     rows = [eval_bernstein(ControlPolygon(g[i]), u) for i in range(g.shape[0])]
-    return bernstein_sum(rows, v)
+    return bernstein_sum(rows, _unit_param(v))
 
 
 @dataclass(frozen=True)
@@ -356,14 +360,16 @@ def eval_bezier_chain(segments, global_t) -> np.ndarray:
     except the chain's end, which stays in the last segment. Returns
     (n, channels) points; a scalar parameter gives n = 1. Local t is
     (gt - k) / 1.0, exactly gt - k. Segments must share a channel count
-    (else ChannelMismatchError); parameters lie in [0, segment count].
+    (else ChannelMismatchError); parameters lie in [0, segment count]. An
+    array of any other shape gives shape + (channels,).
     """
     if not segments:
         raise DomainError("no segments to evaluate")
     n = len(segments)
     gt = np.atleast_1d(np.asarray(global_t, dtype=float))
-    return _eval_pieces(segments, np.arange(n, dtype=float), np.arange(1.0, n + 1), gt,
-                        f"chain parameter outside [0, {n}]")
+    out = _eval_pieces(segments, np.arange(n, dtype=float), np.arange(1.0, n + 1), gt.reshape(-1),
+                       f"chain parameter outside [0, {n}]")
+    return out.reshape(gt.shape + out.shape[1:])
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,23 @@ for rational curves the divide by the weight) and builds no `SampleTrace`.
 runs with the exact t as its depth fraction; `_curve_param` validates the
 parameter once. The surface evaluators map (u, v) and call `_fetch`.
 
+`_fetch` blends once per run of equal lookup state. The filter's output is
+fixed by the texture unit's discrete state: the clamped texel pair and the
+used (fixed-point) fraction on each axis, which is every index array and
+every used fraction `sampler._lookup` returns. The blend, the inverse
+transform and the rational divide are elementwise functions of that state,
+so consecutive samples with bitwise-equal state get bitwise-equal points.
+`_fetch` compares the state of neighbouring samples along a 1-D sample
+axis, blends and decodes the first sample of each run, and repeats its
+point by run length. Fractions compare by their bits, not with `!=`, which
+holds -0.0 equal to +0.0 although the blend keeps their signs apart. A
+sorted 2^17-sample dc lattice at 8 bits reaches 257 states and is blended
+273 times (each `_BLOCK` starts a run) instead of 131,072. At bits 0 the used fraction is
+the exact fraction, and the hybrid's depth fraction is t itself, so there
+only repeated parameters form runs. Scalars, 2-D parameters and shuffled
+lattices gain nothing either; when runs would be more than half of the
+samples, every sample is blended as before.
+
 Parameters broadcast like the reference evaluators: scalar in, one point
 out; (n,) array in, (n, channels) out, stored channel-major (Fortran
 order) like the sampler's result. A 1-parameter evaluator runs a parameter
@@ -39,17 +56,11 @@ from .core import (
     LayoutError,
     SamplerConfig,
     TexCurveError,
+    _unit_param,
     remap_unit_to_texel_span,
 )
 from . import sampler
 from .reference import bernstein_sum
-
-
-def _unit_param(t):
-    t = np.asarray(t, dtype=float)
-    if not ((t >= 0.0) & (t <= 1.0)).all():  # also false for NaN and inf
-        raise DomainError("parameter outside [0, 1]")
-    return t
 
 
 _BLOCK = 8192
@@ -166,11 +177,59 @@ def _decode(curve: EncodedCurve, raw):
     return value[..., :-1] / den
 
 
+def _runs(pairs, used):
+    """The runs of consecutive samples whose lookup state is bitwise
+    identical, as (first sample, length) arrays, or None when runs do not pay.
+
+    The state is every clamped index array in `pairs` and every used
+    fraction in `used`, as `sampler._lookup` returns them. Axes that share a
+    stage share its arrays, so each stage is compared once; a 0-d index (the
+    hybrid's depth pair) is the same for every sample. Fractions compare
+    through their int64 bits, because `!=` holds -0.0 and +0.0 equal while
+    the blend keeps their signs apart. Runs need one 1-D sample axis (every
+    fraction of shape (n,)), and they pay only while there are at most n / 2
+    of them; the fractions are compared first, since they change most often.
+    """
+    shape, *others = {f.shape for f in used}
+    if others or len(shape) != 1 or shape[0] < 2:
+        return None
+    stages = {(id(f), id(pair)): (f, pair) for f, pair in zip(used, pairs)}.values()
+    state = [f.view(np.int64) for f, _ in stages] + [a for _, pair in stages for a in pair if a.ndim]
+    change = np.zeros(shape, dtype=bool)
+    change[0] = True
+    for a in state:
+        change[1:] |= a[1:] != a[:-1]
+        if 2 * np.count_nonzero(change) > shape[0]:
+            return None
+    heads = np.flatnonzero(change)
+    return heads, np.diff(heads, append=shape[0])
+
+
 def _fetch(curve: EncodedCurve, coords, cfg: SamplerConfig, depth_fraction=None):
     """The one texel fetch: the staged lookup, the blend, then `_decode`. The
-    evaluators validated the coordinates and `EncodedCurve` the grid's dims."""
-    pairs, _, used = sampler._lookup(curve.grid, coords, cfg, depth_fraction)
-    return _decode(curve, sampler._blend(curve.grid, pairs, used))
+    evaluators validated the coordinates and `EncodedCurve` the grid's dims.
+
+    The blend, the inverse transform and the rational divide are elementwise
+    functions of the lookup state alone (every clamped index pair and every
+    used fraction), so the samples of one run of bitwise-equal state
+    (`_runs`) share every bit of their point: the blend and the decode run
+    once per run, at its first sample, and the points repeat by run length
+    into the same channel-major array. Bitwise, because `!=` would merge
+    -0.0 and +0.0 fractions that blend to points of opposite sign. At bits
+    0, and on the hybrid's depth axis (the exact t), fractions differ
+    wherever parameters do, so runs are rare there and every sample is
+    blended.
+    """
+    grid = curve.grid
+    pairs, _, used = sampler._lookup(grid, coords, cfg, depth_fraction)
+    runs = _runs(pairs, used)
+    if runs is None:
+        return _decode(curve, sampler._blend(grid, pairs, used))
+    heads, lengths = runs
+    value = _decode(curve, sampler._blend(
+        grid, [tuple(a[heads] if a.ndim else a for a in pair) for pair in pairs],
+        [f[heads] for f in used]))
+    return np.repeat(value.T, lengths, axis=1).T
 
 
 def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool = False):

@@ -9,6 +9,7 @@ from texcurve import (
     DomainError,
     JoinError,
     Layout,
+    LayoutError,
     RangeError,
     TexCurveError,
     TexelFormat,
@@ -111,6 +112,19 @@ class TestZigzag:
             res = zigzag_residuals(enc, segs)
             step = fmt.quant_step(float(np.max(np.abs(enc.grid.data))))
             assert np.max(res) <= step + 1e-15
+
+    @pytest.mark.parametrize("count", (0, 1, 3))
+    def test_constraint_audit_needs_every_segment(self, rng, count):
+        enc = encode_dc_zigzag(random_c0_quadratics(rng, 2, 2), F32)
+        segs = random_c0_quadratics(rng, 3, 2)[:count]
+        with pytest.raises(LayoutError, match=f"audit needs 2 segments, got {count}"):
+            zigzag_residuals(enc, segs)
+
+    @pytest.mark.parametrize("channels", (1, 3))
+    def test_constraint_audit_needs_the_grid_channels(self, rng, channels):
+        enc = encode_dc_zigzag(random_c0_quadratics(rng, 2, 2), F32)
+        with pytest.raises(ChannelMismatchError, match="the grid 2"):
+            zigzag_residuals(enc, random_c0_quadratics(rng, 2, channels))
 
     def test_range_error_names_texel(self):
         # middle point at 0.9 with seed 0 pushes the solved texel to 1.8

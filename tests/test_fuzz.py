@@ -1,7 +1,9 @@
-"""Hostile input for the two parsers and the command line: a CTEX1 blob or
-a curve file either parses or raises a TexCurveError, and a command line
-either succeeds or exits with a documented code; never another exception
-(pytest turns a RuntimeWarning into one)."""
+"""Hostile input for the two parsers, the command line, the evaluators and
+sweep: a CTEX1 blob or a curve file either parses or raises a
+TexCurveError, a command line either succeeds or exits with a documented
+code, and an evaluator or a sweep either returns what per-element scalar
+calls return or raises a TexCurveError; never another exception (pytest
+turns a RuntimeWarning into one)."""
 
 import contextlib
 import io
@@ -11,7 +13,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from texcurve import Layout, TexCurveError, TexelFormat
+from texcurve import (
+    BSplineCurve,
+    Layout,
+    SamplerConfig,
+    TexCurveError,
+    TexelFormat,
+    boehm_to_bezier,
+    eval_bernstein,
+    eval_bezier_chain,
+    eval_bezier_segments,
+    eval_bicubic_rgba,
+    eval_bilinear_patch,
+    eval_dc,
+    eval_dc_cubic_hybrid,
+    eval_dc_zigzag,
+    eval_deboor,
+    eval_decasteljau,
+    eval_rational,
+    eval_rational_tex,
+    eval_seiler,
+    eval_seiler_tex,
+    eval_tensor_surface,
+    sweep,
+)
 from texcurve.cli import main
 from texcurve.container import _HEADER, curve_from_bytes, curve_to_bytes
 from texcurve.curvefile import parse_curve_text
@@ -24,7 +49,8 @@ from texcurve.encoder import (
     encode_rational,
     encode_seiler,
 )
-from conftest import random_c0_quadratics, random_polygon
+from texcurve.texeval import _MODES
+from conftest import one_curve_per_layout, random_c0_quadratics, random_polygon
 
 
 def _valid_blobs():
@@ -243,3 +269,126 @@ def test_main_exits_with_a_documented_code(cli_dir, case):
         assert code in (1, 2, 3, 4, 5)
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# -- the public evaluators and sweep ------------------------------------------
+
+
+def _evaluator_cases():
+    """(name, fn(u, v), domain end) for every public `eval_*`, each on one
+    seeded curve; the 1-parameter ones ignore v."""
+    rng = np.random.default_rng(67)
+    f32 = TexelFormat.FLOAT32
+    quad, cubic, quintic = (random_polygon(rng, d, 2) for d in (2, 3, 5))
+    chain = random_c0_quadratics(rng, 3, 2)
+    net = rng.uniform(0, 1, (4, 4))
+    patch = rng.uniform(0, 1, (2, 2, 2))
+    spline = BSplineCurve(rng.uniform(0, 1, (6, 2)), [0, 0, 0, 0, 0.3, 0.6, 1, 1, 1, 1], 3)
+    pieces = boehm_to_bezier(spline)
+    dc, cubic_dc = encode_dc_quadratic(quad, f32), encode_dc_cubic(cubic, f32)
+    zigzag = encode_dc_zigzag(chain, f32)
+    seiler = encode_seiler(quintic, TexelFormat.UNORM8, rescale=True)
+    rational = encode_rational(random_polygon(rng, 2, 2, lo=0.0), [1.0, 0.7, 1.0], f32)
+    bilinear, bicubic = encode_bilinear_patch(patch, f32), encode_bicubic_rgba(net, f32)
+    cfg = SamplerConfig(subtexel_bits=8)
+    return (
+        ("eval_dc", lambda u, v: eval_dc(dc, u, cfg), 1.0),
+        ("eval_dc cubic", lambda u, v: eval_dc(cubic_dc, u, cfg), 1.0),
+        ("eval_dc_cubic_hybrid", lambda u, v: eval_dc_cubic_hybrid(cubic_dc, u, cfg), 1.0),
+        ("eval_dc_zigzag", lambda u, v: eval_dc_zigzag(zigzag, u, cfg), 3.0),
+        ("eval_seiler_tex", lambda u, v: eval_seiler_tex(seiler, u, cfg), 1.0),
+        ("eval_rational_tex", lambda u, v: eval_rational_tex(rational, u, cfg), 1.0),
+        ("eval_bilinear_patch", lambda u, v: eval_bilinear_patch(bilinear, u, v, cfg), 1.0),
+        ("eval_bicubic_rgba", lambda u, v: eval_bicubic_rgba(bicubic, u, v, cfg), 1.0),
+        ("eval_bernstein", lambda u, v: eval_bernstein(cubic, u), 1.0),
+        ("eval_decasteljau", lambda u, v: eval_decasteljau(cubic, u), 1.0),
+        ("eval_seiler", lambda u, v: eval_seiler(quintic, u), 1.0),
+        ("eval_rational", lambda u, v: eval_rational(quad, [1.0, 0.7, 1.0], u), 1.0),
+        ("eval_tensor_surface", lambda u, v: eval_tensor_surface(net, u, v), 1.0),
+        ("eval_deboor", lambda u, v: eval_deboor(spline, u), 1.0),
+        ("eval_bezier_segments", lambda u, v: eval_bezier_segments(pieces, u), 1.0),
+        ("eval_bezier_chain", lambda u, v: eval_bezier_chain(chain, u), 3.0),
+    )
+
+
+EVALUATORS = _evaluator_cases()
+
+
+@st.composite
+def parameters(draw, end):
+    """A scalar or an array of 0-7 values, 1-D or 2-D, some repeated into
+    plateaus: NaN, +-inf, +-0.0, the domain ends and just past them, huge
+    values and values inside the domain."""
+    value = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, end, -0.5, end + 0.5, 1e-300,
+                             -1e-300, 1e308, -1e308, float(np.nextafter(end, np.inf))])
+    value = value | st.floats(0.0, end)
+    if draw(st.booleans()):
+        return draw(value)
+    values = draw(st.lists(st.tuples(value, st.integers(1, 3)), max_size=5))
+    t = np.array([x for x, count in values for _ in range(count)], dtype=float)
+    if t.size % 2 == 0 and draw(st.booleans()):
+        t = t.reshape(2, -1)
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(EVALUATORS), st.data())
+def test_evaluators_match_scalar_calls_or_raise_their_own_error(case, data):
+    name, fn, end = case
+    u = data.draw(parameters(end))
+    v = data.draw(st.sampled_from([0.25, u]) | parameters(end).filter(
+        lambda v: np.shape(v) == np.shape(u)))
+    v = np.broadcast_to(v, np.shape(u))
+    try:
+        got = fn(u, v)
+    except TexCurveError:
+        return
+    point = fn(0.5, 0.5)
+    each = [fn(a, b) for a, b in zip(np.ravel(u), np.ravel(v))]
+    if np.ndim(u):
+        assert got.shape == np.shape(u) + point.shape[-1:]
+    assert got.dtype == np.float64
+    assert got.tobytes() == b"".join(x.tobytes() for x in each)
+
+
+def _sweep_cases():
+    """(mode, curve) for every mode of `texeval._MODES`, plus a mismatch."""
+    curves = {Layout(curve.layout): curve for curve in one_curve_per_layout().values()}
+    return [(mode, curves[layouts[0]]) for mode, (layouts, _) in _MODES.items()] + \
+        [("dc", curves[Layout.SEILER_2D]), ("nosuch", curves[Layout.DC_QUAD_2X2])]
+
+
+SWEEP_CASES = _sweep_cases()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(SWEEP_CASES),
+    st.integers(-2, 40) | st.sampled_from([257, 1000]),
+    st.sampled_from([0, 4, 8, 12]),
+    st.sampled_from(["same", "nan", "inf", "-0.0", "short", "wide", "scalar"]),
+)
+def test_sweep_matches_its_evaluator_or_raises_its_own_error(case, samples, bits, reference):
+    mode, curve = case
+    cfg = SamplerConfig(subtexel_bits=bits)
+
+    def ref(ts):
+        test = _MODES[mode][1](curve, ts, cfg)
+        if reference == "same":
+            return test
+        if reference in ("nan", "inf", "-0.0"):
+            return np.full_like(test, float(reference))
+        if reference == "short":
+            return test[1:]
+        if reference == "wide":
+            return np.concatenate([test, test], axis=-1)
+        return 0.5
+
+    try:
+        report = sweep(curve, ref, mode, cfg, samples)
+    except TexCurveError:
+        return
+    fn = _MODES[mode][1]
+    assert report.test.tobytes() == b"".join(fn(curve, t, cfg).tobytes() for t in report.t)
+    for summary in (report.max_dev, report.mean_dev, report.rms_dev):
+        assert summary.shape == (report.channels,)

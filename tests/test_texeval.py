@@ -1,11 +1,13 @@
+import functools
 import gc
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from texcurve import (
@@ -35,7 +37,7 @@ from texcurve import (
     remap_unit_to_texel_span,
     sample_bilinear,
 )
-from texcurve import sampler
+from texcurve import sampler, texeval
 from texcurve.core import Layout
 from texcurve.texeval import _BLOCK
 from conftest import IDEAL, BITS8, one_curve_per_layout, random_c0_quadratics, random_polygon
@@ -194,6 +196,17 @@ class TestHybrid:
             full = np.max(np.abs(eval_dc(enc, ts, BITS8) - ref))
             hybrid = np.max(np.abs(eval_dc_cubic_hybrid(enc, ts, BITS8) - ref))
             assert hybrid <= full
+
+    @pytest.mark.parametrize("ts", ([-0.0, 0.0], [0.0, -0.0]))
+    def test_signed_zero_depth_fractions_blend_apart(self, ts):
+        # the depth fraction is t itself: -0.0 and +0.0 give texels of -0.0
+        # opposite signs, so the two samples are two runs, not one
+        enc = encode_dc_cubic(ControlPolygon(np.full(4, -0.0)), F32)
+        cfg = SamplerConfig(subtexel_bits=0)
+        got = eval_dc_cubic_hybrid(enc, np.array(ts), cfg)
+        each = [eval_dc_cubic_hybrid(enc, t, cfg) for t in ts]
+        assert np.signbit(got).ravel().tolist() == [np.signbit(t) for t in ts[::-1]]
+        assert got.tobytes() == np.stack(each).tobytes()
 
 
 class TestSurfaces:
@@ -466,6 +479,25 @@ def test_surface_evaluator_fetches_once(monkeypatch, fn, layout, lerps, corners)
     assert counts == {"lerp": lerps, "corners": corners}
 
 
+@pytest.mark.parametrize("bits, blended", ((8, range(300)), (0, [1 << 17])), ids=("bits8", "bits0"))
+def test_fetch_blends_once_per_run(monkeypatch, bits, blended):
+    """A sorted 2^17-sample dc lattice at 8 bits reaches about 260 distinct
+    lookup states, and only their first samples reach the blend; at bits 0
+    every sample has its own fraction, so every sample is blended."""
+    count = 0
+    blend = sampler._blend
+
+    def counted_blend(grid, pairs, fractions):
+        nonlocal count
+        count += np.size(fractions[0])
+        return blend(grid, pairs, fractions)
+
+    monkeypatch.setattr(sampler, "_blend", counted_blend)
+    cfg = SamplerConfig(subtexel_bits=bits, subtexel_rounding="nearest")
+    eval_dc(CURVES[Layout.DC_CUBIC_2X2X2], np.linspace(0.0, 1.0, 1 << 17), cfg)
+    assert count in blended
+
+
 def test_no_evaluator_builds_a_trace(monkeypatch):
     """Evaluators, sweeps and the bound read the grid without a
     `SampleTrace`: only the public samplers build one."""
@@ -486,3 +518,108 @@ def test_no_evaluator_builds_a_trace(monkeypatch):
         assert not report.max_dev.any()
         if mode not in ("patch", "bicubic"):
             analysis.error_bound_estimate(curve, BITS8, mode=mode, samples=16)
+
+
+# -- the run path against a blend of every sample ----------------------------
+
+
+def fetch_every_sample(curve, coords, cfg, depth_fraction=None):
+    """`texeval._fetch` without runs: the lookup, the blend and the decode
+    on every sample."""
+    pairs, _, used = sampler._lookup(curve.grid, coords, cfg, depth_fraction)
+    return texeval._decode(curve, sampler._blend(curve.grid, pairs, used))
+
+
+#: evaluator name -> (fn(curve, u, v, cfg), layouts kinds it evaluates)
+RUN_EVALUATORS = {
+    "eval_dc": (lambda c, u, v, cfg: eval_dc(c, u, cfg), ("dc-quad", "dc-cubic")),
+    "eval_dc_cubic_hybrid": (lambda c, u, v, cfg: eval_dc_cubic_hybrid(c, u, cfg), ("dc-cubic",)),
+    "eval_dc_zigzag": (lambda c, u, v, cfg: eval_dc_zigzag(c, u, cfg), ("zigzag",)),
+    "eval_seiler_tex": (lambda c, u, v, cfg: eval_seiler_tex(c, u, cfg), ("seiler-2d", "seiler-3d")),
+    "eval_rational_tex": (lambda c, u, v, cfg: eval_rational_tex(c, u, cfg),
+                          ("rational-dc", "rational-seiler")),
+    "eval_bilinear_patch": (eval_bilinear_patch, ("patch",)),
+    "eval_bicubic_rgba": (eval_bicubic_rgba, ("bicubic",)),
+}
+RUN_KINDS = tuple(kind for _, kinds in RUN_EVALUATORS.values() for kind in kinds)
+FORMATS = (TexelFormat.UNORM8, TexelFormat.UNORM16, F32)
+RUN_SHAPES = ((), (0,), (1,), (7,), (2 * _BLOCK + 17,), (3, 4))
+LATTICES = ("sorted", "reversed", "shuffled", "plateaus", "block-edges", "midpoints")
+
+
+@functools.cache
+def run_curve(kind, fmt, channels):
+    """One seeded curve of `kind` in `fmt` with up to `channels` channels."""
+    rng = np.random.default_rng([RUN_KINDS.index(kind), FORMATS.index(fmt), channels])
+    opts = {"rescale": fmt is not F32}
+    if kind == "dc-quad":
+        return encode_dc_quadratic(random_polygon(rng, 2, channels), fmt, **opts)
+    if kind == "dc-cubic":
+        return encode_dc_cubic(random_polygon(rng, 3, channels), fmt, **opts)
+    if kind == "zigzag":
+        return encode_dc_zigzag(random_c0_quadratics(rng, 3, channels), fmt, **opts)
+    if kind == "seiler-2d":
+        return encode_seiler(random_polygon(rng, 3, channels), fmt, **opts)
+    if kind == "seiler-3d":
+        return encode_seiler(random_polygon(rng, 5, channels), fmt, **opts)
+    if kind == "patch":
+        return encode_bilinear_patch(rng.uniform(-1.0, 2.0, (2, 2, channels)), fmt, **opts)
+    if kind == "bicubic":
+        return encode_bicubic_rgba(rng.uniform(0.0, 1.0, (4, 4)), fmt, **opts)
+    weights, scheme = ([1.0, 0.6, 0.8, 1.0], "dc") if kind == "rational-dc" else ([1.0, 0.7, 1.0], "seiler")
+    num = random_polygon(rng, len(weights) - 1, min(channels, 3), lo=0.0)
+    return encode_rational(num, weights, fmt, scheme=scheme, **opts)
+
+
+def lattice(kind, shape, end, rng):
+    """Parameters in [0, end] of `shape`, laid out as `kind` says."""
+    n = int(np.prod(shape))
+    t = np.linspace(0.0, end, n)
+    if kind == "reversed":
+        t = t[::-1].copy()
+    elif kind == "shuffled":
+        t = rng.permutation(t)
+    elif kind == "plateaus":
+        levels = np.concatenate([[0.0, -0.0, end], rng.uniform(0.0, end, 9)])
+        t = levels[np.sort(rng.integers(0, levels.size, n))]
+    elif kind == "midpoints":  # a zig-zag's segments share fractions, not texels
+        t = np.arange(n) % end + 0.5
+    elif kind == "block-edges" and n:
+        for edge in range(_BLOCK, n, _BLOCK):
+            t[edge - 40 : edge + 40] = t[edge]
+        t[n // 3 : n // 2] = t[n // 3]
+    return float(t[0]) if shape == () else t.reshape(shape)
+
+
+@settings(max_examples=80, deadline=None)
+@example(name="eval_dc_cubic_hybrid", pick=0, fmt=F32, bits=8, rounding="nearest", channels=2,
+         shape=RUN_SHAPES[4], kinds=("sorted", "sorted"), seed=0)
+@example(name="eval_dc_zigzag", pick=0, fmt=F32, bits=4, rounding="floor", channels=1,
+         shape=RUN_SHAPES[3], kinds=("midpoints", "sorted"), seed=0)
+@given(
+    name=st.sampled_from(sorted(RUN_EVALUATORS)),
+    pick=st.integers(0, 1),
+    fmt=st.sampled_from(FORMATS),
+    bits=st.sampled_from((0, 4, 8, 12)),
+    rounding=st.sampled_from(("nearest", "floor")),
+    channels=st.integers(1, 4),
+    shape=st.sampled_from(RUN_SHAPES),
+    kinds=st.tuples(st.sampled_from(LATTICES), st.sampled_from(LATTICES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_runs_match_a_blend_of_every_sample(name, pick, fmt, bits, rounding, channels,
+                                            shape, kinds, seed):
+    fn, layouts = RUN_EVALUATORS[name]
+    curve = run_curve(layouts[pick % len(layouts)], fmt, channels)
+    cfg = SamplerConfig(subtexel_bits=bits, subtexel_rounding=rounding)
+    rng = np.random.default_rng(seed)
+    end = float(curve.segment_count)
+    u, v = (lattice(kind, shape, end, rng) for kind in kinds)
+
+    got = fn(curve, u, v, cfg)
+    with mock.patch.object(texeval, "_fetch", fetch_every_sample):
+        want = fn(curve, u, v, cfg)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert (got.flags.f_contiguous, got.flags.c_contiguous) == \
+        (want.flags.f_contiguous, want.flags.c_contiguous)
