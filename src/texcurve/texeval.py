@@ -25,8 +25,9 @@ sorted 2^17-sample dc lattice at 8 bits reaches 257 states and is blended
 273 times (each `_BLOCK` starts a run) instead of 131,072. At bits 0 the used fraction is
 the exact fraction, and the hybrid's depth fraction is t itself, so there
 only repeated parameters form runs. Scalars, 2-D parameters and shuffled
-lattices gain nothing either; when runs would be more than half of the
-samples, every sample is blended as before.
+lattices gain nothing either. Every sample is blended as before when runs
+would be more than half of the samples, and below `_RUN_MIN` samples,
+where a blend costs about the same for 20 samples as for 256.
 
 Parameters broadcast like the reference evaluators: scalar in, one point
 out; (n,) array in, (n, channels) out, stored channel-major (Fortran
@@ -64,6 +65,11 @@ from .reference import bernstein_sum
 
 
 _BLOCK = 8192
+
+#: the shortest sample axis that `_fetch` splits into runs: below it the
+#: blend's fixed cost per call outweighs its cost per sample, so blending
+#: fewer samples saves less than finding the runs costs
+_RUN_MIN = 1024
 
 
 def _curve_param(curve: EncodedCurve, t):
@@ -187,11 +193,12 @@ def _runs(pairs, used):
     hybrid's depth pair) is the same for every sample. Fractions compare
     through their int64 bits, because `!=` holds -0.0 and +0.0 equal while
     the blend keeps their signs apart. Runs need one 1-D sample axis (every
-    fraction of shape (n,)), and they pay only while there are at most n / 2
-    of them; the fractions are compared first, since they change most often.
+    fraction of shape (n,)) of at least `_RUN_MIN` samples, and they pay
+    only while there are at most n / 2 of them; the fractions are compared
+    first, since they change most often.
     """
     shape, *others = {f.shape for f in used}
-    if others or len(shape) != 1 or shape[0] < 2:
+    if others or len(shape) != 1 or shape[0] < _RUN_MIN:
         return None
     stages = {(id(f), id(pair)): (f, pair) for f, pair in zip(used, pairs)}.values()
     state = [f.view(np.int64) for f, _ in stages] + [a for _, pair in stages for a in pair if a.ndim]

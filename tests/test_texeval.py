@@ -39,7 +39,7 @@ from texcurve import (
 )
 from texcurve import sampler, texeval
 from texcurve.core import Layout
-from texcurve.texeval import _BLOCK
+from texcurve.texeval import _BLOCK, _RUN_MIN
 from conftest import IDEAL, BITS8, one_curve_per_layout, random_c0_quadratics, random_polygon
 
 F32 = TexelFormat.FLOAT32
@@ -197,16 +197,17 @@ class TestHybrid:
             hybrid = np.max(np.abs(eval_dc_cubic_hybrid(enc, ts, BITS8) - ref))
             assert hybrid <= full
 
-    @pytest.mark.parametrize("ts", ([-0.0, 0.0], [0.0, -0.0]))
-    def test_signed_zero_depth_fractions_blend_apart(self, ts):
+    @pytest.mark.parametrize("run", (1, _RUN_MIN // 2))
+    @pytest.mark.parametrize("zeros", ([-0.0, 0.0], [0.0, -0.0]))
+    def test_signed_zero_depth_fractions_blend_apart(self, zeros, run):
         # the depth fraction is t itself: -0.0 and +0.0 give texels of -0.0
-        # opposite signs, so the two samples are two runs, not one
+        # opposite signs, so the two plateaus are two runs, not one
         enc = encode_dc_cubic(ControlPolygon(np.full(4, -0.0)), F32)
         cfg = SamplerConfig(subtexel_bits=0)
-        got = eval_dc_cubic_hybrid(enc, np.array(ts), cfg)
-        each = [eval_dc_cubic_hybrid(enc, t, cfg) for t in ts]
-        assert np.signbit(got).ravel().tolist() == [np.signbit(t) for t in ts[::-1]]
-        assert got.tobytes() == np.stack(each).tobytes()
+        each = np.stack([eval_dc_cubic_hybrid(enc, t, cfg) for t in zeros])
+        assert np.signbit(each).ravel().tolist() == [not np.signbit(t) for t in zeros]
+        got = eval_dc_cubic_hybrid(enc, np.repeat(zeros, run), cfg)
+        assert got.tobytes() == np.repeat(each, run, axis=0).tobytes()
 
 
 class TestSurfaces:
@@ -595,7 +596,7 @@ def lattice(kind, shape, end, rng):
 @example(name="eval_dc_cubic_hybrid", pick=0, fmt=F32, bits=8, rounding="nearest", channels=2,
          shape=RUN_SHAPES[4], kinds=("sorted", "sorted"), seed=0)
 @example(name="eval_dc_zigzag", pick=0, fmt=F32, bits=4, rounding="floor", channels=1,
-         shape=RUN_SHAPES[3], kinds=("midpoints", "sorted"), seed=0)
+         shape=RUN_SHAPES[4], kinds=("midpoints", "sorted"), seed=0)
 @given(
     name=st.sampled_from(sorted(RUN_EVALUATORS)),
     pick=st.integers(0, 1),
