@@ -9,8 +9,7 @@ power <-> Bernstein basis conversion.
 Curve evaluators, de Boor's included, broadcast over the parameter: a
 scalar t yields one (channels,) point, an (n,) array yields (n, channels).
 The Bezier evaluators take parameters in [0, 1], as the texture evaluators
-do, and raise DomainError for any other value, NaN and +-inf included;
-outside [0, 1] the Bernstein powers overflow long before t is huge.
+do, and raise DomainError for any other value, NaN and +-inf included.
 De Boor evaluation and knot insertion share one knot-span rule,
 `_find_span`.
 """
@@ -367,8 +366,8 @@ def eval_bezier_chain(segments, global_t) -> np.ndarray:
         raise DomainError("no segments to evaluate")
     n = len(segments)
     gt = np.atleast_1d(np.asarray(global_t, dtype=float))
-    out = _eval_pieces(segments, np.arange(n, dtype=float), np.arange(1.0, n + 1), gt.reshape(-1),
-                       f"chain parameter outside [0, {n}]")
+    out = _eval_pieces(segments, np.arange(n, dtype=float), np.arange(1.0, n + 1),
+                       gt.reshape(-1), f"chain parameter outside [0, {n}]")
     return out.reshape(gt.shape + out.shape[1:])
 
 

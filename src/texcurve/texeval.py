@@ -22,12 +22,13 @@ axis, blends and decodes the first sample of each run, and repeats its
 point by run length. Fractions compare by their bits, not with `!=`, which
 holds -0.0 equal to +0.0 although the blend keeps their signs apart. A
 sorted 2^17-sample dc lattice at 8 bits reaches 257 states and is blended
-273 times (each `_BLOCK` starts a run) instead of 131,072. At bits 0 the used fraction is
-the exact fraction, and the hybrid's depth fraction is t itself, so there
-only repeated parameters form runs. Scalars, 2-D parameters and shuffled
-lattices gain nothing either. Every sample is blended as before when runs
-would be more than half of the samples, and below `_RUN_MIN` samples,
-where a blend costs about the same for 20 samples as for 256.
+273 times (each `_BLOCK` starts a run) instead of 131,072. At bits 0 the
+used fraction is the exact fraction, and the hybrid's depth fraction is t
+itself, so there only repeated parameters form runs. Scalars, 2-D
+parameters and shuffled lattices gain nothing either. Every sample is
+blended as before when runs would be more than half of the samples, and
+below `_RUN_MIN` samples, where a blend costs about the same for 20 samples
+as for 256.
 
 Parameters broadcast like the reference evaluators: scalar in, one point
 out; (n,) array in, (n, channels) out, stored channel-major (Fortran
@@ -201,7 +202,8 @@ def _runs(pairs, used):
     if others or len(shape) != 1 or shape[0] < _RUN_MIN:
         return None
     stages = {(id(f), id(pair)): (f, pair) for f, pair in zip(used, pairs)}.values()
-    state = [f.view(np.int64) for f, _ in stages] + [a for _, pair in stages for a in pair if a.ndim]
+    state = [f.view(np.int64) for f, _ in stages]
+    state += [a for _, pair in stages for a in pair if a.ndim]
     change = np.zeros(shape, dtype=bool)
     change[0] = True
     for a in state:

@@ -531,12 +531,13 @@ def fetch_every_sample(curve, coords, cfg, depth_fraction=None):
     return texeval._decode(curve, sampler._blend(curve.grid, pairs, used))
 
 
-#: evaluator name -> (fn(curve, u, v, cfg), layouts kinds it evaluates)
+#: evaluator name -> (fn(curve, u, v, cfg), the curve kinds it evaluates)
 RUN_EVALUATORS = {
     "eval_dc": (lambda c, u, v, cfg: eval_dc(c, u, cfg), ("dc-quad", "dc-cubic")),
     "eval_dc_cubic_hybrid": (lambda c, u, v, cfg: eval_dc_cubic_hybrid(c, u, cfg), ("dc-cubic",)),
     "eval_dc_zigzag": (lambda c, u, v, cfg: eval_dc_zigzag(c, u, cfg), ("zigzag",)),
-    "eval_seiler_tex": (lambda c, u, v, cfg: eval_seiler_tex(c, u, cfg), ("seiler-2d", "seiler-3d")),
+    "eval_seiler_tex": (lambda c, u, v, cfg: eval_seiler_tex(c, u, cfg),
+                        ("seiler-2d", "seiler-3d")),
     "eval_rational_tex": (lambda c, u, v, cfg: eval_rational_tex(c, u, cfg),
                           ("rational-dc", "rational-seiler")),
     "eval_bilinear_patch": (eval_bilinear_patch, ("patch",)),
@@ -567,7 +568,10 @@ def run_curve(kind, fmt, channels):
         return encode_bilinear_patch(rng.uniform(-1.0, 2.0, (2, 2, channels)), fmt, **opts)
     if kind == "bicubic":
         return encode_bicubic_rgba(rng.uniform(0.0, 1.0, (4, 4)), fmt, **opts)
-    weights, scheme = ([1.0, 0.6, 0.8, 1.0], "dc") if kind == "rational-dc" else ([1.0, 0.7, 1.0], "seiler")
+    if kind == "rational-dc":
+        weights, scheme = [1.0, 0.6, 0.8, 1.0], "dc"
+    else:
+        weights, scheme = [1.0, 0.7, 1.0], "seiler"
     num = random_polygon(rng, len(weights) - 1, min(channels, 3), lo=0.0)
     return encode_rational(num, weights, fmt, scheme=scheme, **opts)
 
