@@ -64,7 +64,8 @@ class ErrorReport:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "reference", ref)
         object.__setattr__(self, "test", test)
-        object.__setattr__(self, "absdev", np.abs(test - ref))
+        absdev = np.subtract(test, ref)
+        object.__setattr__(self, "absdev", np.abs(absdev, out=absdev))
 
     @property
     def sample_count(self) -> int:

@@ -93,17 +93,21 @@ def _quantize_array(values: np.ndarray, fmt: TexelFormat) -> np.ndarray:
     return (f + (s - f - 0.5 >= -e)) / levels
 
 
-def _check_range(values: np.ndarray, fmt: TexelFormat, context: str):
-    """Hard error on unorm overflow; silent clamping would corrupt curves."""
+def _check_range(values: np.ndarray, fmt: TexelFormat, context: str, rational: bool):
+    """Hard error on unorm overflow; silent clamping would corrupt curves. No
+    rescale reaches a rational curve's weight channel (the last)."""
     if not fmt.is_unorm:
         return
     bad = np.argwhere((values < 0.0) | (values > 1.0))
     if bad.size:
         idx = tuple(int(i) for i in bad[0])
-        v = float(values[idx])
+        advice = "pass rescale=True to fit the range"
+        if rational and idx[-1] == values.shape[-1] - 1:
+            advice = ("no rescale reaches the weight channel; use weights whose texels "
+                      "(the seiler scheme's difference terms) stay in [0, 1], or float32")
         raise RangeError(
-            f"{context}: texel {idx} has value {v!r}, outside [0, 1] for {fmt.value}; "
-            "pass rescale=True to fit the range"
+            f"{context}: texel {idx} has value {float(values[idx])!r}, outside [0, 1] "
+            f"for {fmt.value}; {advice}"
         )
 
 
@@ -134,7 +138,7 @@ def _finish(
         transform = ValueTransform.identity(channels)
         stored = values
     if rational or not rescale:
-        _check_range(stored, fmt, context)
+        _check_range(stored, fmt, context, rational)
     data = _quantize_array(stored, fmt)
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:

@@ -11,7 +11,7 @@ reaches it through `texeval._fetch` and the error bound calls it directly;
 neither builds a trace. Every lookup then
 runs one blend kernel: `_corners` gathers each corner texel once, with one
 `take` from the grid viewed as a flat (channels, texels) table, and
-`_blend_options` runs the fixed chain of lerps along x, then y, then z, at
+`_lerp_levels` runs the fixed chain of lerps along x, then y, then z, at
 every combination of the fractions it is given per axis. Each lerp runs
 over channel rows whose sample axis is contiguous.
 
@@ -145,7 +145,7 @@ def _corners(grid: TexelGrid, pairs):
     return [texels.take(offset, axis=1) for offset in offsets]
 
 
-def _blend_options(corners, options):
+def _lerp_levels(corners, options):
     """The one lerp chain, at every combination of per-axis fractions.
 
     `options` holds a tuple of fractions per axis, in x, y[, z] order.
@@ -153,15 +153,22 @@ def _blend_options(corners, options):
     part of the emulated result, bit for bit. Each level's lerps are shared
     by every combination of the later axes' options, so n options per axis
     cost one lerp per (level, option prefix, corner pair) rather than a
-    whole chain per combination. Returns one blend per combination, in
-    `itertools.product(*options)` order, each a view with the channel axis
-    last, so it stays channel-major.
+    whole chain per combination. Returns, per combination in
+    `itertools.product(*options)` order, the level left after the axes in
+    `options`, channel axis first: one blend, or two depth slices after x, y.
     """
     levels = [corners]
     for fractions in options:
         levels = [[lerp(a, b, f) for a, b in zip(level[0::2], level[1::2])]
                   for level in levels for f in fractions]
-    return [value.transpose(*range(1, value.ndim), 0) for (value,) in levels]
+    return levels
+
+
+def _blend_options(corners, options):
+    """`_lerp_levels` over every axis: one blend per combination, each a
+    view with the channel axis last, so it stays channel-major."""
+    return [value.transpose(*range(1, value.ndim), 0)
+            for (value,) in _lerp_levels(corners, options)]
 
 
 def _blend(grid: TexelGrid, pairs, fractions):

@@ -17,35 +17,36 @@ used (fixed-point) fraction on each axis, which is every index array and
 every used fraction `sampler._lookup` returns. The blend, the inverse
 transform and the rational divide are elementwise functions of that state,
 so consecutive samples with bitwise-equal state get bitwise-equal points.
-`_fetch` compares the state of neighbouring samples along a 1-D sample
-axis, blends and decodes the first sample of each run, and repeats its
-point by run length. Fractions compare by their bits, not with `!=`, which
-holds -0.0 equal to +0.0 although the blend keeps their signs apart. A
-sorted 2^17-sample dc lattice at 8 bits reaches 257 states and is blended
-273 times (each `_BLOCK` starts a run) instead of 131,072. At bits 0 the
-used fraction is the exact fraction, and the hybrid's depth fraction is t
-itself, so there only repeated parameters form runs. Scalars, 2-D
-parameters and shuffled lattices gain nothing either. Every sample is
-blended as before when runs would be more than half of the samples, and
-below `_RUN_MIN` samples, where a blend costs about the same for 20 samples
-as for 256.
+Along a 1-D sample axis `_fetch` compares each sample's state with its
+neighbour's, block edges included, blends and decodes the first sample of
+every run of the axis together, and takes each point from its run's head
+into the output, writing it once. Fractions compare by their bits, not
+with `!=`, which holds -0.0 equal to +0.0 although the blend keeps their
+signs apart. A sorted 2^17-sample dc lattice at 8 bits reaches 257 states
+and is blended 257 times instead of 131,072. The hybrid's depth fraction
+is t itself, so its runs compare the x and y state alone: the heads run
+the x and y lerp levels, and every sample lerps the two depth slices at
+its t. At bits 0 the used fraction is the exact one, so only repeated
+parameters could form runs and every sample is blended, as in blocks with
+more runs than half their samples and below `_RUN_MIN` samples, where a
+blend costs about the same for 20 samples as for 256.
 
 Parameters broadcast like the reference evaluators: scalar in, one point
 out; (n,) array in, (n, channels) out, stored channel-major (Fortran
-order) like the sampler's result. A 1-parameter evaluator runs a parameter
-array longer than `_BLOCK` in consecutive blocks of that length, writing
-each block's points into one output array of the same order. Every stage of
-the path is elementwise, so neither blocking nor memory order changes a bit
-of the result. Blocking keeps the lerp chain's temporaries small enough to
-stay in the L2 cache (2^17 samples x 3 channels of float64 is 3 MB, one
-block is 192 kB). Channel-major order gives each elementwise pass, the lerps
-and the decode's per-channel `(raw - offset) / scale` among them, an inner
-loop over the block's samples instead of over its 1 to 4 channels.
+order) like the sampler's result. Blocking bounds the lookup and the
+blend: `_fetch` looks up, compares and blends at most `_BLOCK` samples (or
+heads) at a time; the coordinates and the output span the axis. At bits 0
+the 1-parameter path runs in `_BLOCK` slices of t instead (`_in_blocks`),
+keeping no whole-axis coordinates. Every stage is elementwise, so neither
+blocking nor memory order changes a bit of the result. Blocking keeps the
+lerp chain's temporaries near the L2 cache (2^17 samples x 3 channels of
+float64 is 3 MB, one block is 192 kB). Channel-major order gives each
+elementwise pass, the lerps and the decode's per-channel `(raw - offset) /
+scale` among them, an inner loop over the samples instead of the channels.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Callable
 
 import numpy as np
@@ -147,8 +148,9 @@ def parameter_coords(curve: EncodedCurve, t):
     return _seiler_coords(layout, t)
 
 
-def _in_blocks(body, curve: EncodedCurve, t, cfg: SamplerConfig):
-    """body(curve, t, cfg) over consecutive `_BLOCK`-long slices of a 1-D t.
+def _in_blocks(body, curve: EncodedCurve, t, cfg: SamplerConfig, *args):
+    """body(curve, t, cfg, *args) over consecutive `_BLOCK`-long slices of a
+    1-D t: the bits-0 evaluators and the error bound.
 
     Scalars and arrays of at most one block run the body once. A longer
     array is validated whole first, so an invalid parameter anywhere raises
@@ -156,11 +158,11 @@ def _in_blocks(body, curve: EncodedCurve, t, cfg: SamplerConfig):
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or t.shape[0] <= _BLOCK:
-        return body(curve, t, cfg)
+        return body(curve, t, cfg, *args)
     _curve_param(curve, t)
     out = None
     for start in range(0, t.shape[0], _BLOCK):
-        part = body(curve, t[start : start + _BLOCK], cfg)
+        part = body(curve, t[start : start + _BLOCK], cfg, *args)
         if out is None:
             out = np.empty(t.shape + part.shape[1:], order="F")
         out[start : start + _BLOCK] = part
@@ -184,92 +186,117 @@ def _decode(curve: EncodedCurve, raw):
     return value[..., :-1] / den
 
 
-def _runs(pairs, used):
-    """The runs of consecutive samples whose lookup state is bitwise
-    identical, as (first sample, length) arrays, or None when runs do not pay.
-
-    The state is every clamped index array in `pairs` and every used
-    fraction in `used`, as `sampler._lookup` returns them. Axes that share a
-    stage share its arrays, so each stage is compared once; a 0-d index (the
-    hybrid's depth pair) is the same for every sample. Fractions compare
-    through their int64 bits, because `!=` holds -0.0 and +0.0 equal while
-    the blend keeps their signs apart. Runs need one 1-D sample axis (every
-    fraction of shape (n,)) of at least `_RUN_MIN` samples, and they pay
-    only while there are at most n / 2 of them; the fractions are compared
-    first, since they change most often.
-    """
-    shape, *others = {f.shape for f in used}
-    if others or len(shape) != 1 or shape[0] < _RUN_MIN:
-        return None
+def _runs(pairs, used, last):
+    """Which samples of one block begin a run of bitwise-identical lookup
+    state (a bool array), and the state of its last sample, to pass as the
+    next block's `last`; both None when runs would outnumber half the
+    samples. The state is each stage's clamped index pair and used
+    fraction, the fractions first (they change most often) and by their
+    int64 bits. A run continues across the block edge when `last` matches
+    the block's first sample."""
     stages = {(id(f), id(pair)): (f, pair) for f, pair in zip(used, pairs)}.values()
-    state = [f.view(np.int64) for f, _ in stages]
-    state += [a for _, pair in stages for a in pair if a.ndim]
-    change = np.zeros(shape, dtype=bool)
-    change[0] = True
+    state = [f.view(np.int64) for f, _ in stages] + [a for _, pair in stages for a in pair]
+    n = state[0].shape[0]
+    change = np.zeros(n, dtype=bool)
+    change[0] = last is None or any(a[0] != b for a, b in zip(state, last))
     for a in state:
         change[1:] |= a[1:] != a[:-1]
-        if 2 * np.count_nonzero(change) > shape[0]:
-            return None
-    heads = np.flatnonzero(change)
-    return heads, np.diff(heads, append=shape[0])
+        if 2 * np.count_nonzero(change) > n:
+            return None, None
+    return change, [a[-1] for a in state]
+
+
+def _lookup_at(grid, coords, cfg: SamplerConfig, depth_fraction, at):
+    """`sampler._lookup` of the samples `at` (a slice or an index array);
+    a coordinate array shared by several axes stays shared."""
+    part = {id(c): c[at] for c in coords}
+    return sampler._lookup(grid, [part[id(c)] for c in coords], cfg,
+                           None if depth_fraction is None else depth_fraction[at])
 
 
 def _fetch(curve: EncodedCurve, coords, cfg: SamplerConfig, depth_fraction=None):
-    """The one texel fetch: the staged lookup, the blend, then `_decode`. The
-    evaluators validated the coordinates and `EncodedCurve` the grid's dims.
+    """The one texel fetch: the staged lookup, the blend, then `_decode`, once
+    per run of equal lookup state (see above). The evaluators validated the
+    coordinates and `EncodedCurve` the grid's dims.
 
-    The blend, the inverse transform and the rational divide are elementwise
-    functions of the lookup state alone (every clamped index pair and every
-    used fraction), so the samples of one run of bitwise-equal state
-    (`_runs`) share every bit of their point: the blend and the decode run
-    once per run, at its first sample, and the points repeat by run length
-    into the same channel-major array. Bitwise, because `!=` would merge
-    -0.0 and +0.0 fractions that blend to points of opposite sign. At bits
-    0, and on the hybrid's depth axis (the exact t), fractions differ
-    wherever parameters do, so runs are rare there and every sample is
-    blended.
+    Each `_BLOCK` slice of a long enough axis is looked up and either
+    blended whole or kept as its run starts. The heads of all runs are then
+    looked up again and blended in chunks of `_BLOCK`, and `at`, each
+    sample's head, takes every point, or for the hybrid the two depth
+    slices it lerps at its t, from them.
     """
     grid = curve.grid
-    pairs, _, used = sampler._lookup(grid, coords, cfg, depth_fraction)
-    runs = _runs(pairs, used)
-    if runs is None:
+    shape, *others = {c.shape for c in coords}
+    if others or len(shape) != 1 or shape[0] < _RUN_MIN or not cfg.subtexel_bits:
+        pairs, _, used = sampler._lookup(grid, coords, cfg, depth_fraction)
         return _decode(curve, sampler._blend(grid, pairs, used))
-    heads, lengths = runs
-    value = _decode(curve, sampler._blend(
-        grid, [tuple(a[heads] if a.ndim else a for a in pair) for pair in pairs],
-        [f[heads] for f in used]))
-    return np.repeat(value.T, lengths, axis=1).T
+    channels = grid.channels - (curve.layout is Layout.RATIONAL_HOMOGENEOUS)
+    out = np.empty((shape[0], channels), order="F")
+    blocks, last = [], None
+    for start in range(0, shape[0], _BLOCK):
+        block = slice(start, start + _BLOCK)
+        pairs, _, used = _lookup_at(grid, coords, cfg, depth_fraction, block)
+        change, last = _runs(pairs[: len(coords)], used[: len(coords)], last)
+        if change is None:
+            out[block] = _decode(curve, sampler._blend(grid, pairs, used))
+        else:
+            blocks.append((block, change))
+    if not blocks:
+        return out
+    heads = np.concatenate([block.start + np.flatnonzero(change) for block, change in blocks])
+    values = []
+    for start in range(0, heads.size, _BLOCK):
+        pairs, _, used = _lookup_at(grid, coords, cfg, depth_fraction,
+                                    heads[start : start + _BLOCK])
+        if depth_fraction is None:
+            values.append([_decode(curve, sampler._blend(grid, pairs, used)).T])
+        else:
+            corners = sampler._corners(grid, pairs)
+            values.append(sampler._lerp_levels(corners, [(f,) for f in used[:2]])[0])
+    values = [np.concatenate(level, axis=1) for level in zip(*values)]
+    count = 0
+    for block, change in blocks:
+        at = np.cumsum(change) + (count - 1)
+        count = at[-1] + 1
+        if depth_fraction is None:
+            for row, channel in zip(values[0], out.T):
+                row.take(at, out=channel[block], mode="clip")  # "clip": unbuffered
+        else:
+            near, far = (level.take(at, axis=1) for level in values)
+            out[block] = _decode(curve, sampler._blend_options(
+                [near, far], [(depth_fraction[block],)])[0])
+    return out
 
 
-def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool = False):
-    """The 1-parameter path: coordinates, then one fetch. The `hybrid`
-    (a dc cubic) fetches x and y at the dc coordinate and blends depth at
-    the exact t."""
+def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool = False,
+                sliced: bool = False):
+    """The 1-parameter path: coordinates, then one fetch, at bits 0 over
+    `_BLOCK` slices of t. The `hybrid` (a dc cubic) fetches x and y at the dc
+    coordinate and blends depth at the exact t."""
+    if not (cfg.subtexel_bits or sliced):
+        return _in_blocks(_eval_curve, curve, t, cfg, hybrid, True)
     coords = parameter_coords(curve, t)
     if hybrid:
-        return _fetch(curve, coords[:2], cfg, depth_fraction=t)
+        return _fetch(curve, coords[:2], cfg, depth_fraction=np.asarray(t, dtype=float))
     return _fetch(curve, coords, cfg)
-
-
-_eval_hybrid = functools.partial(_eval_curve, hybrid=True)
 
 
 def eval_dc(curve: EncodedCurve, t, cfg: SamplerConfig):
     """Evaluate a de Casteljau packing: one read at (t, t) or (t, t, t)."""
     _mode_eval(curve, "dc")
-    return _in_blocks(_eval_curve, curve, t, cfg)
+    return _eval_curve(curve, t, cfg)
 
 
 def eval_dc_zigzag(curve: EncodedCurve, global_t, cfg: SamplerConfig):
     """Evaluate a zig-zag packing at global parameter in [0, segment_count]."""
     _mode_eval(curve, "zigzag")
-    return _in_blocks(_eval_curve, curve, global_t, cfg)
+    return _eval_curve(curve, global_t, cfg)
 
 
 def eval_seiler_tex(curve: EncodedCurve, t, cfg: SamplerConfig):
     """Evaluate a difference-term packing at (t, st) or (t, st, st)."""
     _mode_eval(curve, "seiler")
-    return _in_blocks(_eval_curve, curve, t, cfg)
+    return _eval_curve(curve, t, cfg)
 
 
 def eval_dc_cubic_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
@@ -281,7 +308,7 @@ def eval_dc_cubic_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
     precision with the unquantized parameter.
     """
     _mode_eval(curve, "dc-hybrid")
-    return _in_blocks(_eval_hybrid, curve, t, cfg)
+    return _eval_curve(curve, t, cfg, hybrid=True)
 
 
 def eval_bilinear_patch(curve: EncodedCurve, u, v, cfg: SamplerConfig):
@@ -306,7 +333,7 @@ def eval_rational_tex(curve: EncodedCurve, t, cfg: SamplerConfig):
     """Evaluate a homogeneous packing through its inner layout, then divide
     point by weight."""
     _mode_eval(curve, "rational")
-    return _in_blocks(_eval_curve, curve, t, cfg)
+    return _eval_curve(curve, t, cfg)
 
 
 #: mode name -> (layouts it can evaluate, evaluator fn(curve, t, cfg)).

@@ -249,6 +249,24 @@ class TestRational:
         assert enc.inner_layout is Layout.DC_CUBIC_2X2X2
         assert enc.grid.depth == 2
 
+    @pytest.mark.parametrize("rescale", (False, True))
+    def test_weight_range_error_advises_what_can_fit(self, rescale):
+        # the weights' difference terms reach 1.4 in the weight channel (the
+        # last), which no rescale touches; the texel prefix stays parseable
+        poly = ControlPolygon([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        with pytest.raises(RangeError) as err:
+            encode_rational(poly, [0.6, 1.0, 0.6], U8, scheme="seiler", rescale=rescale)
+        message = str(err.value)
+        assert message.startswith("rational: texel (0, 1, 0, 2) has value 1.4,")
+        assert "pass rescale=True" not in message
+        assert "difference terms" in message and "float32" in message
+        encode_rational(poly, [0.6, 1.0, 0.6], F32, scheme="seiler", rescale=rescale)
+
+    def test_point_range_error_advises_rescale(self):
+        poly = ControlPolygon([[0.1, 2.2], [0.3, 0.4], [0.5, 0.6]])
+        with pytest.raises(RangeError, match=r"texel \(0, 0, 0, 1\) .*pass rescale=True"):
+            encode_rational(poly, np.ones(3), U8, scheme="seiler")
+
 
 class TestFitRange:
     def test_identity_when_in_range(self):

@@ -1,9 +1,10 @@
-"""Hostile input for the two parsers, the command line, the evaluators and
-sweep: a CTEX1 blob or a curve file either parses or raises a
-TexCurveError, a command line either succeeds or exits with a documented
-code, and an evaluator or a sweep either returns what per-element scalar
-calls return or raises a TexCurveError; never another exception (pytest
-turns a RuntimeWarning into one)."""
+"""Hostile input for the two parsers, the command line, the evaluators,
+sweep and the error bound: a CTEX1 blob or a curve file either parses or
+raises a TexCurveError, a command line either succeeds or exits with a
+documented code, an evaluator or a sweep either returns what per-element
+scalar calls return or raises a TexCurveError, and the bound either returns
+a float or raises a TexCurveError; never another exception (pytest turns a
+RuntimeWarning into one)."""
 
 import contextlib
 import io
@@ -20,6 +21,7 @@ from texcurve import (
     TexCurveError,
     TexelFormat,
     boehm_to_bezier,
+    error_bound_estimate,
     eval_bernstein,
     eval_bezier_chain,
     eval_bezier_segments,
@@ -49,7 +51,7 @@ from texcurve.encoder import (
     encode_rational,
     encode_seiler,
 )
-from texcurve.texeval import _MODES
+from texcurve.texeval import _BLOCK, _MODES
 from conftest import one_curve_per_layout, random_c0_quadratics, random_polygon
 
 
@@ -351,6 +353,24 @@ def test_evaluators_match_scalar_calls_or_raise_their_own_error(case, data):
     assert got.tobytes() == b"".join(x.tobytes() for x in each)
 
 
+def hostile_reference(mode, curve, cfg, kind):
+    """A reference for `mode` on `curve`: the mode's own evaluation
+    ("same"), that shape filled with NaN, +-inf or -0.0, one row short, twice
+    as wide, or a scalar."""
+    def ref(ts):
+        test = _MODES[mode][1](curve, ts, cfg)
+        if kind == "same":
+            return test
+        if kind in ("nan", "inf", "-inf", "-0.0"):
+            return np.full_like(test, float(kind))
+        if kind == "short":
+            return test[1:]
+        if kind == "wide":
+            return np.concatenate([test, test], axis=-1)
+        return 0.5
+    return ref
+
+
 def _sweep_cases():
     """(mode, curve) for every mode of `texeval._MODES`, plus a mismatch."""
     curves = one_curve_per_layout()
@@ -359,6 +379,7 @@ def _sweep_cases():
 
 
 SWEEP_CASES = _sweep_cases()
+REFERENCES = ["same", "nan", "inf", "-inf", "-0.0", "short", "wide", "scalar"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -366,24 +387,12 @@ SWEEP_CASES = _sweep_cases()
     st.sampled_from(SWEEP_CASES),
     st.integers(-2, 40) | st.sampled_from([257, 1000]),
     st.sampled_from([0, 4, 8, 12]),
-    st.sampled_from(["same", "nan", "inf", "-0.0", "short", "wide", "scalar"]),
+    st.sampled_from(REFERENCES),
 )
 def test_sweep_matches_its_evaluator_or_raises_its_own_error(case, samples, bits, reference):
     mode, curve = case
     cfg = SamplerConfig(subtexel_bits=bits)
-
-    def ref(ts):
-        test = _MODES[mode][1](curve, ts, cfg)
-        if reference == "same":
-            return test
-        if reference in ("nan", "inf", "-0.0"):
-            return np.full_like(test, float(reference))
-        if reference == "short":
-            return test[1:]
-        if reference == "wide":
-            return np.concatenate([test, test], axis=-1)
-        return 0.5
-
+    ref = hostile_reference(mode, curve, cfg, reference)
     try:
         report = sweep(curve, ref, mode, cfg, samples)
     except TexCurveError:
@@ -392,3 +401,21 @@ def test_sweep_matches_its_evaluator_or_raises_its_own_error(case, samples, bits
     assert report.test.tobytes() == b"".join(fn(curve, t, cfg).tobytes() for t in report.t)
     for summary in (report.max_dev, report.mean_dev, report.rms_dev):
         assert summary.shape == (report.channels,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(SWEEP_CASES),
+    st.integers(-2, 40) | st.sampled_from([257, 1000, _BLOCK + 300]),
+    st.integers(0, 12),
+    st.sampled_from([None] + REFERENCES),
+)
+def test_error_bound_returns_a_float_or_raises_its_own_error(case, samples, bits, reference):
+    mode, curve = case
+    cfg = SamplerConfig(subtexel_bits=bits)
+    ref = None if reference is None else hostile_reference(mode, curve, cfg, reference)
+    try:
+        bound = error_bound_estimate(curve, cfg, reference=ref, mode=mode, samples=samples)
+    except TexCurveError:
+        return
+    assert type(bound) is float

@@ -3,6 +3,7 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -497,6 +498,73 @@ def test_fetch_blends_once_per_run(monkeypatch, bits, blended):
     cfg = SamplerConfig(subtexel_bits=bits, subtexel_rounding="nearest")
     eval_dc(CURVES[Layout.DC_CUBIC_2X2X2], np.linspace(0.0, 1.0, 1 << 17), cfg)
     assert count in blended
+
+
+@pytest.mark.parametrize("block", (100, 1000, _BLOCK, 1 << 17))
+def test_sorted_lattice_blends_each_state_once(monkeypatch, block):
+    """Runs continue across block edges and the heads of every block are
+    blended together: however the sample axis is chunked, a sorted
+    2^17-sample dc lattice at 8 bits blends about its 257 distinct lookup
+    states, not one more head per block."""
+    count = 0
+    blend = sampler._blend
+
+    def counted_blend(grid, pairs, fractions):
+        nonlocal count
+        count += np.size(fractions[0])
+        return blend(grid, pairs, fractions)
+
+    monkeypatch.setattr(sampler, "_blend", counted_blend)
+    monkeypatch.setattr(texeval, "_BLOCK", block)
+    cfg = SamplerConfig(subtexel_bits=8, subtexel_rounding="nearest")
+    t = np.linspace(0.0, 1.0, 1 << 17)
+    got = eval_dc(CURVES[Layout.DC_CUBIC_2X2X2], t, cfg)
+    assert 257 <= count <= 273
+    with mock.patch.object(texeval, "_fetch", fetch_every_sample):
+        assert got.tobytes() == eval_dc(CURVES[Layout.DC_CUBIC_2X2X2], t, cfg).tobytes()
+
+
+def test_hybrid_runs_its_x_and_y_levels_per_run(monkeypatch):
+    """A sorted 2^17-sample dc-hybrid lattice at 8 bits lerps its x and y
+    levels (six lerps) on at most 273 run heads and its depth level on every
+    sample, one `_BLOCK` slice at a time."""
+    sizes = []
+    lerp = sampler.lerp
+
+    def counted_lerp(a, b, f):
+        sizes.append(np.shape(a)[-1])
+        return lerp(a, b, f)
+
+    monkeypatch.setattr(sampler, "lerp", counted_lerp)
+    cfg = SamplerConfig(subtexel_bits=8, subtexel_rounding="nearest")
+    eval_dc_cubic_hybrid(CURVES[Layout.DC_CUBIC_2X2X2], np.linspace(0.0, 1.0, 1 << 17), cfg)
+    heads = [size for size in sizes if size <= 273]
+    assert len(heads) == 6 and sum(heads) <= 6 * 273
+    assert [size for size in sizes if size > 273] == [_BLOCK] * ((1 << 17) // _BLOCK)
+
+
+@pytest.mark.parametrize("bits", (0, 8))
+@pytest.mark.parametrize("name", ("eval_dc", "eval_dc_cubic_hybrid", "seiler-3d"))
+def test_evaluation_memory_stays_blocked(name, bits):
+    """A 2^17-sample evaluation of a 3-channel curve keeps its lookup state
+    and blend blocked: the traced peak, the 3 MiB output included, stays
+    under 7.5 MiB (blending all samples at once takes well over 10 MiB)."""
+    rng = np.random.default_rng(bits)
+    if name == "seiler-3d":
+        fn, curve = eval_seiler_tex, encode_seiler(random_polygon(rng, 4, 3), F32)
+    else:
+        fn = eval_dc if name == "eval_dc" else eval_dc_cubic_hybrid
+        curve = encode_dc_cubic(random_polygon(rng, 3, 3), F32)
+    cfg = SamplerConfig(subtexel_bits=bits, subtexel_rounding="nearest")
+    t = np.linspace(0.0, 1.0, 1 << 17)
+    fn(curve, t, cfg)
+    tracemalloc.start()
+    try:
+        fn(curve, t, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 2**20
 
 
 def test_no_evaluator_builds_a_trace(monkeypatch):
