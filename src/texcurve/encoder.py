@@ -21,6 +21,7 @@ from .core import (
     JoinError,
     Layout,
     LayoutError,
+    MAX_CHANNELS,
     RangeError,
     TexelFormat,
     TexelGrid,
@@ -34,7 +35,8 @@ def fit_range(values, fmt: TexelFormat) -> ValueTransform:
     """Per-channel affine transform mapping the value span into [0, 1].
 
     Values already inside [0, 1] map through the identity. A degenerate
-    channel (max == min) keeps scale 1 and only shifts its value to 0.
+    channel (max == min) keeps scale 1 and only shifts its value to 0. A
+    span whose reciprocal is 0 or overflows float64 raises RangeError.
     """
     vals = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -43,9 +45,12 @@ def fit_range(values, fmt: TexelFormat) -> ValueTransform:
     lo = flat.min(axis=0)
     hi = flat.max(axis=0)
     fit = (lo < 0.0) | (hi > 1.0)
-    scale = 1.0 / np.where(fit & (hi != lo), hi - lo, 1.0)
-    offset = np.where(fit, -lo * scale, 0.0)
-    return ValueTransform(scale, offset)
+    with np.errstate(over="ignore"):
+        scale = 1.0 / np.where(fit & (hi != lo), hi - lo, 1.0)
+    try:
+        return ValueTransform(scale, np.where(fit, -lo * scale, 0.0))
+    except DomainError:  # a scale of 0 or inf
+        raise RangeError("the value span is too wide or too narrow for float64 to rescale") from None
 
 
 #: Dekker's splitter for float64: 2^27 + 1
@@ -125,8 +130,12 @@ def _finish(
     """Shared tail of every encoder: rescale, range-check, quantize, reject
     non-finite stored texels, wrap. A rational curve's rescale leaves its
     weight channel, the last, under the identity (see `encode_rational`),
-    so its stored values are range-checked like unscaled ones."""
+    so its stored values are range-checked like unscaled ones. Every path
+    refuses a non-finite value, such as an overflowing difference term."""
     channels = values.shape[-1]
+    if not 1 <= channels <= MAX_CHANNELS:
+        raise ChannelMismatchError(f"{context}: texels carry 1..{MAX_CHANNELS} channels, "
+                                   f"got {channels}")
     rational = layout is Layout.RATIONAL_HOMOGENEOUS
     if rescale:
         transform = fit_range(values, fmt)
@@ -170,6 +179,7 @@ def _dc_cubic_values(points: np.ndarray) -> np.ndarray:
     return np.array([[[a, b], [b, c]], [[b, c], [c, d]]])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # `_finish` refuses what overflows
 def _seiler_values(poly: ControlPolygon) -> np.ndarray:
     """Difference-term texel placement for degrees 2 through 5.
 
@@ -213,6 +223,7 @@ def encode_dc_cubic(poly: ControlPolygon, fmt: TexelFormat, *, rescale: bool = F
                    rescale=rescale, context="dc cubic")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # `_finish` refuses what overflows
 def _zigzag_rows(points: np.ndarray, seed: np.ndarray):
     """Forward substitution of the zig-zag texel rows of the (N, 3, c)
     segment points.
@@ -236,6 +247,7 @@ def _zigzag_rows(points: np.ndarray, seed: np.ndarray):
     return np.where(even, ends, chain), np.where(even, chain, ends)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # `_finish` refuses what overflows
 def _zigzag_best_seed(points: np.ndarray) -> np.ndarray:
     """Seed minimizing the max texel excursion outside [0, 1] per channel.
 

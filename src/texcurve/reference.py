@@ -168,11 +168,12 @@ def homogeneous(num: ControlPolygon, weights) -> ControlPolygon:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.shape[0] != num.points.shape[0]:
         raise ChannelMismatchError("one weight per control point required")
-    if np.any(w <= 0.0):
-        raise DomainError("rational weights must all be positive")
+    if not ((w > 0.0) & (w < np.inf)).all():
+        raise DomainError("rational weights must all be positive and finite")
     if num.channels + 1 > MAX_CHANNELS:
         raise ChannelMismatchError("point channels + weight channel exceed 4")
-    return ControlPolygon(np.concatenate([num.points * w[:, None], w[:, None]], axis=1))
+    with np.errstate(over="ignore"):  # ControlPolygon refuses what overflows
+        return ControlPolygon(np.concatenate([num.points * w[:, None], w[:, None]], axis=1))
 
 
 def eval_rational(num: ControlPolygon, weights, t):
@@ -384,6 +385,10 @@ def power_to_bernstein(coeffs) -> ControlPolygon:
     a = np.asarray(coeffs, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
+    if a.ndim != 2:
+        raise ChannelMismatchError("power coefficients must form a 1-D or 2-D array")
+    if a.shape[0] == 0:
+        raise DomainError("at least one power coefficient is required")
     if a.shape[0] == 1:
         # a bare constant becomes a degree-1 curve (polygons need two points)
         a = np.concatenate([a, np.zeros_like(a)], axis=0)

@@ -6,43 +6,36 @@ through it, as sweeps, the error bound and the CLI check their mode.
 Every evaluator reads the grid through one `_fetch` (the staged lookup
 `sampler._lookup`, the blend, then `_decode`: the inverse transform, and
 for rational curves the divide by the weight) and builds no `SampleTrace`.
-`parameter_coords` is the one 1-parameter coordinate picker and
-`_eval_curve` the one 1-parameter path, which the split-precision hybrid
-runs with the exact t as its depth fraction; `_curve_param` validates the
-parameter once. The surface evaluators map (u, v) and call `_fetch`.
+`_coords` is the one 1-parameter coordinate picker and `_eval_curve` the
+one 1-parameter path, which the split-precision hybrid runs with the exact
+t as its depth fraction; `_curve_param` validates the parameter once. The
+surface evaluators validate (u, v) and call `_fetch` with their map.
 
 `_fetch` blends once per run of equal lookup state. The filter's output is
 fixed by the texture unit's discrete state: the clamped texel pair and the
 used (fixed-point) fraction on each axis, which is every index array and
 every used fraction `sampler._lookup` returns. The blend, the inverse
 transform and the rational divide are elementwise functions of that state,
-so consecutive samples with bitwise-equal state get bitwise-equal points.
-Along a 1-D sample axis `_fetch` compares each sample's state with its
+so along a 1-D sample axis `_fetch` compares each sample's state with its
 neighbour's, block edges included, blends and decodes the first sample of
-every run of the axis together, and takes each point from its run's head
-into the output, writing it once. Fractions compare by their bits, not
-with `!=`, which holds -0.0 equal to +0.0 although the blend keeps their
-signs apart. A sorted 2^17-sample dc lattice at 8 bits reaches 257 states
-and is blended 257 times instead of 131,072. The hybrid's depth fraction
-is t itself, so its runs compare the x and y state alone: the heads run
-the x and y lerp levels, and every sample lerps the two depth slices at
-its t. At bits 0 the used fraction is the exact one, so only repeated
-parameters could form runs and every sample is blended, as in blocks with
-more runs than half their samples and below `_RUN_MIN` samples, where a
-blend costs about the same for 20 samples as for 256.
+every run together, and takes each point from its run's head, writing it
+once. Fractions compare by their bits: `!=` holds -0.0 equal to +0.0
+although the blend keeps their signs apart. A sorted 2^17-sample dc
+lattice at 8 bits is blended 257 times instead of 131,072. The hybrid's
+runs compare the x and y state alone, since its depth fraction is t
+itself: the heads run the x and y lerp levels, and every sample lerps the
+two depth slices at its t. A block whose runs outnumber half its samples
+(every block of distinct parameters at bits 0) is blended whole, as is an
+axis below `_RUN_MIN` samples.
 
 Parameters broadcast like the reference evaluators: scalar in, one point
 out; (n,) array in, (n, channels) out, stored channel-major (Fortran
-order) like the sampler's result. Blocking bounds the lookup and the
-blend: `_fetch` looks up, compares and blends at most `_BLOCK` samples (or
-heads) at a time; the coordinates and the output span the axis. At bits 0
-the 1-parameter path runs in `_BLOCK` slices of t instead (`_in_blocks`),
-keeping no whole-axis coordinates. Every stage is elementwise, so neither
-blocking nor memory order changes a bit of the result. Blocking keeps the
-lerp chain's temporaries near the L2 cache (2^17 samples x 3 channels of
-float64 is 3 MB, one block is 192 kB). Channel-major order gives each
-elementwise pass, the lerps and the decode's per-channel `(raw - offset) /
-scale` among them, an inner loop over the samples instead of the channels.
+order) so that each elementwise pass loops over the samples. `_fetch` maps
+coordinates, looks up, compares and blends at most `_BLOCK` samples (or
+heads) at a time, so only the parameters and the output span the axis and
+the lerp chain's temporaries stay near the L2 cache (one 3-channel block
+is 192 kB, the axis of 2^17 samples 3 MB). Every stage is elementwise, so
+neither blocking nor memory order changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -129,6 +122,16 @@ def _seiler_coords(layout: Layout, t):
     return rt, rm
 
 
+def _coords(curve: EncodedCurve, layout: Layout, t):
+    """Coordinates of a validated t on a 1-parameter layout (a rational
+    curve's inner one); the dc layouts share one array across their axes."""
+    if layout is Layout.DC_ZIGZAG:
+        return _zigzag_coords(curve.segment_count, t)
+    if layout in (Layout.SEILER_2D, Layout.SEILER_3D):
+        return _seiler_coords(layout, t)
+    return (remap_unit_to_texel_span(t, 2),) * (3 if layout is Layout.DC_CUBIC_2X2X2 else 2)
+
+
 def parameter_coords(curve: EncodedCurve, t):
     """Normalized sample coordinates the texture path uses for parameter t.
 
@@ -136,30 +139,16 @@ def parameter_coords(curve: EncodedCurve, t):
     curves resolve through their inner layout. Error analysis probes the
     exact cells a sweep will touch through it.
     """
-    layout, t = _curve_param(curve, t)
-    if layout is Layout.DC_QUAD_2X2:
-        r = remap_unit_to_texel_span(t, 2)
-        return r, r
-    if layout is Layout.DC_CUBIC_2X2X2:
-        r = remap_unit_to_texel_span(t, 2)
-        return r, r, r
-    if layout is Layout.DC_ZIGZAG:
-        return _zigzag_coords(curve.segment_count, t)
-    return _seiler_coords(layout, t)
+    return _coords(curve, *_curve_param(curve, t))
 
 
 def _in_blocks(body, curve: EncodedCurve, t, cfg: SamplerConfig, *args):
     """body(curve, t, cfg, *args) over consecutive `_BLOCK`-long slices of a
-    1-D t: the bits-0 evaluators and the error bound.
-
-    Scalars and arrays of at most one block run the body once. A longer
-    array is validated whole first, so an invalid parameter anywhere raises
-    before any block runs, as it does from an unblocked call.
-    """
+    1-D t: the error bound's lattice. Scalars and arrays of at most one
+    block run the body once."""
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or t.shape[0] <= _BLOCK:
         return body(curve, t, cfg, *args)
-    _curve_param(curve, t)
     out = None
     for start in range(0, t.shape[0], _BLOCK):
         part = body(curve, t[start : start + _BLOCK], cfg, *args)
@@ -206,37 +195,39 @@ def _runs(pairs, used, last):
     return change, [a[-1] for a in state]
 
 
-def _lookup_at(grid, coords, cfg: SamplerConfig, depth_fraction, at):
-    """`sampler._lookup` of the samples `at` (a slice or an index array);
-    a coordinate array shared by several axes stays shared."""
-    part = {id(c): c[at] for c in coords}
-    return sampler._lookup(grid, [part[id(c)] for c in coords], cfg,
-                           None if depth_fraction is None else depth_fraction[at])
-
-
-def _fetch(curve: EncodedCurve, coords, cfg: SamplerConfig, depth_fraction=None):
+def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: bool = False):
     """The one texel fetch: the staged lookup, the blend, then `_decode`, once
-    per run of equal lookup state (see above). The evaluators validated the
-    coordinates and `EncodedCurve` the grid's dims.
+    per run of equal lookup state (see above). `coords_of(*part)` maps a
+    part of the validated parameter arrays `params` to coordinates. The
+    `hybrid` (a dc cubic) looks up x and y at the first two coordinates and
+    blends depth at the exact parameter.
 
-    Each `_BLOCK` slice of a long enough axis is looked up and either
-    blended whole or kept as its run starts. The heads of all runs are then
-    looked up again and blended in chunks of `_BLOCK`, and `at`, each
-    sample's head, takes every point, or for the hybrid the two depth
-    slices it lerps at its t, from them.
+    Each `_BLOCK` slice of a long enough axis is mapped, looked up and
+    either blended whole or kept as its run starts. The heads of all runs
+    are then mapped, looked up and blended in chunks of `_BLOCK`, and `at`,
+    each sample's head, takes every point (or the hybrid's two depth
+    slices) from them.
     """
     grid = curve.grid
-    shape, *others = {c.shape for c in coords}
-    if others or len(shape) != 1 or shape[0] < _RUN_MIN or not cfg.subtexel_bits:
-        pairs, _, used = sampler._lookup(grid, coords, cfg, depth_fraction)
+
+    def lookup(part):
+        coords = coords_of(*part)
+        if hybrid:
+            return sampler._lookup(grid, coords[:2], cfg, part[0])
+        return sampler._lookup(grid, coords, cfg)
+
+    shape, *others = {p.shape for p in params}
+    if others or len(shape) != 1 or shape[0] < _RUN_MIN:
+        pairs, _, used = lookup(params)
         return _decode(curve, sampler._blend(grid, pairs, used))
     channels = grid.channels - (curve.layout is Layout.RATIONAL_HOMOGENEOUS)
     out = np.empty((shape[0], channels), order="F")
+    state = slice(2 if hybrid else None)  # the hybrid's depth fraction is no state
     blocks, last = [], None
     for start in range(0, shape[0], _BLOCK):
         block = slice(start, start + _BLOCK)
-        pairs, _, used = _lookup_at(grid, coords, cfg, depth_fraction, block)
-        change, last = _runs(pairs[: len(coords)], used[: len(coords)], last)
+        pairs, _, used = lookup([p[block] for p in params])
+        change, last = _runs(pairs[state], used[state], last)
         if change is None:
             out[block] = _decode(curve, sampler._blend(grid, pairs, used))
         else:
@@ -246,9 +237,8 @@ def _fetch(curve: EncodedCurve, coords, cfg: SamplerConfig, depth_fraction=None)
     heads = np.concatenate([block.start + np.flatnonzero(change) for block, change in blocks])
     values = []
     for start in range(0, heads.size, _BLOCK):
-        pairs, _, used = _lookup_at(grid, coords, cfg, depth_fraction,
-                                    heads[start : start + _BLOCK])
-        if depth_fraction is None:
+        pairs, _, used = lookup([p[heads[start : start + _BLOCK]] for p in params])
+        if not hybrid:
             values.append([_decode(curve, sampler._blend(grid, pairs, used)).T])
         else:
             corners = sampler._corners(grid, pairs)
@@ -258,27 +248,20 @@ def _fetch(curve: EncodedCurve, coords, cfg: SamplerConfig, depth_fraction=None)
     for block, change in blocks:
         at = np.cumsum(change) + (count - 1)
         count = at[-1] + 1
-        if depth_fraction is None:
+        if not hybrid:
             for row, channel in zip(values[0], out.T):
                 row.take(at, out=channel[block], mode="clip")  # "clip": unbuffered
         else:
             near, far = (level.take(at, axis=1) for level in values)
             out[block] = _decode(curve, sampler._blend_options(
-                [near, far], [(depth_fraction[block],)])[0])
+                [near, far], [(params[0][block],)])[0])
     return out
 
 
-def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool = False,
-                sliced: bool = False):
-    """The 1-parameter path: coordinates, then one fetch, at bits 0 over
-    `_BLOCK` slices of t. The `hybrid` (a dc cubic) fetches x and y at the dc
-    coordinate and blends depth at the exact t."""
-    if not (cfg.subtexel_bits or sliced):
-        return _in_blocks(_eval_curve, curve, t, cfg, hybrid, True)
-    coords = parameter_coords(curve, t)
-    if hybrid:
-        return _fetch(curve, coords[:2], cfg, depth_fraction=np.asarray(t, dtype=float))
-    return _fetch(curve, coords, cfg)
+def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool = False):
+    """The 1-parameter path: t validated once, then mapped per block by `_fetch`."""
+    layout, t = _curve_param(curve, t)
+    return _fetch(curve, lambda t: _coords(curve, layout, t), (t,), cfg, hybrid)
 
 
 def eval_dc(curve: EncodedCurve, t, cfg: SamplerConfig):
@@ -314,9 +297,9 @@ def eval_dc_cubic_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
 def eval_bilinear_patch(curve: EncodedCurve, u, v, cfg: SamplerConfig):
     """Evaluate a bilinear patch: one read at (remapped u, remapped v)."""
     _mode_eval(curve, "patch")
-    ru = remap_unit_to_texel_span(_unit_param(u), 2)
-    rv = remap_unit_to_texel_span(_unit_param(v), 2)
-    return _fetch(curve, (ru, rv), cfg)
+    return _fetch(curve,
+                  lambda u, v: (remap_unit_to_texel_span(u, 2), remap_unit_to_texel_span(v, 2)),
+                  (_unit_param(u), _unit_param(v)), cfg)
 
 
 def eval_bicubic_rgba(curve: EncodedCurve, u, v, cfg: SamplerConfig):
@@ -324,8 +307,7 @@ def eval_bicubic_rgba(curve: EncodedCurve, u, v, cfg: SamplerConfig):
     the four isoline control points in the channels; the cross-direction
     cubic in v runs at full precision."""
     _mode_eval(curve, "bicubic")
-    r = remap_unit_to_texel_span(_unit_param(u), 2)
-    iso = _fetch(curve, (r, r, r), cfg)
+    iso = _fetch(curve, lambda u: (remap_unit_to_texel_span(u, 2),) * 3, (_unit_param(u),), cfg)
     return bernstein_sum(np.moveaxis(iso, -1, 0)[..., None], _unit_param(v))
 
 

@@ -313,6 +313,55 @@ class TestNonFiniteTexels:
                 encode_bilinear_patch([[0.0, np.nan], [0.5, 1.0]], fmt)
 
 
+HUGE = ControlPolygon([[1e308], [-1e308], [0.0]])
+
+
+class TestHostileValues:
+    """Finite inputs whose texels or range fit overflow float64 are refused
+    with a TexCurveError, and no RuntimeWarning (an error under pytest)."""
+
+    @pytest.mark.parametrize("rescale", (False, True))
+    def test_zero_channel_patch_is_a_channel_mismatch(self, rescale):
+        with pytest.raises(ChannelMismatchError, match="1..4 channels, got 0"):
+            encode_bilinear_patch(np.zeros((2, 2, 0)), U8, rescale=rescale)
+
+    def test_overflowing_span_is_a_range_error(self):
+        with pytest.raises(RangeError, match="value span"):
+            encode_dc_quadratic(HUGE, U8, rescale=True)
+        net = np.where(np.arange(16).reshape(4, 4) % 2, 1e308, -1e308)
+        with pytest.raises(RangeError, match="value span"):
+            encode_bicubic_rgba(net, U8, rescale=True)
+
+    def test_subnormal_span_is_a_range_error(self):
+        # 1 / 1e-320 overflows, so no finite scale maps the span onto [0, 1]
+        with pytest.raises(RangeError, match="value span"):
+            fit_range(np.array([[-1e-320], [0.0]]), U8)
+
+    def test_overflowing_difference_terms_are_a_range_error(self):
+        with pytest.raises(RangeError, match="only finite texels"):
+            encode_seiler(HUGE, F32)
+        with pytest.raises(DomainError, match="non-finite"):
+            encode_seiler(HUGE, F32, rescale=True)
+
+    def test_overflowing_zigzag_rows_are_refused(self):
+        segs = [ControlPolygon([0.0, 1e308, 1.7e308]), ControlPolygon([1.7e308, -1e308, 0.0])]
+        for opts in ({}, {"optimize_seed": True}, {"rescale": True}):
+            with pytest.raises(TexCurveError):
+                encode_dc_zigzag(segs, F32, **opts)
+
+    def test_overflowing_rational_is_refused(self):
+        with pytest.raises(RangeError, match="only finite texels"):
+            encode_rational(ControlPolygon([[1e308], [0.5], [1.0]]), [1.0, 10.0, 1.0], F32)
+        # the homogeneous lift w * b itself overflows
+        with pytest.raises(DomainError, match="finite"):
+            encode_rational(ControlPolygon([[1.0], [1e308], [1.0]]), [1.0, 10.0, 1.0], F32)
+
+    @pytest.mark.parametrize("weight", (np.inf, np.nan))
+    def test_non_finite_weight_is_a_domain_error(self, weight):
+        with pytest.raises(DomainError, match="positive and finite"):
+            encode_rational(ControlPolygon([0.0, 1.0, 0.0]), [1.0, weight, 1.0], F32)
+
+
 # The per-element loops the array encoder replaced, kept as its bit oracles.
 
 

@@ -1,10 +1,11 @@
 """Hostile input for the two parsers, the command line, the evaluators,
-sweep and the error bound: a CTEX1 blob or a curve file either parses or
-raises a TexCurveError, a command line either succeeds or exits with a
-documented code, an evaluator or a sweep either returns what per-element
-scalar calls return or raises a TexCurveError, and the bound either returns
-a float or raises a TexCurveError; never another exception (pytest turns a
-RuntimeWarning into one)."""
+sweep, the error bound, the encoders and the basis conversions: a CTEX1
+blob or a curve file either parses or raises a TexCurveError, a command
+line either succeeds or exits with a documented code, an evaluator or a
+sweep either returns what per-element scalar calls return or raises a
+TexCurveError, the bound either returns a float or raises a TexCurveError,
+and an encoder or a conversion either succeeds or raises a TexCurveError;
+never another exception (pytest turns a RuntimeWarning into one)."""
 
 import contextlib
 import io
@@ -16,11 +17,14 @@ from hypothesis import strategies as st
 
 from texcurve import (
     BSplineCurve,
+    ControlPolygon,
     Layout,
     SamplerConfig,
     TexCurveError,
     TexelFormat,
+    bernstein_to_power,
     boehm_to_bezier,
+    elevate_degree,
     error_bound_estimate,
     eval_bernstein,
     eval_bezier_chain,
@@ -37,6 +41,7 @@ from texcurve import (
     eval_seiler,
     eval_seiler_tex,
     eval_tensor_surface,
+    power_to_bernstein,
     sweep,
 )
 from texcurve.cli import main
@@ -419,3 +424,91 @@ def test_error_bound_returns_a_float_or_raises_its_own_error(case, samples, bits
     except TexCurveError:
         return
     assert type(bound) is float
+
+
+# -- the encoders and the basis conversions -----------------------------------
+
+#: finite values at the edges of float64, signed zeros and a subnormal
+_EXTREMES = st.sampled_from([0.0, -0.0, 1.0, 1e308, -1e308, 1.7976931348623157e308,
+                             -1.7976931348623157e308, 1e-320, -1e-320])
+_ELEMENTS = st.integers(0, 9).flatmap(
+    lambda i: st.floats(-2.0, 2.0) if i < 5 else _EXTREMES if i < 9
+    else st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def hostile_arrays(draw, rows):
+    """`rows` (a strategy) rows of 0-5 channels of hostile values, one draw
+    in five without the channel axis or with an extra axis."""
+    shape = (draw(rows), draw(st.integers(0, 5)))
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        shape = shape[:1]
+    elif kind == 1:
+        shape += (2,)
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(_ELEMENTS, min_size=size, max_size=size)),
+                    dtype=float).reshape(shape)
+
+
+def _polygon(data, points):
+    """A `ControlPolygon` of hostile values, mostly with `points` points."""
+    return ControlPolygon(data.draw(hostile_arrays(_mostly(st.just(points), st.integers(0, 7)))))
+
+
+def _encode_zigzag(data, fmt, rescale):
+    """Up to 4 segments cut from one hostile array, so they join unless a
+    segment has fewer than 3 points, with the default, an optimized or a
+    drawn seed."""
+    count = data.draw(st.integers(1, 4))
+    points = data.draw(hostile_arrays(_mostly(st.just(2 * count + 1), st.integers(0, 9))))
+    segments = [ControlPolygon(points[2 * k : 2 * k + 3]) for k in range(count)]
+    kind = data.draw(st.sampled_from(["default", "optimize", "seed"]))
+    if kind == "seed":
+        seed = data.draw(hostile_arrays(st.integers(0, 2)))
+        return encode_dc_zigzag(segments, fmt, seed, rescale=rescale)
+    return encode_dc_zigzag(segments, fmt, rescale=rescale, optimize_seed=kind == "optimize")
+
+
+def _encode_patch(data, fmt, rescale):
+    """A 2 x 2 net of 0-5 channels, or an array of another shape."""
+    net = data.draw(hostile_arrays(_mostly(st.just(4), st.integers(0, 5))))
+    if net.shape[0] == 4 and data.draw(st.booleans()):
+        net = net.reshape((2, 2) + net.shape[1:])
+    return encode_bilinear_patch(net, fmt, rescale=rescale)
+
+
+#: name -> fn(data, fmt, rescale) that draws the inputs of one call and makes it
+_ENCODER_CALLS = {
+    "encode_dc_quadratic": lambda data, fmt, rescale: encode_dc_quadratic(
+        _polygon(data, 3), fmt, rescale=rescale),
+    "encode_dc_cubic": lambda data, fmt, rescale: encode_dc_cubic(
+        _polygon(data, 4), fmt, rescale=rescale),
+    "encode_dc_zigzag": _encode_zigzag,
+    "encode_seiler": lambda data, fmt, rescale: encode_seiler(
+        _polygon(data, data.draw(st.integers(3, 6))), fmt, rescale=rescale),
+    "encode_bilinear_patch": _encode_patch,
+    "encode_bicubic_rgba": lambda data, fmt, rescale: encode_bicubic_rgba(
+        data.draw(hostile_arrays(_mostly(st.just(4), st.integers(0, 5)))), fmt, rescale=rescale),
+    "encode_rational": lambda data, fmt, rescale: encode_rational(
+        _polygon(data, data.draw(st.integers(3, 4))),
+        data.draw(hostile_arrays(st.integers(0, 5))).reshape(-1)[: data.draw(st.integers(0, 5))],
+        fmt, scheme=data.draw(_mostly(st.sampled_from(["seiler", "dc"]), st.just("x"))),
+        rescale=rescale),
+    "elevate_degree": lambda data, fmt, rescale: elevate_degree(
+        _polygon(data, 3), data.draw(st.integers(-1, 8))),
+    "power_to_bernstein": lambda data, fmt, rescale: power_to_bernstein(
+        data.draw(hostile_arrays(st.integers(0, 10)))),
+    "bernstein_to_power": lambda data, fmt, rescale: bernstein_to_power(
+        _polygon(data, data.draw(st.integers(2, 10)))),
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(sorted(_ENCODER_CALLS)), st.sampled_from(TexelFormat), st.booleans(),
+       st.data())
+def test_encoders_and_conversions_succeed_or_raise_their_own_error(name, fmt, rescale, data):
+    try:
+        _ENCODER_CALLS[name](data, fmt, rescale)
+    except TexCurveError:
+        pass

@@ -327,6 +327,14 @@ class TestPowerBasis:
         with pytest.raises(DomainError, match="overflow float64"):
             bernstein_to_power(ControlPolygon(points))
 
+    def test_coefficient_shape_checked(self):
+        with pytest.raises(DomainError, match="at least one"):
+            power_to_bernstein([])
+        with pytest.raises(ChannelMismatchError, match="1-D or 2-D"):
+            power_to_bernstein(np.zeros((1, 0, 2)))
+        with pytest.raises(ChannelMismatchError, match="1-D or 2-D"):
+            power_to_bernstein(1.0)
+
 
 def chain_oracle(segments, global_t):
     """The per-segment masked chain evaluation, kept as the oracle of the

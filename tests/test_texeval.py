@@ -524,6 +524,28 @@ def test_sorted_lattice_blends_each_state_once(monkeypatch, block):
         assert got.tobytes() == eval_dc(CURVES[Layout.DC_CUBIC_2X2X2], t, cfg).tobytes()
 
 
+def test_bits0_plateaus_blend_each_value_once(monkeypatch):
+    """At bits 0 the used fraction is the exact one, so only repeated
+    parameters form runs: a 2^17-sample lattice of 16 repeated values
+    blends one sample per value, not every sample."""
+    count = 0
+    blend = sampler._blend
+
+    def counted_blend(grid, pairs, fractions):
+        nonlocal count
+        count += np.size(fractions[0])
+        return blend(grid, pairs, fractions)
+
+    monkeypatch.setattr(sampler, "_blend", counted_blend)
+    rng = np.random.default_rng(16)
+    t = np.linspace(0.0, 1.0, 16)[np.sort(rng.integers(0, 16, 1 << 17))]
+    curve, cfg = CURVES[Layout.DC_CUBIC_2X2X2], SamplerConfig.ideal()
+    got = eval_dc(curve, t, cfg)
+    assert count <= 16
+    with mock.patch.object(texeval, "_fetch", fetch_every_sample):
+        assert got.tobytes() == eval_dc(curve, t, cfg).tobytes()
+
+
 def test_hybrid_runs_its_x_and_y_levels_per_run(monkeypatch):
     """A sorted 2^17-sample dc-hybrid lattice at 8 bits lerps its x and y
     levels (six lerps) on at most 273 run heads and its depth level on every
@@ -543,7 +565,7 @@ def test_hybrid_runs_its_x_and_y_levels_per_run(monkeypatch):
     assert [size for size in sizes if size > 273] == [_BLOCK] * ((1 << 17) // _BLOCK)
 
 
-@pytest.mark.parametrize("bits", (0, 8))
+@pytest.mark.parametrize("bits", (0, 8, 12))
 @pytest.mark.parametrize("name", ("eval_dc", "eval_dc_cubic_hybrid", "seiler-3d"))
 def test_evaluation_memory_stays_blocked(name, bits):
     """A 2^17-sample evaluation of a 3-channel curve keeps its lookup state
@@ -592,10 +614,14 @@ def test_no_evaluator_builds_a_trace(monkeypatch):
 # -- the run path against a blend of every sample ----------------------------
 
 
-def fetch_every_sample(curve, coords, cfg, depth_fraction=None):
-    """`texeval._fetch` without runs: the lookup, the blend and the decode
-    on every sample."""
-    pairs, _, used = sampler._lookup(curve.grid, coords, cfg, depth_fraction)
+def fetch_every_sample(curve, coords_of, params, cfg, hybrid=False):
+    """`texeval._fetch` without runs or blocks: the lookup, the blend and
+    the decode on every sample."""
+    coords = coords_of(*params)
+    if hybrid:
+        pairs, _, used = sampler._lookup(curve.grid, coords[:2], cfg, params[0])
+    else:
+        pairs, _, used = sampler._lookup(curve.grid, coords, cfg)
     return texeval._decode(curve, sampler._blend(curve.grid, pairs, used))
 
 
