@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import ChannelMismatchError, DomainError, EncodedCurve, LayoutError, SamplerConfig
-from .sampler import _blend_options, _corners, _lookup
+from .sampler import _corners, _lerp_axes, _lookup
 from .texeval import _MODES, _decode, _default_mode, _in_blocks, _mode_eval, parameter_coords
 
 
@@ -249,23 +249,29 @@ def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np
     fractions.
 
     The exact blend and every probe share one gather of the cell's corners.
-    The hybrid's depth axis is probed at its exact fraction only, since the
+    Each axis's probe fractions stack on an option axis of their own ahead
+    of the samples, so one lerp per axis blends every combination. The
+    hybrid's depth axis is probed at its exact fraction only, since the
     hybrid never quantizes it.
     """
     pairs, fracs, _ = _lookup(curve.grid, parameter_coords(curve, t), cfg)
     corners = _corners(curve.grid, pairs)
-    exact = _decode(curve, _blend_options(corners, [(f,) for f in fracs])[0])
+    exact = _decode(curve, _lerp_axes(corners, fracs).T)
     dev = np.zeros_like(exact)
     if cfg.subtexel_bits > 0:
-        step = float(1 << cfg.subtexel_bits)
+        step, n = float(1 << cfg.subtexel_bits), len(fracs)
         options = []
-        for frac in fracs:
+        for axis, frac in enumerate(fracs):
             lo = np.floor(frac * step) / step
-            options.append((lo, np.minimum(lo + 1.0 / step, 1.0)))
+            probe = np.array((lo, np.minimum(lo + 1.0 / step, 1.0)))
+            options.append(probe.reshape((2,) + (1,) * (n - 1 - axis) + frac.shape))
         if hybrid:
-            options[-1] = (fracs[-1],)
-        probes = _decode(curve, np.stack(_blend_options(corners, options)))
-        dev = np.abs(probes - exact).max(axis=0)
+            options[-1] = fracs[-1]
+        # one option axis per corner axis, between the corner axes and the samples
+        shape = corners.shape[: 1 + n] + (1,) * n + corners.shape[1 + n :]
+        probes = _lerp_axes(corners.reshape(shape), options)  # (channels, *options, samples)
+        probes = _decode(curve, np.moveaxis(probes, 0, -1))
+        dev = np.abs(probes - exact).max(axis=tuple(range(n)))
     return np.stack([exact, dev], axis=1)
 
 

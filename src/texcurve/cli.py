@@ -64,21 +64,15 @@ def _encode_from_spec(spec: curvefile.CurveFile, args) -> EncodedCurve:
     layout = args.layout
     rescale = args.rescale
     if layout == "zigzag":
-        seed = None
-        optimize = False
-        if args.seed_texel == "search":
-            optimize = True
-        elif args.seed_texel is not None:
+        seed = args.seed_texel
+        if seed not in (None, "search"):
             try:
-                seed = np.array([float(v) for v in args.seed_texel.split(",")])
+                seed = np.array([float(v) for v in seed.split(",")])
             except ValueError:
                 raise DomainError(
-                    f"--seed-texel takes comma-separated numbers or 'search', "
-                    f"got {args.seed_texel!r}"
+                    f"--seed-texel takes comma-separated numbers or 'search', got {seed!r}"
                 ) from None
-        return encoder.encode_dc_zigzag(
-            _zigzag_segments(spec), fmt, seed, rescale=rescale, optimize_seed=optimize
-        )
+        return encoder.encode_dc_zigzag(_zigzag_segments(spec), fmt, seed, rescale=rescale)
     if layout == "patch":
         if spec.points.shape[0] != 4:
             raise DomainError("a bilinear patch needs exactly 4 control points (2x2 row-major)")

@@ -8,7 +8,7 @@ isolated from the bookkeeping around them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -95,10 +95,13 @@ class ControlPolygon:
     """Ordered curve control points; degree is point count minus one.
 
     `points` is (n, channels) with 1..4 channels. A 1-D input is treated as
-    a single-channel curve.
+    a single-channel curve. `magnitude`, the largest |point|, comes from the
+    finiteness check; the reference evaluators read it to tell whether any
+    step can overflow float64.
     """
 
     points: np.ndarray
+    magnitude: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -112,9 +115,11 @@ class ControlPolygon:
             raise ChannelMismatchError(
                 f"points must have 1..{MAX_CHANNELS} channels, got {pts.shape[1]}"
             )
-        if not np.all(np.isfinite(pts)):
+        magnitude = float(np.abs(pts).max())
+        if not magnitude < np.inf:  # NaN too
             raise DomainError("control points must be finite")
         object.__setattr__(self, "points", _freeze(pts))
+        object.__setattr__(self, "magnitude", magnitude)
 
     @property
     def degree(self) -> int:

@@ -34,11 +34,16 @@ from .reference import homogeneous, seiler_terms
 def fit_range(values, fmt: TexelFormat) -> ValueTransform:
     """Per-channel affine transform mapping the value span into [0, 1].
 
-    Values already inside [0, 1] map through the identity. A degenerate
-    channel (max == min) keeps scale 1 and only shifts its value to 0. A
-    span whose reciprocal is 0 or overflows float64 raises RangeError.
+    `values` is (..., channels) with at least one row and one channel, else
+    DomainError. Values already inside [0, 1] map through the identity. A
+    degenerate channel (max == min) keeps scale 1 and only shifts its value
+    to 0. A span whose reciprocal is 0 or overflows float64 raises
+    RangeError.
     """
     vals = np.asarray(values, dtype=float)
+    if vals.ndim == 0 or vals.size == 0:
+        raise DomainError(f"cannot fit a range over shape {vals.shape}: it needs "
+                          "(..., channels) with a row and a channel")
     if not np.all(np.isfinite(vals)):
         raise DomainError("cannot fit a range over non-finite values")
     flat = vals.reshape(-1, vals.shape[-1])
@@ -274,14 +279,14 @@ def encode_dc_zigzag(
     seed=None,
     *,
     rescale: bool = False,
-    optimize_seed: bool = False,
 ) -> EncodedCurve:
     """Pack N C0-joined quadratics into an (N+1) x 2 grid.
 
     Anti-diagonal texel pairs average to each segment's middle control
     point, which saves two texels per segment over independent 2x2 blocks.
-    The free texel U_0 defaults to segment 0's middle point; pass a seed or
-    optimize_seed=True to pick it differently.
+    The free texel U_0 is `seed`: segment 0's middle point when None, a
+    given texel (one value per channel, or one for all), or with "search"
+    the value per channel that best keeps the grid inside [0, 1].
     """
     if not segments:
         raise DomainError("at least one segment is required")
@@ -296,12 +301,12 @@ def encode_dc_zigzag(
     if broken.size:
         k = int(broken[0])
         raise JoinError(f"segments {k} and {k + 1} do not join exactly (C0 violated)")
-    if optimize_seed:
-        if seed is not None:
-            raise DomainError("pass either an explicit seed or optimize_seed, not both")
-        seed_vec = _zigzag_best_seed(points)
-    elif seed is None:
+    if seed is None:
         seed_vec = points[0, 1]
+    elif isinstance(seed, str):
+        if seed != "search":
+            raise DomainError(f"seed takes a texel or 'search', got {seed!r}")
+        seed_vec = _zigzag_best_seed(points)
     else:
         seed_vec = np.asarray(seed, dtype=float)
         try:

@@ -17,7 +17,7 @@ De Boor evaluation and knot insertion share one knot-span rule,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -63,11 +63,41 @@ def bernstein_sum(points, t):
     return acc
 
 
+#: below this `ControlPolygon.magnitude` no step of a reference evaluation
+#: or conversion here can overflow float64: none reaches 2^15 times it
+_SAFE_MAGNITUDE = 2.0**1000
+
+
+def _refuse_overflow(name: Optional[str]):
+    """Decorate fn(poly, ...) to run under np.errstate, and to raise
+    DomainError("<name> overflow float64") unless its result is finite,
+    when `poly` is large enough to overflow on the way. Smaller polygons
+    run it as it is: np.errstate and the check cost about 5 µs a call. With
+    `name` None the result is returned as it is, inf or NaN."""
+
+    def decorate(fn):
+        @wraps(fn)
+        def checked(poly: ControlPolygon, *args):
+            if poly.magnitude < _SAFE_MAGNITUDE:
+                return fn(poly, *args)
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = fn(poly, *args)
+            if name is not None and not np.isfinite(value).all():
+                raise DomainError(f"{name} overflow float64")
+            return value
+
+        return checked
+
+    return decorate
+
+
+@_refuse_overflow("Bernstein values")
 def eval_bernstein(poly: ControlPolygon, t):
     """Evaluate sum_i C(d,i) (1-t)^(d-i) t^i b_i."""
     return bernstein_sum(poly.points, _unit_param(t))
 
 
+@_refuse_overflow("de Casteljau values")
 def eval_decasteljau(poly: ControlPolygon, t):
     """Evaluate by repeated pairwise linear interpolation of the polygon."""
     tt = _unit_param(t)[..., None, None]
@@ -95,6 +125,7 @@ class SeilerTerms:
         return self.diffs[i - 1]
 
 
+@_refuse_overflow(None)  # the encoders refuse non-finite terms
 def seiler_terms(poly: ControlPolygon) -> SeilerTerms:
     """Compute the difference terms for degrees 2 through 5.
 
@@ -102,7 +133,8 @@ def seiler_terms(poly: ControlPolygon) -> SeilerTerms:
     d_2 / d_(d-2) have known closed forms only for degrees 4 and 5 (for a
     cubic, d_2 is already covered by the d_(d-1) rule). All four forms were
     checked against the Bernstein expansion before being trusted here; the
-    degree-4/5 forms are exercised by property tests as well.
+    degree-4/5 forms are exercised by property tests as well. Terms that
+    overflow float64 are returned as they are, inf or NaN.
     """
     d = poly.degree
     if not 2 <= d <= 5:
@@ -140,12 +172,14 @@ def seiler_terms(poly: ControlPolygon) -> SeilerTerms:
     return SeilerTerms(degree=d, diffs=diffs, s1=s1, s2=s2)
 
 
+@_refuse_overflow("difference-term values")
 def eval_seiler(poly: ControlPolygon, t):
     """Reduced-lerp evaluation C(t) = L(b0, bd, t) + (1-t) t D_1(t).
 
     The recursion D_i is zero when 2i = d+1, equals d_i when 2i = d, and is
     otherwise L(d_i, d_(d-i), t) + (1-t) t D_(i+1)(t). A degree-d curve
-    costs d lerps this way.
+    costs d lerps this way. The terms can overflow float64 where the curve
+    does not; a result that is not finite raises DomainError.
     """
     terms = seiler_terms(poly)
     d = poly.degree
@@ -403,6 +437,7 @@ def power_to_bernstein(coeffs) -> ControlPolygon:
     return ControlPolygon(b)
 
 
+@_refuse_overflow("power coefficients")
 def bernstein_to_power(poly: ControlPolygon) -> np.ndarray:
     """Inverse of power_to_bernstein: a_k = C(d,k) sum_{i<=k} (-1)^(k-i) C(k,i) b_i.
     Coefficients that overflow float64 raise DomainError."""
@@ -412,13 +447,9 @@ def bernstein_to_power(poly: ControlPolygon) -> np.ndarray:
     b = poly.points
     C = _pascal_matrix(d)
     acc = np.zeros_like(b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(d + 1):
-            acc[i:] = acc[i:] + (C[i:, i] * (-1) ** np.arange(d + 1 - i))[:, None] * b[i]
-        a = C[d, :, None] * acc
-    if not np.isfinite(a).all():
-        raise DomainError("power coefficients overflow float64")
-    return a
+    for i in range(d + 1):
+        acc[i:] = acc[i:] + (C[i:, i] * (-1) ** np.arange(d + 1 - i))[:, None] * b[i]
+    return C[d, :, None] * acc
 
 
 def elevate_degree(poly: ControlPolygon, target_degree: int) -> ControlPolygon:

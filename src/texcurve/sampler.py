@@ -8,12 +8,12 @@ The stages up to the blend (texel cell, exact fraction, used fraction,
 clamped index pair) are written once, in `_lookup`; the public fetches wrap
 it with a finiteness check and a `SampleTrace`. Every texture evaluator
 reaches it through `texeval._fetch` and the error bound calls it directly;
-neither builds a trace. Every lookup then
-runs one blend kernel: `_corners` gathers each corner texel once, with one
-`take` from the grid viewed as a flat (channels, texels) table, and
-`_lerp_levels` runs the fixed chain of lerps along x, then y, then z, at
-every combination of the fractions it is given per axis. Each lerp runs
-over channel rows whose sample axis is contiguous.
+neither builds a trace. Every lookup then runs one blend kernel:
+`_corners` gathers every corner texel with one `take` from the grid viewed
+as a flat (channels, texels) table, into one (channels, 2[x], 2[y][,
+2[z]], *samples) array, and `_lerp_axes` runs the fixed chain of lerps,
+one per axis, x, then y, then z, each lerping away one corner axis. Each
+lerp runs over channel rows whose sample axis is contiguous.
 
 All entry points accept scalar coordinates or equal-length coordinate
 arrays; array calls return stacked results of shape (n, channels), stored
@@ -128,54 +128,49 @@ def _lookup(grid: TexelGrid, coords, cfg: SamplerConfig, depth_fraction=None):
 
 
 def _corners(grid: TexelGrid, pairs):
-    """The corner texels of the cells that `pairs` index, x varying fastest.
+    """The corner texels of the cells that `pairs` index, as one
+    (channels, 2[x], 2[y][, 2[z]], *samples) array.
 
     The texels are read as one flat (channels, texels) table: each axis's
     index pair becomes a pair of offsets scaled by the axis stride (1, w,
-    w*h), and each corner is one `take` at the summed offset x + w*y + w*h*z.
-    A flat take costs a fraction of a 3-array fancy index. Each corner is
-    (channels, ...) with the samples contiguous, so fractions broadcast
-    unchanged and each lerp's inner loop runs over the samples rather than
-    the 1 to 4 channels.
+    w*h) on its own corner axis, the pairs broadcast into the summed offset
+    x + w*y + w*h*z of every corner, and one `take` reads them all. A flat
+    take costs a fraction of a 3-array fancy index. The samples are the
+    last axes and contiguous, so fractions broadcast unchanged and each
+    lerp's inner loop runs over the samples rather than the 1 to 4 channels.
     """
     texels = grid.data.reshape(-1, grid.channels).T
-    offsets = [0]
-    for (i0, i1), stride in zip(pairs, (1, grid.width, grid.width * grid.height)):
-        offsets = [offset + i * stride for i in (i0, i1) for offset in offsets]
-    return [texels.take(offset, axis=1) for offset in offsets]
+    ndim = max(np.ndim(i0) for i0, _ in pairs)
+    offset = 0
+    for axis, (pair, stride) in enumerate(zip(pairs, (1, grid.width, grid.width * grid.height))):
+        step = np.array(pair) * stride
+        later = len(pairs) - axis + ndim - step.ndim  # later corner axes, missing sample axes
+        offset = offset + step.reshape((2,) + (1,) * later + step.shape[1:])
+    return texels.take(offset, axis=1)
 
 
-def _lerp_levels(corners, options):
-    """The one lerp chain, at every combination of per-axis fractions.
+def _lerp_axes(corners, fractions):
+    """The one lerp chain: lerp away one corner axis (axis 1) per fraction,
+    x, then y, then z.
 
-    `options` holds a tuple of fractions per axis, in x, y[, z] order.
-    Corners are blended pairwise along x, then y, then z; that order is
-    part of the emulated result, bit for bit. Each level's lerps are shared
-    by every combination of the later axes' options, so n options per axis
-    cost one lerp per (level, option prefix, corner pair) rather than a
-    whole chain per combination. Returns, per combination in
-    `itertools.product(*options)` order, the level left after the axes in
-    `options`, channel axis first: one blend, or two depth slices after x, y.
+    That order is part of the emulated result, bit for bit. A fraction
+    broadcasts against what is left of the corner array, so fractions with
+    extra leading axes before the samples (one per option, as the error
+    bound's probes pass them) blend every combination of options in one
+    lerp per axis. Returns the array left after the fractions given,
+    channel axis first: one blend, or the two depth slices after x and y.
     """
-    levels = [corners]
-    for fractions in options:
-        levels = [[lerp(a, b, f) for a, b in zip(level[0::2], level[1::2])]
-                  for level in levels for f in fractions]
-    return levels
-
-
-def _blend_options(corners, options):
-    """`_lerp_levels` over every axis: one blend per combination, each a
-    view with the channel axis last, so it stays channel-major."""
-    return [value.transpose(*range(1, value.ndim), 0)
-            for (value,) in _lerp_levels(corners, options)]
+    for f in fractions:
+        corners = lerp(corners[:, 0], corners[:, 1], f)
+    return corners
 
 
 def _blend(grid: TexelGrid, pairs, fractions):
-    """The blend at one fraction per axis: the one-option case of
-    `_blend_options` over the corners of `pairs`. Two axes read depth
-    slice 0."""
-    return _blend_options(_corners(grid, pairs), [(f,) for f in fractions])[0]
+    """The blend at one fraction per axis over the corners of `pairs`, a
+    view with the channel axis last, so it stays channel-major. Two axes
+    read depth slice 0."""
+    value = _lerp_axes(_corners(grid, pairs), fractions)
+    return value.transpose(*range(1, value.ndim), 0)
 
 
 def _sample(grid: TexelGrid, coords, cfg: SamplerConfig):
@@ -220,12 +215,14 @@ def blend_with_fractions(grid: TexelGrid, bases, fractions):
     Bypasses coordinate conversion and quantization entirely; used to probe
     what the blend would return at arbitrary fraction combinations. Runs
     the same lerp chain as the sampling paths above, so results are bitwise
-    comparable with them.
+    comparable with them. Bases and fractions broadcast together, so a
+    fraction array never spreads along the corner axes.
     """
     if len(bases) != len(fractions):
         raise LayoutError("one base index and one fraction per axis")
     if len(bases) not in (2, 3):
         raise LayoutError("blend supports 2 or 3 axes")
-    pairs = [_clamp_pair(np.asarray(base, dtype=np.int64), extent)
+    shape = np.broadcast_shapes(*map(np.shape, bases), *map(np.shape, fractions))
+    pairs = [_clamp_pair(np.broadcast_to(np.asarray(base, dtype=np.int64), shape), extent)
              for base, extent in zip(bases, grid.dims)]
     return _blend(grid, pairs, fractions)

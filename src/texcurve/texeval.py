@@ -23,19 +23,21 @@ once. Fractions compare by their bits: `!=` holds -0.0 equal to +0.0
 although the blend keeps their signs apart. A sorted 2^17-sample dc
 lattice at 8 bits is blended 257 times instead of 131,072. The hybrid's
 runs compare the x and y state alone, since its depth fraction is t
-itself: the heads run the x and y lerp levels, and every sample lerps the
-two depth slices at its t. A block whose runs outnumber half its samples
-(every block of distinct parameters at bits 0) is blended whole, as is an
-axis below `_RUN_MIN` samples.
+itself: the heads lerp x and y into one (channels, 2, heads) array of
+depth slices, and every sample lerps its head's two slices at its t. A
+block whose runs outnumber half its samples (every block of distinct
+parameters at bits 0) is blended whole, as is an axis below `_RUN_MIN`
+samples.
 
 Parameters broadcast like the reference evaluators: scalar in, one point
 out; (n,) array in, (n, channels) out, stored channel-major (Fortran
 order) so that each elementwise pass loops over the samples. `_fetch` maps
 coordinates, looks up, compares and blends at most `_BLOCK` samples (or
 heads) at a time, so only the parameters and the output span the axis and
-the lerp chain's temporaries stay near the L2 cache (one 3-channel block
-is 192 kB, the axis of 2^17 samples 3 MB). Every stage is elementwise, so
-neither blocking nor memory order changes a bit of the result.
+the blend's temporaries stay near the L2 cache (one 3-channel block is
+192 kB and its trilinear corner array 1.5 MB, the axis of 2^17 samples
+3 MB). Every stage is elementwise, so neither blocking nor memory order
+changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -204,9 +206,10 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
 
     Each `_BLOCK` slice of a long enough axis is mapped, looked up and
     either blended whole or kept as its run starts. The heads of all runs
-    are then mapped, looked up and blended in chunks of `_BLOCK`, and `at`,
-    each sample's head, takes every point (or the hybrid's two depth
-    slices) from them.
+    are then mapped, looked up and blended in chunks of `_BLOCK` into one
+    (channels, heads) array (the hybrid's: (channels, 2, heads), its depth
+    slices), and `at`, each sample's head, takes every point (or two depth
+    slices) from it.
     """
     grid = curve.grid
 
@@ -239,22 +242,20 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
     for start in range(0, heads.size, _BLOCK):
         pairs, _, used = lookup([p[heads[start : start + _BLOCK]] for p in params])
         if not hybrid:
-            values.append([_decode(curve, sampler._blend(grid, pairs, used)).T])
+            values.append(_decode(curve, sampler._blend(grid, pairs, used)).T)
         else:
-            corners = sampler._corners(grid, pairs)
-            values.append(sampler._lerp_levels(corners, [(f,) for f in used[:2]])[0])
-    values = [np.concatenate(level, axis=1) for level in zip(*values)]
+            values.append(sampler._lerp_axes(sampler._corners(grid, pairs), used[:2]))
+    values = np.concatenate(values, axis=-1)
     count = 0
     for block, change in blocks:
         at = np.cumsum(change) + (count - 1)
         count = at[-1] + 1
         if not hybrid:
-            for row, channel in zip(values[0], out.T):
+            for row, channel in zip(values, out.T):
                 row.take(at, out=channel[block], mode="clip")  # "clip": unbuffered
         else:
-            near, far = (level.take(at, axis=1) for level in values)
-            out[block] = _decode(curve, sampler._blend_options(
-                [near, far], [(params[0][block],)])[0])
+            slices = values.take(at, axis=-1)
+            out[block] = _decode(curve, sampler._lerp_axes(slices, (params[0][block],)).T)
     return out
 
 

@@ -445,9 +445,9 @@ def test_bound_matches_per_combination_probes(fmt):
 
 
 @pytest.mark.parametrize("mode, degree, lerps", [
-    ("dc", 3, 31),         # exact 4 + 2 + 1, probes 8 + 8 + 8
-    ("dc-hybrid", 3, 27),  # exact 7, probes 8 + 8 + 4
-    ("dc", 2, 11),         # exact 2 + 1, probes 4 + 4
+    ("dc", 3, 6),         # exact x, y, z; probes x, y, z over their option axes
+    ("dc-hybrid", 3, 6),  # the same, the depth axis at its one exact fraction
+    ("dc", 2, 4),         # exact x, y; probes x, y
 ])
 def test_one_gather_and_shared_lerps_per_bound_block(monkeypatch, mode, degree, lerps):
     enc = (encode_dc_cubic if degree == 3 else encode_dc_quadratic)(
@@ -467,7 +467,7 @@ def test_one_gather_and_shared_lerps_per_bound_block(monkeypatch, mode, degree, 
     if mode == "dc" and degree == 3:
         counts["lerp"] = 0
         eval_dc(enc, 0.37, BITS8)
-        assert counts["lerp"] == 7
+        assert counts["lerp"] == 3
 
 
 # -- per-element oracles ---------------------------------------------------

@@ -261,9 +261,10 @@ class TestSweepRender:
             assert code == 0
 
         def max_line(path):
-            for line in open(path):
-                if line.startswith("#max,"):
-                    return float(line.strip().split(",")[1])
+            with open(path) as fh:
+                for line in fh:
+                    if line.startswith("#max,"):
+                        return float(line.strip().split(",")[1])
 
         assert max_line(csv8) >= max_line(csv0)
 
@@ -418,7 +419,7 @@ def _described_curves():
         encoder.encode_seiler(cubic, TexelFormat.FLOAT32),
         encoder.encode_seiler(ControlPolygon(rng.uniform(0.0, 1.0, (6, 2))),
                               TexelFormat.UNORM16, rescale=True),
-        encoder.encode_dc_zigzag(chain, TexelFormat.UNORM16, rescale=True, optimize_seed=True),
+        encoder.encode_dc_zigzag(chain, TexelFormat.UNORM16, "search", rescale=True),
         encoder.encode_rational(ControlPolygon([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
                                 [1.0, 0.5 ** 0.5, 1.0], TexelFormat.FLOAT32, scheme="dc"),
         encoder.encode_bicubic_rgba(rng.uniform(-0.0, 1.0, (4, 4)), TexelFormat.FLOAT32),

@@ -134,12 +134,12 @@ class TestZigzag:
 
     def test_seed_search_recovers_feasibility(self):
         segs = [ControlPolygon([0.0, 0.9, 0.0])]
-        enc = encode_dc_zigzag(segs, U8, optimize_seed=True)
+        enc = encode_dc_zigzag(segs, U8, seed="search")
         assert np.all(enc.grid.data >= 0.0) and np.all(enc.grid.data <= 1.0)
 
-    def test_seed_search_conflicts_with_seed(self):
-        with pytest.raises(DomainError):
-            encode_dc_zigzag([ControlPolygon([0.0, 0.5, 0.0])], F32, seed=0.5, optimize_seed=True)
+    def test_seed_word_other_than_search_refused(self):
+        with pytest.raises(DomainError, match="'search', got 'best'"):
+            encode_dc_zigzag([ControlPolygon([0.0, 0.5, 0.0])], F32, seed="best")
 
     @pytest.mark.parametrize("seed", [np.nan, np.inf, [0.5, -np.inf]])
     def test_non_finite_seed(self, seed):
@@ -290,6 +290,18 @@ class TestFitRange:
         assert tf.scale[0] == 1.0 and tf.offset[0] == 0.0
         assert tf.scale[1] == 0.25
 
+    def test_zero_channels_refused(self):
+        with pytest.raises(DomainError, match=r"shape \(2, 0\)"):
+            fit_range(np.zeros((2, 0)), U8)
+
+    def test_zero_rows_refused(self):
+        with pytest.raises(DomainError, match=r"shape \(0, 2\)"):
+            fit_range(np.zeros((0, 2)), U8)
+
+    def test_scalar_refused(self):
+        with pytest.raises(DomainError, match=r"shape \(\)"):
+            fit_range(np.float64(0.5), U8)
+
 
 class TestNonFiniteTexels:
     def test_float32_overflow_is_a_range_error(self):
@@ -345,7 +357,7 @@ class TestHostileValues:
 
     def test_overflowing_zigzag_rows_are_refused(self):
         segs = [ControlPolygon([0.0, 1e308, 1.7e308]), ControlPolygon([1.7e308, -1e308, 0.0])]
-        for opts in ({}, {"optimize_seed": True}, {"rescale": True}):
+        for opts in ({}, {"seed": "search"}, {"rescale": True}):
             with pytest.raises(TexCurveError):
                 encode_dc_zigzag(segs, F32, **opts)
 
@@ -436,9 +448,9 @@ def zigzag_residuals_oracle(curve, segments):
     return res
 
 
-def zigzag_encode_oracle(segments, fmt, seed, rescale, optimize_seed):
+def zigzag_encode_oracle(segments, fmt, seed, rescale):
     """The old encode_dc_zigzag after its checks, on the oracle rows and seed."""
-    if optimize_seed:
+    if isinstance(seed, str):
         seed = zigzag_best_seed_oracle(segments)
     elif seed is None:
         seed = segments[0].points[1]
@@ -502,15 +514,12 @@ def _check_zigzag_against_oracles(segments, rng):
     assert _same_bits(encoder._zigzag_best_seed(points), zigzag_best_seed_oracle(segments))
     for fmt in TexelFormat:
         for rescale in (False, True):
-            for seed_arg, optimize in ((None, False), (seed, False), (None, True)):
-                got = _outcome(lambda: encode_dc_zigzag(segments, fmt, seed_arg, rescale=rescale,
-                                                        optimize_seed=optimize))
-                want = _outcome(lambda: zigzag_encode_oracle(segments, fmt, seed_arg, rescale,
-                                                             optimize))
+            for seed_arg in (None, seed, "search"):
+                got = _outcome(lambda: encode_dc_zigzag(segments, fmt, seed_arg, rescale=rescale))
+                want = _outcome(lambda: zigzag_encode_oracle(segments, fmt, seed_arg, rescale))
                 assert got == want
                 if isinstance(got[0], bytes):
-                    curve = encode_dc_zigzag(segments, fmt, seed_arg, rescale=rescale,
-                                             optimize_seed=optimize)
+                    curve = encode_dc_zigzag(segments, fmt, seed_arg, rescale=rescale)
                     assert _same_bits(zigzag_residuals(curve, segments),
                                       zigzag_residuals_oracle(curve, segments))
 

@@ -4,8 +4,9 @@ blob or a curve file either parses or raises a TexCurveError, a command
 line either succeeds or exits with a documented code, an evaluator or a
 sweep either returns what per-element scalar calls return or raises a
 TexCurveError, the bound either returns a float or raises a TexCurveError,
-and an encoder or a conversion either succeeds or raises a TexCurveError;
-never another exception (pytest turns a RuntimeWarning into one)."""
+an encoder or a conversion either succeeds or raises a TexCurveError, and
+so does a reference evaluator on a polygon at the edges of float64; never
+another exception (pytest turns a RuntimeWarning into one)."""
 
 import contextlib
 import io
@@ -56,6 +57,7 @@ from texcurve.encoder import (
     encode_rational,
     encode_seiler,
 )
+from texcurve.reference import seiler_terms
 from texcurve.texeval import _BLOCK, _MODES
 from conftest import one_curve_per_layout, random_c0_quadratics, random_polygon
 
@@ -458,16 +460,15 @@ def _polygon(data, points):
 
 def _encode_zigzag(data, fmt, rescale):
     """Up to 4 segments cut from one hostile array, so they join unless a
-    segment has fewer than 3 points, with the default, an optimized or a
+    segment has fewer than 3 points, with the default, the searched or a
     drawn seed."""
     count = data.draw(st.integers(1, 4))
     points = data.draw(hostile_arrays(_mostly(st.just(2 * count + 1), st.integers(0, 9))))
     segments = [ControlPolygon(points[2 * k : 2 * k + 3]) for k in range(count)]
-    kind = data.draw(st.sampled_from(["default", "optimize", "seed"]))
-    if kind == "seed":
+    seed = data.draw(st.sampled_from([None, "search", "seed"]))
+    if seed == "seed":
         seed = data.draw(hostile_arrays(st.integers(0, 2)))
-        return encode_dc_zigzag(segments, fmt, seed, rescale=rescale)
-    return encode_dc_zigzag(segments, fmt, rescale=rescale, optimize_seed=kind == "optimize")
+    return encode_dc_zigzag(segments, fmt, seed, rescale=rescale)
 
 
 def _encode_patch(data, fmt, rescale):
@@ -512,3 +513,47 @@ def test_encoders_and_conversions_succeed_or_raise_their_own_error(name, fmt, re
         _ENCODER_CALLS[name](data, fmt, rescale)
     except TexCurveError:
         pass
+
+
+# -- the reference evaluators on polygons at the edges of float64 -------------
+
+#: just below and well above the largest polygon magnitude that the
+#: references evaluate without a check (`reference._SAFE_MAGNITUDE`, 2^1000)
+_NEAR_SAFE = st.sampled_from([2.0**999, -(2.0**999), 1e307, -1e307])
+
+#: name -> fn(poly, t); `seiler_terms` ignores t
+_REFERENCE_CALLS = {
+    "eval_bernstein": eval_bernstein,
+    "eval_decasteljau": eval_decasteljau,
+    "eval_seiler": eval_seiler,
+    "seiler_terms": lambda poly, t: seiler_terms(poly),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_REFERENCE_CALLS)), st.integers(3, 6), st.integers(1, 4),
+       st.data())
+def test_references_on_extreme_polygons_match_scalar_calls_or_raise_their_own_error(
+        name, points, channels, data):
+    """Polygons of ordinary values mixed with either +-1e308, +-max float,
+    subnormals and signed zeros, or values near the unchecked limit: a
+    reference evaluator returns finite points that per-element scalar calls
+    return too, or raises a TexCurveError, and `seiler_terms` returns its
+    terms, finite or not, without a warning."""
+    edge = data.draw(st.sampled_from([_EXTREMES, _NEAR_SAFE]))
+    values = data.draw(st.lists(edge | st.floats(-2.0, 2.0),
+                                min_size=points * channels, max_size=points * channels))
+    poly = ControlPolygon(np.reshape(values, (points, channels)))
+    fn = _REFERENCE_CALLS[name]
+    t = data.draw(parameters(1.0))
+    try:
+        got = fn(poly, t)
+    except TexCurveError:
+        return
+    if name == "seiler_terms":
+        assert len(got.diffs) == points - 2
+        return
+    each = [fn(poly, x) for x in np.ravel(t)]
+    assert got.shape == np.shape(t) + (channels,) and got.dtype == np.float64
+    assert np.isfinite(got).all()
+    assert got.tobytes() == b"".join(x.tobytes() for x in each)

@@ -295,6 +295,19 @@ def _draw(rng, shape):
 
 
 class TestOptionKernel:
+    @pytest.mark.parametrize("channels", (1, 3))
+    @pytest.mark.parametrize("count", (2, 3))
+    def test_scalar_bases_broadcast_against_fraction_arrays(self, channels, count):
+        """A fraction array blends the one cell once per fraction; it must
+        not spread along a corner axis of the same length."""
+        data = np.arange(4.0 * channels).reshape(1, 2, 2, channels)
+        grid = TexelGrid((2, 2, 1), channels, TexelFormat.FLOAT32, data)
+        fx = np.linspace(0.25, 0.75, count)
+        got = blend_with_fractions(grid, [0, 0], [fx, 0.5])
+        assert got.shape == (count, channels)
+        for i, f in enumerate(fx):
+            assert got[i].tobytes() == blend_with_fractions(grid, [0, 0], [f, 0.5]).tobytes()
+
     @given(
         channels=st.integers(1, 4),
         axes=st.sampled_from((2, 3)),
@@ -315,15 +328,23 @@ class TestOptionKernel:
         grid = TexelGrid((w, h, d), channels, TexelFormat.FLOAT32, data)
         bases = [rng.integers(-1, extent + 1, shape) for extent in grid.dims[:axes]]
         options = [tuple(_draw(rng, shape) for _ in range(k)) for k in counts[:axes]]
-        if single_depth:  # as in the hybrid, whose depth fraction is never probed
-            options[-1] = options[-1][:1]
         pairs = [sampler._clamp_pair(np.asarray(b, dtype=np.int64), extent)
                  for b, extent in zip(bases, grid.dims)]
+        # each axis's options on an option axis of its own, ahead of the samples
+        corners = sampler._corners(grid, pairs)
+        corners = corners.reshape(corners.shape[: 1 + axes] + (1,) * axes
+                                  + corners.shape[1 + axes :])
+        fractions = [np.reshape(opts, (len(opts),) + (1,) * (axes - 1 - axis) + np.shape(opts[0]))
+                     for axis, opts in enumerate(options)]
+        if single_depth:  # as in the hybrid, whose depth fraction is never probed
+            options[-1] = options[-1][:1]
+            fractions[-1] = options[-1][0]
 
-        got = sampler._blend_options(sampler._corners(grid, pairs), options)
-        combos = list(itertools.product(*options))
-        assert len(got) == len(combos)
-        for value, combo in zip(got, combos):
+        got = sampler._lerp_axes(corners, fractions)
+        assert got.shape == (channels,) + tuple(map(len, options)) + np.shape(bases[0])
+        for index in itertools.product(*(range(len(opts)) for opts in options)):
+            combo = [opts[i] for opts, i in zip(options, index)]
+            value = np.moveaxis(got[(slice(None),) + index], 0, -1)
             want = blend_with_fractions(grid, bases, combo)
             assert value.shape == np.shape(bases[0]) + (channels,)
             assert value.dtype == want.dtype == np.float64

@@ -457,13 +457,13 @@ def test_evaluator_rejects_every_other_layout(fn, accepts, layout):
 
 
 @pytest.mark.parametrize("fn, layout, lerps, corners", [
-    (lambda curve, t, cfg: eval_bilinear_patch(curve, t, t, cfg), Layout.BILINEAR_PATCH, 3, 4),
-    (lambda curve, t, cfg: eval_bicubic_rgba(curve, t, t, cfg), Layout.BICUBIC_RGBA, 7, 8),
+    (lambda curve, t, cfg: eval_bilinear_patch(curve, t, t, cfg), Layout.BILINEAR_PATCH, 2, 4),
+    (lambda curve, t, cfg: eval_bicubic_rgba(curve, t, t, cfg), Layout.BICUBIC_RGBA, 3, 8),
 ], ids=("patch", "bicubic"))
 def test_surface_evaluator_fetches_once(monkeypatch, fn, layout, lerps, corners):
-    """A scalar surface evaluation is one fetch: one lerp chain over one
-    gather of the cell's corners."""
-    counts = {"lerp": 0, "corners": 0}
+    """A scalar surface evaluation is one fetch: one gather of the cell's
+    corners, then one lerp per axis."""
+    counts = {"lerp": 0, "gathers": 0, "corners": 0}
     lerp, gather = sampler.lerp, sampler._corners
 
     def counted_lerp(*args):
@@ -472,13 +472,14 @@ def test_surface_evaluator_fetches_once(monkeypatch, fn, layout, lerps, corners)
 
     def counted_corners(*args):
         taken = gather(*args)
-        counts["corners"] += len(taken)
+        counts["gathers"] += 1
+        counts["corners"] += taken[0].size
         return taken
 
     monkeypatch.setattr(sampler, "lerp", counted_lerp)
     monkeypatch.setattr(sampler, "_corners", counted_corners)
     fn(CURVES[layout], 0.37, BITS8)
-    assert counts == {"lerp": lerps, "corners": corners}
+    assert counts == {"lerp": lerps, "gathers": 1, "corners": corners}
 
 
 @pytest.mark.parametrize("bits, blended", ((8, range(300)), (0, [1 << 17])), ids=("bits8", "bits0"))
@@ -547,9 +548,9 @@ def test_bits0_plateaus_blend_each_value_once(monkeypatch):
 
 
 def test_hybrid_runs_its_x_and_y_levels_per_run(monkeypatch):
-    """A sorted 2^17-sample dc-hybrid lattice at 8 bits lerps its x and y
-    levels (six lerps) on at most 273 run heads and its depth level on every
-    sample, one `_BLOCK` slice at a time."""
+    """A sorted 2^17-sample dc-hybrid lattice at 8 bits lerps x and y (two
+    lerps) on at most 273 run heads and depth on every sample, one `_BLOCK`
+    slice at a time."""
     sizes = []
     lerp = sampler.lerp
 
@@ -561,7 +562,7 @@ def test_hybrid_runs_its_x_and_y_levels_per_run(monkeypatch):
     cfg = SamplerConfig(subtexel_bits=8, subtexel_rounding="nearest")
     eval_dc_cubic_hybrid(CURVES[Layout.DC_CUBIC_2X2X2], np.linspace(0.0, 1.0, 1 << 17), cfg)
     heads = [size for size in sizes if size <= 273]
-    assert len(heads) == 6 and sum(heads) <= 6 * 273
+    assert len(heads) == 2 and sum(heads) <= 2 * 273
     assert [size for size in sizes if size > 273] == [_BLOCK] * ((1 << 17) // _BLOCK)
 
 
