@@ -49,7 +49,10 @@ def _payload_bytes(grid: TexelGrid) -> bytes:
 
 
 def _payload_values(raw: bytes, fmt: TexelFormat) -> np.ndarray:
-    vals = np.frombuffer(raw, dtype=_PAYLOAD_DTYPES[fmt]).astype(float)
+    """The payload's texel values as float64. A float32 signalling NaN
+    widens to a quiet NaN without a warning, and `TexelGrid` refuses it."""
+    with np.errstate(invalid="ignore"):
+        vals = np.frombuffer(raw, dtype=_PAYLOAD_DTYPES[fmt]).astype(float)
     return vals if fmt is TexelFormat.FLOAT32 else vals / fmt.levels
 
 

@@ -135,7 +135,8 @@ class TexelGrid:
     """2-D or 3-D grid of multi-channel texels, stored post-quantization.
 
     `data` is (depth, height, width, channels) float64. For unorm formats
-    every stored value must sit exactly on the k/levels lattice.
+    every stored value must sit exactly on the k/levels lattice; float32
+    values must be finite.
     """
 
     dims: Tuple[int, int, int]
@@ -161,6 +162,8 @@ class TexelGrid:
                 or not np.array_equal(codes / m, data)
             ):
                 raise RangeError(f"unorm grid values must lie exactly on the k/{m} lattice")
+        elif not np.isfinite(data).all():
+            raise RangeError("float32 grid values must be finite")
         object.__setattr__(self, "dims", (w, h, d))
         object.__setattr__(self, "data", _freeze(data))
 

@@ -15,25 +15,26 @@ surface evaluators validate (u, v) and call `_fetch` with their map.
 fixed by the texture unit's discrete state: the clamped texel pair and the
 used (fixed-point) fraction on each axis, which is every index array and
 every used fraction `sampler._lookup` returns. The blend, the inverse
-transform and the rational divide are elementwise functions of that state,
-so along a 1-D sample axis `_fetch` compares each sample's state with its
-neighbour's, block edges included, blends and decodes the first sample of
-every run together, and takes each point from its run's head, writing it
-once. Fractions compare by their bits: `!=` holds -0.0 equal to +0.0
-although the blend keeps their signs apart. A sorted 2^17-sample dc
-lattice at 8 bits is blended 257 times instead of 131,072. The hybrid's
-runs compare the x and y state alone, since its depth fraction is t
-itself: the heads lerp x and y into one (channels, 2, heads) array of
+transform and the rational divide are elementwise functions of that state.
+`_keys` folds each stage's state into one exact integer key (texel cell
+and fraction numerator; at bits 0, the texel-space position's bits), so
+along a 1-D sample axis `_fetch` compares each sample's keys with its
+neighbour's, block edges included, without looking the samples up. It
+then looks up, blends and decodes the first sample of every run together,
+and takes each point from its run's head, writing it once. A sorted
+2^17-sample dc lattice at 8 bits is blended 257 times instead of 131,072.
+The hybrid's runs compare the x and y keys alone, since its depth fraction
+is t itself: the heads lerp x and y into one (channels, 2, heads) array of
 depth slices, and every sample lerps its head's two slices at its t. A
 block whose runs outnumber half its samples (every block of distinct
-parameters at bits 0) is blended whole, as is an axis below `_RUN_MIN`
-samples.
+parameters at bits 0) is looked up and blended whole, as is an axis below
+`_RUN_MIN` samples.
 
 Parameters broadcast like the reference evaluators: scalar in, one point
 out; (n,) array in, (n, channels) out, stored channel-major (Fortran
 order) so that each elementwise pass loops over the samples. `_fetch` maps
-coordinates, looks up, compares and blends at most `_BLOCK` samples (or
-heads) at a time, so only the parameters and the output span the axis and
+coordinates, keys, looks up and blends at most `_BLOCK` samples (or heads)
+at a time, so only the parameters and the output span the axis and
 the blend's temporaries stay near the L2 cache (one 3-channel block is
 192 kB and its trilinear corner array 1.5 MB, the axis of 2^17 samples
 3 MB). Every stage is elementwise, so neither blocking nor memory order
@@ -177,24 +178,67 @@ def _decode(curve: EncodedCurve, raw):
     return value[..., :-1] / den
 
 
-def _runs(pairs, used, last):
-    """Which samples of one block begin a run of bitwise-identical lookup
-    state (a bool array), and the state of its last sample, to pass as the
-    next block's `last`; both None when runs would outnumber half the
-    samples. The state is each stage's clamped index pair and used
-    fraction, the fractions first (they change most often) and by their
-    int64 bits. A run continues across the block edge when `last` matches
-    the block's first sample."""
-    stages = {(id(f), id(pair)): (f, pair) for f, pair in zip(used, pairs)}.values()
-    state = [f.view(np.int64) for f, _ in stages] + [a for _, pair in stages for a in pair]
-    n = state[0].shape[0]
+def _keys(grid, coords, cfg: SamplerConfig):
+    """One exact integer key per stage (coordinate object and extent) of the
+    lookup of `coords`, such that equal keys mean equal lookup state.
+
+    pos = coord * extent - 0.5, base = floor(pos) and frac = pos - base are
+    computed as `sampler.texel_cell` computes them (frac is rounded where
+    pos lies in (-0.5, 0), and the sampler quantizes that rounded value).
+    Scaling by a power of two and flooring are exact, so q = floor(frac *
+    2^bits) under floor rounding, and q = (k + 1) >> 1 with k = floor(frac *
+    2^(bits+1)) under nearest (that is, floor(s) + (s - floor(s) >= 0.5) at
+    s = frac * 2^bits), is exactly the numerator of the used fraction q /
+    2^bits, with q in [0, 2^bits]. The key base * (2^bits + 1) + q keeps
+    (cell m, q = 2^bits) apart from (cell m + 1, q = 0). It fixes base, and
+    so the clamped pair, and q, and so the used fraction. Coordinates in
+    [0, 1] keep base in [-1, extent - 1], where every base has its own
+    clamped pair, so equal states also get equal keys, and every key is an
+    integer-valued float64 below 2^53 on extents below 2^28.
+
+    At bits 0 the used fraction is frac itself, and the key is pos by its
+    int64 bits. Equal states get different keys only where a rounded frac
+    merges positions in (-0.5, 0), which costs one more run head.
+    """
+    bits, nearest, stages = cfg.subtexel_bits, cfg.subtexel_rounding == "nearest", {}
+    for coord, extent in zip(coords, grid.dims):
+        if (id(coord), extent) in stages:
+            continue
+        key = np.asarray(coord, dtype=float) * extent
+        key -= 0.5
+        if not bits:
+            stages[id(coord), extent] = key.view(np.int64)
+            continue
+        base = np.floor(key)
+        key -= base  # frac
+        key *= float(1 << bits + nearest)
+        np.floor(key, out=key)  # q, or k under nearest
+        if nearest:
+            key += 1.0
+            key *= 0.5
+            np.floor(key, out=key)
+        base *= float((1 << bits) + 1)
+        key += base
+        stages[id(coord), extent] = key
+    return list(stages.values())
+
+
+def _runs(keys, last):
+    """Which samples of one block begin a run of equal keys (see `_keys`),
+    as a bool array, and the keys of its last sample, to pass as the next
+    block's `last`; both None when runs would outnumber half the samples.
+    Equal keys mean equal lookup state, and equal states have equal keys
+    (at bits 0 except at positions in (-0.5, 0)), so the runs are those of
+    the state itself. A run continues across the block edge when `last`
+    matches the block's first sample."""
+    n = keys[0].shape[0]
     change = np.zeros(n, dtype=bool)
-    change[0] = last is None or any(a[0] != b for a, b in zip(state, last))
-    for a in state:
+    change[0] = last is None or any(a[0] != b for a, b in zip(keys, last))
+    for a in keys:
         change[1:] |= a[1:] != a[:-1]
         if 2 * np.count_nonzero(change) > n:
             return None, None
-    return change, [a[-1] for a in state]
+    return change, [a[-1] for a in keys]
 
 
 def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: bool = False):
@@ -204,24 +248,26 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
     `hybrid` (a dc cubic) looks up x and y at the first two coordinates and
     blends depth at the exact parameter.
 
-    Each `_BLOCK` slice of a long enough axis is mapped, looked up and
-    either blended whole or kept as its run starts. The heads of all runs
-    are then mapped, looked up and blended in chunks of `_BLOCK` into one
+    Each `_BLOCK` slice of a long enough axis is mapped once and keyed
+    (`_keys`, `_runs`); it is then either looked up and blended whole from
+    those coordinates or kept as its run starts. The heads of all runs are
+    then mapped, looked up and blended in chunks of `_BLOCK` into one
     (channels, heads) array (the hybrid's: (channels, 2, heads), its depth
     slices), and `at`, each sample's head, takes every point (or two depth
-    slices) from it.
+    slices) from it. Equal keys mean equal state, so a head's point is
+    every point of its run, bit for bit; equal states get equal keys, so
+    the heads are the first samples of the runs of equal state.
     """
     grid = curve.grid
 
-    def lookup(part):
-        coords = coords_of(*part)
+    def lookup(coords, part):
         if hybrid:
             return sampler._lookup(grid, coords[:2], cfg, part[0])
         return sampler._lookup(grid, coords, cfg)
 
     shape, *others = {p.shape for p in params}
     if others or len(shape) != 1 or shape[0] < _RUN_MIN:
-        pairs, _, used = lookup(params)
+        pairs, _, used = lookup(coords_of(*params), params)
         return _decode(curve, sampler._blend(grid, pairs, used))
     channels = grid.channels - (curve.layout is Layout.RATIONAL_HOMOGENEOUS)
     out = np.empty((shape[0], channels), order="F")
@@ -229,9 +275,11 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
     blocks, last = [], None
     for start in range(0, shape[0], _BLOCK):
         block = slice(start, start + _BLOCK)
-        pairs, _, used = lookup([p[block] for p in params])
-        change, last = _runs(pairs[state], used[state], last)
+        part = [p[block] for p in params]
+        coords = coords_of(*part)
+        change, last = _runs(_keys(grid, coords[state], cfg), last)
         if change is None:
+            pairs, _, used = lookup(coords, part)
             out[block] = _decode(curve, sampler._blend(grid, pairs, used))
         else:
             blocks.append((block, change))
@@ -240,7 +288,8 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
     heads = np.concatenate([block.start + np.flatnonzero(change) for block, change in blocks])
     values = []
     for start in range(0, heads.size, _BLOCK):
-        pairs, _, used = lookup([p[heads[start : start + _BLOCK]] for p in params])
+        part = [p[heads[start : start + _BLOCK]] for p in params]
+        pairs, _, used = lookup(coords_of(*part), part)
         if not hybrid:
             values.append(_decode(curve, sampler._blend(grid, pairs, used)).T)
         else:

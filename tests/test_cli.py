@@ -8,6 +8,7 @@ import pytest
 
 from texcurve import ControlPolygon, TexelFormat, analysis, encoder
 from texcurve.cli import _describe, _fmt_vec, main
+from texcurve.container import curve_to_bytes
 
 CUBIC_HUMP = """\
 # scalar cubic with a 0.75 hump
@@ -183,6 +184,17 @@ def test_float32_overflow_exits_2_and_writes_nothing(tmp_path, capsys, argv, out
     assert stdout == ""
     assert err.startswith("error: ") and "float32 stores as inf" in err
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command", (["inspect"], ["eval", "--t", "0.5"]), ids=("inspect", "eval"))
+def test_non_finite_float32_texel_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "x.ctex"
+    curve = encoder.encode_dc_quadratic(ControlPolygon([0.0, 1.0, 0.0]), TexelFormat.FLOAT32)
+    path.write_bytes(curve_to_bytes(curve)[:-4] + b"\xb8\x40\xba\x7f")  # a signalling NaN
+    code, stdout, err = run(capsys, *command, "--in", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: float32 grid values must be finite\n"
 
 
 def test_rescaled_huge_sweep_reports_a_finite_rms(tmp_path, capsys):

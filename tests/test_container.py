@@ -1,9 +1,10 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
-from texcurve import DomainError, LayoutError, TexelFormat, read_ctex, write_ctex
+from texcurve import DomainError, LayoutError, RangeError, TexelFormat, read_ctex, write_ctex
 from texcurve.container import _HEADER, curve_from_bytes, curve_to_bytes, sidecar_text
 from texcurve.encoder import (
     encode_bicubic_rgba,
@@ -127,3 +128,24 @@ def test_scaled_weight_channel_blob_rejected(rng):
     blob[at : at + 8] = struct.pack("<d", 2.0)
     with pytest.raises(LayoutError, match="identity transform on the weight channel"):
         curve_from_bytes(bytes(blob))
+
+
+#: float32 texels that are not finite, as their little-endian payload bytes
+NON_FINITE_F32 = {
+    "qnan": b"\x00\x00\xc0\x7f",
+    "snan": b"\xb8\x40\xba\x7f",
+    "+inf": b"\x00\x00\x80\x7f",
+    "-inf": b"\x00\x00\x80\xff",
+}
+
+
+@pytest.mark.parametrize("texel", NON_FINITE_F32.values(), ids=NON_FINITE_F32.keys())
+@pytest.mark.parametrize("at", (0, 5))
+def test_non_finite_float32_texel_rejected_without_a_warning(rng, texel, at):
+    blob = _quadratic_blob(rng)
+    start = len(blob) - 4 * (4 * 3 - at)  # value `at` of 4 texels x 3 channels
+    blob = blob[:start] + texel + blob[start + 4 :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match="float32 grid values must be finite"):
+            curve_from_bytes(blob)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -113,6 +115,17 @@ class TestTexelGrid:
         vals = np.array([0, 77, 128, 255]) / 255.0
         grid = TexelGrid((2, 2, 1), 1, TexelFormat.UNORM8, vals)
         assert grid.texel(1, 0)[0] == 77 / 255
+
+    @pytest.mark.parametrize("pattern", (0x7FF8000000000000, 0x7FF4000000000000,
+                                         0x7FF0000000000000, 0xFFF0000000000000),
+                             ids=("qnan", "snan", "+inf", "-inf"))
+    def test_non_finite_float32_refused_without_a_warning(self, pattern):
+        data = np.zeros(4)
+        data.view(np.uint64)[2] = pattern
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="float32 grid values must be finite"):
+                TexelGrid((2, 2, 1), 1, TexelFormat.FLOAT32, data)
 
     def test_slice2d(self):
         data = np.arange(8, dtype=float).reshape(2, 2, 2, 1) / 10.0

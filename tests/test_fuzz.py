@@ -13,7 +13,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from texcurve import (
@@ -84,6 +84,9 @@ def _valid_blobs():
 
 
 BLOBS = _valid_blobs()
+#: a float32 blob whose last texel is a signalling NaN
+SNAN_BLOB = next(blob for blob in BLOBS if curve_from_bytes(blob).grid.fmt is TexelFormat.FLOAT32)
+SNAN_BLOB = SNAN_BLOB[:-4] + b"\xb8\x40\xba\x7f"
 
 
 @st.composite
@@ -108,6 +111,7 @@ def test_valid_blobs_parse():
 
 
 @settings(max_examples=300, deadline=None)
+@example(SNAN_BLOB)
 @given(mutated_blobs())
 def test_curve_from_bytes_parses_or_raises_its_own_error(blob):
     try:

@@ -18,6 +18,7 @@ from texcurve import (
     LayoutError,
     SamplerConfig,
     TexelFormat,
+    TexelGrid,
     encode_bicubic_rgba,
     encode_bilinear_patch,
     encode_dc_cubic,
@@ -723,3 +724,79 @@ def test_runs_match_a_blend_of_every_sample(name, pick, fmt, bits, rounding, cha
     assert got.tobytes() == want.tobytes()
     assert (got.flags.f_contiguous, got.flags.c_contiguous) == \
         (want.flags.f_contiguous, want.flags.c_contiguous)
+
+
+# -- run keys ----------------------------------------------------------------
+
+
+def _nudged(c, steps):
+    """c moved `steps` floats up (or down, when negative)."""
+    for _ in range(abs(steps)):
+        c = np.nextafter(c, np.copysign(np.inf, steps))
+    return c
+
+
+@settings(max_examples=150, deadline=None)
+@example(extent=2, bits=8, rounding="floor", anchors=[(-1, 6144)], uniform=[])
+@example(extent=3, bits=4, rounding="nearest", anchors=[(0, 8191), (1, 0)], uniform=[])
+@given(
+    extent=st.integers(2, 65),
+    bits=st.integers(0, 12),
+    rounding=st.sampled_from(("nearest", "floor")),
+    # texel-space positions cell + sub / 2^13: texel centers (sub 0), half
+    # steps (4096), every fraction boundary of every bit depth, and cells
+    # outside the texture
+    anchors=st.lists(st.tuples(st.integers(-2, 66),
+                               st.sampled_from((0, 4096)) | st.integers(0, 8191)),
+                     min_size=1, max_size=8),
+    uniform=st.lists(st.floats(-1.0, 2.0), max_size=8),
+)
+def test_equal_keys_mean_equal_lookup_state(extent, bits, rounding, anchors, uniform):
+    """Samples with equal `_keys` get bitwise-equal clamped pairs and used
+    fractions from `sampler._lookup`; samples with different keys differ in
+    state, unless both sit in clamped cells outside the texture."""
+    cells = [(cell + sub / 8192 + 0.5) / extent for cell, sub in anchors]
+    coord = np.array([_nudged(c, steps) for c in cells for steps in range(-4, 5)] + uniform)
+    grid = TexelGrid((extent, 2, 1), 1, F32, np.zeros(2 * extent))
+    cfg = SamplerConfig(subtexel_bits=bits, subtexel_rounding=rounding)
+    (key,) = texeval._keys(grid, (coord,), cfg)
+    (pair,), _, (used,) = sampler._lookup(grid, (coord,), cfg)
+    state = np.stack([pair[0], pair[1], used.view(np.int64)], axis=1)
+    same_key = key[:, None] == key[None, :]
+    same_state = (state[:, None] == state[None, :]).all(axis=-1)
+    assert not (same_key & ~same_state).any()
+    clamped = pair[0] == pair[1]
+    assert not (~same_key & same_state & ~clamped[:, None]).any()
+
+
+@pytest.mark.parametrize("rounding", ("nearest", "floor"))
+@pytest.mark.parametrize("bits", (8, 12))
+@pytest.mark.parametrize("kind", ("seiler-2d", "seiler-3d", "zigzag", "rational-dc",
+                                  "rational-seiler"))
+def test_sorted_lattice_blends_each_state_change_once(monkeypatch, kind, bits, rounding):
+    """On a sorted 2^17-sample lattice the samples that reach the blend are
+    the run heads: one per adjacent change of the state that a full
+    `_lookup` of the lattice returns (over two stages for the zig-zag and
+    the Seiler layouts). The points equal a blend of every sample."""
+    curve = run_curve(kind, F32, 2)
+    fn = {"zigzag": eval_dc_zigzag, "seiler-2d": eval_seiler_tex,
+          "seiler-3d": eval_seiler_tex}.get(kind, eval_rational_tex)
+    cfg = SamplerConfig(subtexel_bits=bits, subtexel_rounding=rounding)
+    t = np.linspace(0.0, float(curve.segment_count), 1 << 17)
+    pairs, _, used = sampler._lookup(curve.grid, texeval.parameter_coords(curve, t), cfg)
+    state = [f.view(np.int64) for f in used] + [a for pair in pairs for a in pair]
+    changes = 1 + np.count_nonzero(np.any([a[1:] != a[:-1] for a in state], axis=0))
+    count = 0
+    blend = sampler._blend
+
+    def counted_blend(grid, pairs, fractions):
+        nonlocal count
+        count += np.size(fractions[0])
+        return blend(grid, pairs, fractions)
+
+    monkeypatch.setattr(sampler, "_blend", counted_blend)
+    got = fn(curve, t, cfg)
+    assert count == changes
+    monkeypatch.setattr(sampler, "_blend", blend)
+    with mock.patch.object(texeval, "_fetch", fetch_every_sample):
+        assert got.tobytes() == fn(curve, t, cfg).tobytes()
