@@ -248,7 +248,9 @@ class ValueTransform:
         return np.asarray(values, dtype=float) * self.scale + self.offset
 
     def invert(self, values):
-        return (np.asarray(values, dtype=float) - self.offset) / self.scale
+        value = np.asarray(values, dtype=float) - self.offset
+        value /= self.scale  # in place: the offset is 1-D, so value is an array
+        return value
 
     @classmethod
     def identity(cls, channels: int) -> "ValueTransform":
@@ -336,14 +338,24 @@ def _unit_param(t):
 def lerp(a, b, t):
     """Linear interpolation a*(1-t) + b*t in full working precision.
 
-    `t` may be a scalar or any array broadcastable against a and b.
+    `t` may be a scalar or any array broadcastable against a and b. The sum
+    is added in place into the first product: the same two products and
+    the same add, in the same order, with one temporary fewer.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ChannelMismatchError(f"lerp endpoints differ in shape: {a.shape} vs {b.shape}")
     t = np.asarray(t, dtype=float)
-    return a * (1.0 - t) + b * t
+    value = a * (1.0 - t)
+    value += b * t
+    return value
+
+
+def _texel_span(x, extent: int):
+    """`remap_unit_to_texel_span` without its checks, for parameters the
+    caller has already validated."""
+    return (0.5 + x * (extent - 1)) / extent
 
 
 def remap_unit_to_texel_span(x, extent: int):
@@ -352,6 +364,9 @@ def remap_unit_to_texel_span(x, extent: int):
     Texel values live at cell centers, so a parameter of 0 must address the
     center of the first texel, not the texture border: the result is
     (0.5 + x*(extent-1)) / extent. For extent 2 this is the [0.25, 0.75] span.
+    This is the checked map: the evaluators validate their parameters once
+    per call and map them per block through `_texel_span`, the same
+    arithmetic without the checks.
     """
     extent = int(extent)
     if extent < 2:
@@ -359,4 +374,4 @@ def remap_unit_to_texel_span(x, extent: int):
     x = np.asarray(x, dtype=float)
     if not ((x >= 0.0) & (x <= 1.0)).all():  # also false for NaN and inf
         raise DomainError("parameter outside [0, 1]; clamp first if that is intended")
-    return (0.5 + x * (extent - 1)) / extent
+    return _texel_span(x, extent)

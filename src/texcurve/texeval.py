@@ -8,8 +8,12 @@ Every evaluator reads the grid through one `_fetch` (the staged lookup
 for rational curves the divide by the weight) and builds no `SampleTrace`.
 `_coords` is the one 1-parameter coordinate picker and `_eval_curve` the
 one 1-parameter path, which the split-precision hybrid runs with the exact
-t as its depth fraction; `_curve_param` validates the parameter once. The
-surface evaluators validate (u, v) and call `_fetch` with their map.
+t as its depth fraction. Parameters are validated once per call:
+`_curve_param` checks t, and `_surface_params` checks (u, v) and that
+their shapes broadcast together. The coordinate maps (`_coords` and the
+surface evaluators' maps) then map each block through `core._texel_span`,
+the arithmetic of `remap_unit_to_texel_span` without its check; only the
+Seiler coordinate window is still checked on every sample.
 
 `_fetch` blends once per run of equal lookup state. The filter's output is
 fixed by the texture unit's discrete state: the clamped texel pair and the
@@ -21,8 +25,9 @@ and fraction numerator; at bits 0, the texel-space position's bits), so
 along a 1-D sample axis `_fetch` compares each sample's keys with its
 neighbour's, block edges included, without looking the samples up. It
 then looks up, blends and decodes the first sample of every run together,
-and takes each point from its run's head, writing it once. A sorted
-2^17-sample dc lattice at 8 bits is blended 257 times instead of 131,072.
+and fills each block by repeating every run's head by the run's length,
+writing each point once. A sorted 2^17-sample dc lattice at 8 bits is
+blended 257 times instead of 131,072.
 The hybrid's runs compare the x and y keys alone, since its depth fraction
 is t itself: the heads lerp x and y into one (channels, 2, heads) array of
 depth slices, and every sample lerps its head's two slices at its t. A
@@ -55,8 +60,8 @@ from .core import (
     LayoutError,
     SamplerConfig,
     TexCurveError,
+    _texel_span,
     _unit_param,
-    remap_unit_to_texel_span,
 )
 from . import sampler
 from .reference import bernstein_sum
@@ -103,12 +108,11 @@ def _zigzag_coords(n: int, gt):
     global_t resolves to the right-hand segment at local t = 0, except the
     final parameter which clamps into the last segment.
     """
-    k = np.minimum(np.floor(gt), n - 1).astype(np.int64)
+    k = np.minimum(np.floor(gt), n - 1)  # the segment, an integer-valued float
     lt = gt - k
     u = (k + 0.5 + lt) / (n + 1)
-    even = k % 2 == 0
-    v = np.where(even, remap_unit_to_texel_span(lt, 2), remap_unit_to_texel_span(1.0 - lt, 2))
-    return u, v
+    odd = k * 0.5 != np.floor(k * 0.5)
+    return u, _texel_span(np.where(odd, 1.0 - lt, lt), 2)
 
 
 def _seiler_coords(layout: Layout, t):
@@ -116,8 +120,8 @@ def _seiler_coords(layout: Layout, t):
     s*t product. The second coordinate can only reach [0.25, 0.375] because
     s*t never exceeds 0.25; that window is checked on every evaluation."""
     m = (1.0 - t) * t
-    rt = remap_unit_to_texel_span(t, 2)
-    rm = remap_unit_to_texel_span(m, 2)
+    rt = _texel_span(t, 2)
+    rm = _texel_span(m, 2)
     if not ((m <= 0.25) & (rm >= 0.25) & (rm <= 0.375)).all():
         raise TexCurveError("seiler coordinate left its [0.25, 0.375] window")
     if layout is Layout.SEILER_3D:
@@ -132,7 +136,7 @@ def _coords(curve: EncodedCurve, layout: Layout, t):
         return _zigzag_coords(curve.segment_count, t)
     if layout in (Layout.SEILER_2D, Layout.SEILER_3D):
         return _seiler_coords(layout, t)
-    return (remap_unit_to_texel_span(t, 2),) * (3 if layout is Layout.DC_CUBIC_2X2X2 else 2)
+    return (_texel_span(t, 2),) * (3 if layout is Layout.DC_CUBIC_2X2X2 else 2)
 
 
 def parameter_coords(curve: EncodedCurve, t):
@@ -250,13 +254,15 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
 
     Each `_BLOCK` slice of a long enough axis is mapped once and keyed
     (`_keys`, `_runs`); it is then either looked up and blended whole from
-    those coordinates or kept as its run starts. The heads of all runs are
-    then mapped, looked up and blended in chunks of `_BLOCK` into one
-    (channels, heads) array (the hybrid's: (channels, 2, heads), its depth
-    slices), and `at`, each sample's head, takes every point (or two depth
-    slices) from it. Equal keys mean equal state, so a head's point is
-    every point of its run, bit for bit; equal states get equal keys, so
-    the heads are the first samples of the runs of equal state.
+    those coordinates or kept as its run starts (`flatnonzero`). The heads
+    of all runs are then mapped, looked up and blended in chunks of
+    `_BLOCK` into one (channels, heads) array (the hybrid's: (channels, 2,
+    heads), its depth slices), and each block is filled by one `np.repeat`
+    of its runs' heads by the runs' lengths; a block that opens inside a
+    run begins with that run's head. Equal keys mean equal state, so a
+    head's point is every point of its run, bit for bit; equal states get
+    equal keys, so the heads are the first samples of the runs of equal
+    state.
     """
     grid = curve.grid
 
@@ -274,7 +280,7 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
     state = slice(2 if hybrid else None)  # the hybrid's depth fraction is no state
     blocks, last = [], None
     for start in range(0, shape[0], _BLOCK):
-        block = slice(start, start + _BLOCK)
+        block = slice(start, min(start + _BLOCK, shape[0]))
         part = [p[block] for p in params]
         coords = coords_of(*part)
         change, last = _runs(_keys(grid, coords[state], cfg), last)
@@ -282,10 +288,10 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
             pairs, _, used = lookup(coords, part)
             out[block] = _decode(curve, sampler._blend(grid, pairs, used))
         else:
-            blocks.append((block, change))
+            blocks.append((block, np.flatnonzero(change)))
     if not blocks:
         return out
-    heads = np.concatenate([block.start + np.flatnonzero(change) for block, change in blocks])
+    heads = np.concatenate([block.start + starts for block, starts in blocks])
     values = []
     for start in range(0, heads.size, _BLOCK):
         part = [p[heads[start : start + _BLOCK]] for p in params]
@@ -295,16 +301,17 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
         else:
             values.append(sampler._lerp_axes(sampler._corners(grid, pairs), used[:2]))
     values = np.concatenate(values, axis=-1)
-    count = 0
-    for block, change in blocks:
-        at = np.cumsum(change) + (count - 1)
-        count = at[-1] + 1
+    first = 0  # the head of the block's first run
+    for block, starts in blocks:
+        if not starts.size or starts[0]:  # the block opens in the last run before it
+            starts, first = np.concatenate(([0], starts)), first - 1
+        lengths = np.diff(starts, append=block.stop - block.start)
+        runs = np.repeat(values[..., first : first + starts.size], lengths, axis=-1)
+        first += starts.size
         if not hybrid:
-            for row, channel in zip(values, out.T):
-                row.take(at, out=channel[block], mode="clip")  # "clip": unbuffered
+            out[block] = runs.T
         else:
-            slices = values.take(at, axis=-1)
-            out[block] = _decode(curve, sampler._lerp_axes(slices, (params[0][block],)).T)
+            out[block] = _decode(curve, sampler._lerp_axes(runs, (params[0][block],)).T)
     return out
 
 
@@ -344,12 +351,23 @@ def eval_dc_cubic_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
     return _eval_curve(curve, t, cfg, hybrid=True)
 
 
+def _surface_params(u, v):
+    """A surface evaluator's (u, v), validated once: DomainError unless
+    every value lies in [0, 1] and the two shapes broadcast together."""
+    u, v = _unit_param(u), _unit_param(v)
+    try:
+        np.broadcast_shapes(u.shape, v.shape)
+    except ValueError:
+        raise DomainError(f"surface parameters of shapes {u.shape} and {v.shape} "
+                          "do not broadcast together") from None
+    return u, v
+
+
 def eval_bilinear_patch(curve: EncodedCurve, u, v, cfg: SamplerConfig):
     """Evaluate a bilinear patch: one read at (remapped u, remapped v)."""
     _mode_eval(curve, "patch")
-    return _fetch(curve,
-                  lambda u, v: (remap_unit_to_texel_span(u, 2), remap_unit_to_texel_span(v, 2)),
-                  (_unit_param(u), _unit_param(v)), cfg)
+    return _fetch(curve, lambda u, v: (_texel_span(u, 2), _texel_span(v, 2)),
+                  _surface_params(u, v), cfg)
 
 
 def eval_bicubic_rgba(curve: EncodedCurve, u, v, cfg: SamplerConfig):
@@ -357,8 +375,9 @@ def eval_bicubic_rgba(curve: EncodedCurve, u, v, cfg: SamplerConfig):
     the four isoline control points in the channels; the cross-direction
     cubic in v runs at full precision."""
     _mode_eval(curve, "bicubic")
-    iso = _fetch(curve, lambda u: (remap_unit_to_texel_span(u, 2),) * 3, (_unit_param(u),), cfg)
-    return bernstein_sum(np.moveaxis(iso, -1, 0)[..., None], _unit_param(v))
+    u, v = _surface_params(u, v)
+    iso = _fetch(curve, lambda u: (_texel_span(u, 2),) * 3, (u,), cfg)
+    return bernstein_sum(np.moveaxis(iso, -1, 0)[..., None], v)
 
 
 def eval_rational_tex(curve: EncodedCurve, t, cfg: SamplerConfig):

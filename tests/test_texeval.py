@@ -161,7 +161,7 @@ class TestEvalSeilerTex:
             "import texcurve as tc\n"
             "from texcurve import texeval\n"
             "enc = tc.encode_seiler(tc.ControlPolygon([0.0, 1.0, 1.0, 0.0]), tc.TexelFormat.FLOAT32)\n"
-            "texeval.remap_unit_to_texel_span = lambda x, extent: x * 0 + 0.5\n"
+            "texeval._texel_span = lambda x, extent: x * 0 + 0.5\n"
             "try:\n"
             "    tc.eval_seiler_tex(enc, 0.5, tc.SamplerConfig())\n"
             "except tc.TexCurveError as exc:\n"
@@ -243,6 +243,23 @@ class TestSurfaces:
                 got = eval_bicubic_rgba(enc, float(u), float(v), IDEAL)
                 expect = eval_tensor_surface(net, float(u), float(v))
                 assert abs(got[0] - expect[0]) <= 1e-6
+
+    @pytest.mark.parametrize("shapes", (((3,), (4,)), ((4,), (3,)), ((2, 3), (2,))))
+    @pytest.mark.parametrize("fn", (eval_bilinear_patch, eval_bicubic_rgba))
+    def test_parameters_that_do_not_broadcast(self, fn, shapes):
+        enc = CURVES[Layout.BILINEAR_PATCH if fn is eval_bilinear_patch else Layout.BICUBIC_RGBA]
+        u, v = (np.linspace(0.0, 1.0, int(np.prod(shape))).reshape(shape) for shape in shapes)
+        with pytest.raises(DomainError, match="do not broadcast"):
+            fn(enc, u, v, BITS8)
+
+    @pytest.mark.parametrize("fn", (eval_bilinear_patch, eval_bicubic_rgba))
+    def test_parameters_that_broadcast_keep_their_bytes(self, fn):
+        enc = CURVES[Layout.BILINEAR_PATCH if fn is eval_bilinear_patch else Layout.BICUBIC_RGBA]
+        v = np.linspace(0.0, 1.0, 5)
+        got = fn(enc, 0.3, v, BITS8)
+        assert got.tobytes() == fn(enc, np.full(5, 0.3), v, BITS8).tobytes()
+        got = fn(enc, v, 0.3, BITS8)
+        assert got.tobytes() == fn(enc, v, np.full(5, 0.3), BITS8).tobytes()
 
 
 class TestRationalTex:
@@ -373,6 +390,15 @@ BAD_PARAMETERS = (
 BAD_PARAMETER_IDS = ("-0.5", "-1e-300", "end*1.5", "above-end", "inf", "-inf", "nan")
 
 
+#: (evaluator fn(curve, u, v, cfg), curve) for both surface evaluators
+SURFACE_CASES = (
+    (eval_bilinear_patch,
+     encode_bilinear_patch(np.random.default_rng(8).uniform(0, 1, (2, 2, 3)), F32)),
+    (eval_bicubic_rgba, encode_bicubic_rgba(np.random.default_rng(9).uniform(0, 1, (4, 4)), F32)),
+)
+SURFACE_BAD_PARAMETERS = (np.nan, np.inf, -np.inf, -1e-300, 1.0 + 2.0**-52)
+
+
 def _domain_message(name, end):
     if name == "zigzag":
         return f"zig-zag parameter outside [0, {int(end)}]"
@@ -409,6 +435,25 @@ class TestBlocking:
         with pytest.raises(DomainError) as unblocked:
             fn(enc, t[2 * _BLOCK :], BITS8)
         assert str(blocked.value) == str(unblocked.value) == _domain_message(name, end)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(SURFACE_CASES),
+        st.sampled_from(("u", "v")),
+        st.integers(min_value=2 * _BLOCK, max_value=SPLIT_N - 1),
+        st.sampled_from(SURFACE_BAD_PARAMETERS),
+    )
+    def test_bad_surface_parameter_in_last_block(self, case, which, position, bad):
+        """The surface evaluators check u and v once per call, so a bad
+        value past the first two blocks raises as it does unblocked."""
+        fn, enc = case
+        u, v = np.linspace(0.0, 1.0, SPLIT_N), np.linspace(1.0, 0.0, SPLIT_N)
+        (u if which == "u" else v)[position] = bad
+        with pytest.raises(DomainError) as blocked:
+            fn(enc, u, v, BITS8)
+        with pytest.raises(DomainError) as unblocked:
+            fn(enc, u[2 * _BLOCK :], v[2 * _BLOCK :], BITS8)
+        assert str(blocked.value) == str(unblocked.value) == "parameter outside [0, 1]"
 
     @pytest.mark.parametrize("shape", ((), (1,), (7,)))
     @pytest.mark.parametrize("bad", BAD_PARAMETERS, ids=BAD_PARAMETER_IDS)
@@ -568,19 +613,28 @@ def test_hybrid_runs_its_x_and_y_levels_per_run(monkeypatch):
 
 
 @pytest.mark.parametrize("bits", (0, 8, 12))
-@pytest.mark.parametrize("name", ("eval_dc", "eval_dc_cubic_hybrid", "seiler-3d"))
+@pytest.mark.parametrize("name", ("eval_dc", "eval_dc_cubic_hybrid", "seiler-3d",
+                                  "eval_dc_zigzag", "eval_rational_tex"))
 def test_evaluation_memory_stays_blocked(name, bits):
-    """A 2^17-sample evaluation of a 3-channel curve keeps its lookup state
-    and blend blocked: the traced peak, the 3 MiB output included, stays
-    under 7.5 MiB (blending all samples at once takes well over 10 MiB)."""
+    """A 2^17-sample evaluation of a 3-channel curve keeps its lookup state,
+    its blend and its run expansion blocked: the traced peak, the 3 MiB
+    output included, stays under 7.5 MiB (blending all samples at once
+    takes well over 10 MiB)."""
     rng = np.random.default_rng(bits)
+    end = 1.0
     if name == "seiler-3d":
         fn, curve = eval_seiler_tex, encode_seiler(random_polygon(rng, 4, 3), F32)
+    elif name == "eval_dc_zigzag":
+        fn, curve, end = eval_dc_zigzag, encode_dc_zigzag(random_c0_quadratics(rng, 4, 3), F32), 4.0
+    elif name == "eval_rational_tex":
+        fn = eval_rational_tex
+        curve = encode_rational(random_polygon(rng, 3, 3, lo=0.0), [1.0, 0.6, 0.8, 1.0], F32,
+                                scheme="dc")
     else:
         fn = eval_dc if name == "eval_dc" else eval_dc_cubic_hybrid
         curve = encode_dc_cubic(random_polygon(rng, 3, 3), F32)
     cfg = SamplerConfig(subtexel_bits=bits, subtexel_rounding="nearest")
-    t = np.linspace(0.0, 1.0, 1 << 17)
+    t = np.linspace(0.0, end, 1 << 17)
     fn(curve, t, cfg)
     tracemalloc.start()
     try:
