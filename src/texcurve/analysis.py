@@ -254,7 +254,7 @@ def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np
     hybrid's depth axis is probed at its exact fraction only, since the
     hybrid never quantizes it.
     """
-    pairs, fracs, _ = _lookup(curve.grid, parameter_coords(curve, t), cfg)
+    pairs, fracs = _lookup(curve.grid, parameter_coords(curve, t), SamplerConfig.ideal())
     corners = _corners(curve.grid, pairs)
     exact = _decode(curve, _lerp_axes(corners, fracs).T)
     dev = np.zeros_like(exact)

@@ -4,11 +4,17 @@ Coordinate model: normalized coordinates convert to texel space as
 coord * extent - 0.5, placing texel values at cell centers. Neighbor
 indices clamp to the edge; the fractional position along each axis is
 quantized to subtexel fixed point before the blend, which runs in float64.
-The stages up to the blend (texel cell, exact fraction, used fraction,
-clamped index pair) are written once, in `_lookup`; the public fetches wrap
-it with a finiteness check and a `SampleTrace`. Every texture evaluator
-reaches it through `texeval._fetch` and the error bound calls it directly;
-neither builds a trace. Every lookup then runs one blend kernel:
+The stages up to the blend are written once. `_stage` maps a coordinate on
+one axis to the floor `base` of its texel position and the numerator `q` of
+its used fraction (at bits 0, the position itself); `_stages` stages each
+coordinate object once per extent, and `_state` turns the stages into the
+lookup state, per axis the clamped index pair and the used fraction.
+`_lookup` is the two in a row, and `texel_cell` and `quantize_fraction` are
+built from the same helpers. `_key` packs a stage into one exact key and
+`_unkey` recovers the stage from it, so `texeval._fetch` finds runs of equal
+state and decodes each run's head from its key. The public fetches wrap
+`_lookup` with a finiteness check and a `SampleTrace`; no evaluator and not
+the error bound builds a trace. Every lookup then runs one blend kernel:
 `_corners` gathers every corner texel with one `take` from the grid viewed
 as a flat (channels, texels) table, into one (channels, 2[x], 2[y][,
 2[z]], *samples) array, and `_lerp_axes` runs the fixed chain of lerps,
@@ -49,21 +55,30 @@ def quantize_texel(v: float, fmt: TexelFormat) -> float:
     return float(_quantize_array(np.asarray(v, dtype=float), fmt))
 
 
-def quantize_fraction(f, cfg: SamplerConfig):
-    """Quantize a fractional texel position to fixed point.
+def _numerator(frac, cfg: SamplerConfig):
+    """The used fraction's numerator over 2^bits (bits > 0), an
+    integer-valued float: floor(s) at s = frac * 2^bits, or under nearest
+    rounding floor(s) + (s - floor(s) >= 1/2), which is floor((k + 1) / 2)
+    at k = floor(2s). Scaling by a power of two is exact, so every step is
+    exact for fractions below 2^(51 - bits), and the numerator of a fraction
+    in [0, 1] lies in [0, 2^bits]. An array `frac` is scaled in place."""
+    nearest = cfg.subtexel_rounding == "nearest"
+    frac *= float(1 << cfg.subtexel_bits + nearest)
+    q = np.floor(frac)
+    if nearest:
+        q += 1.0
+        q *= 0.5
+        q = np.floor(q)
+    return q
 
-    Scaling by 2^bits is exact in binary floating point, so the floor and
-    the half-way comparison below are exact decisions. Under nearest
-    rounding the result may reach 1.0, which is a legal weight.
-    """
+
+def quantize_fraction(f, cfg: SamplerConfig):
+    """Quantize a fractional texel position to fixed point: its numerator
+    over 2^bits, an exact division. Under nearest rounding the result may
+    reach 1.0, which is a legal weight."""
     if cfg.subtexel_bits == 0:
         return f
-    step = float(1 << cfg.subtexel_bits)
-    scaled = np.asarray(f, dtype=float) * step
-    base = np.floor(scaled)
-    if cfg.subtexel_rounding == "nearest":
-        base = base + (scaled - base >= 0.5)
-    return base / step
+    return _numerator(np.array(f, dtype=float), cfg) / float(1 << cfg.subtexel_bits)
 
 
 @dataclass(frozen=True)
@@ -85,10 +100,24 @@ class SampleTrace:
                      for f in self.fractions)
 
 
+def _stage(coord, extent: int, cfg: SamplerConfig):
+    """The stage of a coordinate on an axis of `extent` texels: the floor
+    `base` of its texel-space position pos = coord * extent - 0.5 and the
+    numerator `q` of the used fraction of pos - base (`_numerator`); at
+    bits 0, q is pos itself. Both are floats; everything later in a lookup
+    is a function of them."""
+    pos = np.asarray(coord, dtype=float) * extent
+    pos -= 0.5
+    base = np.floor(pos)
+    if not cfg.subtexel_bits:
+        return base, pos
+    pos -= base  # the fraction, which `_numerator` turns into q
+    return base, _numerator(pos, cfg)
+
+
 def texel_cell(coord, extent: int):
     """Unclamped base index and fractional position along one axis."""
-    pos = np.asarray(coord, dtype=float) * extent - 0.5
-    base = np.floor(pos)
+    base, pos = _stage(coord, extent, SamplerConfig.ideal())
     return base.astype(np.int64), pos - base
 
 
@@ -102,29 +131,73 @@ def _require_finite(x, name: str):
         raise DomainError(f"{name} must be finite")
 
 
+def _stages(grid: TexelGrid, coords, cfg: SamplerConfig):
+    """The stages of `coords` on the grid's axes, x, y[, z]: a list of the
+    distinct stages, one per coordinate object and extent (the dc layouts
+    pass one array for every axis), and per axis the index of its stage."""
+    distinct = {}  # (id, extent) -> (stage index, coordinate, extent), in axis order
+    axes = [distinct.setdefault((id(coord), extent), (len(distinct), coord, extent))[0]
+            for coord, extent in zip(coords, grid.dims)]
+    return [_stage(coord, extent, cfg) for _, coord, extent in distinct.values()], axes
+
+
+def _state(grid: TexelGrid, stages, axes, cfg: SamplerConfig):
+    """The lookup state of `stages` and `axes` (see `_stages`): per axis the
+    clamped index pair and the used fraction, each stage's computed once.
+    The used fraction is q / 2^bits, an exact division, or at bits 0 the
+    exact fraction pos - base, bit for bit `texel_cell`'s."""
+    bits = cfg.subtexel_bits
+    state = [(_clamp_pair(base.astype(np.int64), grid.dims[axes.index(i)]),
+              q / float(1 << bits) if bits else q - base) for i, (base, q) in enumerate(stages)]
+    return [state[i][0] for i in axes], [state[i][1] for i in axes]
+
+
 def _lookup(grid: TexelGrid, coords, cfg: SamplerConfig, depth_fraction=None):
     """The stages of one lookup up to the blend, written once.
 
-    Normalized coordinates -> texel cell -> exact fraction -> used fraction
-    (quantized) -> clamped index pair, per axis in x, y[, z] order. Returns
-    the pairs, the exact fractions and the used fractions. A coordinate
-    object passed for several axes of one extent (the dc layouts pass one
-    array for every axis) runs its stages once. With `depth_fraction` (the
-    split-precision hybrid) `coords` are x and y only, and the depth axis
-    blends slices 0 and 1 at that fraction, which is used unquantized. The
-    coordinates are not checked here.
+    Normalized coordinates -> `_stages` -> `_state`: per axis in x, y[, z]
+    order the clamped index pair and the used fraction, which this returns.
+    With `depth_fraction` (the split-precision hybrid) `coords` are x and y
+    only, and the depth axis blends slices 0 and 1 at that fraction, which
+    is used unquantized. At bits 0 the used fractions are the exact ones.
+    The coordinates are not checked here.
     """
-    stages, axes = {}, []
-    for coord, extent in zip(coords, grid.dims):
-        key = (id(coord), extent)
-        if key not in stages:
-            base, frac = texel_cell(coord, extent)
-            stages[key] = (_clamp_pair(base, extent), frac, quantize_fraction(frac, cfg))
-        axes.append(stages[key])
+    pairs, used = _state(grid, *_stages(grid, coords, cfg), cfg)
     if depth_fraction is not None:
-        axes.append((_clamp_pair(0, grid.depth), depth_fraction, depth_fraction))
-    pairs, exact, used = (list(stage) for stage in zip(*axes))
-    return pairs, exact, used
+        pairs, used = pairs + [_clamp_pair(0, grid.depth)], used + [depth_fraction]
+    return pairs, used
+
+
+def _key(stage, cfg: SamplerConfig):
+    """One exact key per sample of a stage: base * 2^(bits+1) + q, or at
+    bits 0 pos itself. Equal keys mean equal stages, and so equal lookup
+    state.
+
+    base and q are integer-valued floats and q lies in [0, 2^bits], below
+    2^(bits+1), so the key packs the two without overlap. Scaling by a power
+    of two is exact, so the key is exact while it stays below 2^53, which
+    coordinates in [0, 1] keep on every extent below 2^(52 - bits), 2^28 at
+    24 bits. Such coordinates keep base in [-1, extent - 1], where every
+    base has its own clamped pair, so equal states also get equal keys;
+    at bits 0 a rounded fraction can merge positions in (-0.5, 0), which
+    costs one more run head.
+    """
+    base, q = stage
+    if not cfg.subtexel_bits:
+        return q
+    key = base * float(1 << cfg.subtexel_bits + 1)
+    key += q
+    return key
+
+
+def _unkey(key, cfg: SamplerConfig):
+    """The stage (base, q) that `_key` packed into `key`, bit for bit:
+    key * 2^-(bits+1) is exactly base + q / 2^(bits+1), whose second term
+    lies in [0, 1/2], so its floor is base."""
+    if not cfg.subtexel_bits:
+        return np.floor(key), key
+    base = np.floor(key * 0.5 ** (cfg.subtexel_bits + 1))
+    return base, key - base * float(1 << cfg.subtexel_bits + 1)
 
 
 def _corners(grid: TexelGrid, pairs):
@@ -177,7 +250,7 @@ def _sample(grid: TexelGrid, coords, cfg: SamplerConfig):
     """Checked coordinates -> `_lookup` -> blend, plus the trace."""
     for coord, name in zip(coords, "uvw"):
         _require_finite(coord, name)
-    pairs, _, fractions = _lookup(grid, coords, cfg)
+    pairs, fractions = _lookup(grid, coords, cfg)
     value = _blend(grid, pairs, fractions)
     if len(pairs) == 2:
         pairs.append((np.zeros_like(pairs[0][0]),))

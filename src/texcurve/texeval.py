@@ -3,9 +3,9 @@
 `_MODES` is the one mode table: the layouts each evaluation mode
 evaluates, and its evaluator. The public evaluators check their layout
 through it, as sweeps, the error bound and the CLI check their mode.
-Every evaluator reads the grid through one `_fetch` (the staged lookup
-`sampler._lookup`, the blend, then `_decode`: the inverse transform, and
-for rational curves the divide by the weight) and builds no `SampleTrace`.
+Every evaluator reads the grid through one `_fetch` (the staged lookup of
+`sampler`, the blend, then `_decode`: the inverse transform, and for
+rational curves the divide by the weight) and builds no `SampleTrace`.
 `_coords` is the one 1-parameter coordinate picker and `_eval_curve` the
 one 1-parameter path, which the split-precision hybrid runs with the exact
 t as its depth fraction. Parameters are validated once per call:
@@ -20,30 +20,30 @@ fixed by the texture unit's discrete state: the clamped texel pair and the
 used (fixed-point) fraction on each axis, which is every index array and
 every used fraction `sampler._lookup` returns. The blend, the inverse
 transform and the rational divide are elementwise functions of that state.
-`_keys` folds each stage's state into one exact integer key (texel cell
-and fraction numerator; at bits 0, the texel-space position's bits), so
-along a 1-D sample axis `_fetch` compares each sample's keys with its
-neighbour's, block edges included, without looking the samples up. It
-then looks up, blends and decodes the first sample of every run together,
-and fills each block by repeating every run's head by the run's length,
-writing each point once. A sorted 2^17-sample dc lattice at 8 bits is
-blended 257 times instead of 131,072.
-The hybrid's runs compare the x and y keys alone, since its depth fraction
-is t itself: the heads lerp x and y into one (channels, 2, heads) array of
-depth slices, and every sample lerps its head's two slices at its t. A
-block whose runs outnumber half its samples (every block of distinct
-parameters at bits 0) is looked up and blended whole, as is an axis below
-`_RUN_MIN` samples.
+`sampler._key` packs each stage (texel cell and fraction numerator; at bits
+0, the texel-space position) into one exact key, so along a 1-D sample axis
+`_fetch` compares each sample's keys with its neighbour's, block edges
+included, without looking the samples up. It then decodes the first sample
+of every run from its keys (`sampler._unkey`), so no parameter is mapped
+twice, blends and decodes those heads together, and fills each block by
+repeating every run's head by the run's length, writing each point once.
+A sorted 2^17-sample dc lattice at 8 bits is blended 257 times instead of
+131,072. The hybrid's runs compare the x and y keys alone, since its depth
+fraction is t itself: the heads lerp x and y into one (channels, 2, heads)
+array of depth slices, and every sample lerps its head's two slices at its
+t. A block whose runs outnumber half its samples (every block of distinct
+parameters at bits 0) is blended whole from its stages, and an axis below
+`_RUN_MIN` samples is looked up and blended whole.
 
 Parameters broadcast like the reference evaluators: scalar in, one point
 out; (n,) array in, (n, channels) out, stored channel-major (Fortran
-order) so that each elementwise pass loops over the samples. `_fetch` maps
-coordinates, keys, looks up and blends at most `_BLOCK` samples (or heads)
-at a time, so only the parameters and the output span the axis and
-the blend's temporaries stay near the L2 cache (one 3-channel block is
-192 kB and its trilinear corner array 1.5 MB, the axis of 2^17 samples
-3 MB). Every stage is elementwise, so neither blocking nor memory order
-changes a bit of the result.
+order) so that each elementwise pass loops over the samples. `_fetch`
+maps, stages, keys and blends at most `_BLOCK` samples (or heads) at a
+time, so only the parameters and the output span the axis and the blend's
+temporaries stay near the L2 cache (one 3-channel block is 192 kB and its
+trilinear corner array 1.5 MB, the axis of 2^17 samples 3 MB). Every stage
+is elementwise, so neither blocking nor memory order changes a bit of the
+result.
 """
 
 from __future__ import annotations
@@ -182,53 +182,8 @@ def _decode(curve: EncodedCurve, raw):
     return value[..., :-1] / den
 
 
-def _keys(grid, coords, cfg: SamplerConfig):
-    """One exact integer key per stage (coordinate object and extent) of the
-    lookup of `coords`, such that equal keys mean equal lookup state.
-
-    pos = coord * extent - 0.5, base = floor(pos) and frac = pos - base are
-    computed as `sampler.texel_cell` computes them (frac is rounded where
-    pos lies in (-0.5, 0), and the sampler quantizes that rounded value).
-    Scaling by a power of two and flooring are exact, so q = floor(frac *
-    2^bits) under floor rounding, and q = (k + 1) >> 1 with k = floor(frac *
-    2^(bits+1)) under nearest (that is, floor(s) + (s - floor(s) >= 0.5) at
-    s = frac * 2^bits), is exactly the numerator of the used fraction q /
-    2^bits, with q in [0, 2^bits]. The key base * (2^bits + 1) + q keeps
-    (cell m, q = 2^bits) apart from (cell m + 1, q = 0). It fixes base, and
-    so the clamped pair, and q, and so the used fraction. Coordinates in
-    [0, 1] keep base in [-1, extent - 1], where every base has its own
-    clamped pair, so equal states also get equal keys, and every key is an
-    integer-valued float64 below 2^53 on extents below 2^28.
-
-    At bits 0 the used fraction is frac itself, and the key is pos by its
-    int64 bits. Equal states get different keys only where a rounded frac
-    merges positions in (-0.5, 0), which costs one more run head.
-    """
-    bits, nearest, stages = cfg.subtexel_bits, cfg.subtexel_rounding == "nearest", {}
-    for coord, extent in zip(coords, grid.dims):
-        if (id(coord), extent) in stages:
-            continue
-        key = np.asarray(coord, dtype=float) * extent
-        key -= 0.5
-        if not bits:
-            stages[id(coord), extent] = key.view(np.int64)
-            continue
-        base = np.floor(key)
-        key -= base  # frac
-        key *= float(1 << bits + nearest)
-        np.floor(key, out=key)  # q, or k under nearest
-        if nearest:
-            key += 1.0
-            key *= 0.5
-            np.floor(key, out=key)
-        base *= float((1 << bits) + 1)
-        key += base
-        stages[id(coord), extent] = key
-    return list(stages.values())
-
-
 def _runs(keys, last):
-    """Which samples of one block begin a run of equal keys (see `_keys`),
+    """Which samples of one block begin a run of equal keys (`sampler._key`),
     as a bool array, and the keys of its last sample, to pass as the next
     block's `last`; both None when runs would outnumber half the samples.
     Equal keys mean equal lookup state, and equal states have equal keys
@@ -252,10 +207,11 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
     `hybrid` (a dc cubic) looks up x and y at the first two coordinates and
     blends depth at the exact parameter.
 
-    Each `_BLOCK` slice of a long enough axis is mapped once and keyed
-    (`_keys`, `_runs`); it is then either looked up and blended whole from
-    those coordinates or kept as its run starts (`flatnonzero`). The heads
-    of all runs are then mapped, looked up and blended in chunks of
+    Each `_BLOCK` slice of a long enough axis is mapped and staged once
+    (`sampler._stages`) and keyed (`sampler._key`, `_runs`); it is then
+    either blended whole from its stages or kept as its run starts
+    (`flatnonzero`) and the keys there. The heads of all runs are then
+    decoded from their keys (`sampler._unkey`) and blended in chunks of
     `_BLOCK` into one (channels, heads) array (the hybrid's: (channels, 2,
     heads), its depth slices), and each block is filled by one `np.repeat`
     of its runs' heads by the runs' lengths; a block that opens inside a
@@ -265,53 +221,53 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
     state.
     """
     grid = curve.grid
-
-    def lookup(coords, part):
-        if hybrid:
-            return sampler._lookup(grid, coords[:2], cfg, part[0])
-        return sampler._lookup(grid, coords, cfg)
-
+    state = slice(2 if hybrid else None)  # the hybrid's depth fraction is no state
     shape, *others = {p.shape for p in params}
     if others or len(shape) != 1 or shape[0] < _RUN_MIN:
-        pairs, _, used = lookup(coords_of(*params), params)
+        depth = params[0] if hybrid else None
+        pairs, used = sampler._lookup(grid, coords_of(*params)[state], cfg, depth)
         return _decode(curve, sampler._blend(grid, pairs, used))
+
+    def blend(stages, axes):
+        """(channels, n) points at the state of `stages`; the hybrid's
+        (channels, 2, n) depth slices 0 and 1, lerped in x and y only."""
+        pairs, used = sampler._state(grid, stages, axes, cfg)
+        if not hybrid:
+            return _decode(curve, sampler._blend(grid, pairs, used)).T
+        return sampler._lerp_axes(sampler._corners(grid, pairs + [(0, 1)]), used)
+
+    def points(values, t):
+        """(n, channels) points of `blend` values; the hybrid's at depth t."""
+        return _decode(curve, sampler._lerp_axes(values, (t,)).T) if hybrid else values.T
+
     channels = grid.channels - (curve.layout is Layout.RATIONAL_HOMOGENEOUS)
     out = np.empty((shape[0], channels), order="F")
-    state = slice(2 if hybrid else None)  # the hybrid's depth fraction is no state
     blocks, last = [], None
     for start in range(0, shape[0], _BLOCK):
         block = slice(start, min(start + _BLOCK, shape[0]))
         part = [p[block] for p in params]
-        coords = coords_of(*part)
-        change, last = _runs(_keys(grid, coords[state], cfg), last)
+        stages, axes = sampler._stages(grid, coords_of(*part)[state], cfg)
+        keys = [sampler._key(stage, cfg) for stage in stages]
+        change, last = _runs(keys, last)
         if change is None:
-            pairs, _, used = lookup(coords, part)
-            out[block] = _decode(curve, sampler._blend(grid, pairs, used))
+            out[block] = points(blend(stages, axes), part[0])
         else:
-            blocks.append((block, np.flatnonzero(change)))
+            starts = np.flatnonzero(change)
+            blocks.append((block, starts, [key[starts] for key in keys]))
     if not blocks:
         return out
-    heads = np.concatenate([block.start + starts for block, starts in blocks])
-    values = []
-    for start in range(0, heads.size, _BLOCK):
-        part = [p[heads[start : start + _BLOCK]] for p in params]
-        pairs, _, used = lookup(coords_of(*part), part)
-        if not hybrid:
-            values.append(_decode(curve, sampler._blend(grid, pairs, used)).T)
-        else:
-            values.append(sampler._lerp_axes(sampler._corners(grid, pairs), used[:2]))
-    values = np.concatenate(values, axis=-1)
+    keys = [np.concatenate(key) for key in zip(*(heads for _, _, heads in blocks))]
+    values = np.concatenate([  # every block has the same `axes`
+        blend([sampler._unkey(key[start : start + _BLOCK], cfg) for key in keys], axes)
+        for start in range(0, keys[0].size, _BLOCK)], axis=-1)
     first = 0  # the head of the block's first run
-    for block, starts in blocks:
+    for block, starts, _ in blocks:
         if not starts.size or starts[0]:  # the block opens in the last run before it
             starts, first = np.concatenate(([0], starts)), first - 1
         lengths = np.diff(starts, append=block.stop - block.start)
         runs = np.repeat(values[..., first : first + starts.size], lengths, axis=-1)
         first += starts.size
-        if not hybrid:
-            out[block] = runs.T
-        else:
-            out[block] = _decode(curve, sampler._lerp_axes(runs, (params[0][block],)).T)
+        out[block] = points(runs, params[0][block])
     return out
 
 

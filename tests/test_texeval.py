@@ -675,9 +675,9 @@ def fetch_every_sample(curve, coords_of, params, cfg, hybrid=False):
     the decode on every sample."""
     coords = coords_of(*params)
     if hybrid:
-        pairs, _, used = sampler._lookup(curve.grid, coords[:2], cfg, params[0])
+        pairs, used = sampler._lookup(curve.grid, coords[:2], cfg, params[0])
     else:
-        pairs, _, used = sampler._lookup(curve.grid, coords, cfg)
+        pairs, used = sampler._lookup(curve.grid, coords, cfg)
     return texeval._decode(curve, sampler._blend(curve.grid, pairs, used))
 
 
@@ -790,6 +790,71 @@ def _nudged(c, steps):
     return c
 
 
+def composed_state(coord, extent, cfg):
+    """One axis's lookup state composed from the public stages rather than
+    `sampler._stages` and `_state`: the clamped pair of `texel_cell`'s base
+    and `quantize_fraction` of its fraction (which `test_sampler` holds to a
+    rational oracle)."""
+    base, frac = sampler.texel_cell(coord, extent)
+    return sampler._clamp_pair(base, extent), sampler.quantize_fraction(frac, cfg)
+
+
+def anchored_coords(extent, anchors, uniform):
+    """Coordinates at texel-space positions cell + sub / 2^13, each with its
+    four nearest floats on either side, then the uniform draws."""
+    cells = [(cell + sub / 8192 + 0.5) / extent for cell, sub in anchors]
+    return np.array([_nudged(c, steps) for c in cells for steps in range(-4, 5)] + uniform)
+
+
+#: texel-space positions cell + sub / 2^13: texel centers (sub 0), half steps
+#: (4096), every fraction boundary of every bit depth, and cells outside the
+#: texture
+ANCHORS = st.lists(
+    st.tuples(st.integers(-2, 66), st.sampled_from((0, 4096)) | st.integers(0, 8191)),
+    min_size=1, max_size=8)
+
+
+def _same_bits(a, b):
+    """Same type, shape, dtype and bytes."""
+    a_, b_ = np.asarray(a), np.asarray(b)
+    return type(a) is type(b) and \
+        (a_.shape, a_.dtype, a_.tobytes()) == (b_.shape, b_.dtype, b_.tobytes())
+
+
+@settings(max_examples=150, deadline=None)
+@example(extent=1, other=1, bits=0, rounding="nearest", anchors=[(-1, 4096)], uniform=[],
+         form="scalar")
+@example(extent=3, other=3, bits=12, rounding="floor", anchors=[(1, 0)], uniform=[], form="empty")
+@given(
+    extent=st.integers(1, 65),
+    other=st.integers(1, 65),
+    bits=st.integers(0, 12),
+    rounding=st.sampled_from(("nearest", "floor")),
+    anchors=ANCHORS,
+    uniform=st.lists(st.floats(-1.0, 2.0), max_size=8),
+    form=st.sampled_from(("array", "scalar", "one", "empty")),
+)
+def test_lookup_state_is_the_composed_stages(extent, other, bits, rounding, anchors, uniform,
+                                              form):
+    """`_lookup`'s clamped pairs and used fractions equal, bit for bit and in
+    type and shape, the composition of `texel_cell`, `_clamp_pair` and
+    `quantize_fraction`, on numpy scalars, 1-element, empty and longer
+    coordinates, with one coordinate object on both axes (one stage when the
+    extents agree). Every stage decodes from its key bit for bit."""
+    coord = anchored_coords(extent, anchors, uniform)
+    coord = {"array": coord, "scalar": coord[0], "one": coord[:1], "empty": coord[:0]}[form]
+    grid = TexelGrid((extent, other, 1), 1, F32, np.zeros(extent * other))
+    cfg = SamplerConfig(subtexel_bits=bits, subtexel_rounding=rounding)
+    pairs, used = sampler._lookup(grid, (coord, coord), cfg)
+    for pair, fraction, axis_extent in zip(pairs, used, (extent, other)):
+        want_pair, want_fraction = composed_state(coord, axis_extent, cfg)
+        assert all(map(_same_bits, pair, want_pair))
+        assert _same_bits(fraction, want_fraction)
+    for axis_extent in (extent, other):
+        stage = sampler._stage(coord, axis_extent, cfg)
+        assert all(map(_same_bits, sampler._unkey(sampler._key(stage, cfg), cfg), stage))
+
+
 @settings(max_examples=150, deadline=None)
 @example(extent=2, bits=8, rounding="floor", anchors=[(-1, 6144)], uniform=[])
 @example(extent=3, bits=4, rounding="nearest", anchors=[(0, 8191), (1, 0)], uniform=[])
@@ -797,30 +862,47 @@ def _nudged(c, steps):
     extent=st.integers(2, 65),
     bits=st.integers(0, 12),
     rounding=st.sampled_from(("nearest", "floor")),
-    # texel-space positions cell + sub / 2^13: texel centers (sub 0), half
-    # steps (4096), every fraction boundary of every bit depth, and cells
-    # outside the texture
-    anchors=st.lists(st.tuples(st.integers(-2, 66),
-                               st.sampled_from((0, 4096)) | st.integers(0, 8191)),
-                     min_size=1, max_size=8),
+    anchors=ANCHORS,
     uniform=st.lists(st.floats(-1.0, 2.0), max_size=8),
 )
 def test_equal_keys_mean_equal_lookup_state(extent, bits, rounding, anchors, uniform):
-    """Samples with equal `_keys` get bitwise-equal clamped pairs and used
-    fractions from `sampler._lookup`; samples with different keys differ in
-    state, unless both sit in clamped cells outside the texture."""
-    cells = [(cell + sub / 8192 + 0.5) / extent for cell, sub in anchors]
-    coord = np.array([_nudged(c, steps) for c in cells for steps in range(-4, 5)] + uniform)
-    grid = TexelGrid((extent, 2, 1), 1, F32, np.zeros(2 * extent))
+    """Samples with equal `sampler._key`s get bitwise-equal clamped pairs and
+    used fractions from the composed stages; samples with different keys
+    differ in state, unless both sit in clamped cells outside the texture."""
+    coord = anchored_coords(extent, anchors, uniform)
     cfg = SamplerConfig(subtexel_bits=bits, subtexel_rounding=rounding)
-    (key,) = texeval._keys(grid, (coord,), cfg)
-    (pair,), _, (used,) = sampler._lookup(grid, (coord,), cfg)
+    key = sampler._key(sampler._stage(coord, extent, cfg), cfg)
+    pair, used = composed_state(coord, extent, cfg)
     state = np.stack([pair[0], pair[1], used.view(np.int64)], axis=1)
     same_key = key[:, None] == key[None, :]
     same_state = (state[:, None] == state[None, :]).all(axis=-1)
     assert not (same_key & ~same_state).any()
     clamped = pair[0] == pair[1]
     assert not (~same_key & same_state & ~clamped[:, None]).any()
+
+
+@pytest.mark.parametrize("kind, fn", (("dc-cubic", eval_dc), ("seiler-3d", eval_seiler_tex),
+                                      ("dc-cubic", eval_dc_cubic_hybrid)))
+def test_fetch_maps_each_parameter_once(monkeypatch, kind, fn):
+    """On a sorted 2^17-sample lattice at 8 bits, `_fetch` maps each
+    parameter to coordinates once: the run heads are decoded from their
+    keys, not mapped again."""
+    curve = run_curve(kind, F32, 2)
+    t = np.linspace(0.0, 1.0, 1 << 17)
+    count = 0
+    fetch = texeval._fetch
+
+    def counted_fetch(curve, coords_of, params, cfg, hybrid=False):
+        def counted_coords_of(*part):
+            nonlocal count
+            count += np.size(part[0])
+            return coords_of(*part)
+
+        return fetch(curve, counted_coords_of, params, cfg, hybrid)
+
+    monkeypatch.setattr(texeval, "_fetch", counted_fetch)
+    fn(curve, t, SamplerConfig(subtexel_bits=8))
+    assert count == 1 << 17
 
 
 @pytest.mark.parametrize("rounding", ("nearest", "floor"))
@@ -837,7 +919,7 @@ def test_sorted_lattice_blends_each_state_change_once(monkeypatch, kind, bits, r
           "seiler-3d": eval_seiler_tex}.get(kind, eval_rational_tex)
     cfg = SamplerConfig(subtexel_bits=bits, subtexel_rounding=rounding)
     t = np.linspace(0.0, float(curve.segment_count), 1 << 17)
-    pairs, _, used = sampler._lookup(curve.grid, texeval.parameter_coords(curve, t), cfg)
+    pairs, used = sampler._lookup(curve.grid, texeval.parameter_coords(curve, t), cfg)
     state = [f.view(np.int64) for f in used] + [a for pair in pairs for a in pair]
     changes = 1 + np.count_nonzero(np.any([a[1:] != a[:-1] for a in state], axis=0))
     count = 0
