@@ -780,6 +780,33 @@ def test_runs_match_a_blend_of_every_sample(name, pick, fmt, bits, rounding, cha
         (want.flags.f_contiguous, want.flags.c_contiguous)
 
 
+ONE_PARAMETER_CASES = [(name, kind) for name in ("eval_dc", "eval_dc_cubic_hybrid",
+                                                 "eval_dc_zigzag", "eval_seiler_tex",
+                                                 "eval_rational_tex")
+                       for kind in RUN_EVALUATORS[name][1]]
+
+
+@pytest.mark.parametrize("bits", (0, 8))
+@pytest.mark.parametrize("name, kind", ONE_PARAMETER_CASES)
+def test_one_parameter_shapes_match_the_flat_call(name, kind, bits):
+    """Every 1-parameter evaluator maps a parameter of any shape (scalar,
+    empty, N-D, short and blocked 1-D) to its points: shape + (channels,),
+    equal by bytes to the call on the flattened parameter, laid out
+    channel-major like it."""
+    fn = RUN_EVALUATORS[name][0]
+    curve = run_curve(kind, F32, 2)
+    cfg = SamplerConfig(subtexel_bits=bits)
+    for shape in ((), (0,), (2, 0), (7,), (3, 4), (2 * _BLOCK + 17,)):
+        t = np.linspace(0.0, float(curve.segment_count), int(np.prod(shape))).reshape(shape)
+        got = fn(curve, t, t, cfg)
+        flat = fn(curve, t.reshape(-1), None, cfg)
+        want = np.moveaxis(flat.T.reshape(flat.shape[-1:] + shape), 0, -1)
+        assert got.shape == shape + flat.shape[-1:]
+        assert got.tobytes() == want.tobytes()
+        assert (got.flags.f_contiguous, got.flags.c_contiguous) == \
+            (want.flags.f_contiguous, want.flags.c_contiguous)
+
+
 # -- run keys ----------------------------------------------------------------
 
 
