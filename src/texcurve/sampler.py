@@ -10,11 +10,11 @@ its used fraction (at bits 0, the position itself); `_stages` stages each
 coordinate object once per extent, and `_state` turns the stages into the
 lookup state, per axis the clamped index pair and the used fraction.
 `_lookup` is the two in a row, and `texel_cell` and `quantize_fraction` are
-built from the same helpers. `_key` packs a stage into one exact key and
-`_unkey` recovers the stage from it, so `texeval._fetch` finds runs of equal
-state and decodes each run's head from its key. The public fetches wrap
-`_lookup` with a finiteness check and a `SampleTrace`; no evaluator and not
-the error bound builds a trace. Every lookup then runs one blend kernel:
+built from the same helpers. Equal stages mean equal lookup state, so
+`texeval._fetch` finds runs of equal state by comparing the stages
+themselves and turns only each run's head into state. The public fetches
+wrap `_lookup` with a finiteness check and a `SampleTrace`; no evaluator
+and not the error bound builds a trace. Every lookup then runs one blend kernel:
 `_corners` gathers every corner texel with one `take` from the grid viewed
 as a flat (channels, texels) table, into one (channels, 2[x], 2[y][,
 2[z]], *samples) array, and `_lerp_axes` runs the fixed chain of lerps,
@@ -105,7 +105,11 @@ def _stage(coord, extent: int, cfg: SamplerConfig):
     `base` of its texel-space position pos = coord * extent - 0.5 and the
     numerator `q` of the used fraction of pos - base (`_numerator`); at
     bits 0, q is pos itself. Both are floats; everything later in a lookup
-    is a function of them."""
+    is a function of them, so equal stages mean equal lookup state.
+    Coordinates in [0, 1] keep base in [-1, extent - 1], where every base
+    has its own clamped pair, so there equal states also have equal stages;
+    only at bits 0 can a rounded fraction pos - base merge positions in
+    (-0.5, 0)."""
     pos = np.asarray(coord, dtype=float) * extent
     pos -= 0.5
     base = np.floor(pos)
@@ -152,52 +156,15 @@ def _state(grid: TexelGrid, stages, axes, cfg: SamplerConfig):
     return [state[i][0] for i in axes], [state[i][1] for i in axes]
 
 
-def _lookup(grid: TexelGrid, coords, cfg: SamplerConfig, depth_fraction=None):
+def _lookup(grid: TexelGrid, coords, cfg: SamplerConfig):
     """The stages of one lookup up to the blend, written once.
 
     Normalized coordinates -> `_stages` -> `_state`: per axis in x, y[, z]
     order the clamped index pair and the used fraction, which this returns.
-    With `depth_fraction` (the split-precision hybrid) `coords` are x and y
-    only, and the depth axis blends slices 0 and 1 at that fraction, which
-    is used unquantized. At bits 0 the used fractions are the exact ones.
-    The coordinates are not checked here.
+    At bits 0 the used fractions are the exact ones. The coordinates are
+    not checked here.
     """
-    pairs, used = _state(grid, *_stages(grid, coords, cfg), cfg)
-    if depth_fraction is not None:
-        pairs, used = pairs + [_clamp_pair(0, grid.depth)], used + [depth_fraction]
-    return pairs, used
-
-
-def _key(stage, cfg: SamplerConfig):
-    """One exact key per sample of a stage: base * 2^(bits+1) + q, or at
-    bits 0 pos itself. Equal keys mean equal stages, and so equal lookup
-    state.
-
-    base and q are integer-valued floats and q lies in [0, 2^bits], below
-    2^(bits+1), so the key packs the two without overlap. Scaling by a power
-    of two is exact, so the key is exact while it stays below 2^53, which
-    coordinates in [0, 1] keep on every extent below 2^(52 - bits), 2^28 at
-    24 bits. Such coordinates keep base in [-1, extent - 1], where every
-    base has its own clamped pair, so equal states also get equal keys;
-    at bits 0 a rounded fraction can merge positions in (-0.5, 0), which
-    costs one more run head.
-    """
-    base, q = stage
-    if not cfg.subtexel_bits:
-        return q
-    key = base * float(1 << cfg.subtexel_bits + 1)
-    key += q
-    return key
-
-
-def _unkey(key, cfg: SamplerConfig):
-    """The stage (base, q) that `_key` packed into `key`, bit for bit:
-    key * 2^-(bits+1) is exactly base + q / 2^(bits+1), whose second term
-    lies in [0, 1/2], so its floor is base."""
-    if not cfg.subtexel_bits:
-        return np.floor(key), key
-    base = np.floor(key * 0.5 ** (cfg.subtexel_bits + 1))
-    return base, key - base * float(1 << cfg.subtexel_bits + 1)
+    return _state(grid, *_stages(grid, coords, cfg), cfg)
 
 
 def _corners(grid: TexelGrid, pairs):

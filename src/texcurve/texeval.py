@@ -18,27 +18,28 @@ Seiler coordinate window is still checked on every sample.
 `_fetch` blends once per run of equal lookup state. The filter's output is
 fixed by the texture unit's discrete state: the clamped texel pair and the
 used (fixed-point) fraction on each axis, which is every index array and
-every used fraction `sampler._lookup` returns. The blend, the inverse
-transform and the rational divide are elementwise functions of that state.
-`sampler._key` packs each stage (texel cell and fraction numerator; at bits
-0, the texel-space position) into one exact key, so along a 1-D sample axis
-`_fetch` compares each sample's keys with its neighbour's, block edges
-included, without looking the samples up. It then decodes the first sample
-of every run from its keys (`sampler._unkey`), so no parameter is mapped
-twice, blends and decodes those heads together, and fills each block by
-repeating every run's head by the run's length, writing each point once.
-A sorted 2^17-sample dc lattice at 8 bits is blended 257 times instead of
-131,072. The hybrid's runs compare the x and y keys alone, since its depth
-fraction is t itself: the heads lerp x and y into one (channels, 2, heads)
-array of depth slices, and every sample lerps its head's two slices at its
-t. A block whose runs outnumber half its samples (every block of distinct
-parameters at bits 0) is blended whole from its stages, and an axis below
-`_RUN_MIN` samples is looked up and blended whole.
+every used fraction `sampler._state` returns. The blend, the inverse
+transform and the rational divide are elementwise functions of that state,
+and the state is a function of each axis's stage (`sampler._stage`: texel
+cell and fraction numerator; at bits 0, the texel-space position). So
+along a 1-D sample axis `_fetch` compares each sample's stages with its
+neighbour's, block edges included, without looking the samples up. It
+keeps the stages of the first sample of every run, so no parameter is
+mapped twice, blends and decodes those heads together, and fills each
+block by repeating every run's head by the run's length, writing each
+point once. A sorted 2^17-sample dc lattice at 8 bits is blended 257
+times instead of 131,072. The hybrid's runs compare the x and y stages
+alone, since its depth fraction is t itself: the heads lerp x and y into
+one (channels, 2, heads) array of depth slices, and every sample lerps its
+head's two slices at its t. A block whose runs outnumber half its samples
+(every block of distinct parameters at bits 0) is blended whole from its
+stages, and scalars, N-D parameters and axes below `_RUN_MIN` samples are
+staged and blended whole, through the same blend as whole blocks.
 
 Parameters broadcast like the reference evaluators: scalar in, one point
 out; (n,) array in, (n, channels) out, stored channel-major (Fortran
 order) so that each elementwise pass loops over the samples. `_fetch`
-maps, stages, keys and blends at most `_BLOCK` samples (or heads) at a
+maps, stages, compares and blends at most `_BLOCK` samples (or heads) at a
 time, so only the parameters and the output span the axis and the blend's
 temporaries stay near the L2 cache (one 3-channel block is 192 kB and its
 trilinear corner array 1.5 MB, the axis of 2^17 samples 3 MB). Every stage
@@ -182,22 +183,27 @@ def _decode(curve: EncodedCurve, raw):
     return value[..., :-1] / den
 
 
-def _runs(keys, last):
-    """Which samples of one block begin a run of equal keys (`sampler._key`),
-    as a bool array, and the keys of its last sample, to pass as the next
-    block's `last`; both None when runs would outnumber half the samples.
-    Equal keys mean equal lookup state, and equal states have equal keys
-    (at bits 0 except at positions in (-0.5, 0)), so the runs are those of
-    the state itself. A run continues across the block edge when `last`
-    matches the block's first sample."""
-    n = keys[0].shape[0]
+def _runs(stages, last):
+    """Which samples of one block begin a run of equal stages (`sampler._stage`),
+    as a bool array, and the stages' arrays at its last sample, to pass as
+    the next block's `last`; both None when runs would outnumber half the
+    samples. Each stage's `q` is compared before its `base`, so a block of
+    distinct positions at bits 0 (where q is the position) gives up after
+    one comparison per stage. Equal stages mean equal lookup state, and
+    equal states have equal stages (except in clamped cells outside the
+    texture, and at bits 0 at positions in (-0.5, 0), whose rounded
+    fractions can agree), so the runs are those of the state itself. A run
+    continues across the block edge when `last` matches the block's first
+    sample."""
+    arrays = [a for base, q in stages for a in (q, base)]
+    n = arrays[0].shape[0]
     change = np.zeros(n, dtype=bool)
-    change[0] = last is None or any(a[0] != b for a, b in zip(keys, last))
-    for a in keys:
+    change[0] = last is None or any(a[0] != b for a, b in zip(arrays, last))
+    for a in arrays:
         change[1:] |= a[1:] != a[:-1]
         if 2 * np.count_nonzero(change) > n:
             return None, None
-    return change, [a[-1] for a in keys]
+    return change, [a[-1] for a in arrays]
 
 
 def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: bool = False):
@@ -207,39 +213,41 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
     `hybrid` (a dc cubic) looks up x and y at the first two coordinates and
     blends depth at the exact parameter.
 
-    Each `_BLOCK` slice of a long enough axis is mapped and staged once
-    (`sampler._stages`) and keyed (`sampler._key`, `_runs`); it is then
-    either blended whole from its stages or kept as its run starts
-    (`flatnonzero`) and the keys there. The heads of all runs are then
-    decoded from their keys (`sampler._unkey`) and blended in chunks of
-    `_BLOCK` into one (channels, heads) array (the hybrid's: (channels, 2,
-    heads), its depth slices), and each block is filled by one `np.repeat`
-    of its runs' heads by the runs' lengths; a block that opens inside a
-    run begins with that run's head. Equal keys mean equal state, so a
-    head's point is every point of its run, bit for bit; equal states get
-    equal keys, so the heads are the first samples of the runs of equal
-    state.
+    Every lookup stages its coordinates (`sampler._stages`) and blends them
+    in one `blend`; `points` turns what it returns into (samples...,
+    channels) points. Parameters that are not one shared 1-D axis of at
+    least `_RUN_MIN` samples go through the pair once, whole. Otherwise
+    each `_BLOCK` slice of the axis is mapped and staged once and compared
+    with its neighbours (`_runs`); it is then either blended whole from its
+    stages or kept as its run starts (`flatnonzero`) and the stages there.
+    The heads of all runs are then blended in chunks of `_BLOCK` into one
+    (channels, heads) array (the hybrid's: (channels, 2, heads), its depth
+    slices), and each block is filled by one `np.repeat` of its runs' heads
+    by the runs' lengths; a block that opens inside a run begins with that
+    run's head. Equal stages mean equal state, so a head's point is every
+    point of its run, bit for bit; equal states get equal stages, so the
+    heads are the first samples of the runs of equal state.
     """
     grid = curve.grid
     state = slice(2 if hybrid else None)  # the hybrid's depth fraction is no state
-    shape, *others = {p.shape for p in params}
-    if others or len(shape) != 1 or shape[0] < _RUN_MIN:
-        depth = params[0] if hybrid else None
-        pairs, used = sampler._lookup(grid, coords_of(*params)[state], cfg, depth)
-        return _decode(curve, sampler._blend(grid, pairs, used))
 
     def blend(stages, axes):
-        """(channels, n) points at the state of `stages`; the hybrid's
-        (channels, 2, n) depth slices 0 and 1, lerped in x and y only."""
+        """(channels, *samples) points at the state of `stages`; the hybrid's
+        (channels, 2, *samples) depth slices 0 and 1, lerped in x and y only."""
         pairs, used = sampler._state(grid, stages, axes, cfg)
         if not hybrid:
             return _decode(curve, sampler._blend(grid, pairs, used)).T
         return sampler._lerp_axes(sampler._corners(grid, pairs + [(0, 1)]), used)
 
     def points(values, t):
-        """(n, channels) points of `blend` values; the hybrid's at depth t."""
-        return _decode(curve, sampler._lerp_axes(values, (t,)).T) if hybrid else values.T
+        """(*samples, channels) points of `blend` values; the hybrid's at depth t."""
+        if not hybrid:
+            return values.T
+        return _decode(curve, np.moveaxis(sampler._lerp_axes(values, (t,)), 0, -1))
 
+    shape, *others = {p.shape for p in params}
+    if others or len(shape) != 1 or shape[0] < _RUN_MIN:
+        return points(blend(*sampler._stages(grid, coords_of(*params)[state], cfg)), params[0])
     channels = grid.channels - (curve.layout is Layout.RATIONAL_HOMOGENEOUS)
     out = np.empty((shape[0], channels), order="F")
     blocks, last = [], None
@@ -247,19 +255,18 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
         block = slice(start, min(start + _BLOCK, shape[0]))
         part = [p[block] for p in params]
         stages, axes = sampler._stages(grid, coords_of(*part)[state], cfg)
-        keys = [sampler._key(stage, cfg) for stage in stages]
-        change, last = _runs(keys, last)
+        change, last = _runs(stages, last)
         if change is None:
             out[block] = points(blend(stages, axes), part[0])
         else:
             starts = np.flatnonzero(change)
-            blocks.append((block, starts, [key[starts] for key in keys]))
+            blocks.append((block, starts, [(base[starts], q[starts]) for base, q in stages]))
     if not blocks:
         return out
-    keys = [np.concatenate(key) for key in zip(*(heads for _, _, heads in blocks))]
-    values = np.concatenate([  # every block has the same `axes`
-        blend([sampler._unkey(key[start : start + _BLOCK], cfg) for key in keys], axes)
-        for start in range(0, keys[0].size, _BLOCK)], axis=-1)
+    heads = [[np.concatenate(a) for a in zip(*stage)] for stage in zip(*(h for *_, h in blocks))]
+    chunks = [slice(start, start + _BLOCK) for start in range(0, heads[0][0].size, _BLOCK)]
+    values = np.concatenate([blend([(base[c], q[c]) for base, q in heads], axes)
+                             for c in chunks], axis=-1)  # every block has the same `axes`
     first = 0  # the head of the block's first run
     for block, starts, _ in blocks:
         if not starts.size or starts[0]:  # the block opens in the last run before it

@@ -675,7 +675,8 @@ def fetch_every_sample(curve, coords_of, params, cfg, hybrid=False):
     the decode on every sample."""
     coords = coords_of(*params)
     if hybrid:
-        pairs, used = sampler._lookup(curve.grid, coords[:2], cfg, params[0])
+        pairs, used = sampler._lookup(curve.grid, coords[:2], cfg)
+        pairs, used = pairs + [(0, 1)], used + [params[0]]
     else:
         pairs, used = sampler._lookup(curve.grid, coords, cfg)
     return texeval._decode(curve, sampler._blend(curve.grid, pairs, used))
@@ -807,7 +808,7 @@ def test_one_parameter_shapes_match_the_flat_call(name, kind, bits):
             (want.flags.f_contiguous, want.flags.c_contiguous)
 
 
-# -- run keys ----------------------------------------------------------------
+# -- run stages --------------------------------------------------------------
 
 
 def _nudged(c, steps):
@@ -867,7 +868,7 @@ def test_lookup_state_is_the_composed_stages(extent, other, bits, rounding, anch
     type and shape, the composition of `texel_cell`, `_clamp_pair` and
     `quantize_fraction`, on numpy scalars, 1-element, empty and longer
     coordinates, with one coordinate object on both axes (one stage when the
-    extents agree). Every stage decodes from its key bit for bit."""
+    extents agree)."""
     coord = anchored_coords(extent, anchors, uniform)
     coord = {"array": coord, "scalar": coord[0], "one": coord[:1], "empty": coord[:0]}[form]
     grid = TexelGrid((extent, other, 1), 1, F32, np.zeros(extent * other))
@@ -877,9 +878,6 @@ def test_lookup_state_is_the_composed_stages(extent, other, bits, rounding, anch
         want_pair, want_fraction = composed_state(coord, axis_extent, cfg)
         assert all(map(_same_bits, pair, want_pair))
         assert _same_bits(fraction, want_fraction)
-    for axis_extent in (extent, other):
-        stage = sampler._stage(coord, axis_extent, cfg)
-        assert all(map(_same_bits, sampler._unkey(sampler._key(stage, cfg), cfg), stage))
 
 
 @settings(max_examples=150, deadline=None)
@@ -892,28 +890,29 @@ def test_lookup_state_is_the_composed_stages(extent, other, bits, rounding, anch
     anchors=ANCHORS,
     uniform=st.lists(st.floats(-1.0, 2.0), max_size=8),
 )
-def test_equal_keys_mean_equal_lookup_state(extent, bits, rounding, anchors, uniform):
-    """Samples with equal `sampler._key`s get bitwise-equal clamped pairs and
-    used fractions from the composed stages; samples with different keys
-    differ in state, unless both sit in clamped cells outside the texture."""
+def test_equal_stages_mean_equal_lookup_state(extent, bits, rounding, anchors, uniform):
+    """Samples with equal `sampler._stage`s (base, q) get bitwise-equal
+    clamped pairs and used fractions from the composed stages; samples with
+    different stages differ in state, unless both sit in clamped cells
+    outside the texture."""
     coord = anchored_coords(extent, anchors, uniform)
     cfg = SamplerConfig(subtexel_bits=bits, subtexel_rounding=rounding)
-    key = sampler._key(sampler._stage(coord, extent, cfg), cfg)
+    base, q = sampler._stage(coord, extent, cfg)
     pair, used = composed_state(coord, extent, cfg)
     state = np.stack([pair[0], pair[1], used.view(np.int64)], axis=1)
-    same_key = key[:, None] == key[None, :]
+    same_stage = (base[:, None] == base[None, :]) & (q[:, None] == q[None, :])
     same_state = (state[:, None] == state[None, :]).all(axis=-1)
-    assert not (same_key & ~same_state).any()
+    assert not (same_stage & ~same_state).any()
     clamped = pair[0] == pair[1]
-    assert not (~same_key & same_state & ~clamped[:, None]).any()
+    assert not (~same_stage & same_state & ~clamped[:, None]).any()
 
 
 @pytest.mark.parametrize("kind, fn", (("dc-cubic", eval_dc), ("seiler-3d", eval_seiler_tex),
                                       ("dc-cubic", eval_dc_cubic_hybrid)))
 def test_fetch_maps_each_parameter_once(monkeypatch, kind, fn):
     """On a sorted 2^17-sample lattice at 8 bits, `_fetch` maps each
-    parameter to coordinates once: the run heads are decoded from their
-    keys, not mapped again."""
+    parameter to coordinates once: the run heads are blended from their
+    stages, not mapped again."""
     curve = run_curve(kind, F32, 2)
     t = np.linspace(0.0, 1.0, 1 << 17)
     count = 0
