@@ -14,12 +14,12 @@ built from the same helpers. Equal stages mean equal lookup state, so
 `texeval._fetch` finds runs of equal state by comparing the stages
 themselves and turns only each run's head into state. The public fetches
 wrap `_lookup` with a finiteness check and a `SampleTrace`; no evaluator
-and not the error bound builds a trace. Every lookup then runs one blend kernel:
-`_corners` gathers every corner texel with one `take` from the grid viewed
-as a flat (channels, texels) table, into one (channels, 2[x], 2[y][,
-2[z]], *samples) array, and `_lerp_axes` runs the fixed chain of lerps,
-one per axis, x, then y, then z, each lerping away one corner axis. Each
-lerp runs over channel rows whose sample axis is contiguous.
+and not the error bound builds a trace. Every lookup then runs one blend
+kernel: `_corners` gathers every corner texel with one `take` from the
+grid viewed as a flat (channels, texels) table, into one (channels, 2[x],
+2[y][, 2[z]], *samples) array, and `_lerp_axes` runs the fixed chain of
+lerps, one per axis, x, then y, then z, each lerping away one corner axis.
+Each lerp runs over channel rows whose sample axis is contiguous.
 
 All entry points accept scalar coordinates or equal-length coordinate
 arrays; array calls return stacked results of shape (n, channels), stored

@@ -214,7 +214,7 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
     blends depth at the exact parameter.
 
     Every lookup stages its coordinates (`sampler._stages`) and blends them
-    in one `blend`; `points` turns what it returns into (samples...,
+    in one `blend`; `points` turns what it returns into (*samples,
     channels) points. Parameters that are not one shared 1-D axis of at
     least `_RUN_MIN` samples go through the pair once, whole. Otherwise
     each `_BLOCK` slice of the axis is mapped and staged once and compared
