@@ -263,6 +263,7 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
             blocks.append((block, starts, [(base[starts], q[starts]) for base, q in stages]))
     if not blocks:
         return out
+    # per stage, its base and q at every run head of the axis
     heads = [[np.concatenate(a) for a in zip(*stage)] for stage in zip(*(h for *_, h in blocks))]
     chunks = [slice(start, start + _BLOCK) for start in range(0, heads[0][0].size, _BLOCK)]
     values = np.concatenate([blend([(base[c], q[c]) for base, q in heads], axes)
