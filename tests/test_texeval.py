@@ -747,7 +747,22 @@ def lattice(kind, shape, end, rng):
     return float(t[0]) if shape == () else t.reshape(shape)
 
 
+def one_cell(name, pick, kind):
+    """A `kind` lattice of three blocks at bits 0: its whole blocks lie in
+    one texel cell, except the one that holds t = 1, which spans two."""
+    return example(name=name, pick=pick, fmt=F32, bits=0, rounding="nearest", channels=3,
+                   shape=RUN_SHAPES[4], kinds=(kind, kind), seed=0)
+
+
 @settings(max_examples=80, deadline=None)
+@one_cell("eval_dc", 1, "sorted")
+@one_cell("eval_dc", 1, "reversed")
+@one_cell("eval_dc_cubic_hybrid", 0, "sorted")
+@one_cell("eval_dc_cubic_hybrid", 0, "reversed")
+@one_cell("eval_seiler_tex", 1, "sorted")
+@one_cell("eval_seiler_tex", 1, "reversed")
+@one_cell("eval_rational_tex", 1, "sorted")
+@one_cell("eval_rational_tex", 1, "reversed")
 @example(name="eval_dc_cubic_hybrid", pick=0, fmt=F32, bits=8, rounding="nearest", channels=2,
          shape=RUN_SHAPES[4], kinds=("sorted", "sorted"), seed=0)
 @example(name="eval_dc_zigzag", pick=0, fmt=F32, bits=4, rounding="floor", channels=1,
