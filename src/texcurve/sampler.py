@@ -214,9 +214,17 @@ def _blend(grid: TexelGrid, pairs, fractions):
 
 
 def _sample(grid: TexelGrid, coords, cfg: SamplerConfig):
-    """Checked coordinates -> `_lookup` -> blend, plus the trace."""
+    """Checked coordinates -> `_lookup` -> blend, plus the trace.
+
+    A coordinate beyond ±2^53 / extent lies at an integer texel position
+    (every float above 2^52 is an integer) past the edge, whose state is the
+    edge pair at fraction 0. It is clamped to that bound, where the state is
+    the same, so that the floor of its position stays far inside int64
+    (beyond 2^63 the cast wraps)."""
     for coord, name in zip(coords, "uvw"):
         _require_finite(coord, name)
+    coords = [np.clip(coord, -2.0**53 / extent, 2.0**53 / extent)
+              for coord, extent in zip(coords, grid.dims)]
     pairs, fractions = _lookup(grid, coords, cfg)
     value = _blend(grid, pairs, fractions)
     if len(pairs) == 2:

@@ -184,26 +184,33 @@ def _decode(curve: EncodedCurve, raw):
 
 
 def _runs(stages, last):
-    """Which samples of one block begin a run of equal stages (`sampler._stage`),
-    as a bool array, and the stages' arrays at its last sample, to pass as
-    the next block's `last`; both None when runs would outnumber half the
-    samples. Each stage's `q` is compared before its `base`, so a block of
-    distinct positions at bits 0 (where q is the position) gives up after
-    one comparison per stage. Equal stages mean equal lookup state, and
-    equal states have equal stages (except in clamped cells outside the
-    texture, and at bits 0 at positions in (-0.5, 0), whose rounded
-    fractions can agree), so the runs are those of the state itself. A run
-    continues across the block edge when `last` matches the block's first
-    sample."""
-    arrays = [a for base, q in stages for a in (q, base)]
+    """Where the runs of equal stages (`sampler._stage`) begin in one block:
+    `(change, last, one_cell)`. `change` marks, as a bool array, each sample
+    that begins a run, and `last` holds the stages' arrays at the block's
+    last sample, to pass as the next block's `last`; both are None when runs
+    would outnumber half the samples. `one_cell` says whether every sample
+    lies in the first one's texel cell (an equal `base` on every stage). The
+    comparisons take every stage's `base` before any `q`, so the cell is
+    known before a block of distinct positions at bits 0 (where q is the
+    position) gives up, after one `q` comparison per stage; a block that
+    gives up among the bases is taken to span cells. Equal stages mean equal
+    lookup state, and equal states have equal stages (except in clamped
+    cells outside the texture, and at bits 0 at positions in (-0.5, 0),
+    whose rounded fractions can agree), so the runs are those of the state
+    itself. A run continues across the block edge when `last` matches the
+    block's first sample."""
+    arrays = [base for base, _ in stages] + [q for _, q in stages]
     n = arrays[0].shape[0]
     change = np.zeros(n, dtype=bool)
     change[0] = last is None or any(a[0] != b for a, b in zip(arrays, last))
-    for a in arrays:
+    one_cell = False
+    for i, a in enumerate(arrays, 1):
         change[1:] |= a[1:] != a[:-1]
+        if i == len(stages):  # every base compared
+            one_cell = not change[1:].any()
         if 2 * np.count_nonzero(change) > n:
-            return None, None
-    return change, [a[-1] for a in arrays]
+            return None, None, one_cell
+    return change, [a[-1] for a in arrays], one_cell
 
 
 def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: bool = False):
@@ -255,8 +262,10 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
         block = slice(start, min(start + _BLOCK, shape[0]))
         part = [p[block] for p in params]
         stages, axes = sampler._stages(grid, coords_of(*part)[state], cfg)
-        change, last = _runs(stages, last)
+        change, last, one_cell = _runs(stages, last)
         if change is None:
+            if one_cell:  # one clamped pair per axis: its corners are gathered once
+                stages = [(base[:1], q) for base, q in stages]
             out[block] = points(blend(stages, axes), part[0])
         else:
             starts = np.flatnonzero(change)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -283,6 +284,55 @@ class TestSampleTrilinear:
             far, _ = sample_bilinear(g.slice2d(z_far), u, v, BITS8)
             fz = float(trace.fractions[2])
             assert tri[0] == near[0] * (1.0 - fz) + far[0] * fz
+
+
+def _sample_bytes(result):
+    """The bytes of a sample's value, used fractions and corner indices."""
+    value, trace = result
+    corners = [index for corner in trace.texel_indices for index in corner]
+    return [np.asarray(a).tobytes() for a in (value, *trace.fractions, *corners)]
+
+
+def _sample_edges(sample, grid, bits, coords, edges, far):
+    """Each coordinate moved in turn to each value of `far` times ±1 samples
+    like it moved to its axis's edge coordinate of that sign (`edges`: per
+    axis, the value at +1 and the magnitude at -1), byte for byte and
+    without a warning."""
+    cfg = SamplerConfig(subtexel_bits=bits)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for axis, axis_edges in enumerate(edges):
+            for sign, edge in zip((1, -1), axis_edges):
+                moved = list(coords)
+                moved[axis] = sign * edge
+                want = _sample_bytes(sample(grid, *moved, cfg))
+                for value in far:
+                    moved[axis] = sign * value
+                    assert _sample_bytes(sample(grid, *moved, cfg)) == want, (axis, sign * value)
+
+
+HUGE = (1e300, 1.7e308, 2.0**63)
+
+
+@pytest.mark.parametrize("bits", (0, 8))
+def test_huge_coordinates_sample_the_edge(bits):
+    """Finite coordinates too large for the int64 floor of their position
+    (±1e300, ±1.7e308, ±2^63) sample like ±1e18, the edge pair at fraction
+    0, on both samplers; the cast used to wrap."""
+    g2 = grid2([[0.25, 0.5], [0.75, -0.0]])
+    g3 = grid3([[[0.25, 0.5], [0.75, -0.0]], [[1.0, 0.125], [0.375, 0.875]]])
+    _sample_edges(sample_bilinear, g2, bits, (0.3, 0.6), [(1e18, 1e18)] * 2, HUGE)
+    _sample_edges(sample_trilinear, g3, bits, (0.3, 0.6, 0.8), [(1e18, 1e18)] * 3, HUGE)
+
+
+@pytest.mark.parametrize("bits", (0, 8))
+def test_huge_coordinates_sample_the_edge_of_a_wide_grid(bits):
+    """On an axis of 4096 texels, ±1e18 and beyond sample like the integer
+    positions 8192 and -8192, at 2 + 2^-13 and -(2 - 2^-13): the edge pair
+    at fraction 0."""
+    g = grid2(np.random.default_rng(4096).uniform(-1.0, 1.0, (2, 4096)))
+    _sample_edges(sample_bilinear, g, bits, (0.3, 0.6), [(2 + 2.0**-13, 2 - 2.0**-13)],
+                  (1e18,) + HUGE)
 
 
 def _draw(rng, shape):

@@ -1,3 +1,4 @@
+import collections
 import functools
 import gc
 import os
@@ -475,6 +476,36 @@ class TestBlocking:
 CURVES = one_curve_per_layout()
 _DC = {Layout.DC_QUAD_2X2, Layout.DC_CUBIC_2X2X2}
 
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of the blend kernel's work while a test runs: `lerps` (calls
+    of `sampler.lerp`), `blended` (samples `sampler._blend` is given),
+    `gathers` (calls of `sampler._corners`), `corners` (texels they take
+    per channel) and `gathered` (samples whose corners they take)."""
+    counts = collections.Counter()
+    lerp, blend, gather = sampler.lerp, sampler._blend, sampler._corners
+
+    def counted_lerp(*args):
+        counts["lerps"] += 1
+        return lerp(*args)
+
+    def counted_blend(grid, pairs, fractions):
+        counts["blended"] += np.size(fractions[0])
+        return blend(grid, pairs, fractions)
+
+    def counted_corners(grid, pairs):
+        taken = gather(grid, pairs)
+        counts["gathers"] += 1
+        counts["corners"] += taken[0].size
+        counts["gathered"] += taken[0].size >> len(pairs)
+        return taken
+
+    monkeypatch.setattr(sampler, "lerp", counted_lerp)
+    monkeypatch.setattr(sampler, "_blend", counted_blend)
+    monkeypatch.setattr(sampler, "_corners", counted_corners)
+    return counts
+
 #: (name, fn(curve, t, cfg), the layouts it evaluates), written out here
 #: rather than read from the mode table
 EVALUATORS = (
@@ -506,91 +537,73 @@ def test_evaluator_rejects_every_other_layout(fn, accepts, layout):
     (lambda curve, t, cfg: eval_bilinear_patch(curve, t, t, cfg), Layout.BILINEAR_PATCH, 2, 4),
     (lambda curve, t, cfg: eval_bicubic_rgba(curve, t, t, cfg), Layout.BICUBIC_RGBA, 3, 8),
 ], ids=("patch", "bicubic"))
-def test_surface_evaluator_fetches_once(monkeypatch, fn, layout, lerps, corners):
+def test_surface_evaluator_fetches_once(counted, fn, layout, lerps, corners):
     """A scalar surface evaluation is one fetch: one gather of the cell's
     corners, then one lerp per axis."""
-    counts = {"lerp": 0, "gathers": 0, "corners": 0}
-    lerp, gather = sampler.lerp, sampler._corners
-
-    def counted_lerp(*args):
-        counts["lerp"] += 1
-        return lerp(*args)
-
-    def counted_corners(*args):
-        taken = gather(*args)
-        counts["gathers"] += 1
-        counts["corners"] += taken[0].size
-        return taken
-
-    monkeypatch.setattr(sampler, "lerp", counted_lerp)
-    monkeypatch.setattr(sampler, "_corners", counted_corners)
     fn(CURVES[layout], 0.37, BITS8)
-    assert counts == {"lerp": lerps, "gathers": 1, "corners": corners}
+    assert (counted["lerps"], counted["gathers"], counted["corners"]) == (lerps, 1, corners)
 
 
 @pytest.mark.parametrize("bits, blended", ((8, range(300)), (0, [1 << 17])), ids=("bits8", "bits0"))
-def test_fetch_blends_once_per_run(monkeypatch, bits, blended):
+def test_fetch_blends_once_per_run(counted, bits, blended):
     """A sorted 2^17-sample dc lattice at 8 bits reaches about 260 distinct
     lookup states, and only their first samples reach the blend; at bits 0
     every sample has its own fraction, so every sample is blended."""
-    count = 0
-    blend = sampler._blend
-
-    def counted_blend(grid, pairs, fractions):
-        nonlocal count
-        count += np.size(fractions[0])
-        return blend(grid, pairs, fractions)
-
-    monkeypatch.setattr(sampler, "_blend", counted_blend)
     cfg = SamplerConfig(subtexel_bits=bits, subtexel_rounding="nearest")
     eval_dc(CURVES[Layout.DC_CUBIC_2X2X2], np.linspace(0.0, 1.0, 1 << 17), cfg)
-    assert count in blended
+    assert counted["blended"] in blended
 
 
 @pytest.mark.parametrize("block", (100, 1000, _BLOCK, 1 << 17))
-def test_sorted_lattice_blends_each_state_once(monkeypatch, block):
+def test_sorted_lattice_blends_each_state_once(monkeypatch, counted, block):
     """Runs continue across block edges and the heads of every block are
     blended together: however the sample axis is chunked, a sorted
     2^17-sample dc lattice at 8 bits blends about its 257 distinct lookup
     states, not one more head per block."""
-    count = 0
-    blend = sampler._blend
-
-    def counted_blend(grid, pairs, fractions):
-        nonlocal count
-        count += np.size(fractions[0])
-        return blend(grid, pairs, fractions)
-
-    monkeypatch.setattr(sampler, "_blend", counted_blend)
     monkeypatch.setattr(texeval, "_BLOCK", block)
     cfg = SamplerConfig(subtexel_bits=8, subtexel_rounding="nearest")
     t = np.linspace(0.0, 1.0, 1 << 17)
     got = eval_dc(CURVES[Layout.DC_CUBIC_2X2X2], t, cfg)
-    assert 257 <= count <= 273
+    assert 257 <= counted["blended"] <= 273
     with mock.patch.object(texeval, "_fetch", fetch_every_sample):
         assert got.tobytes() == eval_dc(CURVES[Layout.DC_CUBIC_2X2X2], t, cfg).tobytes()
 
 
-def test_bits0_plateaus_blend_each_value_once(monkeypatch):
+def test_bits0_plateaus_blend_each_value_once(counted):
     """At bits 0 the used fraction is the exact one, so only repeated
     parameters form runs: a 2^17-sample lattice of 16 repeated values
     blends one sample per value, not every sample."""
-    count = 0
-    blend = sampler._blend
-
-    def counted_blend(grid, pairs, fractions):
-        nonlocal count
-        count += np.size(fractions[0])
-        return blend(grid, pairs, fractions)
-
-    monkeypatch.setattr(sampler, "_blend", counted_blend)
     rng = np.random.default_rng(16)
     t = np.linspace(0.0, 1.0, 16)[np.sort(rng.integers(0, 16, 1 << 17))]
     curve, cfg = CURVES[Layout.DC_CUBIC_2X2X2], SamplerConfig.ideal()
     got = eval_dc(curve, t, cfg)
-    assert count <= 16
+    assert counted["blended"] <= 16
     with mock.patch.object(texeval, "_fetch", fetch_every_sample):
         assert got.tobytes() == eval_dc(curve, t, cfg).tobytes()
+
+
+@pytest.mark.parametrize("bits", (0, 8))
+@pytest.mark.parametrize("kind, fn", (("dc-cubic", eval_dc), ("seiler-3d", eval_seiler_tex),
+                                      ("dc-cubic", eval_dc_cubic_hybrid)))
+def test_one_cell_blocks_gather_their_corners_once(counted, kind, fn, bits):
+    """On a sorted 2^17-sample lattice at bits 0 every block is blended
+    whole, and all but the last lie in one texel cell (t = 1 alone sits in
+    the next): `_corners` gathers one sample for each of them and every
+    sample of the last. At 8 bits every block is kept as runs, and it
+    gathers each run head once: one per change of the stages that decide
+    the state (x and y alone for the hybrid)."""
+    curve = run_curve(kind, F32, 2)
+    t = np.linspace(0.0, 1.0, 1 << 17)
+    cfg = SamplerConfig(subtexel_bits=bits)
+    fn(curve, t, cfg)
+    if bits == 0:
+        assert counted["gathered"] == (1 << 17) // _BLOCK - 1 + _BLOCK
+    else:
+        coords = texeval.parameter_coords(curve, t)[:2 if fn is eval_dc_cubic_hybrid else None]
+        stages, _ = sampler._stages(curve.grid, coords, cfg)
+        arrays = [a for stage in stages for a in stage]
+        assert counted["gathered"] == 1 + np.count_nonzero(
+            np.any([a[1:] != a[:-1] for a in arrays], axis=0))
 
 
 def test_hybrid_runs_its_x_and_y_levels_per_run(monkeypatch):
@@ -950,7 +963,7 @@ def test_fetch_maps_each_parameter_once(monkeypatch, kind, fn):
 @pytest.mark.parametrize("bits", (8, 12))
 @pytest.mark.parametrize("kind", ("seiler-2d", "seiler-3d", "zigzag", "rational-dc",
                                   "rational-seiler"))
-def test_sorted_lattice_blends_each_state_change_once(monkeypatch, kind, bits, rounding):
+def test_sorted_lattice_blends_each_state_change_once(counted, kind, bits, rounding):
     """On a sorted 2^17-sample lattice the samples that reach the blend are
     the run heads: one per adjacent change of the state that a full
     `_lookup` of the lattice returns (over two stages for the zig-zag and
@@ -963,17 +976,7 @@ def test_sorted_lattice_blends_each_state_change_once(monkeypatch, kind, bits, r
     pairs, used = sampler._lookup(curve.grid, texeval.parameter_coords(curve, t), cfg)
     state = [f.view(np.int64) for f in used] + [a for pair in pairs for a in pair]
     changes = 1 + np.count_nonzero(np.any([a[1:] != a[:-1] for a in state], axis=0))
-    count = 0
-    blend = sampler._blend
-
-    def counted_blend(grid, pairs, fractions):
-        nonlocal count
-        count += np.size(fractions[0])
-        return blend(grid, pairs, fractions)
-
-    monkeypatch.setattr(sampler, "_blend", counted_blend)
     got = fn(curve, t, cfg)
-    assert count == changes
-    monkeypatch.setattr(sampler, "_blend", blend)
+    assert counted["blended"] == changes
     with mock.patch.object(texeval, "_fetch", fetch_every_sample):
         assert got.tobytes() == fn(curve, t, cfg).tobytes()
