@@ -13,8 +13,10 @@ lookup state, per axis the clamped index pair and the used fraction.
 built from the same helpers. Equal stages mean equal lookup state, so
 `texeval._fetch` finds runs of equal state by comparing the stages
 themselves and turns only each run's head into state. The public fetches
-wrap `_lookup` with a finiteness check and a `SampleTrace`; no evaluator
-and not the error bound builds a trace. Every lookup then runs one blend
+wrap `_lookup` with a finiteness check, a clamp of coordinates to
+±2^53 / extent (past it the state is the edge's, so a huge coordinate
+cannot wrap the int64 floor of its position) and a `SampleTrace`; no
+evaluator and not the error bound builds a trace. Every lookup then runs one blend
 kernel: `_corners` gathers every corner texel with one `take` from the
 grid viewed as a flat (channels, texels) table, into one (channels, 2[x],
 2[y][, 2[z]], *samples) array, and `_lerp_axes` runs the fixed chain of
@@ -216,11 +218,11 @@ def _blend(grid: TexelGrid, pairs, fractions):
 def _sample(grid: TexelGrid, coords, cfg: SamplerConfig):
     """Checked coordinates -> `_lookup` -> blend, plus the trace.
 
-    A coordinate beyond ±2^53 / extent lies at an integer texel position
-    (every float above 2^52 is an integer) past the edge, whose state is the
-    edge pair at fraction 0. It is clamped to that bound, where the state is
-    the same, so that the floor of its position stays far inside int64
-    (beyond 2^63 the cast wraps)."""
+    A coordinate beyond ±2^53 / extent has a texel position of magnitude
+    about 2^53 or more, which is an integer (every float of magnitude 2^52
+    or more is) past the edge: its state is the edge pair at fraction 0. It
+    is clamped to that bound, where the state is the same, so the floor of
+    its position stays far inside int64 (beyond 2^63 the cast wraps)."""
     for coord, name in zip(coords, "uvw"):
         _require_finite(coord, name)
     coords = [np.clip(coord, -2.0**53 / extent, 2.0**53 / extent)

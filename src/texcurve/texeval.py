@@ -34,7 +34,15 @@ one (channels, 2, heads) array of depth slices, and every sample lerps its
 head's two slices at its t. A block whose runs outnumber half its samples
 (every block of distinct parameters at bits 0) is blended whole from its
 stages, and scalars, N-D parameters and axes below `_RUN_MIN` samples are
-staged and blended whole, through the same blend as whole blocks.
+staged and blended whole, through the same blend as whole blocks. A whole
+block whose samples all lie in one texel cell (an equal `base` on every
+stage, which `_runs` reads off its comparisons) is staged with that one
+base, so its pairs are clamped and its corners gathered once, as one
+(channels, 2, 2[, 2], 1) array that the lerps broadcast against every
+sample's own used fraction: the same operands in the same lerp order, so
+the same bits. A sorted 2^17-sample lattice at bits 0 gathers the corners
+of 8,207 samples instead of 131,072: one for each of its first 15 blocks
+and every sample of the last, whose t = 1 lies in the next cell.
 
 Parameters broadcast like the reference evaluators: scalar in, one point
 out; (n,) array in, (n, channels) out, stored channel-major (Fortran
@@ -227,7 +235,12 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
     each `_BLOCK` slice of the axis is mapped and staged once and compared
     with its neighbours (`_runs`); it is then either blended whole from its
     stages or kept as its run starts (`flatnonzero`) and the stages there.
-    The heads of all runs are then blended in chunks of `_BLOCK` into one
+    A block blended whole within one texel cell passes each stage's first
+    `base` alone: `sampler._state` clamps and casts that one element, and
+    `_corners` gathers one sample's corners, which the lerps broadcast
+    against the block's used fractions (q / 2^bits, or q - base at bits 0,
+    per sample); the hybrid then lerps depth at each sample's own t. The
+    heads of all runs are then blended in chunks of `_BLOCK` into one
     (channels, heads) array (the hybrid's: (channels, 2, heads), its depth
     slices), and each block is filled by one `np.repeat` of its runs' heads
     by the runs' lengths; a block that opens inside a run begins with that
