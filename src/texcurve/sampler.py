@@ -16,12 +16,13 @@ themselves and turns only each run's head into state. The public fetches
 wrap `_lookup` with a finiteness check, a clamp of coordinates to
 ±2^53 / extent (past it the state is the edge's, so a huge coordinate
 cannot wrap the int64 floor of its position) and a `SampleTrace`; no
-evaluator and not the error bound builds a trace. Every lookup then runs one blend
-kernel: `_corners` gathers every corner texel with one `take` from the
-grid viewed as a flat (channels, texels) table, into one (channels, 2[x],
-2[y][, 2[z]], *samples) array, and `_lerp_axes` runs the fixed chain of
-lerps, one per axis, x, then y, then z, each lerping away one corner axis.
-Each lerp runs over channel rows whose sample axis is contiguous.
+evaluator and not the error bound builds a trace. Every lookup then runs
+one blend kernel: `_corners` gathers every corner texel with one `take`
+from the grid viewed as a flat (channels, texels) table, into one
+(channels, 2[x], 2[y][, 2[z]], *samples) array, and `_lerp_axes` runs the
+fixed chain of lerps, one per axis, x, then y, then z, each lerping away
+one corner axis. Each lerp runs over channel rows whose sample axis is
+contiguous.
 
 All entry points accept scalar coordinates or equal-length coordinate
 arrays; array calls return stacked results of shape (n, channels), stored

@@ -318,7 +318,7 @@ HUGE = (1e300, 1.7e308, 2.0**63)
 def test_huge_coordinates_sample_the_edge(bits):
     """Finite coordinates too large for the int64 floor of their position
     (±1e300, ±1.7e308, ±2^63) sample like ±1e18, the edge pair at fraction
-    0, on both samplers; the cast used to wrap."""
+    0, on both samplers, without the int64 cast of that floor wrapping."""
     g2 = grid2([[0.25, 0.5], [0.75, -0.0]])
     g3 = grid3([[[0.25, 0.5], [0.75, -0.0]], [[1.0, 0.125], [0.375, 0.875]]])
     _sample_edges(sample_bilinear, g2, bits, (0.3, 0.6), [(1e18, 1e18)] * 2, HUGE)

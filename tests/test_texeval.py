@@ -477,6 +477,33 @@ CURVES = one_curve_per_layout()
 _DC = {Layout.DC_QUAD_2X2, Layout.DC_CUBIC_2X2X2}
 
 
+#: (name, fn(curve, t, cfg), the layouts it evaluates), written out here
+#: rather than read from the mode table
+EVALUATORS = (
+    ("eval_dc", eval_dc, _DC),
+    ("eval_dc_cubic_hybrid", eval_dc_cubic_hybrid, {Layout.DC_CUBIC_2X2X2}),
+    ("eval_dc_zigzag", eval_dc_zigzag, {Layout.DC_ZIGZAG}),
+    ("eval_seiler_tex", eval_seiler_tex, {Layout.SEILER_2D, Layout.SEILER_3D}),
+    ("eval_rational_tex", eval_rational_tex, {Layout.RATIONAL_HOMOGENEOUS}),
+    ("eval_bilinear_patch", lambda curve, t, cfg: eval_bilinear_patch(curve, t, t, cfg),
+     {Layout.BILINEAR_PATCH}),
+    ("eval_bicubic_rgba", lambda curve, t, cfg: eval_bicubic_rgba(curve, t, t, cfg),
+     {Layout.BICUBIC_RGBA}),
+)
+
+
+@pytest.mark.parametrize("layout", Layout, ids=lambda layout: layout.value)
+@pytest.mark.parametrize("fn, accepts", [pytest.param(fn, accepts, id=name)
+                                         for name, fn, accepts in EVALUATORS])
+def test_evaluator_rejects_every_other_layout(fn, accepts, layout):
+    curve = CURVES[layout]
+    if layout in accepts:
+        assert np.isfinite(fn(curve, 0.5, BITS8)).all()
+    else:
+        with pytest.raises(LayoutError):
+            fn(curve, 0.5, BITS8)
+
+
 @pytest.fixture
 def counted(monkeypatch):
     """Counts of the blend kernel's work while a test runs: `lerps` (calls
@@ -505,32 +532,6 @@ def counted(monkeypatch):
     monkeypatch.setattr(sampler, "_blend", counted_blend)
     monkeypatch.setattr(sampler, "_corners", counted_corners)
     return counts
-
-#: (name, fn(curve, t, cfg), the layouts it evaluates), written out here
-#: rather than read from the mode table
-EVALUATORS = (
-    ("eval_dc", eval_dc, _DC),
-    ("eval_dc_cubic_hybrid", eval_dc_cubic_hybrid, {Layout.DC_CUBIC_2X2X2}),
-    ("eval_dc_zigzag", eval_dc_zigzag, {Layout.DC_ZIGZAG}),
-    ("eval_seiler_tex", eval_seiler_tex, {Layout.SEILER_2D, Layout.SEILER_3D}),
-    ("eval_rational_tex", eval_rational_tex, {Layout.RATIONAL_HOMOGENEOUS}),
-    ("eval_bilinear_patch", lambda curve, t, cfg: eval_bilinear_patch(curve, t, t, cfg),
-     {Layout.BILINEAR_PATCH}),
-    ("eval_bicubic_rgba", lambda curve, t, cfg: eval_bicubic_rgba(curve, t, t, cfg),
-     {Layout.BICUBIC_RGBA}),
-)
-
-
-@pytest.mark.parametrize("layout", Layout, ids=lambda layout: layout.value)
-@pytest.mark.parametrize("fn, accepts", [pytest.param(fn, accepts, id=name)
-                                         for name, fn, accepts in EVALUATORS])
-def test_evaluator_rejects_every_other_layout(fn, accepts, layout):
-    curve = CURVES[layout]
-    if layout in accepts:
-        assert np.isfinite(fn(curve, 0.5, BITS8)).all()
-    else:
-        with pytest.raises(LayoutError):
-            fn(curve, 0.5, BITS8)
 
 
 @pytest.mark.parametrize("fn, layout, lerps, corners", [
