@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -478,3 +480,114 @@ def test_binary_curve_file_exits_5(hump, tmp_path, capsys):
     code, stdout, err = run(capsys, "sweep", "--layout", "dc", "--in", ctex)
     assert (code, stdout) == (5, "")
     assert err.startswith(f"error: curve file {ctex} is not text (")
+
+
+# -- frozen output bytes
+
+FROZEN_INPUTS = {
+    "zz.curve": "degree 2\nchannels 2\n0 0\n0.25 0.9\n0.5 0.1\n0.625 0.75\n0.7 0.3\n"
+                "0.8 0.95\n0.85 0.05\n0.9 0.6\n1 0.4\n",
+    "hump.curve": CUBIC_HUMP,
+    "plane.curve": "degree 3\nchannels 2\n0.1 0.9\n0.35 0.2\n0.6 0.8\n0.95 0.3\n",
+    "spline.curve": "degree 3\nchannels 2\nknots 0 0 0 0 0.2 0.45 0.5 0.8 1 1 1 1\n"
+                    "0 0.5\n0.1 0.9\n0.3 0.2\n0.45 0.7\n0.6 0.1\n0.7 0.8\n0.85 0.3\n1 0.6\n",
+}
+
+# (name, exit code, argv), run in order from the directory holding FROZEN_INPUTS
+FROZEN_JOBS = (
+    ("encode", 0, ["encode", "--layout", "zigzag", "--format", "unorm16", "--rescale",
+                   "--seed-texel", "search", "--sidecar", "--in", "zz.curve", "--out", "zz.ctex"]),
+    ("inspect", 0, ["inspect", "--in", "zz.ctex"]),
+    ("eval", 0, ["eval", "--in", "zz.ctex", "--t", "1.3", "--bits", "4",
+                 "--subtexel-rounding", "floor"]),
+    ("eval-join", 0, ["eval", "--in", "zz.ctex", "--t", "2.0", "--bits", "0"]),
+    ("sweep-seiler", 0, ["sweep", "--layout", "seiler", "--format", "unorm8", "--rescale",
+                         "--samples", "33", "--in", "hump.curve", "--out", "seiler.csv"]),
+    ("sweep-zigzag", 0, ["sweep", "--layout", "zigzag", "--format", "f32", "--samples", "33",
+                         "--in", "zz.curve", "--out", "zz.csv", "--bits", "12",
+                         "--subtexel-rounding", "floor"]),
+    ("sweep-hybrid", 0, ["sweep", "--layout", "dc", "--mode", "dc-hybrid", "--samples", "37",
+                         "--in", "plane.curve", "--bits", "4"]),
+    ("sweep-default-mode", 0, ["sweep", "--layout", "dc", "--samples", "37", "--in", "plane.curve",
+                               "--bits", "4"]),
+    ("render", 0, ["render", "--layout", "dc", "--format", "f32", "--width", "24", "--height", "6",
+                   "--in", "plane.curve", "--out", "dev.ppm", "--bits", "4"]),
+    ("render-zigzag", 0, ["render", "--layout", "zigzag", "--width", "16", "--height", "4",
+                          "--in", "zz.curve", "--out", "zz.ppm"]),
+    ("convert", 0, ["convert", "--bspline-to-bezier", "--in", "spline.curve", "--out", "seg"]),
+    ("reject", 2, ["sweep", "--layout", "seiler", "--format", "unorm8", "--samples", "33",
+                   "--in", "hump.curve", "--out", "reject.csv"]),
+    ("usage", 5, ["sweep", "--layout", "bogus", "--in", "hump.curve"]),
+    ("help", 0, ["--help"]),
+)
+
+# sha256 of each job's exit code, stdout and stderr, and of each file written
+FROZEN_SHA256 = {
+    "encode": "37d2f1c95f121686ec343578f790b7ec50634cf792370b0733382d71c6366c04",
+    "inspect": "37d2f1c95f121686ec343578f790b7ec50634cf792370b0733382d71c6366c04",
+    "eval": "7bf36ec6d08cadabe9af21ff7213bbeaff48e364df8281f368f1e7bcbc7e4fcc",
+    "eval-join": "5c7061d0d5515c2e4c1f31e93b993c5f7698f83294856bedd435c9f1cdcec5d0",
+    "sweep-seiler": "b0efbbc43054beee753cd10fab49ea0fe2fabdba420e72d0ba74fe2a0222dbf9",
+    "sweep-zigzag": "b0efbbc43054beee753cd10fab49ea0fe2fabdba420e72d0ba74fe2a0222dbf9",
+    "sweep-hybrid": "e7d768a4fa05881a5281307112187639c63cee3c22477ff5d7ac66fe40557b77",
+    "sweep-default-mode": "effaadd3a4321b919a7cd28f2c6d45bb072eb15193b2049198e95bac6cc89b8c",
+    "render": "b0efbbc43054beee753cd10fab49ea0fe2fabdba420e72d0ba74fe2a0222dbf9",
+    "render-zigzag": "b0efbbc43054beee753cd10fab49ea0fe2fabdba420e72d0ba74fe2a0222dbf9",
+    "convert": "41af57c91af7a493e3b9c995982826db00ede5270265b814522275a60dd6fbc8",
+    "reject": "e3a20e5e8e6042a9c688201ab3efe277267e5c1ba4280d5bb4c1633794cbbb32",
+    "usage": "8618b0ca0febba9cabb393c36e1b017f15641b03f325d126494043d0b8961bb8",
+    "help": "28d9d054361033fcaa12ec40268245e65aa34447598add3e8937d410d4551d0d",
+    "dev.ppm": "3e90a29e01e6171d731a26d096d5182d859163ed23779f5147adf3e225dc7752",
+    "seg-0.curve": "69d685774807d45c90d2b60e0c48c3f63bc747776270b70e8d2f968da19793f6",
+    "seg-1.curve": "2df683b5e581a4e449395b0e7c1a6bd96a420c50cc4a2c24cb50974b1c36e4f6",
+    "seg-2.curve": "a0a185089612dba83427f4652944380bf8b0d00496f016d7f81e7eb4a68bd9d1",
+    "seg-3.curve": "843422e1db2ef8f665990c33b05cb2142bccd24b059debfa1e17a1e800259cea",
+    "seg-4.curve": "87679d2a650c1511a87e1a67e2a5de686ae766273d1099f417622d607f149d3f",
+    "seiler.csv": "6d654802ff93756b71957fd1162710a53dc2c4972fc45f20fa1dea910faba1bc",
+    "zz.csv": "4d8d70eba10b2f8593fcea969ef2a5c390537b4bec21576cc3a0a536f3bc7f1e",
+    "zz.ctex": "6ec7224c8172dc24b2572271455f7f2f6141cf6c7e0604f1f7ee40dba5043b2f",
+    "zz.ctex.meta": "6efa11bdbd673b3b132441927ca9dbba6e8fc9c6a4861446d8fcab0d088a540a",
+    "zz.ppm": "0a4477fb16fbf5c18289bd9f6e390f52a7d1882b18aee36c2326e81cd1614dd0",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_frozen_jobs(work, monkeypatch):
+    """One pass of FROZEN_JOBS in the fresh directory `work`: the exit code
+    of each job and the sha256 of each job's streams and of each file
+    written."""
+    work.mkdir()
+    for name, text in FROZEN_INPUTS.items():
+        (work / name).write_text(text)
+    monkeypatch.chdir(work)
+    codes, digests = {}, {}
+    for name, _, argv in FROZEN_JOBS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # --help
+                code = exc.code
+        codes[name] = code
+        digests[name] = _sha256(b"\0".join([str(code).encode(), out.getvalue().encode(),
+                                            err.getvalue().encode()]))
+    for path in sorted(work.iterdir()):
+        if path.name not in FROZEN_INPUTS:
+            digests[path.name] = _sha256(path.read_bytes())
+    return codes, digests
+
+
+def test_cli_output_bytes_are_frozen(tmp_path, monkeypatch):
+    """Every byte the CLI writes for a fixed sequence of jobs: the job kinds
+    of a `cli-reports` benchmark round on small inputs, a `--mode` that the
+    next job of the same command leaves at its default, a usage error and
+    `--help` (argparse's text at 80 columns). Two passes in one process
+    must agree, so nothing a job sets carries over to the next."""
+    monkeypatch.setenv("COLUMNS", "80")
+    codes, digests = first = run_frozen_jobs(tmp_path / "first", monkeypatch)
+    assert codes == {name: code for name, code, _ in FROZEN_JOBS}
+    assert digests == FROZEN_SHA256
+    assert run_frozen_jobs(tmp_path / "second", monkeypatch) == first
