@@ -11,6 +11,7 @@ fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 
@@ -59,7 +60,10 @@ def _zigzag_segments(spec: curvefile.CurveFile):
     return [ControlPolygon(pts[2 * k : 2 * k + 3]) for k in range((pts.shape[0] - 1) // 2)]
 
 
-def _encode_from_spec(spec: curvefile.CurveFile, args) -> EncodedCurve:
+def _encode_from_spec(spec: curvefile.CurveFile, args):
+    """The curve `args` ask for, encoded from `spec`, and the zig-zag
+    segments it packs (None for the other layouts), which a reference can
+    evaluate without building them again."""
     fmt = _FORMATS[args.format]
     layout = args.layout
     rescale = args.rescale
@@ -72,16 +76,17 @@ def _encode_from_spec(spec: curvefile.CurveFile, args) -> EncodedCurve:
                 raise DomainError(
                     f"--seed-texel takes comma-separated numbers or 'search', got {seed!r}"
                 ) from None
-        return encoder.encode_dc_zigzag(_zigzag_segments(spec), fmt, seed, rescale=rescale)
+        segments = _zigzag_segments(spec)
+        return encoder.encode_dc_zigzag(segments, fmt, seed, rescale=rescale), segments
     if layout == "patch":
         if spec.points.shape[0] != 4:
             raise DomainError("a bilinear patch needs exactly 4 control points (2x2 row-major)")
         net = spec.points.reshape(2, 2, spec.channels)
-        return encoder.encode_bilinear_patch(net, fmt, rescale=rescale)
+        return encoder.encode_bilinear_patch(net, fmt, rescale=rescale), None
     if layout == "bicubic":
         if spec.points.shape[0] != 16 or spec.channels != 1:
             raise DomainError("bicubic packing needs 16 scalar control points (4x4 row-major)")
-        return encoder.encode_bicubic_rgba(spec.points.reshape(4, 4), fmt, rescale=rescale)
+        return encoder.encode_bicubic_rgba(spec.points.reshape(4, 4), fmt, rescale=rescale), None
     if spec.points.shape[0] != spec.degree + 1:
         raise DomainError(
             f"declared degree {spec.degree} needs {spec.degree + 1} points, "
@@ -91,25 +96,27 @@ def _encode_from_spec(spec: curvefile.CurveFile, args) -> EncodedCurve:
     if layout == "rational":
         if spec.weights is None:
             raise DomainError("rational encoding needs a weights line")
-        return encoder.encode_rational(poly, spec.weights, fmt, scheme=args.scheme, rescale=rescale)
+        curve = encoder.encode_rational(poly, spec.weights, fmt, scheme=args.scheme,
+                                        rescale=rescale)
+        return curve, None
     if layout == "seiler":
-        return encoder.encode_seiler(poly, fmt, rescale=rescale)
+        return encoder.encode_seiler(poly, fmt, rescale=rescale), None
     if layout == "dc":
         if spec.degree == 2:
-            return encoder.encode_dc_quadratic(poly, fmt, rescale=rescale)
+            return encoder.encode_dc_quadratic(poly, fmt, rescale=rescale), None
         if spec.degree == 3:
-            return encoder.encode_dc_cubic(poly, fmt, rescale=rescale)
+            return encoder.encode_dc_cubic(poly, fmt, rescale=rescale), None
         raise UnsupportedDegreeError("dc layout holds degree 2 or 3; use zigzag for chains")
     raise LayoutError(f"unknown layout {layout!r}")
 
 
-def _reference_for(spec: curvefile.CurveFile, curve: EncodedCurve):
+def _reference_for(spec: curvefile.CurveFile, curve: EncodedCurve, segments):
     """Full-precision reference callable for the curve's layout, over the
-    texture path's domain. It is picked from the layout, not the mode, so a
-    mode that cannot evaluate the layout fails in the sweep's mode check."""
+    texture path's domain; a zig-zag curve's is its `segments`. It is picked
+    from the layout, not the mode, so a mode that cannot evaluate the layout
+    fails in the sweep's mode check."""
     layout = curve.layout
     if layout is Layout.DC_ZIGZAG:
-        segments = _zigzag_segments(spec)
         return lambda gt: reference.eval_bezier_chain(segments, gt)
     if layout in (Layout.BILINEAR_PATCH, Layout.BICUBIC_RGBA):
         net = spec.points.reshape(curve.degree + 1, curve.degree + 1, spec.channels)
@@ -146,7 +153,7 @@ def _describe(curve: EncodedCurve, out=None):
 
 def _cmd_encode(args) -> int:
     spec = curvefile.read_curve_file(args.infile)
-    curve = _encode_from_spec(spec, args)
+    curve, _ = _encode_from_spec(spec, args)
     container.write_ctex(curve, args.out)
     if args.sidecar:
         container.write_sidecar(curve, args.out + ".meta")
@@ -173,32 +180,27 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _comparison(args):
+    """The prelude `sweep` and `render` share: the curve file encoded, its
+    reference, the mode (the layout's default unless `--mode` names one) and
+    the sampler config. A zig-zag chain's segments are built once, for both
+    the encoder and the reference."""
     spec = curvefile.read_curve_file(args.infile)
-    curve = _encode_from_spec(spec, args)
+    curve, segments = _encode_from_spec(spec, args)
     mode = args.mode or analysis._default_mode(curve.layout)
     cfg = _sampler_config(args)
-    report = analysis.sweep(
-        curve,
-        _reference_for(spec, curve),
-        mode,
-        cfg,
-        args.samples,
-        curve_id=args.infile,
-    )
+    return curve, _reference_for(spec, curve, segments), mode, cfg
+
+
+def _cmd_sweep(args) -> int:
+    report = analysis.sweep(*_comparison(args), args.samples, curve_id=args.infile)
     _write_or_print(args.out, analysis.report_to_csv(report))
     return 0
 
 
 def _cmd_render(args) -> int:
-    spec = curvefile.read_curve_file(args.infile)
-    curve = _encode_from_spec(spec, args)
-    mode = args.mode or analysis._default_mode(curve.layout)
-    cfg = _sampler_config(args)
-    image = analysis.render_deviation_image(
-        curve, _reference_for(spec, curve), mode, cfg, args.width, args.height,
-        samples=args.samples,
-    )
+    image = analysis.render_deviation_image(*_comparison(args), args.width, args.height,
+                                            samples=args.samples)
     analysis.write_ppm(image, args.out)
     return 0
 
@@ -284,7 +286,11 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process. Parsing reads it without changing it, so
+    callers must not change it either."""
     parser = _Parser(prog="texcurve",
                      description="curves in texel grids, evaluated by an emulated GPU sampler")
     sub = parser.add_subparsers(dest="command", required=True)

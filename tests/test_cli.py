@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from texcurve import ControlPolygon, TexelFormat, analysis, encoder
+from texcurve import ControlPolygon, TexelFormat, analysis, cli, encoder
 from texcurve.cli import _describe, _fmt_vec, main
 from texcurve.container import curve_to_bytes
 
@@ -591,3 +591,57 @@ def test_cli_output_bytes_are_frozen(tmp_path, monkeypatch):
     assert codes == {name: code for name, code, _ in FROZEN_JOBS}
     assert digests == FROZEN_SHA256
     assert run_frozen_jobs(tmp_path / "second", monkeypatch) == first
+
+
+# -- set-up paid once
+
+def test_main_builds_the_parser_once(hump, capsys, monkeypatch):
+    """The first `main` call builds the parser (the top level and one
+    subparser per command); later calls, failing ones included, reuse it."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for argv in (["convert", "--power-to-bernstein", "--in", hump], ["eval", "--t", "0.5"],
+                 ["convert", "--bernstein-to-power", "--in", hump]) * 2:
+        main(argv)
+    capsys.readouterr()
+    assert built == ["texcurve"] + [f"texcurve {command}" for command in
+                                    ("encode", "eval", "sweep", "render", "convert", "inspect")]
+
+
+def test_import_builds_no_parser():
+    """Importing the CLI builds no parser: that cost is paid by the first
+    `main` call, not by every importer."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import texcurve.cli as cli\n"
+            "assert cli.build_parser.cache_info().currsize == 0\n")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("command", (["sweep", "--samples", "9"],
+                                     ["render", "--width", "8", "--height", "4"]))
+def test_zigzag_job_builds_its_segments_once(tmp_path, capsys, monkeypatch, command):
+    """One zig-zag `sweep` or `render` builds the chain's segments once and
+    hands them to both the encoder and the reference."""
+    path = tmp_path / "zz.curve"
+    path.write_text(ZIGZAG_CHAIN)
+    calls = []
+    build = cli._zigzag_segments
+
+    def counted(spec):
+        calls.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(cli, "_zigzag_segments", counted)
+    code, _, err = run(capsys, *command, "--layout", "zigzag", "--in", str(path),
+                       "--out", str(tmp_path / "out"))
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
