@@ -122,9 +122,21 @@ def _stage(coord, extent: int, cfg: SamplerConfig):
     return base, _numerator(pos, cfg)
 
 
+def _clip_far(coord, extent: int):
+    """`coord` clipped to ±2^53 / extent. Beyond that bound a texel position
+    has magnitude about 2^53 or more, which is an integer (every float of
+    magnitude 2^52 or more is) past the edge: its state is the edge pair at
+    fraction 0, as it is at the bound. So the clip keeps the state and keeps
+    the floor of the position far inside int64 (beyond 2^63 the cast
+    wraps). Coordinates inside the bound pass unchanged."""
+    return np.clip(coord, -2.0**53 / extent, 2.0**53 / extent)
+
+
 def texel_cell(coord, extent: int):
-    """Unclamped base index and fractional position along one axis."""
-    base, pos = _stage(coord, extent, SamplerConfig.ideal())
+    """Unclamped base index and fractional position along one axis. A
+    coordinate beyond ±2^53 / extent is taken at that bound (`_clip_far`),
+    so its base cannot wrap int64."""
+    base, pos = _stage(_clip_far(coord, extent), extent, SamplerConfig.ideal())
     return base.astype(np.int64), pos - base
 
 
@@ -217,17 +229,12 @@ def _blend(grid: TexelGrid, pairs, fractions):
 
 
 def _sample(grid: TexelGrid, coords, cfg: SamplerConfig):
-    """Checked coordinates -> `_lookup` -> blend, plus the trace.
-
-    A coordinate beyond ±2^53 / extent has a texel position of magnitude
-    about 2^53 or more, which is an integer (every float of magnitude 2^52
-    or more is) past the edge: its state is the edge pair at fraction 0. It
-    is clamped to that bound, where the state is the same, so the floor of
-    its position stays far inside int64 (beyond 2^63 the cast wraps)."""
+    """Checked coordinates -> `_lookup` -> blend, plus the trace. Each
+    coordinate is clipped to ±2^53 / extent (`_clip_far`), which keeps its
+    lookup state and its int64 floor from wrapping."""
     for coord, name in zip(coords, "uvw"):
         _require_finite(coord, name)
-    coords = [np.clip(coord, -2.0**53 / extent, 2.0**53 / extent)
-              for coord, extent in zip(coords, grid.dims)]
+    coords = [_clip_far(coord, extent) for coord, extent in zip(coords, grid.dims)]
     pairs, fractions = _lookup(grid, coords, cfg)
     value = _blend(grid, pairs, fractions)
     if len(pairs) == 2:

@@ -335,6 +335,23 @@ def test_huge_coordinates_sample_the_edge_of_a_wide_grid(bits):
                   (1e18,) + HUGE)
 
 
+@pytest.mark.parametrize("extent", (1, 2, 3, 4096))
+def test_texel_cell_of_a_huge_coordinate_is_its_bound(extent):
+    """±1e300 and ±inf give the cell of the bound ±2^53 / extent itself: an
+    integer position of magnitude near 2^53 at fraction 0, without the int64
+    cast of its base wrapping or warning."""
+    bound = 2.0**53 / extent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sign in (1, -1):
+            base, frac = sampler.texel_cell(sign * bound, extent)
+            assert frac == 0 and 2**53 - 2 <= sign * base <= 2**53 + 2
+            for far in (1e300, np.inf):
+                assert sampler.texel_cell(sign * far, extent) == (base, frac)
+            got = sampler.texel_cell(np.array([sign * 1e300, sign * bound]), extent)
+            assert got[0].tolist() == [base] * 2 and got[1].tolist() == [0.0] * 2
+
+
 def _draw(rng, shape):
     """Fractions in [0, 1] with 0, 1 and 1/2 mixed in."""
     if shape == ():
