@@ -482,6 +482,35 @@ def test_binary_curve_file_exits_5(hump, tmp_path, capsys):
     assert err.startswith(f"error: curve file {ctex} is not text (")
 
 
+#: (curve file, exit code, stderr) of zig-zag chains that the curve file
+#: reader accepts and the chain's control points refuse
+BAD_CHAINS = {
+    "nan-point": ("degree 2\nchannels 1\n0\nnan\n0.5\n0.25\n0\n", 5,
+                  "error: control points must be finite\n"),
+    "five-channels": ("degree 2\nchannels 5\n" + "0 0 0 0 0\n0.5 1 0 1 0\n1 1 1 1 1\n", 1,
+                      "error: points must have 1..4 channels, got 5\n"),
+    "even-count": ("degree 2\nchannels 1\n0\n1\n0\n0.5\n", 5,
+                   "error: zig-zag chains need an odd point count >= 3 (shared joins)\n"),
+    "degree-3": ("degree 3\nchannels 1\n0\n1\n0\n0.5\n0\n", 3,
+                 "error: zig-zag packing needs degree-2 segments\n"),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(BAD_CHAINS))
+@pytest.mark.parametrize("command", (["encode"], ["sweep"], ["render", "--width", "8"]),
+                         ids=("encode", "sweep", "render"))
+def test_bad_zigzag_chain_exits_with_its_error(tmp_path, capsys, command, chain):
+    """Each bad chain exits with its error's code and message, before any
+    output is written."""
+    text, code, message = BAD_CHAINS[chain]
+    path = tmp_path / "zz.curve"
+    path.write_text(text)
+    got = run(capsys, *command, "--layout", "zigzag", "--in", str(path),
+              "--out", str(tmp_path / "out"))
+    assert got == (code, "", message)
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # -- frozen output bytes
 
 FROZEN_INPUTS = {
