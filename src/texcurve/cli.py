@@ -52,18 +52,20 @@ def _fmt_vec(vec) -> str:
 
 
 def _zigzag_segments(spec: curvefile.CurveFile):
+    """The (N, 3, channels) segment stack of a zig-zag chain's 2N + 1
+    points; the encoder and the reference check its points."""
     pts = spec.points
     if spec.degree != 2:
         raise UnsupportedDegreeError("zig-zag packing needs degree-2 segments")
     if pts.shape[0] < 3 or pts.shape[0] % 2 == 0:
         raise DomainError("zig-zag chains need an odd point count >= 3 (shared joins)")
-    return [ControlPolygon(pts[2 * k : 2 * k + 3]) for k in range((pts.shape[0] - 1) // 2)]
+    return np.stack((pts[:-1:2], pts[1::2], pts[2::2]), axis=1)
 
 
 def _encode_from_spec(spec: curvefile.CurveFile, args):
     """The curve `args` ask for, encoded from `spec`, and the zig-zag
-    segments it packs (None for the other layouts), which a reference can
-    evaluate without building them again."""
+    segment stack it packs (None for the other layouts), which a reference
+    can evaluate without building it again."""
     fmt = _FORMATS[args.format]
     layout = args.layout
     rescale = args.rescale
@@ -183,8 +185,8 @@ def _cmd_eval(args) -> int:
 def _comparison(args):
     """The prelude `sweep` and `render` share: the curve file encoded, its
     reference, the mode (the layout's default unless `--mode` names one) and
-    the sampler config. A zig-zag chain's segments are built once, for both
-    the encoder and the reference."""
+    the sampler config. A zig-zag chain's segment stack is built once, for
+    both the encoder and the reference."""
     spec = curvefile.read_curve_file(args.infile)
     curve, segments = _encode_from_spec(spec, args)
     mode = args.mode or analysis._default_mode(curve.layout)

@@ -28,7 +28,7 @@ from .core import (
     UnsupportedDegreeError,
     ValueTransform,
 )
-from .reference import homogeneous, seiler_terms
+from .reference import _segment_stack, homogeneous, seiler_terms
 
 
 def fit_range(values, fmt: TexelFormat) -> ValueTransform:
@@ -287,16 +287,13 @@ def encode_dc_zigzag(
     The free texel U_0 is `seed`: segment 0's middle point when None, a
     given texel (one value per channel, or one for all), or with "search"
     the value per channel that best keeps the grid inside [0, 1].
+    `segments` is a list of ControlPolygons or their (N, 3, channels)
+    stack, which is checked once as one polygon.
     """
-    if not segments:
-        raise DomainError("at least one segment is required")
-    channels = segments[0].channels
-    for seg in segments:
-        if seg.degree != 2:
-            raise UnsupportedDegreeError("zig-zag packing holds quadratic segments only")
-        if seg.channels != channels:
-            raise ChannelMismatchError("all segments must share a channel count")
-    points = np.stack([seg.points for seg in segments])  # (N, 3, c)
+    points = _segment_stack(segments)
+    if points.shape[1] != 3:
+        raise UnsupportedDegreeError("zig-zag packing holds quadratic segments only")
+    channels = points.shape[2]
     broken = np.flatnonzero((points[:-1, 2] != points[1:, 0]).any(axis=1))
     if broken.size:
         k = int(broken[0])
@@ -319,7 +316,7 @@ def encode_dc_zigzag(
             raise DomainError("seed texel must be finite")
     values = np.stack(_zigzag_rows(points, seed_vec))[None]  # (1, 2, N+1, c)
     return _finish(values, fmt, Layout.DC_ZIGZAG, 2,
-                   segment_count=len(segments), rescale=rescale, context="zig-zag")
+                   segment_count=len(points), rescale=rescale, context="zig-zag")
 
 
 def encode_seiler(poly: ControlPolygon, fmt: TexelFormat, *, rescale: bool = False) -> EncodedCurve:
@@ -413,19 +410,21 @@ def zigzag_residuals(curve: EncodedCurve, segments: Sequence[ControlPolygon]) ->
     Returns |T_(k+1) + U_k - 2 P1| (even k) or |U_(k+1) + T_k - 2 P1|
     (odd k) per segment and channel, measured against the transformed
     middle control points. Each residual should stay within one texel
-    quantization step of the format. The audit needs one segment per
-    stored segment (LayoutError otherwise), each with the grid's channel
-    count (ChannelMismatchError otherwise).
+    quantization step of the format. `segments` is a list of
+    ControlPolygons or their (N, d + 1, channels) stack. The audit needs
+    one segment per stored segment (LayoutError otherwise, before any
+    other check), each with the grid's channel count
+    (ChannelMismatchError otherwise).
     """
     if curve.layout is not Layout.DC_ZIGZAG:
         raise LayoutError("constraint audit applies to zig-zag grids only")
     if len(segments) != curve.segment_count:
         raise LayoutError(f"audit needs {curve.segment_count} segments, got {len(segments)}")
-    for seg in segments:
-        if seg.channels != curve.grid.channels:
-            raise ChannelMismatchError(
-                f"segment has {seg.channels} channels, the grid {curve.grid.channels}")
-    k = np.arange(len(segments))
+    points = _segment_stack(segments)
+    if points.shape[2] != curve.grid.channels:
+        raise ChannelMismatchError(
+            f"segment has {points.shape[2]} channels, the grid {curve.grid.channels}")
+    k = np.arange(len(points))
     rows = curve.grid.data[0]  # (2, N+1, c): T, then U
-    p1 = curve.transform.apply(np.stack([seg.points[1] for seg in segments]))
+    p1 = curve.transform.apply(points[:, 1])
     return np.abs(rows[k % 2, k + 1] + rows[1 - k % 2, k] - 2.0 * p1)

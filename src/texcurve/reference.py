@@ -352,37 +352,51 @@ def boehm_to_bezier(spline: BSplineCurve) -> List[Tuple[ControlPolygon, Tuple[fl
     return out
 
 
-def _eval_pieces(polys, starts, ends, t, outside: str) -> np.ndarray:
-    """(n, channels) points of Bezier pieces at 1-D t: each t on the first
-    piece whose end exceeds it, else the last, at local (t - start) / (end -
-    start), by one gather and one `bernstein_sum` per degree. Mixed channel
-    counts raise ChannelMismatchError, t off the pieces DomainError(`outside`)."""
-    if len({poly.channels for poly in polys}) > 1:
-        raise ChannelMismatchError("all chain segments must share a channel count")
+def _segment_stack(segments) -> np.ndarray:
+    """The (N, d + 1, c) float stack of a chain's or a spline's Bezier
+    segments: a non-empty list of ControlPolygons of one degree and one
+    channel count, or such a stack itself, which is checked once as one
+    polygon of its N·(d + 1) points. No segment or another array shape
+    raises DomainError, mixed degrees UnsupportedDegreeError, mixed
+    channel counts ChannelMismatchError."""
+    if isinstance(segments, np.ndarray):
+        stack = np.asarray(segments, dtype=float)
+        if stack.ndim != 3 or stack.shape[1] < 2:
+            raise DomainError(f"segments must form an (N, d + 1, c) array, got shape {stack.shape}")
+        ControlPolygon(stack.reshape(stack.shape[0] * stack.shape[1], stack.shape[2]))
+        return stack
+    if not segments:
+        raise DomainError("at least one segment is required")
+    if len({seg.degree for seg in segments}) > 1:
+        raise UnsupportedDegreeError("all segments must share a degree")
+    if len({seg.channels for seg in segments}) > 1:
+        raise ChannelMismatchError("all segments must share a channel count")
+    return np.stack([seg.points for seg in segments])
+
+
+def _eval_pieces(stack, starts, ends, t, outside: str) -> np.ndarray:
+    """(n, channels) points of the Bezier pieces of an (N, d + 1, c) stack at
+    1-D t: each t on the first piece whose end exceeds it, else the last,
+    at local (t - start) / (end - start), by one gather and one
+    `bernstein_sum`. t off the pieces raises DomainError(`outside`)."""
     bad = ~((t >= starts[0]) & (t <= ends[-1]))
     if bad.any():
         raise DomainError(outside.format(t=t[bad][0]))
-    k = np.minimum(np.searchsorted(ends, t, side="right"), len(polys) - 1)
+    k = np.minimum(np.searchsorted(ends, t, side="right"), len(stack) - 1)
     local = (t - starts[k]) / (ends[k] - starts[k])
-    degrees = np.array([poly.degree for poly in polys])
-    out = np.empty((t.shape[0], polys[0].channels))
-    for d in np.unique(degrees):
-        ids = np.flatnonzero(degrees == d)
-        rows = np.flatnonzero(degrees[k] == d)
-        stacked = np.stack([polys[i].points for i in ids], axis=1)  # (d + 1, len(ids), c)
-        out[rows] = bernstein_sum(stacked[:, np.searchsorted(ids, k[rows])], local[rows])
-    return out
+    # C order: a report's #mean and #rms sum its reference in memory order
+    return np.ascontiguousarray(bernstein_sum(stack[k].swapaxes(0, 1), local))
 
 
 def eval_bezier_segments(segments, t) -> np.ndarray:
     """Evaluate a piecewise Bezier list (as returned by boehm_to_bezier) at
-    scalar or array t; a join takes the right-hand segment."""
-    if not segments:
-        raise DomainError("no segments to evaluate")
+    scalar or array t; a join takes the right-hand segment. The segments
+    share one degree and one channel count (see `eval_bezier_chain`)."""
+    stack = _segment_stack([poly for poly, _ in segments])
     starts, ends = np.array([span for _, span in segments], dtype=float).T
     outside = f"t={{t}} outside piecewise domain [{segments[0][1][0]}, {segments[-1][1][1]}]"
     t = np.asarray(t, dtype=float)
-    out = _eval_pieces([poly for poly, _ in segments], starts, ends, t.reshape(-1), outside)
+    out = _eval_pieces(stack, starts, ends, t.reshape(-1), outside)
     return out.reshape(t.shape + out.shape[1:])
 
 
@@ -393,15 +407,16 @@ def eval_bezier_chain(segments, global_t) -> np.ndarray:
     integer parameter resolves to the right-hand segment at local t = 0,
     except the chain's end, which stays in the last segment. Returns
     (n, channels) points; a scalar parameter gives n = 1. Local t is
-    (gt - k) / 1.0, exactly gt - k. Segments must share a channel count
-    (else ChannelMismatchError); parameters lie in [0, segment count]. An
-    array of any other shape gives shape + (channels,).
+    (gt - k) / 1.0, exactly gt - k. `segments` is a list of
+    ControlPolygons of one degree and one channel count (else
+    UnsupportedDegreeError or ChannelMismatchError) or their (N, d + 1,
+    channels) stack; parameters lie in [0, N]. An array of any other shape
+    gives shape + (channels,).
     """
-    if not segments:
-        raise DomainError("no segments to evaluate")
-    n = len(segments)
+    stack = _segment_stack(segments)
+    n = len(stack)
     gt = np.atleast_1d(np.asarray(global_t, dtype=float))
-    out = _eval_pieces(segments, np.arange(n, dtype=float), np.arange(1.0, n + 1),
+    out = _eval_pieces(stack, np.arange(n, dtype=float), np.arange(1.0, n + 1),
                        gt.reshape(-1), f"chain parameter outside [0, {n}]")
     return out.reshape(gt.shape + out.shape[1:])
 

@@ -152,6 +152,46 @@ class TestZigzag:
         with pytest.raises(ChannelMismatchError, match="1-channel"):
             encode_dc_zigzag([ControlPolygon([0.0, 0.5, 0.0])], F32, seed=seed)
 
+    def test_stack_packs_like_its_list(self, rng):
+        segs = random_c0_quadratics(rng, 5, 2)
+        stack = np.stack([seg.points for seg in segs])
+        for fmt, seed in ((F32, None), (F32, 0.5), (U8, "search")):
+            want = encode_dc_zigzag(segs, fmt, seed, rescale=True)
+            got = encode_dc_zigzag(stack, fmt, seed, rescale=True)
+            assert got.grid.data.tobytes() == want.grid.data.tobytes()
+            assert got.segment_count == want.segment_count == 5
+            assert got.transform.scale.tobytes() == want.transform.scale.tobytes()
+            assert got.transform.offset.tobytes() == want.transform.offset.tobytes()
+            assert (zigzag_residuals(got, stack).tobytes()
+                    == zigzag_residuals(want, segs).tobytes())
+
+    @pytest.mark.parametrize("stack, error, message", [
+        (np.zeros((3, 1)), DomainError, r"\(N, d \+ 1, c\) array, got shape \(3, 1\)"),
+        (np.zeros((3, 1, 1)), DomainError, r"got shape \(3, 1, 1\)"),
+        (np.zeros((0, 3, 1)), DomainError, "two control points"),
+        (np.array([[[0.0], [np.nan], [1.0]]]), DomainError, "control points must be finite"),
+        (np.zeros((1, 3, 5)), ChannelMismatchError, "1..4 channels, got 5"),
+        (np.zeros((2, 4, 1)), UnsupportedDegreeError, "quadratic segments only"),
+    ])
+    def test_bad_stack_refused(self, stack, error, message):
+        with pytest.raises(error, match=message):
+            encode_dc_zigzag(stack, F32)
+
+    def test_mixed_segments_refused(self, rng):
+        quad, cubic = ControlPolygon([0.0, 0.5, 1.0]), ControlPolygon([1.0, 0.5, 0.5, 0.0])
+        with pytest.raises(UnsupportedDegreeError, match="share a degree"):
+            encode_dc_zigzag([quad, cubic], F32)
+        with pytest.raises(ChannelMismatchError, match="share a channel count"):
+            encode_dc_zigzag([quad, ControlPolygon([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])], F32)
+        with pytest.raises(DomainError, match="at least one segment"):
+            encode_dc_zigzag([], F32)
+
+    def test_audit_counts_a_stack_before_checking_it(self, rng):
+        enc = encode_dc_zigzag(random_c0_quadratics(rng, 2), F32)
+        for stack in (np.zeros((0, 3, 1)), np.full((3, 3, 5), np.nan)):
+            with pytest.raises(LayoutError, match=f"got {len(stack)}"):
+                zigzag_residuals(enc, stack)
+
 
 class TestSeiler:
     def test_cubic_hump_rows(self):

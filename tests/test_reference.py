@@ -369,9 +369,23 @@ class TestBezierChain:
             assert _same_bits(got, chain_oracle(segments, gt))
 
     def test_mixed_degrees(self, rng):
+        # chains and spline pieces are one (N, d + 1, channels) stack
         segments = [random_polygon(rng, d, 3) for d in (2, 3, 2, 5, 3)]
-        gt = np.concatenate([np.linspace(0.0, 5.0, 1001), np.arange(6.0)])
-        assert _same_bits(eval_bezier_chain(segments, gt), chain_oracle(segments, gt))
+        with pytest.raises(UnsupportedDegreeError, match="share a degree"):
+            eval_bezier_chain(segments, np.linspace(0.0, 5.0, 11))
+        pieces = [(poly, (float(k), k + 1.0)) for k, poly in enumerate(segments)]
+        with pytest.raises(UnsupportedDegreeError, match="share a degree"):
+            eval_bezier_segments(pieces, np.linspace(0.0, 5.0, 11))
+
+    @pytest.mark.parametrize("degree", (1, 2, 3, 5))
+    def test_stack_evaluates_like_its_list(self, rng, degree):
+        segments = [random_polygon(rng, degree, 3) for _ in range(4)]
+        stack = np.stack([seg.points for seg in segments])
+        gt = np.concatenate([np.arange(5.0), rng.uniform(0.0, 4.0, 200)]).reshape(5, 41)
+        got = eval_bezier_chain(stack, gt)
+        assert _same_bits(got, eval_bezier_chain(segments, gt))
+        assert _same_bits(got.reshape(-1, 3), chain_oracle(segments, gt.ravel()))
+        assert got.flags.c_contiguous
 
     def test_single_segment(self, rng):
         segments = [random_polygon(rng, 3, 1)]
