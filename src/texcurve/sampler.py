@@ -134,8 +134,11 @@ def _clip_far(coord, extent: int):
 
 def texel_cell(coord, extent: int):
     """Unclamped base index and fractional position along one axis. A
-    coordinate beyond ±2^53 / extent is taken at that bound (`_clip_far`),
-    so its base cannot wrap int64."""
+    coordinate beyond ±2^53 / extent, ±inf included, is taken at that bound
+    (`_clip_far`), so its base cannot wrap int64; NaN has no cell and raises
+    DomainError."""
+    if np.isnan(coord).any():
+        raise DomainError("coordinate must not be NaN")
     base, pos = _stage(_clip_far(coord, extent), extent, SamplerConfig.ideal())
     return base.astype(np.int64), pos - base
 

@@ -352,6 +352,17 @@ def test_texel_cell_of_a_huge_coordinate_is_its_bound(extent):
             assert got[0].tolist() == [base] * 2 and got[1].tolist() == [0.0] * 2
 
 
+@pytest.mark.parametrize("coord", (np.nan, np.float64(np.nan), np.array([0.25, np.nan, 2.0]),
+                                   np.full((2, 2), np.nan)), ids=("float", "np", "1-d", "2-d"))
+def test_texel_cell_of_nan_is_a_domain_error(coord):
+    """NaN has no cell: it raises DomainError, not an int64 cast warning or
+    a base of -2^63."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="NaN"):
+            sampler.texel_cell(coord, 4)
+
+
 def _draw(rng, shape):
     """Fractions in [0, 1] with 0, 1 and 1/2 mixed in."""
     if shape == ():
