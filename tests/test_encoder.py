@@ -169,15 +169,13 @@ class TestZigzag:
         (np.zeros((3, 1)), DomainError, r"\(N, d \+ 1, c\) array, got shape \(3, 1\)"),
         (np.zeros((3, 1, 1)), DomainError, r"got shape \(3, 1, 1\)"),
         (np.zeros((0, 3, 1)), DomainError, "two control points"),
-        (np.array([[[0.0], [np.nan], [1.0]]]), DomainError, "control points must be finite"),
-        (np.zeros((1, 3, 5)), ChannelMismatchError, "1..4 channels, got 5"),
         (np.zeros((2, 4, 1)), UnsupportedDegreeError, "quadratic segments only"),
     ])
     def test_bad_stack_refused(self, stack, error, message):
         with pytest.raises(error, match=message):
             encode_dc_zigzag(stack, F32)
 
-    def test_mixed_segments_refused(self, rng):
+    def test_mixed_segments_refused(self):
         quad, cubic = ControlPolygon([0.0, 0.5, 1.0]), ControlPolygon([1.0, 0.5, 0.5, 0.0])
         with pytest.raises(UnsupportedDegreeError, match="share a degree"):
             encode_dc_zigzag([quad, cubic], F32)

@@ -385,7 +385,7 @@ class TestBezierChain:
         got = eval_bezier_chain(stack, gt)
         assert _same_bits(got, eval_bezier_chain(segments, gt))
         assert _same_bits(got.reshape(-1, 3), chain_oracle(segments, gt.ravel()))
-        assert got.flags.c_contiguous
+        assert got.flags.c_contiguous  # a report's #rms bytes follow the memory order
 
     def test_single_segment(self, rng):
         segments = [random_polygon(rng, 3, 1)]
