@@ -7,20 +7,23 @@ attributable to subtexel coordinate quantization.
 
 Sweeps, the bound and the CLI validate modes and pick a layout's default
 mode through `texeval`'s one mode table, which this module re-exports as
-`_MODES` together with `_default_mode` and `_mode_eval`.
+`_MODES` together with `_default_mode` and `_mode_eval`. The bound walks
+its lattice through `texeval`'s one fetch (`_eval_curve`) at ideal
+coordinates, with a blend of its own: the exact blend and every probe
+combination, from one gather of each cell's corners. It looks nothing up
+itself.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import ChannelMismatchError, DomainError, EncodedCurve, LayoutError, SamplerConfig
-from .sampler import _corners, _lerp_axes, _lookup
-from .texeval import _MODES, _decode, _default_mode, _in_blocks, _mode_eval, parameter_coords
+from .sampler import _corners, _lerp_axes
+from .texeval import _MODES, _decode, _default_mode, _eval_curve, _mode_eval, _rows
 
 
 def _reference_values(reference: Callable, ts: np.ndarray, shape) -> np.ndarray:
@@ -244,35 +247,41 @@ def write_ppm(image: np.ndarray, path) -> None:
 
 
 def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np.ndarray:
-    """(samples, 2, channels): the exact-coordinate blend of each sample and
-    its worst distance from a probe blend at the adjacent representable
-    fractions.
+    """(samples, 2, channels): the exact-coordinate blend of each sample of
+    the lattice t and its worst distance from a probe blend at the adjacent
+    representable fractions of `cfg`.
 
-    The exact blend and every probe share one gather of the cell's corners.
-    Each axis's probe fractions stack on an option axis of their own ahead
-    of the samples, so one lerp per axis blends every combination. The
-    hybrid's depth axis is probed at its exact fraction only, since the
-    hybrid never quantizes it.
+    The lattice runs through `texeval`'s one fetch at ideal coordinates,
+    whose used fractions are the exact ones; its blend is the exact blend
+    plus the probes, so it runs in the evaluators' blocks and gathers a
+    one-cell block's corners once. The exact blend and every probe share
+    one gather of the corners. Each axis's probe fractions stack on an
+    option axis of their own ahead of the samples, so one lerp per axis
+    blends every combination. The hybrid's depth axis is probed at its
+    exact fraction only, since the hybrid never quantizes it.
     """
-    pairs, fracs = _lookup(curve.grid, parameter_coords(curve, t), SamplerConfig.ideal())
-    corners = _corners(curve.grid, pairs)
-    exact = _decode(curve, _lerp_axes(corners, fracs).T)
-    dev = np.zeros_like(exact)
-    if cfg.subtexel_bits > 0:
-        step, n = float(1 << cfg.subtexel_bits), len(fracs)
-        options = []
-        for axis, frac in enumerate(fracs):
-            lo = np.floor(frac * step) / step
-            probe = np.array((lo, np.minimum(lo + 1.0 / step, 1.0)))
-            options.append(probe.reshape((2,) + (1,) * (n - 1 - axis) + frac.shape))
-        if hybrid:
-            options[-1] = fracs[-1]
-        # one option axis per corner axis, between the corner axes and the samples
-        shape = corners.shape[: 1 + n] + (1,) * n + corners.shape[1 + n :]
-        probes = _lerp_axes(corners.reshape(shape), options)  # (channels, *options, samples)
-        probes = _decode(curve, np.moveaxis(probes, 0, -1))
-        dev = np.abs(probes - exact).max(axis=tuple(range(n)))
-    return np.stack([exact, dev], axis=1)
+
+    def blend(pairs, fracs):
+        corners = _corners(curve.grid, pairs)
+        exact = _decode(curve, _lerp_axes(corners, fracs).T)
+        dev = np.zeros_like(exact)
+        if cfg.subtexel_bits > 0:
+            step, n = float(1 << cfg.subtexel_bits), len(fracs)
+            options = []
+            for axis, frac in enumerate(fracs):
+                lo = np.floor(frac * step) / step
+                probe = np.array((lo, np.minimum(lo + 1.0 / step, 1.0)))
+                options.append(probe.reshape((2,) + (1,) * (n - 1 - axis) + frac.shape))
+            if hybrid:
+                options[-1] = fracs[-1]
+            # one option axis per corner axis, between the corner axes and the samples
+            shape = corners.shape[: 1 + n] + (1,) * n + corners.shape[1 + n :]
+            probes = _lerp_axes(corners.reshape(shape), options)  # (channels, *options, samples)
+            probes = _decode(curve, np.moveaxis(probes, 0, -1))
+            dev = np.abs(probes - exact).max(axis=tuple(range(n)))
+        return np.stack([exact, dev], axis=1).T
+
+    return _eval_curve(curve, t, SamplerConfig.ideal(), blend, _rows)
 
 
 def error_bound_estimate(
@@ -293,7 +302,7 @@ def error_bound_estimate(
     (texel quantization plus blend arithmetic) is added, so a sweep at the
     same lattice against the same reference can never exceed the result.
 
-    Blends decode and the lattice runs in blocks as in the evaluators; the
+    Blends decode and the lattice runs through the evaluators' fetch; the
     reference is called once with the whole lattice, as in `sweep`.
 
     `mode` defaults to the curve layout's default mode and is validated
@@ -306,8 +315,7 @@ def error_bound_estimate(
         mode = _default_mode(curve.layout)
     _mode_eval(curve, mode)
     ts = _domain_lattice(curve, samples)
-    body = functools.partial(_bound_block, hybrid=mode == "dc-hybrid")
-    exact, dev = np.moveaxis(_in_blocks(body, curve, ts, cfg), 1, 0)
+    exact, dev = np.moveaxis(_bound_block(curve, ts, cfg, mode == "dc-hybrid"), 1, 0)
     allowance = 0.0
     if reference is not None:
         allowance = float(np.max(np.abs(exact - _reference_values(reference, ts, exact.shape))))

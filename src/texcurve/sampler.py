@@ -273,10 +273,12 @@ def sample_trilinear(grid: TexelGrid, u, v, w, cfg: SamplerConfig):
 def blend_with_fractions(grid: TexelGrid, bases, fractions):
     """Blend the cell at integer `bases` using explicit per-axis fractions.
 
-    Bypasses coordinate conversion and quantization entirely; used to probe
-    what the blend would return at arbitrary fraction combinations. Runs
-    the same lerp chain as the sampling paths above, so results are bitwise
-    comparable with them. Bases and fractions broadcast together, so a
+    Bypasses coordinate conversion and quantization entirely, to probe what
+    the blend returns at arbitrary fraction combinations one at a time (the
+    error bound blends all its probe combinations at once, in its own blend
+    on `texeval._fetch`). Runs the same lerp chain as the sampling paths
+    above, so results are bitwise comparable with them and with the bound's
+    probes. Bases and fractions broadcast together, so a
     fraction array never spreads along the corner axes.
     """
     if len(bases) != len(fractions):

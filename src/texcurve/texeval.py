@@ -3,12 +3,17 @@
 `_MODES` is the one mode table: the layouts each evaluation mode
 evaluates, and its evaluator. The public evaluators check their layout
 through it, as sweeps, the error bound and the CLI check their mode.
-Every evaluator reads the grid through one `_fetch` (the staged lookup of
-`sampler`, the blend, then `_decode`: the inverse transform, and for
-rational curves the divide by the weight) and builds no `SampleTrace`.
-`_coords` is the one 1-parameter coordinate picker and `_eval_curve` the
-one 1-parameter path, which the split-precision hybrid runs with the exact
-t as its depth fraction. Parameters are validated once per call:
+Every evaluator, and the error bound in `analysis`, reads the grid through
+one lattice walk, `_fetch`: the staged lookup of `sampler`, then a blend of
+the lookup state, then the blend's values turned into points, and builds
+no `SampleTrace`. The plain blend (`_decoded`) is the blend kernel, then
+`_decode`: the inverse transform, and for rational curves the divide by
+the weight. The split-precision hybrid looks up x and y alone and brings
+its own blend, which lerps them over the depth pair, and its own points,
+which lerp depth at the exact t, then decode; the bound brings its exact
+blend and probes. `_coords` is the one 1-parameter coordinate picker and
+`_eval_curve` the one 1-parameter path of the plain blend and the bound's.
+Parameters are validated once per call:
 `_curve_param` checks t, and `_surface_params` checks (u, v) and that
 their shapes broadcast together. The coordinate maps (`_coords` and the
 surface evaluators' maps) then map each block through `core._texel_span`,
@@ -29,12 +34,13 @@ mapped twice, blends and decodes those heads together, and fills each
 block by repeating every run's head by the run's length, writing each
 point once. A sorted 2^17-sample dc lattice at 8 bits is blended 257
 times instead of 131,072. The hybrid's runs compare the x and y stages
-alone, since its depth fraction is t itself: the heads lerp x and y into
-one (channels, 2, heads) array of depth slices, and every sample lerps its
-head's two slices at its t. A block whose runs outnumber half its samples
-(every block of distinct parameters at bits 0) is blended whole from its
-stages, and scalars, N-D parameters and axes below `_RUN_MIN` samples are
-staged and blended whole, through the same blend as whole blocks. A whole
+alone, since its depth fraction is t itself: the heads' blend lerps x and
+y into one (channels, 2, heads) array of depth slices, and its points lerp
+each sample's head's two slices at its t. A block whose runs outnumber
+half its samples (every block of distinct parameters at bits 0) is
+blended whole from its stages, and scalars, N-D parameters and axes
+below `_RUN_MIN` samples are staged and blended whole, through the same
+blend as whole blocks. A whole
 block whose samples all lie in one texel cell (an equal `base` on every
 stage, which `_runs` reads off its comparisons) is staged with that one
 base, so its pairs are clamped and its corners gathered once, as one
@@ -42,7 +48,8 @@ base, so its pairs are clamped and its corners gathered once, as one
 sample's own used fraction: the same operands in the same lerp order, so
 the same bits. A sorted 2^17-sample lattice at bits 0 gathers the corners
 of 8,207 samples instead of 131,072: one for each of its first 15 blocks
-and every sample of the last, whose t = 1 lies in the next cell.
+and every sample of the last, whose t = 1 lies in the next cell, and so
+does the error bound of such a lattice, at every bit depth.
 
 Parameters broadcast like the reference evaluators: scalar in, one point
 out; (n,) array in, (n, channels) out, stored channel-major (Fortran
@@ -151,27 +158,11 @@ def _coords(curve: EncodedCurve, layout: Layout, t):
 def parameter_coords(curve: EncodedCurve, t):
     """Normalized sample coordinates the texture path uses for parameter t.
 
-    The only place a 1-parameter layout's coordinates are chosen; rational
-    curves resolve through their inner layout. Error analysis probes the
-    exact cells a sweep will touch through it.
+    `_coords` on the validated t: the only place a 1-parameter layout's
+    coordinates are chosen; rational curves resolve through their inner
+    layout. The hybrid reads the first two at the same t.
     """
     return _coords(curve, *_curve_param(curve, t))
-
-
-def _in_blocks(body, curve: EncodedCurve, t, cfg: SamplerConfig, *args):
-    """body(curve, t, cfg, *args) over consecutive `_BLOCK`-long slices of a
-    1-D t: the error bound's lattice. Scalars and arrays of at most one
-    block run the body once."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or t.shape[0] <= _BLOCK:
-        return body(curve, t, cfg, *args)
-    out = None
-    for start in range(0, t.shape[0], _BLOCK):
-        part = body(curve, t[start : start + _BLOCK], cfg, *args)
-        if out is None:
-            out = np.empty(t.shape + part.shape[1:], order="F")
-        out[start : start + _BLOCK] = part
-    return out
 
 
 def _decode(curve: EncodedCurve, raw):
@@ -221,65 +212,58 @@ def _runs(stages, last):
     return change, [a[-1] for a in arrays], one_cell
 
 
-def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: bool = False):
-    """The one texel fetch: the staged lookup, the blend, then `_decode`, once
-    per run of equal lookup state (see above). `coords_of(*part)` maps a
-    part of the validated parameter arrays `params` to coordinates. The
-    `hybrid` (a dc cubic) looks up x and y at the first two coordinates and
-    blends depth at the exact parameter.
+def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, blend, points):
+    """The one lattice walk: the staged lookup, then `blend` once per run of
+    equal lookup state (see above), then `points` per block.
+    `coords_of(*part)` maps a part of the validated parameter arrays
+    `params` to coordinates. `blend(pairs, used)` maps a lookup state (per
+    axis the clamped index pair and the used fraction, `sampler._state`) to
+    values whose last axes are the samples, and depends on that state
+    alone; `points(values, t)` turns the values of a block into its
+    (*samples, ...) rows, given the block's part `t` of the first parameter
+    array. Three pairs run on it: the plain decoded blend (`_decoded` and
+    `_rows`), the hybrid's x and y levels with its depth lerp at t, and the
+    error bound's exact blend and probes.
 
-    Every lookup stages its coordinates (`sampler._stages`) and blends them
-    in one `blend`; `points` turns what it returns into (*samples,
-    channels) points. Parameters that are not one shared 1-D axis of at
-    least `_RUN_MIN` samples go through the pair once, whole. Otherwise
-    each `_BLOCK` slice of the axis is mapped and staged once and compared
-    with its neighbours (`_runs`); it is then either blended whole from its
-    stages or kept as its run starts (`flatnonzero`) and the stages there.
-    A block blended whole within one texel cell passes each stage's first
-    `base` alone: `sampler._state` clamps and casts that one element, and
-    `_corners` gathers one sample's corners, which the lerps broadcast
-    against the block's used fractions (q / 2^bits, or q - base at bits 0,
-    per sample); the hybrid then lerps depth at each sample's own t. The
-    heads of all runs are then blended in chunks of `_BLOCK` into one
-    (channels, heads) array (the hybrid's: (channels, 2, heads), its depth
-    slices), and each block is filled by one `np.repeat` of its runs' heads
-    by the runs' lengths; a block that opens inside a run begins with that
-    run's head. Equal stages mean equal state, so a head's point is every
-    point of its run, bit for bit; equal states get equal stages, so the
-    heads are the first samples of the runs of equal state.
+    Parameters that are not one shared 1-D axis of at least `_RUN_MIN`
+    samples go through the lookup, `blend` and `points` once, whole.
+    Otherwise each `_BLOCK` slice of the axis is mapped and staged once and
+    compared with its neighbours (`_runs`); it is then either blended whole
+    from its stages or kept as its run starts (`flatnonzero`) and the
+    stages there. A block blended whole within one texel cell passes each
+    stage's first `base` alone: `sampler._state` clamps and casts that one
+    element, and `_corners` gathers one sample's corners, which the lerps
+    broadcast against the block's used fractions (q / 2^bits, or q - base
+    at bits 0, per sample).
+    The heads of all runs are then blended in chunks of `_BLOCK`, and each
+    block is filled by one `np.repeat` of its runs' heads by the runs'
+    lengths; a block that opens inside a run begins with that run's head.
+    Equal stages mean equal state, so a head's values are every value of
+    its run, bit for bit; equal states get equal stages, so the heads are
+    the first samples of the runs of equal state. The blocked result is
+    allocated at the first block's rows, channel-major (Fortran order).
     """
     grid = curve.grid
-    state = slice(2 if hybrid else None)  # the hybrid's depth fraction is no state
-
-    def blend(stages, axes):
-        """(channels, *samples) points at the state of `stages`; the hybrid's
-        (channels, 2, *samples) depth slices 0 and 1, lerped in x and y only."""
-        pairs, used = sampler._state(grid, stages, axes, cfg)
-        if not hybrid:
-            return _decode(curve, sampler._blend(grid, pairs, used)).T
-        return sampler._lerp_axes(sampler._corners(grid, pairs + [(0, 1)]), used)
-
-    def points(values, t):
-        """(*samples, channels) points of `blend` values; the hybrid's at depth t."""
-        if not hybrid:
-            return values.T
-        return _decode(curve, np.moveaxis(sampler._lerp_axes(values, (t,)), 0, -1))
-
     shape, *others = {p.shape for p in params}
     if others or len(shape) != 1 or shape[0] < _RUN_MIN:
-        return points(blend(*sampler._stages(grid, coords_of(*params)[state], cfg)), params[0])
-    channels = grid.channels - (curve.layout is Layout.RATIONAL_HOMOGENEOUS)
-    out = np.empty((shape[0], channels), order="F")
-    blocks, last = [], None
+        return points(blend(*sampler._lookup(grid, coords_of(*params), cfg)), params[0])
+    out, blocks, last = None, [], None
+
+    def fill(block, values):
+        nonlocal out
+        rows = points(values, params[0][block])
+        if out is None:
+            out = np.empty(shape + rows.shape[1:], order="F")
+        out[block] = rows
+
     for start in range(0, shape[0], _BLOCK):
         block = slice(start, min(start + _BLOCK, shape[0]))
-        part = [p[block] for p in params]
-        stages, axes = sampler._stages(grid, coords_of(*part)[state], cfg)
+        stages, axes = sampler._stages(grid, coords_of(*(p[block] for p in params)), cfg)
         change, last, one_cell = _runs(stages, last)
         if change is None:
             if one_cell:  # one clamped pair per axis: its corners are gathered once
                 stages = [(base[:1], q) for base, q in stages]
-            out[block] = points(blend(stages, axes), part[0])
+            fill(block, blend(*sampler._state(grid, stages, axes, cfg)))
         else:
             starts = np.flatnonzero(change)
             blocks.append((block, starts, [(base[starts], q[starts]) for base, q in stages]))
@@ -288,41 +272,53 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, hybrid: b
     # per stage, its base and q at every run head of the axis
     heads = [[np.concatenate(a) for a in zip(*stage)] for stage in zip(*(h for *_, h in blocks))]
     chunks = [slice(start, start + _BLOCK) for start in range(0, heads[0][0].size, _BLOCK)]
-    values = np.concatenate([blend([(base[c], q[c]) for base, q in heads], axes)
+    values = np.concatenate([blend(*sampler._state(grid, [(base[c], q[c]) for base, q in heads],
+                                                   axes, cfg))
                              for c in chunks], axis=-1)  # every block has the same `axes`
     first = 0  # the head of the block's first run
     for block, starts, _ in blocks:
         if not starts.size or starts[0]:  # the block opens in the last run before it
             starts, first = np.concatenate(([0], starts)), first - 1
         lengths = np.diff(starts, append=block.stop - block.start)
-        runs = np.repeat(values[..., first : first + starts.size], lengths, axis=-1)
+        fill(block, np.repeat(values[..., first : first + starts.size], lengths, axis=-1))
         first += starts.size
-        out[block] = points(runs, params[0][block])
     return out
 
 
-def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool = False):
-    """The 1-parameter path: t validated once, then mapped per block by `_fetch`."""
+def _decoded(curve: EncodedCurve):
+    """The plain blend: the decoded points at a lookup state, transposed so
+    that the channels lead and the samples come last."""
+    return lambda pairs, used: _decode(curve, sampler._blend(curve.grid, pairs, used)).T
+
+
+def _rows(values, t):
+    """The points of values transposed like `_decoded`'s: transposed back."""
+    return values.T
+
+
+def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig, blend, points):
+    """The 1-parameter fetch of `blend` and `points` (see `_fetch`): t
+    validated once, then mapped per block to the layout's coordinates."""
     layout, t = _curve_param(curve, t)
-    return _fetch(curve, lambda t: _coords(curve, layout, t), (t,), cfg, hybrid)
+    return _fetch(curve, lambda t: _coords(curve, layout, t), (t,), cfg, blend, points)
 
 
 def eval_dc(curve: EncodedCurve, t, cfg: SamplerConfig):
     """Evaluate a de Casteljau packing: one read at (t, t) or (t, t, t)."""
     _mode_eval(curve, "dc")
-    return _eval_curve(curve, t, cfg)
+    return _eval_curve(curve, t, cfg, _decoded(curve), _rows)
 
 
 def eval_dc_zigzag(curve: EncodedCurve, global_t, cfg: SamplerConfig):
     """Evaluate a zig-zag packing at global parameter in [0, segment_count]."""
     _mode_eval(curve, "zigzag")
-    return _eval_curve(curve, global_t, cfg)
+    return _eval_curve(curve, global_t, cfg, _decoded(curve), _rows)
 
 
 def eval_seiler_tex(curve: EncodedCurve, t, cfg: SamplerConfig):
     """Evaluate a difference-term packing at (t, st) or (t, st, st)."""
     _mode_eval(curve, "seiler")
-    return _eval_curve(curve, t, cfg)
+    return _eval_curve(curve, t, cfg, _decoded(curve), _rows)
 
 
 def eval_dc_cubic_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
@@ -331,10 +327,23 @@ def eval_dc_cubic_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
 
     One 3-axis blend whose first two levels match a bilinear read of each
     quadratic slice, while the last interpolation level runs at full
-    precision with the unquantized parameter.
+    precision with the unquantized parameter. The lookup state is that of
+    x and y alone: its blend lerps them over the depth pair into the two
+    depth slices, and its points lerp those at each sample's own t.
     """
     _mode_eval(curve, "dc-hybrid")
-    return _eval_curve(curve, t, cfg, hybrid=True)
+    grid = curve.grid
+
+    def blend(pairs, used):
+        """(channels, 2, *samples): depth slices 0 and 1, lerped in x and y."""
+        return sampler._lerp_axes(sampler._corners(grid, pairs + [(0, 1)]), used)
+
+    def points(values, t):
+        """(*samples, channels): the depth slices lerped at t, then decoded."""
+        return _decode(curve, np.moveaxis(sampler._lerp_axes(values, (t,)), 0, -1))
+
+    return _fetch(curve, lambda t: (_texel_span(t, 2),) * 2, (_unit_param(t),), cfg,
+                  blend, points)
 
 
 def _surface_params(u, v):
@@ -353,7 +362,7 @@ def eval_bilinear_patch(curve: EncodedCurve, u, v, cfg: SamplerConfig):
     """Evaluate a bilinear patch: one read at (remapped u, remapped v)."""
     _mode_eval(curve, "patch")
     return _fetch(curve, lambda u, v: (_texel_span(u, 2), _texel_span(v, 2)),
-                  _surface_params(u, v), cfg)
+                  _surface_params(u, v), cfg, _decoded(curve), _rows)
 
 
 def eval_bicubic_rgba(curve: EncodedCurve, u, v, cfg: SamplerConfig):
@@ -362,7 +371,7 @@ def eval_bicubic_rgba(curve: EncodedCurve, u, v, cfg: SamplerConfig):
     cubic in v runs at full precision."""
     _mode_eval(curve, "bicubic")
     u, v = _surface_params(u, v)
-    iso = _fetch(curve, lambda u: (_texel_span(u, 2),) * 3, (u,), cfg)
+    iso = _fetch(curve, lambda u: (_texel_span(u, 2),) * 3, (u,), cfg, _decoded(curve), _rows)
     return bernstein_sum(np.moveaxis(iso, -1, 0)[..., None], v)
 
 
@@ -370,7 +379,7 @@ def eval_rational_tex(curve: EncodedCurve, t, cfg: SamplerConfig):
     """Evaluate a homogeneous packing through its inner layout, then divide
     point by weight."""
     _mode_eval(curve, "rational")
-    return _eval_curve(curve, t, cfg)
+    return _eval_curve(curve, t, cfg, _decoded(curve), _rows)
 
 
 #: mode name -> (layouts it can evaluate, evaluator fn(curve, t, cfg)).

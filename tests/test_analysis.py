@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import itertools
 import tracemalloc
 from unittest import mock
@@ -35,7 +34,7 @@ from texcurve.analysis import _default_mode, report_to_csv, write_csv, write_ppm
 from texcurve.core import Layout, ValueTransform
 from texcurve.reference import elevate_degree
 from texcurve.sampler import blend_with_fractions, texel_cell
-from texcurve.texeval import _BLOCK, _decode, _in_blocks, eval_dc, parameter_coords
+from texcurve.texeval import _BLOCK, _decode, eval_dc, parameter_coords
 from conftest import IDEAL, BITS8, one_curve_per_layout, random_c0_quadratics, random_polygon
 
 F32 = TexelFormat.FLOAT32
@@ -432,9 +431,8 @@ def test_bound_matches_per_combination_probes(fmt):
         zero = lambda t: np.zeros((np.size(t), channels))
         hybrid = mode == "dc-hybrid"
         for cfg in BOUND_CONFIGS:
-            got = _in_blocks(functools.partial(analysis._bound_block, hybrid=hybrid), curve, ts, cfg)
-            want = _in_blocks(functools.partial(per_combination_bound_block, hybrid=hybrid),
-                              curve, ts, cfg)
+            got = analysis._bound_block(curve, ts, cfg, hybrid)
+            want = per_combination_bound_block(curve, ts, cfg, hybrid)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (mode, cfg)
             for ref in (None, zero):
                 bound = error_bound_estimate(curve, cfg, reference=ref, mode=mode, samples=1001)
@@ -468,6 +466,34 @@ def test_one_gather_and_shared_lerps_per_bound_block(monkeypatch, mode, degree, 
         counts["lerp"] = 0
         eval_dc(enc, 0.37, BITS8)
         assert counts["lerp"] == 3
+
+
+@pytest.mark.parametrize("bits", (0, 8))
+def test_large_bound_gathers_one_sample_per_one_cell_block(monkeypatch, bits):
+    """A 2^17-sample bound on a dc cubic walks the evaluators' fetch: one
+    gather per `_BLOCK` slice, 16 in all, and each of the first 15 blocks
+    lies in one texel cell and gathers one sample's corners, the last
+    (whose t = 1 lies in the next cell) every sample's: 8,207 samples'
+    corners, not 131,072. Its bits equal the per-combination oracle's."""
+    curve = encode_dc_cubic(random_polygon(np.random.default_rng(22), 3, 3), F32)
+    cfg = SamplerConfig(subtexel_bits=bits)
+    counts = {"gathers": 0, "gathered": 0}
+
+    def counted(gather):
+        def wrapper(grid, pairs):
+            taken = gather(grid, pairs)
+            counts["gathers"] += 1
+            counts["gathered"] += taken[0].size >> len(pairs)
+            return taken
+        return wrapper
+
+    monkeypatch.setattr(sampler, "_corners", counted(sampler._corners))
+    monkeypatch.setattr(analysis, "_corners", counted(analysis._corners))
+    bound = error_bound_estimate(curve, cfg, samples=1 << 17)
+    assert counts == {"gathers": (1 << 17) // _BLOCK, "gathered": (1 << 17) // _BLOCK - 1 + _BLOCK}
+    with mock.patch.object(analysis, "_bound_block", per_combination_bound_block):
+        expect = error_bound_estimate(curve, cfg, samples=1 << 17)
+    assert np.float64(bound).tobytes() == np.float64(expect).tobytes()
 
 
 # -- per-element oracles ---------------------------------------------------

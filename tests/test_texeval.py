@@ -684,16 +684,10 @@ def test_no_evaluator_builds_a_trace(monkeypatch):
 # -- the run path against a blend of every sample ----------------------------
 
 
-def fetch_every_sample(curve, coords_of, params, cfg, hybrid=False):
+def fetch_every_sample(curve, coords_of, params, cfg, blend, points):
     """`texeval._fetch` without runs or blocks: the lookup, the blend and
-    the decode on every sample."""
-    coords = coords_of(*params)
-    if hybrid:
-        pairs, used = sampler._lookup(curve.grid, coords[:2], cfg)
-        pairs, used = pairs + [(0, 1)], used + [params[0]]
-    else:
-        pairs, used = sampler._lookup(curve.grid, coords, cfg)
-    return texeval._decode(curve, sampler._blend(curve.grid, pairs, used))
+    the points on every sample."""
+    return points(blend(*sampler._lookup(curve.grid, coords_of(*params), cfg)), params[0])
 
 
 #: evaluator name -> (fn(curve, u, v, cfg), the curve kinds it evaluates)
@@ -947,13 +941,13 @@ def test_fetch_maps_each_parameter_once(monkeypatch, kind, fn):
     count = 0
     fetch = texeval._fetch
 
-    def counted_fetch(curve, coords_of, params, cfg, hybrid=False):
+    def counted_fetch(curve, coords_of, params, cfg, *args):
         def counted_coords_of(*part):
             nonlocal count
             count += np.size(part[0])
             return coords_of(*part)
 
-        return fetch(curve, counted_coords_of, params, cfg, hybrid)
+        return fetch(curve, counted_coords_of, params, cfg, *args)
 
     monkeypatch.setattr(texeval, "_fetch", counted_fetch)
     fn(curve, t, SamplerConfig(subtexel_bits=8))
