@@ -257,7 +257,7 @@ class ValueTransform:
         return cls(np.ones(channels), np.zeros(channels))
 
 
-#: layout -> (allowed degrees, required dims or None)
+#: layout -> (allowed degrees, required dims)
 _LAYOUT_RULES = {
     Layout.DC_QUAD_2X2: ({2}, (2, 2, 1)),
     Layout.DC_CUBIC_2X2X2: ({3}, (2, 2, 2)),
@@ -300,7 +300,7 @@ class EncodedCurve:
             degrees, dims = rule
             if self.degree not in degrees:
                 raise LayoutError(f"{self.layout.value} cannot hold a degree-{self.degree} curve")
-            if dims is not None and self.grid.dims != dims:
+            if self.grid.dims != dims:
                 raise LayoutError(f"{self.layout.value} requires grid dims {dims}, got {self.grid.dims}")
         elif self.layout is Layout.DC_ZIGZAG:
             if self.degree != 2:

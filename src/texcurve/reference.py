@@ -10,8 +10,9 @@ Curve evaluators, de Boor's included, broadcast over the parameter: a
 scalar t yields one (channels,) point, an (n,) array yields (n, channels).
 The Bezier evaluators take parameters in [0, 1], as the texture evaluators
 do, and raise DomainError for any other value, NaN and +-inf included.
-De Boor evaluation and knot insertion share one knot-span rule,
-`_find_span`.
+De Boor evaluation and knot insertion share one knot-span rule, `_span`,
+behind `_find_span`'s domain check; knot insertion and the conversion to
+Bezier pieces share one Boehm step on arrays, `_boehm_step`.
 """
 
 from __future__ import annotations
@@ -287,7 +288,11 @@ def _find_span(spline: BSplineCurve, t: np.ndarray, outside: str) -> np.ndarray:
     bad = ~((t >= a) & (t <= b))
     if bad.any():
         raise DomainError(outside.format(t=t[bad][0], a=a, b=b))
-    U = spline.knots
+    return _span(spline.knots, b, t)
+
+
+def _span(U, b, t):
+    """`_find_span`'s rule on knots U with domain end b, unchecked."""
     return np.minimum(np.searchsorted(U, t, side="right"), np.searchsorted(U, b, side="left")) - 1
 
 
@@ -307,44 +312,46 @@ def eval_deboor(spline: BSplineCurve, t) -> np.ndarray:
     return d[p]
 
 
-def insert_knot(spline: BSplineCurve, u: float) -> BSplineCurve:
-    """Insert one knot at u (Boehm's construction), leaving the curve unchanged."""
-    outside = "knot {t} outside spline domain [{a}, {b}]"
-    k = int(_find_span(spline, np.asarray(u, dtype=float), outside))
-    p = spline.degree
-    U = spline.knots
-    P = spline.control_points
+def _boehm_step(P, U, p: int, u: float):
+    """Boehm's construction on arrays: control points P and knots U of degree
+    p with the knot u, in the domain, inserted once, as (points, knots). The
+    span of u is `_find_span`'s, capped at the domain end U[len(P)]."""
+    k = int(_span(U, U[P.shape[0]], u))
     Q = np.empty((P.shape[0] + 1, P.shape[1]), dtype=float)
     Q[: k - p + 1] = P[: k - p + 1]
     for i in range(k - p + 1, k + 1):
         alpha = (u - U[i]) / (U[i + p] - U[i])
         Q[i] = (1.0 - alpha) * P[i - 1] + alpha * P[i]
     Q[k + 1 :] = P[k:]
-    new_knots = np.insert(U, k + 1, u)
-    return BSplineCurve(Q, new_knots, p)
+    return Q, np.insert(U, k + 1, u)
+
+
+def insert_knot(spline: BSplineCurve, u: float) -> BSplineCurve:
+    """Insert one knot at u (Boehm's construction), leaving the curve unchanged."""
+    _find_span(spline, np.asarray(u, dtype=float), "knot {t} outside spline domain [{a}, {b}]")
+    p = spline.degree
+    return BSplineCurve(*_boehm_step(spline.control_points, spline.knots, p, u), p)
 
 
 def boehm_to_bezier(spline: BSplineCurve) -> List[Tuple[ControlPolygon, Tuple[float, float]]]:
     """Convert a B-spline to its piecewise Bezier segments by knot insertion.
 
     Every distinct knot value inside the closed domain is raised to
-    multiplicity = degree (one insertion at a time), after which each
-    nonzero span [U_k, U_k+1] reads its Bezier points directly off the
-    refined control polygon. Returns (segment, (span start, span end))
-    pairs in parameter order; adjacent segments share their join point.
+    multiplicity = degree (one `_boehm_step` at a time, on arrays), after
+    which each nonzero span [U_k, U_k+1] reads its Bezier points directly
+    off the refined control polygon. Returns (segment, (span start, span
+    end)) pairs in parameter order; adjacent segments share their join
+    point.
     """
     a, b = spline.domain
     if not a < b:
         raise DomainError("spline domain is empty")
     p = spline.degree
-    work = spline
-    for val in np.unique(spline.knots):
-        if not a <= val <= b:
-            continue
-        while int(np.count_nonzero(work.knots == val)) < p:
-            work = insert_knot(work, float(val))
-    U = work.knots
-    P = work.control_points
+    P, U = spline.control_points, spline.knots
+    for val in np.unique(U):
+        if a <= val <= b:
+            for _ in range(p - int(np.count_nonzero(U == val))):
+                P, U = _boehm_step(P, U, p, float(val))
     out: List[Tuple[ControlPolygon, Tuple[float, float]]] = []
     for k in range(p, P.shape[0]):
         if U[k] < U[k + 1] and U[k] >= a and U[k + 1] <= b:
