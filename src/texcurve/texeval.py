@@ -342,7 +342,7 @@ def eval_dc_cubic_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
         """(*samples, channels): the depth slices lerped at t, then decoded."""
         return _decode(curve, np.moveaxis(sampler._lerp_axes(values, (t,)), 0, -1))
 
-    return _fetch(curve, lambda t: (_texel_span(t, 2),) * 2, (_unit_param(t),), cfg,
+    return _fetch(curve, lambda t: _coords(curve, curve.layout, t)[:2], (_unit_param(t),), cfg,
                   blend, points)
 
 
