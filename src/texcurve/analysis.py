@@ -91,11 +91,12 @@ class ErrorReport:
         """Per-channel root mean square deviation. Where squaring overflows but
         the maximum m is finite it is m * sqrt(mean((absdev / m)^2))."""
         with np.errstate(over="ignore"):
-            rms = np.sqrt(np.mean(self.absdev**2, axis=0))
+            rms = np.sqrt(np.mean(self.absdev * self.absdev, axis=0))
         m = self.max_dev
         redo = np.isinf(rms) & np.isfinite(m)
         if redo.any():
-            rms[redo] = m[redo] * np.sqrt(np.mean((self.absdev[:, redo] / m[redo]) ** 2, axis=0))
+            scaled = self.absdev[:, redo] / m[redo]
+            rms[redo] = m[redo] * np.sqrt(np.mean(scaled * scaled, axis=0))
         return rms
 
 

@@ -15,6 +15,12 @@ import numpy as np
 
 MAX_CHANNELS = 4
 
+#: samples per slice of a long 1-D parameter lattice, on the texture path
+#: (`texeval._fetch`) and in the float64 references (`reference._blocked`):
+#: one 4-channel float64 slice is 256 kB, so a slice's temporaries stay
+#: near a 2 MB L2 cache
+_BLOCK = 8192
+
 
 class TexCurveError(Exception):
     """Base class for errors raised by this package."""

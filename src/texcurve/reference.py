@@ -10,9 +10,12 @@ Curve evaluators, de Boor's included, broadcast over the parameter: a
 scalar t yields one (channels,) point, an (n,) array yields (n, channels).
 The Bezier evaluators take parameters in [0, 1], as the texture evaluators
 do, and raise DomainError for any other value, NaN and +-inf included.
-De Boor evaluation and knot insertion share one knot-span rule, `_span`,
-behind `_find_span`'s domain check; knot insertion and the conversion to
-Bezier pieces share one Boehm step on arrays, `_boehm_step`.
+They check a 1-D parameter array whole, then evaluate a long one in
+`_BLOCK` slices (`_blocked`), which moves no bit and keeps each
+evaluator's output memory order. De Boor evaluation and knot insertion
+share one knot-span rule, `_span`, behind `_find_span`'s domain check;
+knot insertion and the conversion to Bezier pieces share one Boehm step
+on arrays, `_boehm_step`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .core import (
     HomogeneousDivideError,
     MAX_CHANNELS,
     UnsupportedDegreeError,
+    _BLOCK,
     _freeze,
     _unit_param,
     lerp,
@@ -64,6 +68,27 @@ def bernstein_sum(points, t):
     return acc
 
 
+def _blocked(rows, *args):
+    """rows(*args[:-1], t) at the validated parameter array t = args[-1]:
+    once when t is not 1-D or spans at most one `_BLOCK`, else once per
+    `_BLOCK` slice of t, written into one output allocated at the first
+    slice's rows, in their memory order. The slices are views, so each keeps
+    t's strides: numpy's float64 pow differs between contiguous arrays and
+    negative strides, so a copy could move bits. Every row depends on its
+    own parameter alone, so the slicing moves none; an error raised by
+    `rows` stops the walk at its slice."""
+    *head, t = args
+    if t.ndim != 1 or t.shape[0] <= _BLOCK:
+        return rows(*args)
+    first = rows(*head, t[:_BLOCK])
+    out = np.empty_like(first, shape=t.shape + first.shape[1:])
+    out[:_BLOCK] = first
+    del first  # not kept through the other slices
+    for start in range(_BLOCK, t.shape[0], _BLOCK):
+        out[start : start + _BLOCK] = rows(*head, t[start : start + _BLOCK])
+    return out
+
+
 #: below this `ControlPolygon.magnitude` no step of a reference evaluation
 #: or conversion here can overflow float64: none reaches 2^15 times it
 _SAFE_MAGNITUDE = 2.0**1000
@@ -93,19 +118,35 @@ def _refuse_overflow(name: Optional[str]):
 
 
 @_refuse_overflow("Bernstein values")
+def _bernstein_rows(poly: ControlPolygon, t):
+    """`bernstein_sum` of the polygon at a validated t."""
+    return bernstein_sum(poly.points, t)
+
+
 def eval_bernstein(poly: ControlPolygon, t):
     """Evaluate sum_i C(d,i) (1-t)^(d-i) t^i b_i."""
-    return bernstein_sum(poly.points, _unit_param(t))
+    return _blocked(_bernstein_rows, poly, _unit_param(t))
+
+
+def _decasteljau_rows(points, t):
+    """De Casteljau's lerps b_j (1-t) + b_(j+1) t, one channel at a time, so
+    that a level holds d samples-long arrays, not d·channels; returned
+    channel-major (Fortran order for 1-D t)."""
+    s = 1.0 - t
+    out = np.empty(points.shape[1:] + t.shape)
+    for ch, beta in enumerate(points.T):
+        beta = list(beta)
+        for r in range(len(beta) - 1, 0, -1):
+            for j in range(r):
+                beta[j] = beta[j] * s + beta[j + 1] * t
+        out[ch] = beta[0]
+    return np.moveaxis(out, 0, -1)
 
 
 @_refuse_overflow("de Casteljau values")
 def eval_decasteljau(poly: ControlPolygon, t):
     """Evaluate by repeated pairwise linear interpolation of the polygon."""
-    tt = _unit_param(t)[..., None, None]
-    beta = np.broadcast_to(poly.points, tt.shape[:-2] + poly.points.shape).astype(float)
-    for _ in range(poly.degree):
-        beta = beta[..., :-1, :] * (1.0 - tt) + beta[..., 1:, :] * tt
-    return beta[..., 0, :]
+    return _blocked(_decasteljau_rows, poly.points, _unit_param(t))
 
 
 @dataclass(frozen=True)
@@ -182,19 +223,18 @@ def eval_seiler(poly: ControlPolygon, t):
     costs d lerps this way. The terms can overflow float64 where the curve
     does not; a result that is not finite raises DomainError.
     """
-    terms = seiler_terms(poly)
+    return _blocked(_seiler_rows, poly, seiler_terms(poly), _unit_param(t))
+
+
+def _seiler_rows(poly: ControlPolygon, terms: SeilerTerms, t):
+    """`eval_seiler` at a validated t: D_i from the innermost i out."""
     d = poly.degree
-    tt = _unit_param(t)[..., None]
+    tt = t[..., None]
     st = (1.0 - tt) * tt
-
-    def rec(i: int):
-        if 2 * i == d + 1:
-            return 0.0
-        if 2 * i == d:
-            return terms.diff(i)
-        return lerp(terms.diff(i), terms.diff(d - i), tt) + st * rec(i + 1)
-
-    return lerp(poly.points[0], poly.points[d], tt) + st * rec(1)
+    inner = 0.0 if d % 2 else terms.diff(d // 2)
+    for i in range((d - 1) // 2, 0, -1):
+        inner = lerp(terms.diff(i), terms.diff(d - i), tt) + st * inner
+    return lerp(poly.points[0], poly.points[d], tt) + st * inner
 
 
 def homogeneous(num: ControlPolygon, weights) -> ControlPolygon:
@@ -217,7 +257,12 @@ def eval_rational(num: ControlPolygon, weights, t):
     Evaluates the curve with control points (w_i b_i, w_i) in the Bernstein
     basis, then divides the point part by the weight part.
     """
-    val = eval_bernstein(homogeneous(num, weights), t)
+    return _blocked(_rational_rows, homogeneous(num, weights), _unit_param(t))
+
+
+def _rational_rows(hom: ControlPolygon, t):
+    """`eval_rational` of the homogeneous polygon at a validated t."""
+    val = _bernstein_rows(hom, t)
     den = val[..., -1:]
     if np.any(np.abs(den) <= 1e-12):
         raise HomogeneousDivideError("homogeneous weight vanished at evaluation")
@@ -385,10 +430,17 @@ def _eval_pieces(stack, starts, ends, t, outside: str) -> np.ndarray:
     """(n, channels) points of the Bezier pieces of an (N, d + 1, c) stack at
     1-D t: each t on the first piece whose end exceeds it, else the last,
     at local (t - start) / (end - start), by one gather and one
-    `bernstein_sum`. t off the pieces raises DomainError(`outside`)."""
+    `bernstein_sum` per `_BLOCK` slice. t off the pieces raises
+    DomainError(`outside`)."""
     bad = ~((t >= starts[0]) & (t <= ends[-1]))
     if bad.any():
         raise DomainError(outside.format(t=t[bad][0]))
+    del bad  # not kept through the slices
+    return _blocked(_piece_rows, stack, starts, ends, t)
+
+
+def _piece_rows(stack, starts, ends, t):
+    """`_eval_pieces` at a validated t."""
     k = np.minimum(np.searchsorted(ends, t, side="right"), len(stack) - 1)
     local = (t - starts[k]) / (ends[k] - starts[k])
     # C order: a report's #mean and #rms sum its reference in memory order

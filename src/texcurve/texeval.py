@@ -76,14 +76,13 @@ from .core import (
     LayoutError,
     SamplerConfig,
     TexCurveError,
+    _BLOCK,
     _texel_span,
     _unit_param,
 )
 from . import sampler
 from .reference import bernstein_sum
 
-
-_BLOCK = 8192
 
 #: the shortest sample axis that `_fetch` splits into runs: below it the
 #: blend's fixed cost per call outweighs its cost per sample, so blending

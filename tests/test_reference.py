@@ -25,7 +25,8 @@ from texcurve import (
     power_to_bernstein,
     seiler_terms,
 )
-from texcurve.reference import _find_span, pascal_row
+from texcurve.core import _BLOCK, lerp
+from texcurve.reference import _find_span, bernstein_sum, homogeneous, pascal_row
 from conftest import random_polygon
 
 
@@ -674,3 +675,154 @@ class TestArrayBasisOracles:
         assert _same_bits(power_to_bernstein(a).points, power_to_bernstein_oracle(a))
         assert _same_bits(bernstein_to_power(ControlPolygon(a)), bernstein_to_power_oracle(a))
         assert _same_bits(elevate_degree(ControlPolygon(a), 5).points, elevate_degree_oracle(a, 5))
+
+
+# -- blocked references ------------------------------------------------------
+#
+# Long 1-D lattices are evaluated one `_BLOCK` slice at a time. The forms
+# below evaluate the whole lattice in one piece; every blocked result must
+# equal them in bytes, shape and memory order (a report's #mean and #rms sum
+# its reference in memory order).
+
+B = _BLOCK
+BLOCKED_LENGTHS = (B - 1, B, B + 1, 2 * B + 17, 3 * B)
+
+
+def one_piece_decasteljau(poly, t):
+    tt = t[..., None, None]
+    beta = np.broadcast_to(poly.points, tt.shape[:-2] + poly.points.shape).astype(float)
+    for _ in range(poly.degree):
+        beta = beta[..., :-1, :] * (1.0 - tt) + beta[..., 1:, :] * tt
+    return beta[..., 0, :]
+
+
+def one_piece_seiler(poly, t):
+    terms, d = seiler_terms(poly), poly.degree
+    tt = t[..., None]
+    st = (1.0 - tt) * tt
+
+    def rec(i):
+        if 2 * i == d + 1:
+            return 0.0
+        if 2 * i == d:
+            return terms.diff(i)
+        return lerp(terms.diff(i), terms.diff(d - i), tt) + st * rec(i + 1)
+
+    return lerp(poly.points[0], poly.points[d], tt) + st * rec(1)
+
+
+def one_piece_rational(poly, weights, t):
+    val = bernstein_sum(homogeneous(poly, weights).points, t)
+    return val[..., :-1] / val[..., -1:]
+
+
+def one_piece_chain(segments, gt):
+    stack = np.stack([seg.points for seg in segments])
+    k = np.minimum(np.searchsorted(np.arange(1.0, len(stack) + 1), gt, side="right"),
+                   len(stack) - 1)
+    return np.ascontiguousarray(bernstein_sum(stack[k].swapaxes(0, 1), gt - k))
+
+
+def lattice(rng, length, order, end):
+    """`length` parameters in [0, end], the ends and the midpoint among them,
+    as a contiguous array, a reversed view or an every-other view."""
+    base = rng.uniform(0.0, end, 2 * length)
+    base[:3] = (0.0, end, 0.5 * end)
+    if order == "reversed":
+        return base[:length][::-1]
+    return base[::2] if order == "every other" else base[:length]
+
+
+def assert_same_layout(got, want, name):
+    assert got.shape == want.shape, name
+    assert got.flags.c_contiguous == want.flags.c_contiguous, name
+    assert got.flags.f_contiguous == want.flags.f_contiguous, name
+    assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("order", ("contiguous", "reversed", "every other"))
+@pytest.mark.parametrize("length", BLOCKED_LENGTHS)
+@given(degree=st.integers(1, 8), channels=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=6, deadline=None)
+def test_blocked_references_match_one_piece(length, order, degree, channels, seed):
+    """Every Bezier reference, blocked over a lattice of one block, one
+    sample less or more, a 1-sample or 17-sample last block, or three whole
+    blocks, in any stride, returns the bytes and memory order of one piece."""
+    rng = np.random.default_rng(seed)
+    t, gt = lattice(rng, length, order, 1.0), lattice(rng, length, order, 3.0)
+    assert t.shape == (length,) and (order == "contiguous") == t.flags.c_contiguous
+    poly = ControlPolygon(rng.uniform(-2.0, 2.0, (degree + 1, channels)))
+    segments = [ControlPolygon(p) for p in rng.uniform(-2.0, 2.0, (3, degree + 1, channels))]
+    runs = [
+        ("eval_bernstein", eval_bernstein(poly, t), bernstein_sum(poly.points, t)),
+        ("eval_decasteljau", eval_decasteljau(poly, t), one_piece_decasteljau(poly, t)),
+        ("eval_bezier_chain", eval_bezier_chain(segments, gt), one_piece_chain(segments, gt)),
+    ]
+    if 2 <= degree <= 5:
+        runs.append(("eval_seiler", eval_seiler(poly, t), one_piece_seiler(poly, t)))
+    if channels < 4:
+        weights = rng.uniform(0.25, 2.0, degree + 1)
+        runs.append(("eval_rational", eval_rational(poly, weights, t),
+                     one_piece_rational(poly, weights, t)))
+    for name, got, want in runs:
+        assert_same_layout(got, want, name)
+
+
+def _blocked_evaluators():
+    """(name, fn(t), domain end) for every blocked reference."""
+    rng = np.random.default_rng(23)
+    poly = random_polygon(rng, 3, 2)
+    chain = [random_polygon(rng, 2, 2) for _ in range(3)]
+    pieces = [(random_polygon(rng, 2, 2), (0.0, 0.25)), (random_polygon(rng, 2, 2), (0.25, 1.0))]
+    return (
+        ("eval_bernstein", lambda t: eval_bernstein(poly, t), 1.0),
+        ("eval_decasteljau", lambda t: eval_decasteljau(poly, t), 1.0),
+        ("eval_seiler", lambda t: eval_seiler(poly, t), 1.0),
+        ("eval_rational", lambda t: eval_rational(poly, [1.0, 0.5, 0.7, 1.0], t), 1.0),
+        ("eval_bezier_chain", lambda t: eval_bezier_chain(chain, t), 3.0),
+        ("eval_bezier_segments", lambda t: eval_bezier_segments(pieces, t), 1.0),
+    )
+
+
+BLOCKED = _blocked_evaluators()
+
+
+@pytest.mark.parametrize("index", (2 * B, 3 * B - 1))
+@pytest.mark.parametrize("bad", ("nan", "below", "above"))
+@pytest.mark.parametrize("case", BLOCKED, ids=[name for name, *_ in BLOCKED])
+def test_last_block_parameter_raises_the_tails_error(case, bad, index):
+    """A parameter off the domain in the last block raises the DomainError
+    that the last block alone raises, before any block is evaluated."""
+    _, fn, end = case
+    t = np.linspace(0.0, end, 3 * B)
+    t[index] = {"nan": np.nan, "below": -1e-300, "above": np.nextafter(end, np.inf)}[bad]
+    with pytest.raises(DomainError) as whole:
+        fn(t)
+    with pytest.raises(DomainError) as tail:
+        fn(t[2 * B :])
+    assert str(whole.value) == str(tail.value)
+
+
+def test_rational_checks_every_parameter_before_dividing():
+    """A weight that vanishes in the first block does not hide a parameter
+    outside [0, 1] in a later one: t is validated whole first."""
+    poly, weights = ControlPolygon([[0.0], [1.0], [0.0]]), [1e-13, 1.0, 1e-13]
+    t = np.linspace(0.0, 1.0, 3 * B)
+    with pytest.raises(HomogeneousDivideError):
+        eval_rational(poly, weights, t)
+    t[2 * B + 5] = 1.5
+    with pytest.raises(DomainError, match="outside"):
+        eval_rational(poly, weights, t)
+
+
+def test_overflow_in_the_last_block_is_refused():
+    """A polygon at the largest float whose Bernstein sum overflows only at
+    the lattice's last sample is still refused, whole and rational."""
+    poly = ControlPolygon(np.full((3, 1), np.finfo(float).max))
+    t = np.zeros(3 * B)
+    assert np.isfinite(eval_bernstein(poly, t)).all()
+    t[-1] = 0.003  # the rounded sum of three terms exceeds the largest float
+    with pytest.raises(DomainError, match="^Bernstein values overflow float64$"):
+        eval_bernstein(poly, t)
+    with pytest.raises(DomainError, match="^Bernstein values overflow float64$"):
+        eval_rational(poly, [1.0, 1.0, 1.0], t)

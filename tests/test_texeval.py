@@ -34,6 +34,7 @@ from texcurve import (
     eval_dc_cubic_hybrid,
     eval_dc_zigzag,
     eval_decasteljau,
+    eval_rational,
     eval_rational_tex,
     eval_seiler_tex,
     eval_tensor_surface,
@@ -657,6 +658,31 @@ def test_evaluation_memory_stays_blocked(name, bits):
     finally:
         tracemalloc.stop()
     assert peak < 7.5 * 2**20
+
+
+@pytest.mark.parametrize("n", (1 << 17, 1 << 19))
+@pytest.mark.parametrize("name", ("eval_bernstein", "eval_rational", "eval_decasteljau"))
+def test_reference_memory_stays_blocked(name, n):
+    """A 4-channel cubic reference (3 point channels and the weight for a
+    rational) keeps its temporaries within one `_BLOCK` slice: beyond its
+    output the traced peak stays under 1 MiB, however long the lattice
+    (evaluated whole, a 2^17-sample lattice takes 6 MiB or more)."""
+    rng = np.random.default_rng(4)
+    if name == "eval_rational":
+        poly = random_polygon(rng, 3, 3)
+        fn = functools.partial(eval_rational, poly, [1.0, 0.6, 0.8, 1.0])
+    else:
+        fn = functools.partial(eval_bernstein if name == "eval_bernstein" else eval_decasteljau,
+                               random_polygon(rng, 3, 4))
+    t = np.linspace(0.0, 1.0, n)
+    fn(t)
+    tracemalloc.start()
+    try:
+        out = fn(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 2**20
 
 
 def test_no_evaluator_builds_a_trace(monkeypatch):
