@@ -4,7 +4,17 @@ import warnings
 import numpy as np
 import pytest
 
-from texcurve import DomainError, LayoutError, RangeError, TexelFormat, read_ctex, write_ctex
+from texcurve import (
+    DomainError,
+    EncodedCurve,
+    Layout,
+    LayoutError,
+    RangeError,
+    TexelFormat,
+    TexelGrid,
+    read_ctex,
+    write_ctex,
+)
 from texcurve.container import _HEADER, curve_from_bytes, curve_to_bytes, sidecar_text
 from texcurve.encoder import (
     encode_bicubic_rgba,
@@ -149,3 +159,25 @@ def test_non_finite_float32_texel_rejected_without_a_warning(rng, texel, at):
         warnings.simplefilter("error")
         with pytest.raises(RangeError, match="float32 grid values must be finite"):
             curve_from_bytes(blob)
+
+
+def _patch(values):
+    grid = TexelGrid((2, 2, 1), 1, TexelFormat.FLOAT32, values)
+    return EncodedCurve(grid=grid, layout=Layout.BILINEAR_PATCH, degree=1)
+
+
+def test_float32_texels_that_binary32_cannot_hold_are_not_written():
+    # CTEX1 promises a bit-exact round trip, and 0.3 would read back as
+    # 0.30000001192092896
+    curve = _patch([0.1, 0.2, 0.3, 0.4])
+    message = (r"^CTEX1 stores float32 texels bit for bit: texel \(0, 0, 0, 0\) holds 0\.1, "
+               r"which float32 stores as 0\.10000000149011612$")
+    with pytest.raises(RangeError, match=message):
+        curve_to_bytes(curve)
+
+
+def test_float32_texels_that_binary32_holds_round_trip():
+    # a binary32 value, a signed zero, the smallest subnormal and the largest
+    values = np.array([np.float32(0.1), -0.0, 2.0**-149, np.finfo(np.float32).max], dtype=float)
+    back = curve_from_bytes(curve_to_bytes(_patch(values)))
+    assert back.grid.data.tobytes() == values.tobytes()

@@ -127,6 +127,31 @@ class TestTexelGrid:
             with pytest.raises(RangeError, match="float32 grid values must be finite"):
                 TexelGrid((2, 2, 1), 1, TexelFormat.FLOAT32, data)
 
+    @pytest.mark.parametrize("fmt", [TexelFormat.UNORM8, TexelFormat.UNORM16],
+                             ids=lambda f: f.value)
+    def test_every_unorm_code_is_accepted_with_its_bytes(self, fmt):
+        codes = np.arange(fmt.levels + 1) / fmt.levels
+        grid = TexelGrid((codes.size, 1, 1), 1, fmt, codes)
+        assert grid.data.tobytes() == codes.tobytes()
+
+    @pytest.mark.parametrize("fmt, step", [(TexelFormat.UNORM8, 1), (TexelFormat.UNORM16, 257)],
+                             ids=["unorm8", "unorm16"])
+    def test_every_value_off_the_unorm_lattice_is_refused(self, fmt, step):
+        # both float neighbours of every (unorm8) or every 257th (unorm16)
+        # code, the smallest steps off 0 and 1, and the non-finite values
+        codes = np.arange(0, fmt.levels + 1, step) / fmt.levels
+        off = np.concatenate([np.nextafter(codes, -np.inf), np.nextafter(codes, np.inf),
+                              [5e-324, 1.0 + 2.0**-52, -5e-324, np.nan, np.inf, -np.inf]])
+        message = f"^unorm grid values must lie exactly on the k/{fmt.levels} lattice$"
+        for value in off:
+            with pytest.raises(RangeError, match=message):
+                TexelGrid((1, 1, 1), 1, fmt, [value])
+
+    @pytest.mark.parametrize("fmt", list(TexelFormat), ids=lambda f: f.value)
+    def test_signed_zeros_are_accepted_with_their_bytes(self, fmt):
+        zeros = np.array([0.0, -0.0])
+        assert TexelGrid((2, 1, 1), 1, fmt, zeros).data.tobytes() == zeros.tobytes()
+
     def test_slice2d(self):
         data = np.arange(8, dtype=float).reshape(2, 2, 2, 1) / 10.0
         grid = TexelGrid((2, 2, 2), 1, TexelFormat.FLOAT32, data)

@@ -26,6 +26,7 @@ from texcurve import (
     zigzag_residuals,
 )
 from texcurve import encoder
+from texcurve.reference import homogeneous, seiler_terms
 from conftest import random_c0_quadratics
 
 F32 = TexelFormat.FLOAT32
@@ -609,3 +610,144 @@ class TestArrayEncoderOracles:
         segs = [ControlPolygon([[0.5, 0.0], [0.25, 1.0], [0.0, -0.0]]),
                 ControlPolygon([[-0.0, 0.0], [0.25, 1.0], [0.5, 0.0]])]
         assert encode_dc_zigzag(segs, F32).segment_count == 2
+
+
+# -- every texel placement against the same placement written out by hand -----
+
+#: signed zeros, subnormals and values whose difference terms overflow
+_PLACEMENT_VALUES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                      1e308, -1e308]) | st.floats(-2.0, 2.0))
+
+
+def _drawn_points(data, rows, channels):
+    values = data.draw(st.lists(_PLACEMENT_VALUES, min_size=rows * channels,
+                                max_size=rows * channels))
+    return np.reshape(values, (rows, channels))
+
+
+def dc_quadratic_placement(points):
+    a, b, c = points
+    return np.array([[[a, b], [b, c]]])
+
+
+def dc_cubic_placement(points):
+    """Slice 0 holds the quadratic placement of ABC, slice 1 that of BCD."""
+    a, b, c, d = points
+    return np.array([[[a, b], [b, c]], [[b, c], [c, d]]])
+
+
+def bicubic_placement(net):
+    """Channel c holds the cubic placement of control row c."""
+    return np.stack([dc_cubic_placement(row[:, None])[..., 0] for row in net], axis=-1)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def seiler_placement(poly):
+    terms = seiler_terms(poly)
+    b = poly.points
+    if poly.degree == 2:
+        (d1,) = terms.diffs
+        return np.array([[[b[0], b[2]], [b[0] + d1, b[2] + d1]]])
+    if poly.degree == 3:
+        return np.array([[[b[0], b[3]], [terms.s1, terms.s2]]])
+    if poly.degree == 4:
+        d1, d2, d3 = terms.diffs
+        return np.array([[[b[0], b[4]], [b[0], b[4]]],
+                         [[b[0] + d1, b[4] + d3], [b[0] + d1 + d2, b[4] + d3 + d2]]])
+    d1, d2, d3, d4 = terms.diffs
+    return np.array([[[b[0], b[5]], [b[0], b[5]]],
+                     [[b[0] + d1, b[5] + d4], [b[0] + d1 + d2, b[5] + d4 + d3]]])
+
+
+def _seiler_oracle(poly, fmt, rescale):
+    values = seiler_placement(poly)
+    layout = Layout.SEILER_2D if poly.degree <= 3 else Layout.SEILER_3D
+    try:
+        return encoder._finish(values, fmt, layout, poly.degree, rescale=rescale,
+                               context="seiler")
+    except RangeError as exc:
+        span = (float(values.min()), float(values.max()))
+        raise RangeError(f"{exc} (difference-term values span [{span[0]!r}, {span[1]!r}])") \
+            from None
+
+
+def _rational_oracle(num, weights, fmt, scheme, rescale):
+    hom = homogeneous(num, weights)
+    if scheme == "seiler":
+        values, inner = seiler_placement(hom), Layout.SEILER_2D
+    elif hom.degree == 2:
+        values, inner = dc_quadratic_placement(hom.points), Layout.DC_QUAD_2X2
+    else:
+        values, inner = dc_cubic_placement(hom.points), Layout.DC_CUBIC_2X2X2
+    return encoder._finish(values, fmt, Layout.RATIONAL_HOMOGENEOUS, num.degree,
+                           rescale=rescale, inner_layout=inner, context="rational")
+
+
+def _dc_case(data, fmt, rescale):
+    degree = data.draw(st.sampled_from([2, 3]))
+    poly = ControlPolygon(_drawn_points(data, degree + 1, data.draw(st.integers(1, 4))))
+    if degree == 2:
+        return (lambda: encode_dc_quadratic(poly, fmt, rescale=rescale),
+                lambda: encoder._finish(dc_quadratic_placement(poly.points), fmt,
+                                        Layout.DC_QUAD_2X2, 2, rescale=rescale,
+                                        context="dc quadratic"))
+    return (lambda: encode_dc_cubic(poly, fmt, rescale=rescale),
+            lambda: encoder._finish(dc_cubic_placement(poly.points), fmt, Layout.DC_CUBIC_2X2X2,
+                                    3, rescale=rescale, context="dc cubic"))
+
+
+def _bicubic_case(data, fmt, rescale):
+    net = _drawn_points(data, 4, 4)
+    return (lambda: encode_bicubic_rgba(net, fmt, rescale=rescale),
+            lambda: encoder._finish(bicubic_placement(net), fmt, Layout.BICUBIC_RGBA, 3,
+                                    rescale=rescale, context="bicubic"))
+
+
+def _seiler_case(data, fmt, rescale):
+    poly = ControlPolygon(_drawn_points(data, data.draw(st.integers(3, 6)),
+                                        data.draw(st.integers(1, 4))))
+    return (lambda: encode_seiler(poly, fmt, rescale=rescale),
+            lambda: _seiler_oracle(poly, fmt, rescale))
+
+
+def _rational_case(scheme):
+    def case(data, fmt, rescale):
+        num = ControlPolygon(_drawn_points(data, data.draw(st.integers(3, 4)),
+                                           data.draw(st.integers(1, 3))))
+        weights = data.draw(st.lists(
+            st.sampled_from([5e-324, 2.2250738585072014e-308, 1.0, 1e308]) | st.floats(0.25, 4.0),
+            min_size=len(num.points), max_size=len(num.points)))
+        return (lambda: encode_rational(num, weights, fmt, scheme=scheme, rescale=rescale),
+                lambda: _rational_oracle(num, weights, fmt, scheme, rescale))
+    return case
+
+
+#: name -> fn(data, fmt, rescale) giving (the encoder call, its oracle call)
+_PLACEMENT_CASES = {
+    "dc": _dc_case,
+    "bicubic": _bicubic_case,
+    "seiler": _seiler_case,
+    "rational-seiler": _rational_case("seiler"),
+    "rational-dc": _rational_case("dc"),
+}
+
+
+def _outcome(call):
+    """What a call stores, bit for bit, or the error it raises."""
+    try:
+        curve = call()
+    except TexCurveError as exc:
+        return type(exc), str(exc)
+    return (curve.layout, curve.degree, curve.inner_layout, curve.grid.dims, curve.grid.fmt,
+            curve.grid.data.tobytes(), curve.transform.scale.tobytes(),
+            curve.transform.offset.tobytes())
+
+
+@pytest.mark.parametrize("case", sorted(_PLACEMENT_CASES))
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TexelFormat), st.booleans(), st.data())
+def test_encoders_store_their_placement_written_out(case, fmt, rescale, data):
+    """Each encoder stores what `_finish` makes of its texel placement,
+    written out here degree by degree, or raises the same error."""
+    encode, oracle = _PLACEMENT_CASES[case](data, fmt, rescale)
+    assert _outcome(encode) == _outcome(oracle)

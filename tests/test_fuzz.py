@@ -531,6 +531,9 @@ _REFERENCE_CALLS = {
     "eval_decasteljau": eval_decasteljau,
     "eval_seiler": eval_seiler,
     "seiler_terms": lambda poly, t: seiler_terms(poly),
+    "eval_bezier_chain": lambda poly, t: eval_bezier_chain(poly.points[None], t).reshape(
+        np.shape(t) + (poly.channels,)),
+    "eval_bezier_segments": lambda poly, t: eval_bezier_segments([(poly, (0.0, 1.0))], t),
 }
 
 

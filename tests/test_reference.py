@@ -826,3 +826,28 @@ def test_overflow_in_the_last_block_is_refused():
         eval_bernstein(poly, t)
     with pytest.raises(DomainError, match="^Bernstein values overflow float64$"):
         eval_rational(poly, [1.0, 1.0, 1.0], t)
+
+
+#: every point at the largest float: at t = 0.061 the rounded Bernstein sum
+#: of four such points exceeds it
+_AT_MAX = ControlPolygon(np.full((4, 1), np.finfo(float).max))
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda t: eval_bernstein(_AT_MAX, t),
+    lambda t: eval_bezier_chain([_AT_MAX], t),
+    lambda t: eval_bezier_chain(_AT_MAX.points[None], t),
+    lambda t: eval_bezier_segments([(_AT_MAX, (0.0, 1.0))], t),
+], ids=["bernstein", "chain", "chain-stack", "segments"])
+def test_pieces_that_overflow_are_refused(evaluate):
+    assert np.isfinite(evaluate(np.array([0.0, 1.0]))).all()
+    with pytest.raises(DomainError, match="^Bernstein values overflow float64$"):
+        evaluate(0.061)
+
+
+def test_a_surface_whose_column_sum_overflows_is_refused():
+    # its rows at u = 0 are finite: only the sum over them in v overflows
+    net = np.full((3, 3), np.finfo(float).max)
+    assert np.isfinite(eval_tensor_surface(net, 0.0, 0.0)).all()
+    with pytest.raises(DomainError, match="^Bernstein values overflow float64$"):
+        eval_tensor_surface(net, 0.0, 0.0005)
