@@ -18,15 +18,10 @@ from .core import (
     UnsupportedDegreeError,
     ValueTransform,
     lerp,
+    quantize_texel,
     remap_unit_to_texel_span,
 )
-from .sampler import (
-    SampleTrace,
-    quantize_fraction,
-    quantize_texel,
-    sample_bilinear,
-    sample_trilinear,
-)
+from .sampler import SampleTrace, quantize_fraction, sample_bilinear, sample_trilinear
 from .reference import (
     BSplineCurve,
     SeilerTerms,

@@ -22,7 +22,16 @@ import struct
 
 import numpy as np
 
-from .core import EncodedCurve, Layout, LayoutError, TexelFormat, TexelGrid, ValueTransform
+from .core import (
+    EncodedCurve,
+    Layout,
+    LayoutError,
+    RangeError,
+    TexelFormat,
+    TexelGrid,
+    ValueTransform,
+    _quantize_array,
+)
 
 MAGIC = b"CTEX1"
 
@@ -41,8 +50,18 @@ _PAYLOAD_DTYPES = {
 
 
 def _payload_bytes(grid: TexelGrid) -> bytes:
+    """The payload of a grid. A float32 texel that binary32 cannot hold
+    (its quantization moves it) raises RangeError: it would read back as
+    another value. Unorm grids hold only codes (`TexelGrid`)."""
     flat = grid.data.reshape(-1)
     if grid.fmt is TexelFormat.FLOAT32:
+        stored = _quantize_array(flat, grid.fmt)
+        moved = np.flatnonzero(stored != flat)
+        if moved.size:
+            k = moved[0]
+            idx = tuple(int(i) for i in np.unravel_index(k, grid.data.shape))
+            raise RangeError(f"CTEX1 stores float32 texels bit for bit: texel {idx} holds "
+                             f"{float(flat[k])!r}, which float32 stores as {float(stored[k])!r}")
         return flat.astype("<f4").tobytes()
     codes = np.rint(flat * grid.fmt.levels).astype(np.uint32)
     return codes.astype(_PAYLOAD_DTYPES[grid.fmt]).tobytes()

@@ -1,8 +1,11 @@
-"""Shared domain types and exact interpolation primitives.
+"""Shared domain types, the texel storage quantizer and exact
+interpolation primitives.
 
-Everything in this module is plain float64 math. Reduced precision is
-modelled exclusively by the sampler emulator, so quantization effects stay
-isolated from the bookkeeping around them.
+Everything in this module is plain float64 math. Storage precision is
+stated once, by the quantizer beside `TexelFormat` (`_quantize_array`):
+the encoder stores its texels through it, and `TexelGrid` accepts a unorm
+grid exactly when it leaves the grid unchanged. Coordinate precision is
+modelled by the sampler emulator.
 """
 
 from __future__ import annotations
@@ -79,6 +82,62 @@ class TexelFormat(enum.Enum):
         return float(np.spacing(np.float32(abs(reference))))
 
 
+#: Dekker's splitter for float64: 2^27 + 1
+_SPLITTER = 134217729.0
+
+
+def _quantize_array(values: np.ndarray, fmt: TexelFormat) -> np.ndarray:
+    """Quantize texels to the storage format in one exact array pass.
+
+    float32 rounds each value to the nearest 32-bit float; a value beyond
+    its range becomes inf, which `encoder._finish` rejects. unorm formats
+    clamp v to [0, 1] and store k/L (L = fmt.levels) with
+    k = floor(v·L + 1/2), round half up, decided exactly:
+
+    - Dekker's split c = (2^27 + 1)·v, hi = c - (c - v), lo = v - hi gives
+      v = hi + lo exactly, hi with at most 26 significant bits and lo with
+      at most 27. As L < 2^17, a = hi·L and b = lo·L are exact products.
+    - TwoSum s = a + b, e = (a - (s - (s - a))) + (b - (s - a)) gives
+      s + e = v·L exactly, with |e| <= ulp(s)/2 <= 2^-37 since s <= L.
+    - With f = floor(s), d = s - f is exact (Sterbenz for s >= 1, d = s
+      below), and -1/2 < d + e < 1, so k = f + [d + e >= 1/2].
+    - The test runs as d - 1/2 >= -e. For d >= 1/4, d - 1/2 is exact
+      (Sterbenz), so the comparison is exact. For d < 1/4 both sides of
+      the decision are false: d + e < 1/2, and the rounded d - 1/2 is at
+      most -1/4 < -e.
+    - k <= L is exact, and k / L is the one correctly rounded division that
+      the int k / L of a `Fraction` decision gives.
+
+    A subnormal v can make lo·L inexact, but then v·L is below 2^-1000 and
+    every term is tiny, so k = 0 regardless. -0.0 stores as +0.0, NaN as
+    NaN. `quantize_texel` is this kernel on one value.
+    """
+    if fmt is TexelFormat.FLOAT32:
+        with np.errstate(over="ignore"):
+            return values.astype(np.float32).astype(float)
+    levels = float(fmt.levels)
+    v = np.clip(values, 0.0, 1.0)
+    c = _SPLITTER * v
+    hi = c - (c - v)
+    a, b = hi * levels, (v - hi) * levels
+    s = a + b
+    bs = s - a
+    e = (a - (s - bs)) + (b - bs)
+    f = np.floor(s)
+    return (f + (s - f - 0.5 >= -e)) / levels
+
+
+def quantize_texel(v: float, fmt: TexelFormat) -> float:
+    """Quantize one value to the storage format.
+
+    unorm formats clamp to [0, 1] and round half away from zero onto the
+    k/levels lattice; the tie decision is exact, so it never depends on a
+    double rounding of v*levels. float32 rounds to the nearest 32-bit
+    float. This is `_quantize_array` on one value.
+    """
+    return float(_quantize_array(np.asarray(v, dtype=float), fmt))
+
+
 class Layout(enum.Enum):
     DC_QUAD_2X2 = "dc_quad_2x2"
     DC_CUBIC_2X2X2 = "dc_cubic_2x2x2"
@@ -141,8 +200,10 @@ class TexelGrid:
     """2-D or 3-D grid of multi-channel texels, stored post-quantization.
 
     `data` is (depth, height, width, channels) float64. For unorm formats
-    every stored value must sit exactly on the k/levels lattice; float32
-    values must be finite.
+    every stored value must sit exactly on the k/levels lattice: the grid
+    is accepted exactly when `_quantize_array` leaves it unchanged (a -0.0
+    texel keeps its sign). float32 values must be finite; CTEX1 writes only
+    those that binary32 holds (`container.curve_to_bytes`).
     """
 
     dims: Tuple[int, int, int]
@@ -160,14 +221,9 @@ class TexelGrid:
         if data.size != w * h * d * self.channels:
             raise LayoutError("texel count does not match dims x channels")
         if self.fmt.is_unorm:
-            m = self.fmt.levels
-            codes = np.rint(data * m)
-            if (
-                np.any(data < 0.0)
-                or np.any(data > 1.0)
-                or not np.array_equal(codes / m, data)
-            ):
-                raise RangeError(f"unorm grid values must lie exactly on the k/{m} lattice")
+            if not np.array_equal(_quantize_array(data, self.fmt), data):
+                raise RangeError(
+                    f"unorm grid values must lie exactly on the k/{self.fmt.levels} lattice")
         elif not np.isfinite(data).all():
             raise RangeError("float32 grid values must be finite")
         object.__setattr__(self, "dims", (w, h, d))

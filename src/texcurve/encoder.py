@@ -2,9 +2,13 @@
 
 Placement rules follow one shared orientation convention: row 0 of a
 2-texel-high grid is the row sampled at v = 0.25, and slice 0 of a
-2-texel-deep grid is the slice sampled at w = 0.25. Raw values are laid
-out first, then the optional range rescale is applied, then the texels are
-quantized to the storage format.
+2-texel-deep grid is the slice sampled at w = 0.25. Each placement is
+written once: `_dc_values` lays out de Casteljau slices (both dc layouts,
+the bicubic net and the rational dc scheme), `_seiler_values` the
+difference-term rows, and `_zigzag_rows` the zig-zag chain. Raw values are
+laid out first, then the optional range rescale is applied, then `_finish`
+quantizes the texels to the storage format through `core._quantize_array`,
+the quantizer that `TexelGrid` validates with.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .core import (
     TexelGrid,
     UnsupportedDegreeError,
     ValueTransform,
+    _quantize_array,
 )
 from .reference import _segment_stack, homogeneous, seiler_terms
 
@@ -56,51 +61,6 @@ def fit_range(values, fmt: TexelFormat) -> ValueTransform:
         return ValueTransform(scale, np.where(fit, -lo * scale, 0.0))
     except DomainError:  # a scale of 0 or inf
         raise RangeError("the value span is too wide or too narrow for float64 to rescale") from None
-
-
-#: Dekker's splitter for float64: 2^27 + 1
-_SPLITTER = 134217729.0
-
-
-def _quantize_array(values: np.ndarray, fmt: TexelFormat) -> np.ndarray:
-    """Quantize texels to the storage format in one exact array pass.
-
-    float32 rounds each value to the nearest 32-bit float; a value beyond
-    its range becomes inf, which `_finish` rejects. unorm formats clamp v
-    to [0, 1] and store k/L (L = fmt.levels) with k = floor(v·L + 1/2),
-    round half up, decided exactly:
-
-    - Dekker's split c = (2^27 + 1)·v, hi = c - (c - v), lo = v - hi gives
-      v = hi + lo exactly, hi with at most 26 significant bits and lo with
-      at most 27. As L < 2^17, a = hi·L and b = lo·L are exact products.
-    - TwoSum s = a + b, e = (a - (s - (s - a))) + (b - (s - a)) gives
-      s + e = v·L exactly, with |e| <= ulp(s)/2 <= 2^-37 since s <= L.
-    - With f = floor(s), d = s - f is exact (Sterbenz for s >= 1, d = s
-      below), and -1/2 < d + e < 1, so k = f + [d + e >= 1/2].
-    - The test runs as d - 1/2 >= -e. For d >= 1/4, d - 1/2 is exact
-      (Sterbenz), so the comparison is exact. For d < 1/4 both sides of
-      the decision are false: d + e < 1/2, and the rounded d - 1/2 is at
-      most -1/4 < -e.
-    - k <= L is exact, and k / L is the one correctly rounded division that
-      the int k / L of a `Fraction` decision gives.
-
-    A subnormal v can make lo·L inexact, but then v·L is below 2^-1000 and
-    every term is tiny, so k = 0 regardless. -0.0 stores as +0.0, NaN as
-    NaN. `sampler.quantize_texel` is this kernel on one value.
-    """
-    if fmt is TexelFormat.FLOAT32:
-        with np.errstate(over="ignore"):
-            return values.astype(np.float32).astype(float)
-    levels = float(fmt.levels)
-    v = np.clip(values, 0.0, 1.0)
-    c = _SPLITTER * v
-    hi = c - (c - v)
-    a, b = hi * levels, (v - hi) * levels
-    s = a + b
-    bs = s - a
-    e = (a - (s - bs)) + (b - bs)
-    f = np.floor(s)
-    return (f + (s - f - 0.5 >= -e)) / levels
 
 
 def _check_range(values: np.ndarray, fmt: TexelFormat, context: str, rational: bool):
@@ -172,51 +132,44 @@ def _finish(
     )
 
 
-def _dc_quad_values(points: np.ndarray) -> np.ndarray:
-    """2x2 placement [A, B / B, C] for a quadratic."""
-    a, b, c = points
-    return np.array([[[a, b], [b, c]]])
+#: the pair offsets of a de Casteljau slice: [P_z, P_z+1 / P_z+1, P_z+2]
+_DC_SLICE = np.array([[0, 1], [1, 2]])
+
+#: degree -> the layout of its de Casteljau placement
+_DC_LAYOUTS = {2: Layout.DC_QUAD_2X2, 3: Layout.DC_CUBIC_2X2X2}
 
 
-def _dc_cubic_values(points: np.ndarray) -> np.ndarray:
-    """2x2x2 placement: near slice holds ABC, far slice holds BCD."""
-    a, b, c, d = points
-    return np.array([[[a, b], [b, c]], [[b, c], [c, d]]])
+def _dc_values(points: np.ndarray) -> np.ndarray:
+    """de Casteljau placement of n points: depth slice z holds
+    [P_z, P_z+1 / P_z+1, P_z+2], so one slice for a quadratic and the ABC
+    and BCD slices for a cubic. One bilinear read of a slice is a
+    quadratic in its three points."""
+    return points[np.arange(len(points) - 2)[:, None, None] + _DC_SLICE]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # `_finish` refuses what overflows
 def _seiler_values(poly: ControlPolygon) -> np.ndarray:
     """Difference-term texel placement for degrees 2 through 5.
 
-    deg 2: [b0, b2 / b0+d1, b2+d1]
-    deg 3: [b0, b3 / s1, s2]
-    deg 4: near [b0, b4 / b0, b4], far [b0+d1, b4+d3 / b0+d1+d2, b4+d3+d2]
-    deg 5: near [b0, b5 / b0, b5], far [b0+d1, b5+d4 / b0+d1+d2, b5+d4+d3]
+    The near row is [b0, bd] and the far row [b0 + d_1, bd + d_(d-1)]. A
+    2x2 grid holds the two rows for degrees 2-3. Degrees 4-5 take a 2x2x2
+    grid: the near slice holds the near row twice, and the far slice the
+    far row and that row plus [d_2, d_(d-2)].
     """
     terms = seiler_terms(poly)
-    b = poly.points
     d = poly.degree
-    if d == 2:
-        d1 = terms.diff(1)
-        return np.array([[[b[0], b[2]], [b[0] + d1, b[2] + d1]]])
-    if d == 3:
-        return np.array([[[b[0], b[3]], [terms.s1, terms.s2]]])
-    if d == 4:
-        d1, d2, d3 = terms.diffs
-        near = [[b[0], b[4]], [b[0], b[4]]]
-        far = [[b[0] + d1, b[4] + d3], [b[0] + d1 + d2, b[4] + d3 + d2]]
-        return np.array([near, far])
-    d1, d2, d3, d4 = terms.diffs
-    near = [[b[0], b[5]], [b[0], b[5]]]
-    far = [[b[0] + d1, b[5] + d4], [b[0] + d1 + d2, b[5] + d4 + d3]]
-    return np.array([near, far])
+    near = [poly.points[0], poly.points[d]]
+    far = [near[0] + terms.diff(1), near[1] + terms.diff(d - 1)]
+    if d <= 3:
+        return np.array([[near, far]])
+    return np.array([[near, near], [far, [far[0] + terms.diff(2), far[1] + terms.diff(d - 2)]]])
 
 
 def encode_dc_quadratic(poly: ControlPolygon, fmt: TexelFormat, *, rescale: bool = False) -> EncodedCurve:
     """Pack a quadratic so one bilinear read at (t, t) evaluates it."""
     if poly.degree != 2:
         raise UnsupportedDegreeError(f"quadratic layout needs degree 2, got {poly.degree}")
-    return _finish(_dc_quad_values(poly.points), fmt, Layout.DC_QUAD_2X2, 2,
+    return _finish(_dc_values(poly.points), fmt, Layout.DC_QUAD_2X2, 2,
                    rescale=rescale, context="dc quadratic")
 
 
@@ -224,7 +177,7 @@ def encode_dc_cubic(poly: ControlPolygon, fmt: TexelFormat, *, rescale: bool = F
     """Pack a cubic so one trilinear read at (t, t, t) evaluates it."""
     if poly.degree != 3:
         raise UnsupportedDegreeError(f"cubic layout needs degree 3, got {poly.degree}")
-    return _finish(_dc_cubic_values(poly.points), fmt, Layout.DC_CUBIC_2X2X2, 3,
+    return _finish(_dc_values(poly.points), fmt, Layout.DC_CUBIC_2X2X2, 3,
                    rescale=rescale, context="dc cubic")
 
 
@@ -360,7 +313,7 @@ def encode_bicubic_rgba(control_grid, fmt: TexelFormat, *, rescale: bool = False
             f"bicubic packing needs a 4x4 grid of scalars (got shape {g.shape}); "
             "vector-valued entries overflow the four channels"
         )
-    return _finish(_dc_cubic_values(g.T), fmt, Layout.BICUBIC_RGBA, 3, rescale=rescale, context="bicubic")
+    return _finish(_dc_values(g.T), fmt, Layout.BICUBIC_RGBA, 3, rescale=rescale, context="bicubic")
 
 
 def encode_rational(
@@ -385,12 +338,8 @@ def encode_rational(
         values = _seiler_values(hom)
         inner = Layout.SEILER_2D
     elif scheme == "dc":
-        if hom.degree == 2:
-            values = _dc_quad_values(hom.points)
-            inner = Layout.DC_QUAD_2X2
-        else:
-            values = _dc_cubic_values(hom.points)
-            inner = Layout.DC_CUBIC_2X2X2
+        values = _dc_values(hom.points)
+        inner = _DC_LAYOUTS[hom.degree]
     else:
         raise DomainError(f"unknown rational scheme {scheme!r}")
     return _finish(

@@ -94,23 +94,30 @@ def _blocked(rows, *args):
 _SAFE_MAGNITUDE = 2.0**1000
 
 
+def _overflow_checked(name: Optional[str], magnitude: float, fn, *args):
+    """fn(*args) on points whose largest |value| is `magnitude`: run under
+    np.errstate, raising DomainError("<name> overflow float64") unless its
+    result is finite, when the points are large enough to overflow on the
+    way. Smaller points run it as it is: np.errstate and the check cost
+    about 5 µs a call. With `name` None the result is returned as it is,
+    inf or NaN."""
+    if magnitude < _SAFE_MAGNITUDE:
+        return fn(*args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = fn(*args)
+    if name is not None and not np.isfinite(value).all():
+        raise DomainError(f"{name} overflow float64")
+    return value
+
+
 def _refuse_overflow(name: Optional[str]):
-    """Decorate fn(poly, ...) to run under np.errstate, and to raise
-    DomainError("<name> overflow float64") unless its result is finite,
-    when `poly` is large enough to overflow on the way. Smaller polygons
-    run it as it is: np.errstate and the check cost about 5 µs a call. With
-    `name` None the result is returned as it is, inf or NaN."""
+    """Decorate fn(poly, ...) to run through `_overflow_checked` at the
+    polygon's magnitude."""
 
     def decorate(fn):
         @wraps(fn)
         def checked(poly: ControlPolygon, *args):
-            if poly.magnitude < _SAFE_MAGNITUDE:
-                return fn(poly, *args)
-            with np.errstate(over="ignore", invalid="ignore"):
-                value = fn(poly, *args)
-            if name is not None and not np.isfinite(value).all():
-                raise DomainError(f"{name} overflow float64")
-            return value
+            return _overflow_checked(name, poly.magnitude, fn, poly, *args)
 
         return checked
 
@@ -154,7 +161,9 @@ class SeilerTerms:
     """Difference terms d_1 .. d_(degree-1) for the reduced-lerp evaluation.
 
     For cubics the two auxiliary points s1 = b0 + d1 and s2 = b3 + d2 are
-    also provided, since they are what the 2x2 texture layout stores.
+    also provided. They equal the far row that the 2x2 texture layout
+    stores, and are kept for callers: the encoder's placement
+    (`encoder._seiler_values`) reads only `diff`.
     """
 
     degree: int
@@ -273,7 +282,8 @@ def eval_tensor_surface(grid_points, u, v):
     """Tensor-product surface point: rows evaluated at u, the resulting
     column polygon evaluated at v.
 
-    `grid_points` is (rows, cols) of scalars or (rows, cols, channels).
+    `grid_points` is (rows, cols) of scalars or (rows, cols, channels). A
+    row or a column sum that overflows float64 raises DomainError.
     """
     try:
         g = np.asarray(grid_points, dtype=float)
@@ -283,8 +293,10 @@ def eval_tensor_surface(grid_points, u, v):
         g = g[..., None]
     if g.ndim != 3:
         raise DomainError("control grid must be 2-D (scalars) or 3-D (vectors)")
-    rows = [eval_bernstein(ControlPolygon(g[i]), u) for i in range(g.shape[0])]
-    return bernstein_sum(rows, _unit_param(v))
+    polys = [ControlPolygon(row) for row in g]
+    rows = [eval_bernstein(poly, u) for poly in polys]
+    magnitude = max((poly.magnitude for poly in polys), default=0.0)
+    return _overflow_checked("Bernstein values", magnitude, bernstein_sum, rows, _unit_param(v))
 
 
 @dataclass(frozen=True)
@@ -431,12 +443,13 @@ def _eval_pieces(stack, starts, ends, t, outside: str) -> np.ndarray:
     1-D t: each t on the first piece whose end exceeds it, else the last,
     at local (t - start) / (end - start), by one gather and one
     `bernstein_sum` per `_BLOCK` slice. t off the pieces raises
-    DomainError(`outside`)."""
+    DomainError(`outside`), as does a sum that overflows float64."""
     bad = ~((t >= starts[0]) & (t <= ends[-1]))
     if bad.any():
         raise DomainError(outside.format(t=t[bad][0]))
     del bad  # not kept through the slices
-    return _blocked(_piece_rows, stack, starts, ends, t)
+    return _overflow_checked("Bernstein values", np.abs(stack).max(),
+                             _blocked, _piece_rows, stack, starts, ends, t)
 
 
 def _piece_rows(stack, starts, ends, t):

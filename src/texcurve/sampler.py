@@ -24,6 +24,10 @@ fixed chain of lerps, one per axis, x, then y, then z, each lerping away
 one corner axis. Each lerp runs over channel rows whose sample axis is
 contiguous.
 
+The sampler reads texels as they are stored. Storage quantization lives
+beside `TexelFormat` in `core` (`quantize_texel`, `_quantize_array`), and
+this module imports nothing else of the package.
+
 All entry points accept scalar coordinates or equal-length coordinate
 arrays; array calls return stacked results of shape (n, channels), stored
 channel-major (Fortran order).
@@ -36,26 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DomainError,
-    LayoutError,
-    SamplerConfig,
-    TexelFormat,
-    TexelGrid,
-    lerp,
-)
-from .encoder import _quantize_array
-
-
-def quantize_texel(v: float, fmt: TexelFormat) -> float:
-    """Quantize one value to the storage format.
-
-    unorm formats clamp to [0, 1] and round half away from zero onto the
-    k/levels lattice; the tie decision is exact, so it never depends on a
-    double rounding of v*levels. float32 rounds to the nearest 32-bit
-    float. This is `encoder._quantize_array` on one value.
-    """
-    return float(_quantize_array(np.asarray(v, dtype=float), fmt))
+from .core import DomainError, LayoutError, SamplerConfig, TexelGrid, lerp
 
 
 def _numerator(frac, cfg: SamplerConfig):
