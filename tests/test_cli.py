@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from texcurve import ControlPolygon, TexelFormat, analysis, cli, encoder
+from texcurve import ControlPolygon, TexelFormat, analysis, cli, curvefile, encoder, reference
+from texcurve.core import SamplerConfig, TexCurveError
 from texcurve.cli import _describe, _fmt_vec, main
 from texcurve.container import curve_to_bytes
 
@@ -674,3 +675,164 @@ def test_zigzag_job_builds_its_segments_once(tmp_path, capsys, monkeypatch, comm
                        "--out", str(tmp_path / "out"))
     assert (code, err) == (0, "")
     assert len(calls) == 1
+
+
+# -- each layout's comparison against the library
+
+def _polynomial(encode):
+    """A polynomial layout's encoder on a ControlPolygon, and its
+    documented reference, `eval_bernstein`."""
+    def build(points, weights, fmt, rescale):
+        poly = ControlPolygon(points)
+        return encode(poly, fmt, rescale=rescale), lambda t: reference.eval_bernstein(poly, t)
+    return build
+
+
+def _rational(scheme):
+    def build(points, weights, fmt, rescale):
+        poly = ControlPolygon(points)
+        curve = encoder.encode_rational(poly, weights, fmt, scheme=scheme, rescale=rescale)
+        return curve, lambda t: reference.eval_rational(poly, weights, t)
+    return build
+
+
+def _zigzag(points, weights, fmt, rescale):
+    segments = [ControlPolygon(points[2 * k : 2 * k + 3]) for k in range(len(points) // 2)]
+    curve = encoder.encode_dc_zigzag(segments, fmt, rescale=rescale)
+    return curve, lambda gt: reference.eval_bezier_chain(segments, gt)
+
+
+def _net(shape, encode):
+    def build(points, weights, fmt, rescale):
+        net = points.reshape(shape)
+        return encode(net, fmt, rescale=rescale), lambda t: reference.eval_tensor_surface(net, t, t)
+    return build
+
+
+_DC = _polynomial(lambda poly, fmt, rescale: (
+    encoder.encode_dc_quadratic if poly.degree == 2 else encoder.encode_dc_cubic)(
+        poly, fmt, rescale=rescale))
+
+#: name -> (--layout and --scheme flags, (--mode flag or None for the
+#: layout's default, the mode the library runs), degree, point count,
+#: channels, whether the file has weights, the library's encoder and reference)
+LAYOUT_CASES = {
+    "dc-2": (["--layout", "dc"], (None, "dc"), 2, 3, 2, False, _DC),
+    "dc-3": (["--layout", "dc"], (None, "dc"), 3, 4, 2, False, _DC),
+    "dc-2-hybrid": (["--layout", "dc"], ("dc-hybrid", "dc-hybrid"), 2, 3, 1, False, _DC),
+    "dc-3-hybrid": (["--layout", "dc"], ("dc-hybrid", "dc-hybrid"), 3, 4, 3, False, _DC),
+    "seiler-2": (["--layout", "seiler"], (None, "seiler"), 2, 3, 1, False,
+                 _polynomial(encoder.encode_seiler)),
+    "seiler-3": (["--layout", "seiler"], (None, "seiler"), 3, 4, 2, False,
+                 _polynomial(encoder.encode_seiler)),
+    "seiler-4": (["--layout", "seiler"], (None, "seiler"), 4, 5, 3, False,
+                 _polynomial(encoder.encode_seiler)),
+    "seiler-5": (["--layout", "seiler"], (None, "seiler"), 5, 6, 1, False,
+                 _polynomial(encoder.encode_seiler)),
+    "zigzag": (["--layout", "zigzag"], (None, "zigzag"), 2, 7, 2, False, _zigzag),
+    "patch-1": (["--layout", "patch"], (None, "patch"), 1, 4, 1, False,
+                _net((2, 2, 1), encoder.encode_bilinear_patch)),
+    "patch-2": (["--layout", "patch"], (None, "patch"), 1, 4, 2, False,
+                _net((2, 2, 2), encoder.encode_bilinear_patch)),
+    "bicubic": (["--layout", "bicubic"], (None, "bicubic"), 3, 16, 1, False,
+                _net((4, 4), encoder.encode_bicubic_rgba)),
+    "rational-seiler-2": (["--layout", "rational", "--scheme", "seiler"], (None, "rational"),
+                          2, 3, 2, True, _rational("seiler")),
+    "rational-seiler-3": (["--layout", "rational", "--scheme", "seiler"], (None, "rational"),
+                          3, 4, 1, True, _rational("seiler")),
+    "rational-dc-2": (["--layout", "rational", "--scheme", "dc"], (None, "rational"),
+                      2, 3, 1, True, _rational("dc")),
+    "rational-dc-3": (["--layout", "rational", "--scheme", "dc"], (None, "rational"),
+                      3, 4, 2, True, _rational("dc")),
+}
+
+#: --format flags -> (format, rescale, sampler flags, sampler config)
+FORMAT_CASES = {
+    "f32": (["--format", "f32"], TexelFormat.FLOAT32, False, ["--bits", "8"],
+            SamplerConfig(subtexel_bits=8)),
+    "unorm8-rescale": (["--format", "unorm8", "--rescale"], TexelFormat.UNORM8, True,
+                       ["--bits", "5", "--subtexel-rounding", "floor"],
+                       SamplerConfig(subtexel_bits=5, subtexel_rounding="floor")),
+}
+
+
+def _layout_case(tmp_path, name):
+    """The curve file of case `name` (seeded by its name), written under
+    tmp_path, with its points and weights."""
+    _, _, degree, count, channels, rational, _ = LAYOUT_CASES[name]
+    rng = np.random.default_rng([25, sorted(LAYOUT_CASES).index(name)])
+    points = rng.uniform(-0.5, 1.5, (count, channels))
+    # weights whose seiler and dc texels stay in [0, 1], which unorm formats need
+    weights = rng.uniform(0.7, 0.8, count) if rational else None
+    path = tmp_path / f"{name}.curve"
+    curvefile.write_curve_file(path, degree, points, weights=weights)
+    return str(path), points, weights
+
+
+def _library_output(name, fmt_case, points, weights, write):
+    """(exit code, stderr) of the comparison that case `name` asks for,
+    built straight from the library: `write(curve, reference, mode, cfg)`
+    writes its output, and a TexCurveError gives its exit code and message."""
+    _, fmt, rescale, _, cfg = FORMAT_CASES[fmt_case]
+    *_, build = LAYOUT_CASES[name]
+    try:
+        curve, ref = build(points, weights, fmt, rescale)
+        write(curve, ref, LAYOUT_CASES[name][1][1], cfg)
+    except TexCurveError as exc:
+        return cli._exit_code(exc), f"error: {exc}\n"
+    return 0, ""
+
+
+def _cli_output(capsys, tmp_path, command, name, fmt_case, path, out):
+    flags, (mode, _), *_ = LAYOUT_CASES[name]
+    fmt_flags, _, _, sampler_flags, _ = FORMAT_CASES[fmt_case]
+    argv = [*command, *flags, *fmt_flags, *sampler_flags, "--in", path, "--out", out]
+    if mode is not None:
+        argv += ["--mode", mode]
+    code, stdout, err = run(capsys, *argv)
+    assert stdout == ""
+    return code, err
+
+
+@pytest.mark.parametrize("fmt_case", sorted(FORMAT_CASES))
+@pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+def test_sweep_of_each_layout_matches_the_library(tmp_path, capsys, name, fmt_case):
+    """`texcurve sweep` writes the bytes of `report_to_csv(sweep(...))`
+    built from the layout's encoder and its documented reference, or exits
+    with the error the library raises, writing nothing."""
+    path, points, weights = _layout_case(tmp_path, name)
+    samples = 41
+    expected = []
+
+    def write(curve, ref, mode, cfg):
+        report = analysis.sweep(curve, ref, mode, cfg, samples, curve_id=path)
+        expected.append(analysis.report_to_csv(report).encode())
+
+    code_err = _library_output(name, fmt_case, points, weights, write)
+    out = tmp_path / "cli.csv"
+    assert _cli_output(capsys, tmp_path, ["sweep", "--samples", str(samples)], name, fmt_case,
+                       path, str(out)) == code_err
+    if expected:
+        assert out.read_bytes() == expected[0]
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt_case", sorted(FORMAT_CASES))
+@pytest.mark.parametrize("name", ["seiler-2", "dc-3"])
+def test_render_of_a_curve_matches_the_library(tmp_path, capsys, name, fmt_case):
+    """`texcurve render` of a 1-channel and a 2-channel curve writes the
+    PPM bytes of `render_deviation_image` built from the library."""
+    path, points, weights = _layout_case(tmp_path, name)
+    size = (24, 8)
+    lib = tmp_path / "lib.ppm"
+
+    def write(curve, ref, mode, cfg):
+        analysis.write_ppm(analysis.render_deviation_image(curve, ref, mode, cfg, *size), lib)
+
+    assert _library_output(name, fmt_case, points, weights, write) == (0, "")
+    out = tmp_path / "cli.ppm"
+    assert _cli_output(capsys, tmp_path, ["render", "--width", str(size[0]), "--height",
+                                          str(size[1])], name, fmt_case, path,
+                       str(out)) == (0, "")
+    assert out.read_bytes() == lib.read_bytes()

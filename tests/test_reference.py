@@ -851,3 +851,58 @@ def test_a_surface_whose_column_sum_overflows_is_refused():
     assert np.isfinite(eval_tensor_surface(net, 0.0, 0.0)).all()
     with pytest.raises(DomainError, match="^Bernstein values overflow float64$"):
         eval_tensor_surface(net, 0.0, 0.0005)
+
+
+@pytest.mark.parametrize("grid", [np.zeros((0, 3)), np.zeros((0, 3, 2)), np.zeros((0, 0))],
+                         ids=("scalars", "vectors", "no-columns"))
+def test_a_control_grid_without_rows_is_refused(grid):
+    with pytest.raises(DomainError, match="^control grid needs at least one row$"):
+        eval_tensor_surface(grid, 0.5, 0.5)
+
+
+_QUAD_A = ControlPolygon([0.0, 1.0, 0.0])
+_QUAD_B = ControlPolygon([5.0, 6.0, 5.0])
+
+#: name -> (spans of the pieces a and b, the segment named in the refusal,
+#: a parameter inside the pieces' hull); each was once evaluated without
+#: complaint: nan, b extrapolated to local t = -0.25, 0.0 and 0.48
+MALFORMED_SPANS = {
+    "zero-width": ([(0.0, 0.0)], 0, 0.0),
+    "gap": ([(0.0, 0.4), (0.6, 1.0)], 1, 0.5),
+    "infinite": ([(0.0, np.inf)], 0, 0.5),
+    "overlap": ([(0.0, 1.0), (0.5, 0.7)], 1, 0.6),
+    "reversed": ([(0.0, 0.5), (0.5, 0.25)], 1, 0.3),
+    "nan": ([(np.nan, 1.0)], 0, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SPANS))
+def test_malformed_spans_are_refused(name):
+    spans, bad, t = MALFORMED_SPANS[name]
+    pieces = list(zip((_QUAD_A, _QUAD_B), spans))
+    lo, hi = spans[bad]
+    message = (f"segment {bad} spans [{lo}, {hi}], not a finite interval that starts where "
+               "the one before it ends and ends after it starts")
+    for arg in (t, np.array([t, t]), -1.0):  # before the parameter's own check
+        with pytest.raises(DomainError) as raised:
+            eval_bezier_segments(pieces, arg)
+        assert str(raised.value) == message
+
+
+def test_span_refusal_follows_the_stack_checks():
+    """Degree and channel checks come first, as for well-formed spans."""
+    with pytest.raises(UnsupportedDegreeError):
+        eval_bezier_segments([(_QUAD_A, (0.0, 0.0)), (ControlPolygon([0.0, 1.0]), (2.0, 1.0))],
+                             0.5)
+    with pytest.raises(ChannelMismatchError):
+        eval_bezier_segments([(_QUAD_A, (0.0, 0.0)), (random_polygon(np.random.default_rng(1),
+                                                                       2, 2), (2.0, 1.0))], 0.5)
+
+
+def test_conversion_spans_pass_the_span_check():
+    """`boehm_to_bezier` joins consecutive distinct knots, so its spans
+    always pass, whatever the knot spacing."""
+    for _, spline in _spline_cases():
+        segments = boehm_to_bezier(spline)
+        a, b = spline.domain
+        assert eval_bezier_segments(segments, np.linspace(a, b, 9)).shape[0] == 9

@@ -1,6 +1,7 @@
 import collections
 import functools
 import gc
+import math
 import os
 import subprocess
 import sys
@@ -1001,3 +1002,106 @@ def test_sorted_lattice_blends_each_state_change_once(counted, kind, bits, round
     assert counted["blended"] == changes
     with mock.patch.object(texeval, "_fetch", fetch_every_sample):
         assert got.tobytes() == fn(curve, t, cfg).tobytes()
+
+
+# -- each 1-parameter layout's coordinate map, written out
+
+def _span2(x):
+    """(0.5 + x (2 - 1)) / 2: the texel span of a 2-texel axis."""
+    return (0.5 + x) / 2
+
+
+def _written_out_coords(layout, n, t):
+    """The coordinates of the Python float t on the 1-parameter `layout`
+    of n segments, one float operation at a time."""
+    if layout is Layout.DC_ZIGZAG:
+        k = min(math.floor(t), n - 1)  # a join starts the next segment; the end stays in the last
+        local = t - k
+        return (k + 0.5 + local) / (n + 1), _span2(1.0 - local if k % 2 else local)
+    if layout in (Layout.SEILER_2D, Layout.SEILER_3D):
+        st = _span2((1.0 - t) * t)
+        return (_span2(t), st, st)[: 3 if layout is Layout.SEILER_3D else 2]
+    return (_span2(t),) * (3 if layout is Layout.DC_CUBIC_2X2X2 else 2)
+
+
+def _map_curves():
+    """name -> a curve of every 1-parameter layout, the rational ones on
+    each of their inner layouts."""
+    curves = {layout.value: curve for layout, curve in CURVES.items()
+              if layout in (*_DC, Layout.DC_ZIGZAG, Layout.SEILER_2D, Layout.SEILER_3D)}
+    rng = np.random.default_rng(25)
+    for scheme, degree in (("seiler", 2), ("seiler", 3), ("dc", 2), ("dc", 3)):
+        poly = random_polygon(rng, degree, 2, lo=0.0)
+        curves[f"rational-{scheme}-{degree}"] = encode_rational(
+            poly, rng.uniform(0.5, 1.0, degree + 1), F32, scheme=scheme)
+    return curves
+
+
+MAP_CURVES = _map_curves()
+
+
+def _map_parameters(n):
+    """Parameters over [0, n]: a lattice through every join and both ends,
+    uniform draws, and each join, the middle of a segment and the end as
+    scalars."""
+    t = np.concatenate([np.linspace(0.0, n, 16 * n + 1),
+                        np.random.default_rng([25, n]).uniform(0.0, n, 61)])
+    return [t, t.reshape(2, -1)] + [float(k) for k in range(n + 1)] + [n - 0.5, np.float64(n)]
+
+
+@pytest.mark.parametrize("name", sorted(MAP_CURVES))
+def test_parameter_coords_are_the_written_out_maps(name):
+    """`parameter_coords` gives the bytes of each layout's map written out,
+    rational curves through their inner layout, the zig-zag's orientation
+    at its joins and its end included. A dc layout passes one array object
+    on every axis (as does the Seiler 3-D layout on its two st axes), since
+    `sampler._stages` stages a shared object once and a copy would double
+    that work."""
+    curve = MAP_CURVES[name]
+    layout = curve.inner_layout or curve.layout
+    n = curve.segment_count
+    for t in _map_parameters(n):
+        got = texeval.parameter_coords(curve, t)
+        flat = [_written_out_coords(layout, n, x) for x in np.ravel(t).tolist()]
+        expected = [np.array(axis).reshape(np.shape(t)) for axis in zip(*flat)]
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert (np.asarray(g).dtype, np.shape(g)) == (np.float64, np.shape(t))
+            assert np.asarray(g).tobytes() == e.tobytes()
+        if layout in _DC:
+            assert all(axis is got[0] for axis in got)
+        if layout is Layout.SEILER_3D:
+            assert got[1] is got[2]
+
+
+@pytest.mark.parametrize("bad", ("below", "above", "nan", "inf"))
+@pytest.mark.parametrize("name", sorted(MAP_CURVES))
+def test_parameter_coords_refuse_a_parameter_outside_the_domain(name, bad):
+    """A zig-zag t outside [0, n], any other t outside [0, 1], and NaN
+    raise DomainError with the layout's domain message, scalar or inside
+    an array; the dc-hybrid refuses with the dc message."""
+    curve = MAP_CURVES[name]
+    end = curve.segment_count if curve.layout is Layout.DC_ZIGZAG else 1
+    value = {"below": -2.0**-60, "above": end + 2.0**-40, "nan": np.nan, "inf": np.inf}[bad]
+    message = (f"zig-zag parameter outside [0, {end}]" if curve.layout is Layout.DC_ZIGZAG
+               else "parameter outside [0, 1]")
+    calls = [texeval.parameter_coords]
+    if curve.layout is Layout.DC_CUBIC_2X2X2:
+        calls.append(lambda curve, t: eval_dc_cubic_hybrid(curve, t, BITS8))
+    for call in calls:
+        for t in (value, np.array([0.0, value, 0.5])):
+            with pytest.raises(DomainError) as info:
+                call(curve, t)
+            assert (type(info.value), str(info.value)) == (DomainError, message)
+
+
+@pytest.mark.parametrize("t", (0.5, np.nan, -1.0, np.array([0.5, np.nan])), ids=repr)
+@pytest.mark.parametrize("layout", (Layout.BILINEAR_PATCH, Layout.BICUBIC_RGBA),
+                         ids=lambda layout: layout.value)
+def test_parameter_coords_refuse_a_surface_before_its_parameter(layout, t):
+    """A surface layout has no 1-parameter map: LayoutError, raised before
+    the parameter is checked."""
+    with pytest.raises(LayoutError) as info:
+        texeval.parameter_coords(CURVES[layout], t)
+    assert (type(info.value), str(info.value)) == (
+        LayoutError, f"{layout.value} is not a 1-parameter curve layout")
