@@ -23,7 +23,6 @@ from .core import (
     DomainError,
     EncodedCurve,
     HomogeneousDivideError,
-    Layout,
     LayoutError,
     RangeError,
     SamplerConfig,
@@ -53,7 +52,8 @@ def _fmt_vec(vec) -> str:
 
 def _zigzag_segments(spec: curvefile.CurveFile):
     """The (N, 3, channels) segment stack of a zig-zag chain's 2N + 1
-    points; the encoder and the reference check its points."""
+    points, built once per job for both the encoder and the reference,
+    which check its points."""
     pts = spec.points
     if spec.degree != 2:
         raise UnsupportedDegreeError("zig-zag packing needs degree-2 segments")
@@ -63,9 +63,13 @@ def _zigzag_segments(spec: curvefile.CurveFile):
 
 
 def _encode_from_spec(spec: curvefile.CurveFile, args):
-    """The curve `args` ask for, encoded from `spec`, and the zig-zag
-    segment stack it packs (None for the other layouts), which a reference
-    can evaluate without building it again."""
+    """The curve `args` ask for, encoded from `spec`, and its full-precision
+    reference callable over the texture path's domain. Each layout's branch
+    reads `spec` once for both: the chain reference on the zig-zag's
+    segment stack, the tensor surface on the diagonal u = v = t of a
+    patch's or a bicubic's net, the rational reference, or the Bernstein
+    sum. The reference follows the layout, not the mode, so a mode that
+    cannot evaluate the layout fails in the sweep's mode check."""
     fmt = _FORMATS[args.format]
     layout = args.layout
     rescale = args.rescale
@@ -79,16 +83,20 @@ def _encode_from_spec(spec: curvefile.CurveFile, args):
                     f"--seed-texel takes comma-separated numbers or 'search', got {seed!r}"
                 ) from None
         segments = _zigzag_segments(spec)
-        return encoder.encode_dc_zigzag(segments, fmt, seed, rescale=rescale), segments
+        curve = encoder.encode_dc_zigzag(segments, fmt, seed, rescale=rescale)
+        return curve, lambda gt: reference.eval_bezier_chain(segments, gt)
     if layout == "patch":
         if spec.points.shape[0] != 4:
             raise DomainError("a bilinear patch needs exactly 4 control points (2x2 row-major)")
         net = spec.points.reshape(2, 2, spec.channels)
-        return encoder.encode_bilinear_patch(net, fmt, rescale=rescale), None
+        curve = encoder.encode_bilinear_patch(net, fmt, rescale=rescale)
+        return curve, lambda t: reference.eval_tensor_surface(net, t, t)
     if layout == "bicubic":
         if spec.points.shape[0] != 16 or spec.channels != 1:
             raise DomainError("bicubic packing needs 16 scalar control points (4x4 row-major)")
-        return encoder.encode_bicubic_rgba(spec.points.reshape(4, 4), fmt, rescale=rescale), None
+        net = spec.points.reshape(4, 4)
+        curve = encoder.encode_bicubic_rgba(net, fmt, rescale=rescale)
+        return curve, lambda t: reference.eval_tensor_surface(net, t, t)
     if spec.points.shape[0] != spec.degree + 1:
         raise DomainError(
             f"declared degree {spec.degree} needs {spec.degree + 1} points, "
@@ -100,33 +108,18 @@ def _encode_from_spec(spec: curvefile.CurveFile, args):
             raise DomainError("rational encoding needs a weights line")
         curve = encoder.encode_rational(poly, spec.weights, fmt, scheme=args.scheme,
                                         rescale=rescale)
-        return curve, None
+        return curve, lambda t: reference.eval_rational(poly, spec.weights, t)
     if layout == "seiler":
-        return encoder.encode_seiler(poly, fmt, rescale=rescale), None
-    if layout == "dc":
-        if spec.degree == 2:
-            return encoder.encode_dc_quadratic(poly, fmt, rescale=rescale), None
-        if spec.degree == 3:
-            return encoder.encode_dc_cubic(poly, fmt, rescale=rescale), None
+        curve = encoder.encode_seiler(poly, fmt, rescale=rescale)
+    elif layout != "dc":
+        raise LayoutError(f"unknown layout {layout!r}")
+    elif spec.degree == 2:
+        curve = encoder.encode_dc_quadratic(poly, fmt, rescale=rescale)
+    elif spec.degree == 3:
+        curve = encoder.encode_dc_cubic(poly, fmt, rescale=rescale)
+    else:
         raise UnsupportedDegreeError("dc layout holds degree 2 or 3; use zigzag for chains")
-    raise LayoutError(f"unknown layout {layout!r}")
-
-
-def _reference_for(spec: curvefile.CurveFile, curve: EncodedCurve, segments):
-    """Full-precision reference callable for the curve's layout, over the
-    texture path's domain; a zig-zag curve's is its `segments`. It is picked
-    from the layout, not the mode, so a mode that cannot evaluate the layout
-    fails in the sweep's mode check."""
-    layout = curve.layout
-    if layout is Layout.DC_ZIGZAG:
-        return lambda gt: reference.eval_bezier_chain(segments, gt)
-    if layout in (Layout.BILINEAR_PATCH, Layout.BICUBIC_RGBA):
-        net = spec.points.reshape(curve.degree + 1, curve.degree + 1, spec.channels)
-        return lambda t: reference.eval_tensor_surface(net, t, t)
-    poly = ControlPolygon(spec.points)
-    if layout is Layout.RATIONAL_HOMOGENEOUS:
-        return lambda t: reference.eval_rational(poly, spec.weights, t)
-    return lambda t: reference.eval_bernstein(poly, t)
+    return curve, lambda t: reference.eval_bernstein(poly, t)
 
 
 def _sampler_config(args) -> SamplerConfig:
@@ -183,15 +176,14 @@ def _cmd_eval(args) -> int:
 
 
 def _comparison(args):
-    """The prelude `sweep` and `render` share: the curve file encoded, its
-    reference, the mode (the layout's default unless `--mode` names one) and
-    the sampler config. A zig-zag chain's segment stack is built once, for
-    both the encoder and the reference."""
+    """The prelude `sweep` and `render` share: the curve file read once,
+    encoded with its reference (`_encode_from_spec`), the mode (the
+    layout's default unless `--mode` names one) and the sampler config."""
     spec = curvefile.read_curve_file(args.infile)
-    curve, segments = _encode_from_spec(spec, args)
+    curve, ref = _encode_from_spec(spec, args)
     mode = args.mode or analysis._default_mode(curve.layout)
     cfg = _sampler_config(args)
-    return curve, _reference_for(spec, curve, segments), mode, cfg
+    return curve, ref, mode, cfg
 
 
 def _cmd_sweep(args) -> int:

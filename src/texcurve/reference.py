@@ -282,8 +282,9 @@ def eval_tensor_surface(grid_points, u, v):
     """Tensor-product surface point: rows evaluated at u, the resulting
     column polygon evaluated at v.
 
-    `grid_points` is (rows, cols) of scalars or (rows, cols, channels). A
-    row or a column sum that overflows float64 raises DomainError.
+    `grid_points` is (rows, cols) of scalars or (rows, cols, channels),
+    with at least one row. A row or a column sum that overflows float64
+    raises DomainError, as does a grid of another shape.
     """
     try:
         g = np.asarray(grid_points, dtype=float)
@@ -293,6 +294,8 @@ def eval_tensor_surface(grid_points, u, v):
         g = g[..., None]
     if g.ndim != 3:
         raise DomainError("control grid must be 2-D (scalars) or 3-D (vectors)")
+    if g.shape[0] == 0:
+        raise DomainError("control grid needs at least one row")
     polys = [ControlPolygon(row) for row in g]
     rows = [eval_bernstein(poly, u) for poly in polys]
     magnitude = max((poly.magnitude for poly in polys), default=0.0)
@@ -463,9 +466,16 @@ def _piece_rows(stack, starts, ends, t):
 def eval_bezier_segments(segments, t) -> np.ndarray:
     """Evaluate a piecewise Bezier list (as returned by boehm_to_bezier) at
     scalar or array t; a join takes the right-hand segment. The segments
-    share one degree and one channel count (see `eval_bezier_chain`)."""
+    share one degree and one channel count (see `eval_bezier_chain`), and
+    their spans tile the domain: each is finite, starts below its end and
+    starts where the one before it ends, else DomainError names the first
+    segment that does not, before t is checked."""
     stack = _segment_stack([poly for poly, _ in segments])
     starts, ends = np.array([span for _, span in segments], dtype=float).T
+    for k, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
+        if not -np.inf < lo < hi < np.inf or (k and lo != ends[k - 1]):
+            raise DomainError(f"segment {k} spans [{lo}, {hi}], not a finite interval that starts "
+                              "where the one before it ends and ends after it starts")
     outside = f"t={{t}} outside piecewise domain [{segments[0][1][0]}, {segments[-1][1][1]}]"
     t = np.asarray(t, dtype=float)
     out = _eval_pieces(stack, starts, ends, t.reshape(-1), outside)

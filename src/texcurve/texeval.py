@@ -11,14 +11,16 @@ no `SampleTrace`. The plain blend (`_decoded`) is the blend kernel, then
 the weight. The split-precision hybrid looks up x and y alone and brings
 its own blend, which lerps them over the depth pair, and its own points,
 which lerp depth at the exact t, then decode; the bound brings its exact
-blend and probes. `_coords` is the one 1-parameter coordinate picker and
-`_eval_curve` the one 1-parameter path of the plain blend and the bound's.
-Parameters are validated once per call:
+blend and probes. `_curve_param` is the one per-layout choice of a
+1-parameter curve's domain and coordinate map, and `_eval_curve` the one
+1-parameter path of the plain blend, the hybrid's (which reads the first
+two coordinates) and the bound's. Parameters are validated once per call:
 `_curve_param` checks t, and `_surface_params` checks (u, v) and that
-their shapes broadcast together. The coordinate maps (`_coords` and the
-surface evaluators' maps) then map each block through `core._texel_span`,
-the arithmetic of `remap_unit_to_texel_span` without its check; only the
-Seiler coordinate window is still checked on every sample.
+their shapes broadcast together. The coordinate maps (`_curve_param`'s
+and the surface evaluators') then map each block through
+`core._texel_span`, the arithmetic of `remap_unit_to_texel_span` without
+its check; only the Seiler coordinate window is still checked on every
+sample.
 
 `_fetch` blends once per run of equal lookup state. The filter's output is
 fixed by the texture unit's discrete state: the clamped texel pair and the
@@ -91,11 +93,16 @@ _RUN_MIN = 1024
 
 
 def _curve_param(curve: EncodedCurve, t):
-    """A 1-parameter curve's layout and its validated parameter array.
+    """A 1-parameter curve's coordinate map and its validated parameter
+    array: the one place a 1-parameter layout's domain and coordinates are
+    chosen.
 
     Rational curves resolve to their inner layout. Zig-zag chains take a
-    global parameter in [0, segment_count], every other 1-parameter layout
-    t in [0, 1]. Other layouts raise LayoutError, before the parameter is
+    global parameter in [0, segment_count] and map it through
+    `_zigzag_coords`, the Seiler layouts take t in [0, 1] and map it through
+    `_seiler_coords`, and the dc layouts take t in [0, 1] and map it to one
+    `_texel_span` array shared by every axis, which `sampler._stages` then
+    stages once. Other layouts raise LayoutError, before the parameter is
     checked. The curve's own invariants (the weight channel's identity
     transform, one segment outside the zig-zag) hold since `EncodedCurve`
     checked them at construction.
@@ -108,9 +115,12 @@ def _curve_param(curve: EncodedCurve, t):
         gt = np.asarray(t, dtype=float)
         if not ((gt >= 0.0) & (gt <= n)).all():
             raise DomainError(f"zig-zag parameter outside [0, {n}]")
-        return layout, gt
-    if layout in (Layout.DC_QUAD_2X2, Layout.DC_CUBIC_2X2X2, Layout.SEILER_2D, Layout.SEILER_3D):
-        return layout, _unit_param(t)
+        return (lambda gt: _zigzag_coords(n, gt)), gt
+    if layout in (Layout.SEILER_2D, Layout.SEILER_3D):
+        return (lambda t: _seiler_coords(layout, t)), _unit_param(t)
+    if layout in (Layout.DC_QUAD_2X2, Layout.DC_CUBIC_2X2X2):
+        axes = 3 if layout is Layout.DC_CUBIC_2X2X2 else 2
+        return (lambda t: (_texel_span(t, 2),) * axes), _unit_param(t)
     raise LayoutError(f"{layout.value} is not a 1-parameter curve layout")
 
 
@@ -144,24 +154,14 @@ def _seiler_coords(layout: Layout, t):
     return rt, rm
 
 
-def _coords(curve: EncodedCurve, layout: Layout, t):
-    """Coordinates of a validated t on a 1-parameter layout (a rational
-    curve's inner one); the dc layouts share one array across their axes."""
-    if layout is Layout.DC_ZIGZAG:
-        return _zigzag_coords(curve.segment_count, t)
-    if layout in (Layout.SEILER_2D, Layout.SEILER_3D):
-        return _seiler_coords(layout, t)
-    return (_texel_span(t, 2),) * (3 if layout is Layout.DC_CUBIC_2X2X2 else 2)
-
-
 def parameter_coords(curve: EncodedCurve, t):
-    """Normalized sample coordinates the texture path uses for parameter t.
-
-    `_coords` on the validated t: the only place a 1-parameter layout's
-    coordinates are chosen; rational curves resolve through their inner
-    layout. The hybrid reads the first two at the same t.
+    """Normalized sample coordinates the texture path uses for parameter t:
+    `_curve_param`'s map of the validated t. Rational curves resolve
+    through their inner layout; the hybrid reads the first two at the same
+    t.
     """
-    return _coords(curve, *_curve_param(curve, t))
+    coords_of, t = _curve_param(curve, t)
+    return coords_of(t)
 
 
 def _decode(curve: EncodedCurve, raw):
@@ -295,11 +295,12 @@ def _rows(values, t):
     return values.T
 
 
-def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig, blend, points):
+def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig, blend, points, axes=None):
     """The 1-parameter fetch of `blend` and `points` (see `_fetch`): t
-    validated once, then mapped per block to the layout's coordinates."""
-    layout, t = _curve_param(curve, t)
-    return _fetch(curve, lambda t: _coords(curve, layout, t), (t,), cfg, blend, points)
+    validated once by `_curve_param`, then mapped per block through its
+    map, of which the first `axes` coordinates are read (all by default)."""
+    coords_of, t = _curve_param(curve, t)
+    return _fetch(curve, lambda t: coords_of(t)[:axes], (t,), cfg, blend, points)
 
 
 def eval_dc(curve: EncodedCurve, t, cfg: SamplerConfig):
@@ -341,8 +342,7 @@ def eval_dc_cubic_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
         """(*samples, channels): the depth slices lerped at t, then decoded."""
         return _decode(curve, np.moveaxis(sampler._lerp_axes(values, (t,)), 0, -1))
 
-    return _fetch(curve, lambda t: _coords(curve, curve.layout, t)[:2], (_unit_param(t),), cfg,
-                  blend, points)
+    return _eval_curve(curve, t, cfg, blend, points, axes=2)
 
 
 def _surface_params(u, v):

@@ -28,6 +28,7 @@ UNRESOLVED = {
     "texcurve.texeval:sample_trilinear": "the evaluators fetch through texeval._fetch",
     "texcurve.analysis:blend_with_fractions": "the bound blends through texeval._fetch",
     "texcurve.texeval:lerp": "texeval blends through sampler",
+    "texcurve.cli:_reference_for": "cli._encode_from_spec returns each layout's reference",
 }
 
 
