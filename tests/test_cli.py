@@ -709,9 +709,12 @@ def _net(shape, encode):
     return build
 
 
-_DC = _polynomial(lambda poly, fmt, rescale: (
-    encoder.encode_dc_quadratic if poly.degree == 2 else encoder.encode_dc_cubic)(
-        poly, fmt, rescale=rescale))
+def _encode_dc(poly, fmt, rescale):
+    encode = encoder.encode_dc_quadratic if poly.degree == 2 else encoder.encode_dc_cubic
+    return encode(poly, fmt, rescale=rescale)
+
+
+_DC = _polynomial(_encode_dc)
 
 #: name -> (--layout and --scheme flags, (--mode flag or None for the
 #: layout's default, the mode the library runs), degree, point count,
@@ -746,7 +749,7 @@ LAYOUT_CASES = {
                       3, 4, 2, True, _rational("dc")),
 }
 
-#: --format flags -> (format, rescale, sampler flags, sampler config)
+#: name -> (--format and --rescale flags, format, rescale, sampler flags, sampler config)
 FORMAT_CASES = {
     "f32": (["--format", "f32"], TexelFormat.FLOAT32, False, ["--bits", "8"],
             SamplerConfig(subtexel_bits=8)),
@@ -783,7 +786,9 @@ def _library_output(name, fmt_case, points, weights, write):
     return 0, ""
 
 
-def _cli_output(capsys, tmp_path, command, name, fmt_case, path, out):
+def _cli_output(capsys, command, name, fmt_case, path, out):
+    """(exit code, stderr) of the CLI `command` on case `name`'s curve file
+    at `path`, writing `out`; it prints nothing on stdout."""
     flags, (mode, _), *_ = LAYOUT_CASES[name]
     fmt_flags, _, _, sampler_flags, _ = FORMAT_CASES[fmt_case]
     argv = [*command, *flags, *fmt_flags, *sampler_flags, "--in", path, "--out", out]
@@ -810,8 +815,8 @@ def test_sweep_of_each_layout_matches_the_library(tmp_path, capsys, name, fmt_ca
 
     code_err = _library_output(name, fmt_case, points, weights, write)
     out = tmp_path / "cli.csv"
-    assert _cli_output(capsys, tmp_path, ["sweep", "--samples", str(samples)], name, fmt_case,
-                       path, str(out)) == code_err
+    assert _cli_output(capsys, ["sweep", "--samples", str(samples)], name, fmt_case, path,
+                       str(out)) == code_err
     if expected:
         assert out.read_bytes() == expected[0]
     else:
@@ -832,7 +837,6 @@ def test_render_of_a_curve_matches_the_library(tmp_path, capsys, name, fmt_case)
 
     assert _library_output(name, fmt_case, points, weights, write) == (0, "")
     out = tmp_path / "cli.ppm"
-    assert _cli_output(capsys, tmp_path, ["render", "--width", str(size[0]), "--height",
-                                          str(size[1])], name, fmt_case, path,
-                       str(out)) == (0, "")
+    assert _cli_output(capsys, ["render", "--width", str(size[0]), "--height", str(size[1])],
+                       name, fmt_case, path, str(out)) == (0, "")
     assert out.read_bytes() == lib.read_bytes()
