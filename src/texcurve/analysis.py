@@ -258,8 +258,13 @@ def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np
     one-cell block's corners once. The exact blend and every probe share
     one gather of the corners. Each axis's probe fractions stack on an
     option axis of their own ahead of the samples, so one lerp per axis
-    blends every combination. The hybrid's depth axis is probed at its
-    exact fraction only, since the hybrid never quantizes it.
+    blends every combination. A probe pair (the representable fractions
+    below and above) is built once per distinct fraction array, which the
+    lookup state shares between axes of one stage: one for every axis of a
+    dc layout, one for both last axes of Seiler 3-D. The hybrid's depth
+    axis is probed at its exact fraction only, since the hybrid never
+    quantizes it. The probes are decoded through a channels-last transpose
+    view; decoding is elementwise, so the view moves no bit.
     """
 
     def blend(pairs, fracs):
@@ -268,17 +273,20 @@ def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np
         dev = np.zeros_like(exact)
         if cfg.subtexel_bits > 0:
             step, n = float(1 << cfg.subtexel_bits), len(fracs)
+            probe_of = {}  # id of a fraction array -> its (2, *samples) probe pair
             options = []
             for axis, frac in enumerate(fracs):
-                lo = np.floor(frac * step) / step
-                probe = np.array((lo, np.minimum(lo + 1.0 / step, 1.0)))
+                probe = probe_of.get(id(frac))
+                if probe is None:
+                    lo = np.floor(frac * step) / step
+                    probe = probe_of[id(frac)] = np.array((lo, np.minimum(lo + 1.0 / step, 1.0)))
                 options.append(probe.reshape((2,) + (1,) * (n - 1 - axis) + frac.shape))
             if hybrid:
                 options[-1] = fracs[-1]
             # one option axis per corner axis, between the corner axes and the samples
             shape = corners.shape[: 1 + n] + (1,) * n + corners.shape[1 + n :]
             probes = _lerp_axes(corners.reshape(shape), options)  # (channels, *options, samples)
-            probes = _decode(curve, np.moveaxis(probes, 0, -1))
+            probes = _decode(curve, probes.transpose(*range(1, probes.ndim), 0))
             dev = np.abs(probes - exact).max(axis=tuple(range(n)))
         return np.stack([exact, dev], axis=1).T
 

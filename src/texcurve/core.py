@@ -390,9 +390,15 @@ class EncodedCurve:
 
 
 def _unit_param(t):
-    """t as a float array, DomainError unless every value lies in [0, 1]."""
+    """t as a float array, DomainError unless every value lies in [0, 1].
+
+    One min and one max decide it. Both propagate NaN, which fails either
+    comparison. Their initial values 0 and 1 let an empty array pass and
+    change no other verdict: min(0, m) >= 0 exactly when m >= 0, and
+    max(1, M) <= 1 exactly when M <= 1."""
     t = np.asarray(t, dtype=float)
-    if not ((t >= 0.0) & (t <= 1.0)).all():  # also false for NaN and inf
+    if not (np.minimum.reduce(t, axis=None, initial=0.0) >= 0.0
+            and np.maximum.reduce(t, axis=None, initial=1.0) <= 1.0):
         raise DomainError("parameter outside [0, 1]")
     return t
 

@@ -57,15 +57,29 @@ def bernstein_sum(points, t):
     Each term is written channel-major (Fortran order), so the product with
     a control point and the running sum loop over the samples, not over
     the channels; the result is channel-major too.
+
+    Term i's weight is C(d,i) * (1-t)^(d-i) * t^i, multiplied left to
+    right, less every operation whose result is exactly one of its
+    operands: the factor C(d,0) = C(d,d) = 1, a power 0 (x**0 is 1.0 even
+    at NaN) and a power 1 (x**1 is x). Multiplying by 1.0 is exact, so
+    each weight, and each product and sum after it, keeps its bits; at
+    degree 0 the weight is ones of t's shape, as (1-t)**0 was.
     """
     d = len(points) - 1
     row = pascal_row(d)
     tt = np.asarray(t, dtype=float)[..., None]
     s = 1.0 - tt
-    acc = np.multiply(row[0] * s**d, points[0], order="F")
-    for i in range(1, d + 1):
-        acc = acc + np.multiply(row[i] * s ** (d - i) * tt**i, points[i], order="F")
+    acc = np.multiply(_power(s, d) if d else np.ones_like(tt), points[0], order="F")
+    for i in range(1, d):
+        acc = acc + np.multiply(row[i] * _power(s, d - i) * _power(tt, i), points[i], order="F")
+    if d:
+        acc = acc + np.multiply(_power(tt, d), points[d], order="F")
     return acc
+
+
+def _power(x, k: int):
+    """x**k for k >= 1, skipping the power 1, whose result is x itself."""
+    return x if k == 1 else x**k
 
 
 def _blocked(rows, *args):
@@ -283,19 +297,23 @@ def eval_tensor_surface(grid_points, u, v):
     column polygon evaluated at v.
 
     `grid_points` is (rows, cols) of scalars or (rows, cols, channels),
-    with at least one row. A row or a column sum that overflows float64
-    raises DomainError, as does a grid of another shape.
+    with at least two rows and two columns: each direction is a curve of
+    degree 1 or more, in either orientation. A row or a column sum that
+    overflows float64 raises DomainError, as does a grid of another shape.
     """
     try:
         g = np.asarray(grid_points, dtype=float)
     except ValueError as exc:
         raise DomainError("control grid is ragged") from exc
+    shape = g.shape
     if g.ndim == 2:
         g = g[..., None]
     if g.ndim != 3:
         raise DomainError("control grid must be 2-D (scalars) or 3-D (vectors)")
     if g.shape[0] == 0:
         raise DomainError("control grid needs at least one row")
+    if min(g.shape[:2]) < 2:
+        raise DomainError(f"control grid of shape {shape} needs at least two rows and two columns")
     polys = [ControlPolygon(row) for row in g]
     rows = [eval_bernstein(poly, u) for poly in polys]
     magnitude = max((poly.magnitude for poly in polys), default=0.0)

@@ -8,7 +8,9 @@ The stages up to the blend are written once. `_stage` maps a coordinate on
 one axis to the floor `base` of its texel position and the numerator `q` of
 its used fraction (at bits 0, the position itself); `_stages` stages each
 coordinate object once per extent, and `_state` turns the stages into the
-lookup state, per axis the clamped index pair and the used fraction.
+lookup state, per axis the clamped index pair and the used fraction. A pair
+is one (2, *samples) int64 array (`_clamp_pair`): one add of [0, 1] to the
+base and one clamp, whatever the parameters' rank.
 `_lookup` is the two in a row, and `texel_cell` and `quantize_fraction` are
 built from the same helpers. Equal stages mean equal lookup state, so
 `texeval._fetch` finds runs of equal state by comparing the stages
@@ -17,9 +19,10 @@ wrap `_lookup` with a finiteness check, a clamp of coordinates to
 ±2^53 / extent (past it the state is the edge's, so a huge coordinate
 cannot wrap the int64 floor of its position) and a `SampleTrace`; no
 evaluator and not the error bound builds a trace. Every lookup then runs
-one blend kernel: `_corners` gathers every corner texel with one `take`
-from the grid viewed as a flat (channels, texels) table, into one
-(channels, 2[x], 2[y][, 2[z]], *samples) array, and `_lerp_axes` runs the
+one blend kernel: `_corners` scales each axis's pair by the axis stride,
+sums the pairs into flat texel offsets and gathers every corner texel with
+one `take` from the grid viewed as a flat (channels, texels) table, into
+one (channels, 2[x], 2[y][, 2[z]], *samples) array, and `_lerp_axes` runs the
 fixed chain of lerps, one per axis, x, then y, then z, each lerping away
 one corner axis. Each lerp runs over channel rows whose sample axis is
 contiguous.
@@ -128,9 +131,16 @@ def texel_cell(coord, extent: int):
     return base.astype(np.int64), pos - base
 
 
+#: the unclamped index pair of a cell, as offsets from its base; also the
+#: hybrid's depth pair, which no clamp changes on its depth of 2
+_PAIR = np.array([0, 1], dtype=np.int64)
+
+
 def _clamp_pair(base, extent: int):
-    top = extent - 1
-    return np.minimum(np.maximum(base, 0), top), np.minimum(np.maximum(base + 1, 0), top)
+    """The clamped index pair of the cells at int64 `base`, of any rank: one
+    (2, *samples) int64 array, row 0 the clamp of base and row 1 that of
+    base + 1 to [0, extent - 1], from one add of `_PAIR` and one clamp."""
+    return np.minimum(np.maximum(np.add.outer(_PAIR, base), 0), extent - 1)
 
 
 def _require_finite(x, name: str):
@@ -150,9 +160,10 @@ def _stages(grid: TexelGrid, coords, cfg: SamplerConfig):
 
 def _state(grid: TexelGrid, stages, axes, cfg: SamplerConfig):
     """The lookup state of `stages` and `axes` (see `_stages`): per axis the
-    clamped index pair and the used fraction, each stage's computed once.
-    The used fraction is q / 2^bits, an exact division, or at bits 0 the
-    exact fraction pos - base, bit for bit `texel_cell`'s."""
+    clamped index pair, one (2, *samples) int64 array (`_clamp_pair`), and
+    the used fraction, each stage's computed once; axes that share a stage
+    share both objects. The used fraction is q / 2^bits, an exact division,
+    or at bits 0 the exact fraction pos - base, bit for bit `texel_cell`'s."""
     bits = cfg.subtexel_bits
     state = [(_clamp_pair(base.astype(np.int64), grid.dims[axes.index(i)]),
               q / float(1 << bits) if bits else q - base) for i, (base, q) in enumerate(stages)]
@@ -175,20 +186,22 @@ def _corners(grid: TexelGrid, pairs):
     (channels, 2[x], 2[y][, 2[z]], *samples) array.
 
     The texels are read as one flat (channels, texels) table: each axis's
-    index pair becomes a pair of offsets scaled by the axis stride (1, w,
-    w*h) on its own corner axis, the pairs broadcast into the summed offset
+    pair, a (2, *samples) int64 array whose samples may have fewer axes
+    than the others' (the hybrid's depth pair `_PAIR` has none), is scaled
+    by the axis stride (1, w, w*h; x needs no multiply) and reshaped onto
+    its own corner axis, the pairs broadcast into the summed offset
     x + w*y + w*h*z of every corner, and one `take` reads them all. A flat
     take costs a fraction of a 3-array fancy index. The samples are the
     last axes and contiguous, so fractions broadcast unchanged and each
     lerp's inner loop runs over the samples rather than the 1 to 4 channels.
     """
     texels = grid.data.reshape(-1, grid.channels).T
-    ndim = max(np.ndim(i0) for i0, _ in pairs)
+    rank = len(pairs) - 1 + max(pair.ndim for pair in pairs)  # corner axes, then samples
     offset = 0
     for axis, (pair, stride) in enumerate(zip(pairs, (1, grid.width, grid.width * grid.height))):
-        step = np.array(pair) * stride
-        later = len(pairs) - axis + ndim - step.ndim  # later corner axes, missing sample axes
-        offset = offset + step.reshape((2,) + (1,) * later + step.shape[1:])
+        # later corner axes and missing sample axes between the pair and its samples
+        step = pair.reshape((2,) + (1,) * (rank - axis - pair.ndim) + pair.shape[1:])
+        offset = offset + step * stride if axis else step
     return texels.take(offset, axis=1)
 
 
@@ -226,7 +239,7 @@ def _sample(grid: TexelGrid, coords, cfg: SamplerConfig):
     pairs, fractions = _lookup(grid, coords, cfg)
     value = _blend(grid, pairs, fractions)
     if len(pairs) == 2:
-        pairs.append((np.zeros_like(pairs[0][0]),))
+        pairs.append(np.zeros_like(pairs[0][:1]))  # depth 0 alone
     corners = tuple((x, y, z) for z, y, x in itertools.product(*reversed(pairs)))
     return value, SampleTrace(texel_indices=corners, fractions=tuple(fractions), raw_value=value)
 

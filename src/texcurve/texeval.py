@@ -19,8 +19,8 @@ two coordinates) and the bound's. Parameters are validated once per call:
 their shapes broadcast together. The coordinate maps (`_curve_param`'s
 and the surface evaluators') then map each block through
 `core._texel_span`, the arithmetic of `remap_unit_to_texel_span` without
-its check; only the Seiler coordinate window is still checked on every
-sample.
+its check. No sample is checked after that: the Seiler coordinate window
+holds for every t in [0, 1], as `_seiler_coords` proves.
 
 `_fetch` blends once per run of equal lookup state. The filter's output is
 fixed by the texture unit's discrete state: the clamped texel pair and the
@@ -77,7 +77,6 @@ from .core import (
     Layout,
     LayoutError,
     SamplerConfig,
-    TexCurveError,
     _BLOCK,
     _texel_span,
     _unit_param,
@@ -142,13 +141,21 @@ def _zigzag_coords(n: int, gt):
 
 def _seiler_coords(layout: Layout, t):
     """(t, st[, st]) mapping, with the pixel-center remap applied after the
-    s*t product. The second coordinate can only reach [0.25, 0.375] because
-    s*t never exceeds 0.25; that window is checked on every evaluation."""
+    s*t product.
+
+    For t in [0, 1] (which `_curve_param` checked) the second coordinate
+    lies in [0.25, 0.375], so it is not checked. The product
+    m = fl(fl(1 - t) * t) is at most 0.25: for t >= 1/2, 1 - t is exact
+    (Sterbenz), so the product is at most 0.25 before rounding and rounding
+    keeps it there. For t = 1/2 - e, fl(1 - t) exceeds 1 - t by at most
+    2^-54, so the product is at most 0.25 - e^2 + 2^-55 - 2^-54 * e, below
+    the rounding midpoint 0.25 + 2^-55 above 0.25, and rounds to at most
+    0.25. It is at least 0, a product of two non-negative factors. Then
+    `_texel_span(m, 2)` = fl(0.5 + m) / 2 lies in [0.25, 0.375], since
+    rounding is monotone and both ends are floats."""
     m = (1.0 - t) * t
     rt = _texel_span(t, 2)
     rm = _texel_span(m, 2)
-    if not ((m <= 0.25) & (rm >= 0.25) & (rm <= 0.375)).all():
-        raise TexCurveError("seiler coordinate left its [0.25, 0.375] window")
     if layout is Layout.SEILER_3D:
         return rt, rm, rm
     return rt, rm
@@ -336,7 +343,7 @@ def eval_dc_cubic_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
 
     def blend(pairs, used):
         """(channels, 2, *samples): depth slices 0 and 1, lerped in x and y."""
-        return sampler._lerp_axes(sampler._corners(grid, pairs + [(0, 1)]), used)
+        return sampler._lerp_axes(sampler._corners(grid, pairs + [sampler._PAIR]), used)
 
     def points(values, t):
         """(*samples, channels): the depth slices lerped at t, then decoded."""

@@ -168,6 +168,51 @@ def test_help_exits_0(command):
     assert done.stdout.startswith(f"usage: texcurve {command}") and done.stderr == ""
 
 
+def test_cli_module_entry_point_prints_help():
+    """`python -m texcurve.cli` runs `cli.py`'s own `__main__` call, beside
+    the package's `python -m texcurve`."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    done = subprocess.run([sys.executable, "-m", "texcurve.cli", "eval", "--help"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: texcurve eval") and done.stderr == ""
+
+
+class TestRefusals:
+    """Each refusal of `main` that only the CLI fuzz test could draw: its
+    exit code, one `error: ...` line on stderr and nothing on stdout."""
+
+    @staticmethod
+    def refused(capsys, code, message, *argv):
+        assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+    def test_dc_sweep_of_a_degree_4_curve_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "d4.curve"
+        path.write_text("degree 4\nchannels 1\n0\n1\n0\n1\n0\n")
+        self.refused(capsys, 3, "dc layout holds degree 2 or 3; use zigzag for chains",
+                     "sweep", "--layout", "dc", "--in", str(path))
+
+    def test_patch_eval_without_a_parameter_exits_5(self, tmp_path, capsys):
+        path, ctex = tmp_path / "patch.curve", str(tmp_path / "patch.ctex")
+        path.write_text("degree 1\nchannels 1\n0\n0.5\n0.25\n1\n")
+        assert main(["encode", "--layout", "patch", "--in", str(path), "--out", ctex]) == 0
+        capsys.readouterr()
+        self.refused(capsys, 5, "surface evaluation needs --u and --v (or --t for the diagonal)",
+                     "eval", "--in", ctex)
+
+    def test_curve_eval_without_t_exits_5(self, hump, tmp_path, capsys):
+        ctex = str(tmp_path / "c.ctex")
+        assert main(["encode", "--layout", "seiler", "--in", hump, "--out", ctex]) == 0
+        capsys.readouterr()
+        self.refused(capsys, 5, "--t is required for curve evaluation", "eval", "--in", ctex)
+
+    def test_bspline_conversion_without_out_exits_5(self, tmp_path, capsys):
+        path = tmp_path / "spline.curve"
+        path.write_text(TWO_SPAN_SPLINE)
+        self.refused(capsys, 5, "--out prefix is required for bspline conversion",
+                     "convert", "--bspline-to-bezier", "--in", str(path))
+
+
 # a cubic whose middle point overflows float32
 HUGE_CUBIC = "degree 3\nchannels 1\n0\n1e300\n1\n0\n"
 

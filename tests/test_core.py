@@ -20,6 +20,7 @@ from texcurve import (
     lerp,
     remap_unit_to_texel_span,
 )
+from texcurve.core import _unit_param
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -80,6 +81,43 @@ class TestRemap:
         y = float(remap_unit_to_texel_span(x, extent))
         expect = (0.5 + x * (extent - 1)) / extent
         assert y == expect
+
+
+class TestUnitParam:
+    """`_unit_param` decides [0, 1] by one min and one max: NaN, ±inf and
+    the floats just outside are refused in every form, -0.0 and the floats
+    just inside pass, and a passed array is `np.asarray(t, float)`."""
+
+    REFUSED = (np.nan, np.inf, -np.inf, np.nextafter(1.0, 2.0), -5e-324)
+    KEPT = (0.0, -0.0, 1.0, 0.5, 5e-324, np.nextafter(1.0, 0.0))
+
+    @staticmethod
+    def shaped(value, form):
+        """`value` as a Python float, a 0-d array or beside 0.25 and 0.75 in
+        a 1-D or 2-D array."""
+        return {"float": float(value), "0-d": np.array(value),
+                "1-D": np.array([0.25, value, 0.75]),
+                "2-D": np.array([[0.25, 0.75], [value, 0.5]])}[form]
+
+    @pytest.mark.parametrize("form", ("float", "0-d", "1-D", "2-D"))
+    @pytest.mark.parametrize("value", REFUSED)
+    def test_nan_inf_and_values_just_outside_are_refused(self, value, form):
+        with pytest.raises(DomainError, match="^parameter outside \\[0, 1\\]$"):
+            _unit_param(self.shaped(value, form))
+
+    @pytest.mark.parametrize("form", ("float", "0-d", "1-D", "2-D"))
+    @pytest.mark.parametrize("value", KEPT)
+    def test_values_inside_keep_their_array(self, value, form):
+        t = self.shaped(value, form)
+        want = np.asarray(t, dtype=float)
+        got = _unit_param(t)
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("shape", ((0,), (0, 3), (2, 0)))
+    def test_empty_arrays_pass(self, shape):
+        assert _unit_param(np.empty(shape)).shape == shape
+        assert _unit_param([]).shape == (0,)
 
 
 class TestControlPolygon:

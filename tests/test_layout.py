@@ -139,21 +139,27 @@ def test_kernel_matches_sample_major_form(channels, axes, dims, shape, bits, rou
 
 
 @pytest.mark.parametrize("channels", range(1, 5))
-@pytest.mark.parametrize("degree", range(1, 9))
+@pytest.mark.parametrize("degree", range(0, 9))
 def test_bernstein_sum_matches_sample_major_form(degree, channels):
+    """Every weight written out in full, 1 * (1-t)**d and (1-t)**0 * t**d
+    included, on contiguous t and on its reversed view (whose powers take
+    another path through numpy)."""
     rng = np.random.default_rng([degree, channels])
     points = rng.uniform(-2.0, 2.0, (degree + 1, channels))
     for shape in SHAPES:
         t = _draw(rng, 0.0, 1.0, shape)
-        assert_same_bits(bernstein_sum(points, t), sample_major_bernstein_sum(points, t))
-        assert_same_bits(bernstein_sum(list(points), t), sample_major_bernstein_sum(points, t))
+        for t in (t,) if shape == () else (t, t[::-1]):
+            assert_same_bits(bernstein_sum(points, t), sample_major_bernstein_sum(points, t))
+            assert_same_bits(bernstein_sum(list(points), t),
+                             sample_major_bernstein_sum(points, t))
     # per-sample points: (n, 1) as in the bicubic v direction, (n, channels)
     # as in the tensor surface's column polygon
     t = _draw(rng, 0.0, 1.0, (_BLOCK + 5,))
     for width in (1, channels):
         per_sample = rng.uniform(-2.0, 2.0, (degree + 1, t.shape[0], width))
-        assert_same_bits(bernstein_sum(per_sample, t),
-                         sample_major_bernstein_sum(per_sample, t))
+        for t in (t, t[::-1]):
+            assert_same_bits(bernstein_sum(per_sample, t),
+                             sample_major_bernstein_sum(per_sample, t))
 
 
 def _evaluations(rng, channels, fmt, cfg):

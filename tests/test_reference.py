@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,13 @@ class TestTensorSurface:
     def test_ragged_grid_rejected(self):
         with pytest.raises(DomainError):
             eval_tensor_surface([[1.0, 2.0], [3.0]], 0.5, 0.5)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (1, 1), (1, 3, 2), (3, 1, 2)])
+    def test_degree_0_direction_refused_in_either_orientation(self, shape):
+        message = f"^control grid of shape {re.escape(str(shape))} needs at least two rows " \
+                  "and two columns$"
+        with pytest.raises(DomainError, match=message):
+            eval_tensor_surface(np.ones(shape), 0.5, 0.5)
 
 
 class TestDeBoor:

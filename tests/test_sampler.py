@@ -363,6 +363,37 @@ def test_texel_cell_of_nan_is_a_domain_error(coord):
             sampler.texel_cell(coord, 4)
 
 
+@pytest.mark.parametrize("extent", (1, 2, 5))
+@pytest.mark.parametrize("rank", range(5))
+def test_clamp_pair_stacks_the_two_clamped_indices(rank, extent):
+    """`_clamp_pair` and `_lookup` give one (2, *samples) int64 array per
+    axis at parameters of any rank: rows equal, in shape and value, the
+    two-array clamp of `texel_cell`'s base and of base + 1. A fetch at that
+    rank has the bytes of the same fetch on the flattened coordinates."""
+    rng = np.random.default_rng([rank, extent])
+    shape = (3, 1, 4, 2)[:rank]
+    coord = float(rng.uniform(-0.5, 1.5)) if not rank else rng.uniform(-0.5, 1.5, shape)
+    if rank:
+        coord.reshape(-1)[:3] = (0.0, 1.0, -0.25)
+    base, _ = sampler.texel_cell(coord, extent)
+    top = extent - 1
+    want = (np.minimum(np.maximum(base, 0), top), np.minimum(np.maximum(base + 1, 0), top))
+    grid = TexelGrid((extent, extent, 2), 2, TexelFormat.FLOAT32,
+                     rng.uniform(-1.0, 1.0, (2, extent, extent, 2)))
+    pairs, _ = sampler._lookup(grid, (coord, coord, coord), BITS8)
+    for pair in [sampler._clamp_pair(base, extent)] + pairs[:2]:
+        assert type(pair) is np.ndarray and pair.dtype == np.int64
+        assert pair.shape == (2,) + shape
+        for row, expect in zip(pair, want):
+            assert np.shape(row) == np.shape(expect)
+            assert np.array_equal(row, expect)
+    value = sample_trilinear(grid, coord, coord, 0.25 + 0.5 * np.asarray(coord) % 0.5, BITS8)[0]
+    flat = np.ravel(coord)
+    whole = sample_trilinear(grid, flat, flat, 0.25 + 0.5 * flat % 0.5, BITS8)[0]
+    assert value.shape == shape + (2,)
+    assert value.tobytes() == np.ascontiguousarray(whole.reshape(shape + (2,))).tobytes()
+
+
 def _draw(rng, shape):
     """Fractions in [0, 1] with 0, 1 and 1/2 mixed in."""
     if shape == ():

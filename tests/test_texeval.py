@@ -2,9 +2,6 @@ import collections
 import functools
 import gc
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from unittest import mock
 
@@ -158,23 +155,34 @@ class TestEvalSeilerTex:
             dev = np.abs(eval_seiler_tex(enc, ts, IDEAL) - eval_bernstein(poly, ts))
             assert np.max(dev) <= 1e-6
 
-    def test_coordinate_window_checked_under_optimize(self):
-        # the window check must raise, not assert: `python -O` strips asserts
-        script = (
-            "import texcurve as tc\n"
-            "from texcurve import texeval\n"
-            "enc = tc.encode_seiler(tc.ControlPolygon([0.0, 1.0, 1.0, 0.0]), tc.TexelFormat.FLOAT32)\n"
-            "texeval._texel_span = lambda x, extent: x * 0 + 0.5\n"
-            "try:\n"
-            "    tc.eval_seiler_tex(enc, 0.5, tc.SamplerConfig())\n"
-            "except tc.TexCurveError as exc:\n"
-            "    print(type(exc).__name__, exc)\n"
-        )
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        assert out.startswith("TexCurveError seiler coordinate")
+    @staticmethod
+    def assert_in_window(t):
+        """`_seiler_coords` at t: the first coordinate in [0.25, 0.75], the
+        second (shared by the 3-D layout's last two) in [0.25, 0.375]."""
+        rt, rm = texeval._seiler_coords(Layout.SEILER_2D, t)
+        assert np.all((rt >= 0.25) & (rt <= 0.75))
+        assert np.all((rm >= 0.25) & (rm <= 0.375))
+        rt3, rm3, rm3_ = texeval._seiler_coords(Layout.SEILER_3D, t)
+        assert rm3 is rm3_
+        assert rt3.tobytes() == rt.tobytes() and rm3.tobytes() == rm.tobytes()
+
+    def test_coordinate_window_holds_next_to_half_and_at_the_ends(self):
+        """The window `_seiler_coords` leaves unchecked (its docstring proves
+        it) holds on the 2^20 floats around 1/2, where s*t peaks, and the
+        2^16 floats at either end of [0, 1]."""
+        steps = np.arange(-(1 << 19), 1 << 19)
+        half = (np.float64(0.5).view(np.int64) + steps).view(np.float64)
+        low = np.arange(1 << 16).view(np.float64)  # 0 and the smallest subnormals
+        high = (np.float64(1.0).view(np.int64) - np.arange(1 << 16)).view(np.float64)
+        self.assert_in_window(half)
+        self.assert_in_window(low)
+        self.assert_in_window(high)
+        assert half.max() > 0.5 > half.min()
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(0.0, 1.0))
+    def test_coordinate_window_holds_for_every_unit_parameter(self, t):
+        self.assert_in_window(np.float64(t))
 
 
 class TestHybrid:
