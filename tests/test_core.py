@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -287,3 +288,126 @@ class TestEncodedCurveInvariants:
         with pytest.raises(LayoutError, match="require grid dims"):
             EncodedCurve(self._grid(other, 2), Layout.RATIONAL_HOMOGENEOUS, degree=2,
                          inner_layout=inner)
+
+
+def _exactly(message):
+    """A `pytest.raises` pattern that matches `message` and nothing more."""
+    return "^" + re.escape(message) + "$"
+
+
+class TestRefusalsKeepTheirTypeMessageAndOrder:
+    """The guards of `ValueTransform`, `TexelGrid`, `EncodedCurve` and
+    `TexelFormat.levels`, each with its exact type and message. Where an
+    input breaks two rules, the first check in the constructor's order
+    names it."""
+
+    @pytest.mark.parametrize("scale, offset", [
+        ([1.0, 2.0], [0.0]),
+        (np.ones((2, 2)), np.zeros((2, 2))),
+        (np.ones((1, 2)), np.zeros(2)),
+        ([np.nan, 1.0], [0.0]),  # the shape is checked before the values
+    ], ids=["length", "ndim", "ndim-vs-1d", "shape-before-nan"])
+    def test_transform_shape(self, scale, offset):
+        with pytest.raises(ChannelMismatchError,
+                           match=_exactly("scale and offset must be matching 1-D vectors")):
+            ValueTransform(scale, offset)
+
+    @pytest.mark.parametrize("scale, offset", [
+        ([0.0], [0.0]), ([1.0, -0.0], [0.0, 0.0]), ([np.nan], [0.0]), ([np.inf], [0.0]),
+        ([-np.inf], [0.0]), ([1.0], [np.nan]), ([1.0], [np.inf]), ([1.0, 1.0], [0.0, -np.inf]),
+    ], ids=["zero", "negative-zero", "nan", "inf", "-inf", "offset-nan", "offset-inf",
+            "offset--inf"])
+    def test_transform_values(self, scale, offset):
+        with pytest.raises(DomainError, match=_exactly("transform scale must be finite and nonzero")):
+            ValueTransform(scale, offset)
+
+    def test_transform_accepts_empty_vectors(self):
+        tf = ValueTransform(np.array([]), np.array([]))
+        assert tf.channels == 0 and tf.is_identity
+
+    def test_transform_scalars_become_one_channel(self):
+        tf = ValueTransform(2.0, -1.0)
+        assert tf.scale.tobytes() == np.array([2.0]).tobytes()
+        assert tf.offset.tobytes() == np.array([-1.0]).tobytes()
+
+    @pytest.mark.parametrize("dims", [(0, 2, 1), (2, -1, 1), (2, 2, 0)])
+    def test_grid_dims_must_be_positive(self, dims):
+        with pytest.raises(LayoutError, match=_exactly(f"grid dims must be positive, got {dims}")):
+            TexelGrid(dims, 5, TexelFormat.FLOAT32, np.zeros(0))  # dims before channels
+
+    @pytest.mark.parametrize("channels", [0, 5])
+    def test_grid_channels(self, channels):
+        with pytest.raises(ChannelMismatchError, match=_exactly("grids carry 1..4 channels")):
+            TexelGrid((2, 2, 1), channels, TexelFormat.UNORM8, np.full(4 * channels, 0.3))
+
+    @pytest.mark.parametrize("fmt", [TexelFormat.UNORM8, TexelFormat.UNORM16], ids=lambda f: f.value)
+    def test_grid_off_lattice_unorm(self, fmt):
+        data = np.zeros(4)
+        data[3] = 0.5  # no k / L equals 1/2 for an odd L
+        with pytest.raises(RangeError, match=_exactly(
+                f"unorm grid values must lie exactly on the k/{fmt.levels} lattice")):
+            TexelGrid((2, 2, 1), 1, fmt, data)
+
+    def test_grid_non_finite_float32(self):
+        with pytest.raises(RangeError, match=_exactly("float32 grid values must be finite")):
+            TexelGrid((2, 2, 1), 1, TexelFormat.FLOAT32, [0.0, 1.0, -np.inf, 0.5])
+
+    @pytest.mark.parametrize("z", [2, 3, -1])
+    def test_slice2d_out_of_range(self, z):
+        grid = TexelGrid((2, 2, 2), 1, TexelFormat.FLOAT32, np.zeros(8))
+        with pytest.raises(LayoutError, match=_exactly(f"slice index {z} outside depth 2")):
+            grid.slice2d(z)
+
+    def test_slice2d_keeps_the_slice_bytes(self):
+        data = np.array([0.0, -0.0, 1.0, 0.25, 0.5, -0.0, 0.75, 1.0]) * 255 // 1 / 255
+        grid = TexelGrid((2, 2, 2), 1, TexelFormat.UNORM8, data)
+        for z in range(2):
+            assert grid.slice2d(z).data.tobytes() == data[4 * z: 4 * z + 4].tobytes()
+
+    def _grid(self, dims, channels=1):
+        w, h, d = dims
+        return TexelGrid(dims, channels, TexelFormat.FLOAT32, np.zeros(w * h * d * channels))
+
+    def test_curve_transform_channels(self):
+        with pytest.raises(ChannelMismatchError,
+                           match=_exactly("transform channel count must match the grid")):
+            EncodedCurve(self._grid((2, 2, 1)), Layout.DC_QUAD_2X2, degree=2,
+                         transform=ValueTransform.identity(2))
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_curve_segment_count(self, count):
+        with pytest.raises(DomainError, match=_exactly("segment_count must be >= 1")):
+            EncodedCurve(self._grid((2, 2, 1)), Layout.DC_QUAD_2X2, degree=2, segment_count=count)
+
+    def test_curve_several_segments_outside_the_zigzag(self):
+        with pytest.raises(LayoutError, match=_exactly("seiler_3d holds one segment, got 4")):
+            EncodedCurve(self._grid((2, 2, 2)), Layout.SEILER_3D, degree=4, segment_count=4)
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_curve_zigzag_degree(self, degree):
+        with pytest.raises(LayoutError, match=_exactly("zig-zag grids hold quadratic segments only")):
+            EncodedCurve(self._grid((3, 2, 1)), Layout.DC_ZIGZAG, degree=degree, segment_count=2)
+
+    @pytest.mark.parametrize("degree", [1, 4])
+    def test_curve_rational_degree(self, degree):
+        with pytest.raises(LayoutError, match=_exactly("rational encoding supports degrees 2 and 3")):
+            EncodedCurve(self._grid((2, 2, 1), 2), Layout.RATIONAL_HOMOGENEOUS, degree=degree,
+                         inner_layout=Layout.SEILER_2D)
+
+    @pytest.mark.parametrize("inner", [None, Layout.SEILER_3D, Layout.DC_ZIGZAG,
+                                       Layout.RATIONAL_HOMOGENEOUS])
+    def test_curve_rational_inner_layout(self, inner):
+        with pytest.raises(LayoutError,
+                           match=_exactly("rational curves must record an integral inner layout")):
+            EncodedCurve(self._grid((2, 2, 1), 2), Layout.RATIONAL_HOMOGENEOUS, degree=2,
+                         inner_layout=inner)
+
+    def test_curve_inner_layout_outside_rational(self):
+        with pytest.raises(LayoutError,
+                           match=_exactly("inner_layout is only meaningful for rational curves")):
+            EncodedCurve(self._grid((2, 2, 1)), Layout.DC_QUAD_2X2, degree=2,
+                         inner_layout=Layout.SEILER_2D)
+
+    def test_float32_has_no_levels(self):
+        with pytest.raises(ValueError, match=_exactly("float32 has no unorm level count")):
+            TexelFormat.FLOAT32.levels

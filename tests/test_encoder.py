@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -751,3 +753,99 @@ def test_encoders_store_their_placement_written_out(case, fmt, rescale, data):
     written out here degree by degree, or raises the same error."""
     encode, oracle = _PLACEMENT_CASES[case](data, fmt, rescale)
     assert _outcome(encode) == _outcome(oracle)
+
+
+def _exactly(message):
+    """A `pytest.raises` pattern that matches `message` and nothing more."""
+    return "^" + re.escape(message) + "$"
+
+
+class TestRefusalsKeepTheirTypeMessageAndOrder:
+    """The encoders' own guards (`fit_range`, the range check, the finite
+    check of `_finish`, the degree and scheme checks, the zig-zag audit),
+    each with its exact type and message, and the first of two broken rules
+    named."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fit_range_non_finite(self, bad):
+        with pytest.raises(DomainError, match=_exactly("cannot fit a range over non-finite values")):
+            fit_range(np.array([[0.5, 0.25], [bad, 2.0]]), U8)
+
+    def test_fit_range_checks_the_shape_first(self):
+        with pytest.raises(DomainError, match=r"^cannot fit a range over shape \(\)"):
+            fit_range(np.float64(np.nan), U8)
+
+    @pytest.mark.parametrize("fmt", [U8, TexelFormat.UNORM16], ids=lambda f: f.value)
+    @pytest.mark.parametrize("corners, idx, value", [
+        ([[0.5, -0.25], [2.0, 0.5]], (0, 0, 1, 0), "-0.25"),
+        ([[0.5, 1.0], [1.0 + 2.0**-52, -5e-324]], (0, 1, 0, 0), "1.0000000000000002"),
+        ([[0.5, 0.5], [0.5, -np.inf]], (0, 1, 1, 0), "-inf"),
+        ([[np.nan, 2.0], [0.5, 0.5]], (0, 0, 1, 0), "2.0"),  # NaN passes the range check
+    ], ids=["below", "above", "-inf", "nan-then-above"])
+    def test_range_check_names_the_first_texel(self, fmt, corners, idx, value):
+        with pytest.raises(RangeError, match=_exactly(
+                f"patch: texel {idx} has value {value}, outside [0, 1] for {fmt.value}; "
+                "pass rescale=True to fit the range")):
+            encode_bilinear_patch(corners, fmt)
+
+    def test_range_check_runs_on_every_channel(self):
+        net = np.full((2, 2, 3), 0.5)
+        net[1, 0, 2] = 1.5
+        with pytest.raises(RangeError, match=r"^patch: texel \(0, 1, 0, 2\) has value 1\.5,"):
+            encode_bilinear_patch(net, U8)
+
+    def test_range_check_advises_on_the_weight_channel(self):
+        poly = ControlPolygon([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        with pytest.raises(RangeError, match=_exactly(
+                "rational: texel (0, 1, 0, 2) has value 1.4, outside [0, 1] for unorm8; "
+                "no rescale reaches the weight channel; use weights whose texels (the seiler "
+                "scheme's difference terms) stay in [0, 1], or float32")):
+            encode_rational(poly, [0.6, 1.0, 0.6], U8, rescale=True)
+
+    def test_range_check_advises_rescale_on_a_rational_point_channel(self):
+        poly = ControlPolygon([[0.1, -0.2], [0.3, 0.4], [0.5, 0.6]])
+        with pytest.raises(RangeError, match=_exactly(
+                "rational: texel (0, 0, 0, 1) has value -0.2, outside [0, 1] for unorm8; "
+                "pass rescale=True to fit the range")):
+            encode_rational(poly, np.ones(3), U8, scheme="dc")
+
+    def test_nan_is_refused_by_the_finite_check(self):
+        for fmt in TexelFormat:
+            with pytest.raises(RangeError, match=_exactly(
+                    f"patch: texel (0, 1, 0, 0) has value nan, which {fmt.value} stores as nan; "
+                    "only finite texels can be stored")):
+                encode_bilinear_patch([[0.0, 0.5], [np.nan, 1.0]], fmt)
+
+    def test_float32_overflow_names_the_texel_and_its_stored_value(self):
+        with pytest.raises(RangeError, match=_exactly(
+                "patch: texel (0, 0, 1, 0) has value 1e+300, which float32 stores as inf; "
+                "only finite texels can be stored")):
+            encode_bilinear_patch([[0.5, 1e300], [-1e300, 0.5]], F32)
+
+    def test_float32_overflow_of_a_seiler_term_reports_the_span(self):
+        with pytest.raises(RangeError, match=_exactly(
+                "seiler: texel (0, 1, 0, 0) has value 2e+39, which float32 stores as inf; "
+                "only finite texels can be stored (difference-term values span [0.0, 2e+39])")):
+            encode_seiler(ControlPolygon([0.0, 1e39, 0.0]), F32)
+
+    def test_dc_cubic_degree(self):
+        with pytest.raises(UnsupportedDegreeError,
+                           match=_exactly("cubic layout needs degree 3, got 2")):
+            encode_dc_cubic(ControlPolygon([0.0, 1.0, 0.0]), F32)
+
+    @pytest.mark.parametrize("degree", [1, 4, 5])
+    def test_rational_degree(self, degree):
+        with pytest.raises(UnsupportedDegreeError,
+                           match=_exactly("rational encoding supports degrees 2 and 3")):
+            encode_rational(ControlPolygon(np.linspace(0, 1, degree + 1)), np.ones(degree + 1),
+                            F32, scheme="nosuch")  # the degree before the scheme
+
+    def test_rational_scheme(self):
+        with pytest.raises(DomainError, match=_exactly("unknown rational scheme 'bezier'")):
+            encode_rational(ControlPolygon([0.0, 1.0, 0.0]), np.ones(3), F32, scheme="bezier")
+
+    def test_residuals_need_a_zigzag(self):
+        curve = encode_dc_quadratic(ControlPolygon([0.0, 1.0, 0.0]), F32)
+        with pytest.raises(LayoutError,
+                           match=_exactly("constraint audit applies to zig-zag grids only")):
+            zigzag_residuals(curve, [])
