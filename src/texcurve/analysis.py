@@ -247,6 +247,10 @@ def write_ppm(image: np.ndarray, path) -> None:
         fh.write(image.astype(np.uint8).tobytes())
 
 
+#: the bound's lattice runs at ideal coordinates; one config serves every call
+_IDEAL = SamplerConfig.ideal()
+
+
 def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np.ndarray:
     """(samples, 2, channels): the exact-coordinate blend of each sample of
     the lattice t and its worst distance from a probe blend at the adjacent
@@ -290,7 +294,7 @@ def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np
             dev = np.abs(probes - exact).max(axis=tuple(range(n)))
         return np.stack([exact, dev], axis=1).T
 
-    return _eval_curve(curve, t, SamplerConfig.ideal(), blend, _rows)
+    return _eval_curve(curve, t, _IDEAL, blend, _rows)
 
 
 def error_bound_estimate(
@@ -312,7 +316,9 @@ def error_bound_estimate(
     same lattice against the same reference can never exceed the result.
 
     Blends decode and the lattice runs through the evaluators' fetch; the
-    reference is called once with the whole lattice, as in `sweep`.
+    reference is called once with the whole lattice, as in `sweep`. The
+    exact blends and the probe distances are two views of `_bound_block`'s
+    (samples, 2, channels) block, each reduced by its own `max`.
 
     `mode` defaults to the curve layout's default mode and is validated
     like sweep's. Surface layouts raise LayoutError. The bound holds for a
@@ -324,8 +330,9 @@ def error_bound_estimate(
         mode = _default_mode(curve.layout)
     _mode_eval(curve, mode)
     ts = _domain_lattice(curve, samples)
-    exact, dev = np.moveaxis(_bound_block(curve, ts, cfg, mode == "dc-hybrid"), 1, 0)
+    block = _bound_block(curve, ts, cfg, mode == "dc-hybrid")
+    exact, dev = block[:, 0], block[:, 1]
     allowance = 0.0
     if reference is not None:
-        allowance = float(np.max(np.abs(exact - _reference_values(reference, ts, exact.shape))))
-    return float(np.max(dev)) + allowance
+        allowance = float(np.abs(exact - _reference_values(reference, ts, exact.shape)).max())
+    return float(dev.max()) + allowance

@@ -11,6 +11,7 @@ modelled by the sampler emulator.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -109,14 +110,22 @@ def _quantize_array(values: np.ndarray, fmt: TexelFormat) -> np.ndarray:
       the int k / L of a `Fraction` decision gives.
 
     A subnormal v can make lo·L inexact, but then v·L is below 2^-1000 and
-    every term is tiny, so k = 0 regardless. -0.0 stores as +0.0, NaN as
-    NaN. `quantize_texel` is this kernel on one value.
+    every term is tiny, so k = 0 regardless. NaN stores as NaN. The clamp
+    is `np.minimum(np.maximum(v, 0), 1)`, which turns -0.0 into +0.0 where
+    `np.clip` keeps it; either way the output is f / L with f = +0.0, so
+    -0.0 stores as +0.0 and the output bytes are `np.clip`'s.
+
+    The output is a fixed point: quantizing it again returns the same
+    bytes, since k/L is on the lattice and float32 values round to
+    themselves. So `TexelGrid._quantized` can take this output without
+    checking it against the lattice again. `quantize_texel` is this kernel
+    on one value.
     """
     if fmt is TexelFormat.FLOAT32:
         with np.errstate(over="ignore"):
             return values.astype(np.float32).astype(float)
     levels = float(fmt.levels)
-    v = np.clip(values, 0.0, 1.0)
+    v = np.minimum(np.maximum(values, 0.0), 1.0)
     c = _SPLITTER * v
     hi = c - (c - v)
     a, b = hi * levels, (v - hi) * levels
@@ -199,11 +208,17 @@ class ControlPolygon:
 class TexelGrid:
     """2-D or 3-D grid of multi-channel texels, stored post-quantization.
 
-    `data` is (depth, height, width, channels) float64. For unorm formats
-    every stored value must sit exactly on the k/levels lattice: the grid
-    is accepted exactly when `_quantize_array` leaves it unchanged (a -0.0
-    texel keeps its sign). float32 values must be finite; CTEX1 writes only
-    those that binary32 holds (`container.curve_to_bytes`).
+    `dims` is (width, height, depth), three positive integers, and `data`
+    holds exactly width·height·depth·channels values; it is stored as
+    (depth, height, width, channels) float64. For unorm formats every
+    stored value must sit exactly on the k/levels lattice: the grid is
+    accepted exactly when `_quantize_array` leaves it unchanged (a -0.0
+    texel keeps its sign). float32 values must be finite; CTEX1 writes
+    only those that binary32 holds (`container.curve_to_bytes`).
+
+    This constructor checks every grid handed to it, `slice2d`'s and the
+    CTEX1 reader's included. The encoders build theirs from one quantizer
+    pass through `_quantized`, which runs every check but the lattice one.
     """
 
     dims: Tuple[int, int, int]
@@ -212,16 +227,41 @@ class TexelGrid:
     data: np.ndarray
 
     def __post_init__(self):
-        w, h, d = (int(v) for v in self.dims)
+        self._store(lattice=True)
+
+    @classmethod
+    def _quantized(cls, dims, channels: int, fmt: TexelFormat, data: np.ndarray) -> "TexelGrid":
+        """A grid of `_quantize_array(values, fmt)` output, without the
+        lattice check. That output is a fixed point of the quantizer (its
+        docstring), so the check could never fail on it. The dims, channel
+        and count checks and the float32 finite check still run."""
+        grid = cls.__new__(cls)
+        for name, value in (("dims", dims), ("channels", channels), ("fmt", fmt), ("data", data)):
+            object.__setattr__(grid, name, value)
+        grid._store(lattice=False)
+        return grid
+
+    def _store(self, lattice: bool):
+        """Check the fields, then store the dims as ints and the data frozen
+        in (depth, height, width, channels) order. The checks run in this
+        order: dims, channels, texel count, then the values (the unorm
+        lattice only when `lattice`)."""
+        try:
+            w, h, d = (operator.index(v) for v in self.dims)
+        except (TypeError, ValueError):  # not three integers
+            raise LayoutError(f"grid dims must be three integers, got {self.dims!r}") from None
         if w < 1 or h < 1 or d < 1:
             raise LayoutError(f"grid dims must be positive, got {self.dims}")
         if not 1 <= self.channels <= MAX_CHANNELS:
             raise ChannelMismatchError(f"grids carry 1..{MAX_CHANNELS} channels")
-        data = np.asarray(self.data, dtype=float).reshape(d, h, w, self.channels)
-        if data.size != w * h * d * self.channels:
-            raise LayoutError("texel count does not match dims x channels")
+        data = np.asarray(self.data, dtype=float)
+        count = w * h * d * self.channels
+        if data.size != count:
+            raise LayoutError(f"texel count does not match dims x channels: {data.size} "
+                              f"values for {count}")
+        data = data.reshape(d, h, w, self.channels)
         if self.fmt.is_unorm:
-            if not np.array_equal(_quantize_array(data, self.fmt), data):
+            if lattice and not np.array_equal(_quantize_array(data, self.fmt), data):
                 raise RangeError(
                     f"unorm grid values must lie exactly on the k/{self.fmt.levels} lattice")
         elif not np.isfinite(data).all():
@@ -282,7 +322,11 @@ class SamplerConfig:
 class ValueTransform:
     """Per-channel affine map applied to texel values at encode time.
 
-    stored = value * scale + offset; decoding inverts it.
+    stored = value * scale + offset; decoding inverts it. scale and offset
+    are matching 1-D vectors (ChannelMismatchError otherwise; empty ones
+    pass), every scale finite and nonzero and every offset finite
+    (DomainError otherwise). One test decides the values: the finite
+    checks come first, so `scale.all()` sees no NaN, which is truthy.
     """
 
     scale: np.ndarray
@@ -293,7 +337,7 @@ class ValueTransform:
         offset = np.atleast_1d(np.asarray(self.offset, dtype=float))
         if scale.shape != offset.shape or scale.ndim != 1:
             raise ChannelMismatchError("scale and offset must be matching 1-D vectors")
-        if np.any(scale == 0.0) or not np.all(np.isfinite(scale)) or not np.all(np.isfinite(offset)):
+        if not (np.isfinite(scale).all() and np.isfinite(offset).all() and scale.all()):
             raise DomainError("transform scale must be finite and nonzero")
         object.__setattr__(self, "scale", _freeze(scale))
         object.__setattr__(self, "offset", _freeze(offset))

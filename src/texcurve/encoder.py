@@ -8,7 +8,8 @@ the bicubic net and the rational dc scheme), `_seiler_values` the
 difference-term rows, and `_zigzag_rows` the zig-zag chain. Raw values are
 laid out first, then the optional range rescale is applied, then `_finish`
 quantizes the texels to the storage format through `core._quantize_array`,
-the quantizer that `TexelGrid` validates with.
+the quantizer that `TexelGrid` validates with, once per encode: the grid
+takes that output without a second pass.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def fit_range(values, fmt: TexelFormat) -> ValueTransform:
     if vals.ndim == 0 or vals.size == 0:
         raise DomainError(f"cannot fit a range over shape {vals.shape}: it needs "
                           "(..., channels) with a row and a channel")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise DomainError("cannot fit a range over non-finite values")
     flat = vals.reshape(-1, vals.shape[-1])
     lo = flat.min(axis=0)
@@ -65,20 +66,26 @@ def fit_range(values, fmt: TexelFormat) -> ValueTransform:
 
 def _check_range(values: np.ndarray, fmt: TexelFormat, context: str, rational: bool):
     """Hard error on unorm overflow; silent clamping would corrupt curves. No
-    rescale reaches a rational curve's weight channel (the last)."""
-    if not fmt.is_unorm:
+    rescale reaches a rational curve's weight channel (the last).
+
+    The message names the first texel in C order below 0 or above 1. NaN is
+    neither, so it passes here and `_finish` refuses it as non-finite. A
+    whole-array test runs first: `fmin`/`fmax` skip NaN as the comparisons
+    do, and their initial values 0 and 1 change no verdict (min(0, m) < 0
+    exactly when m < 0). Only a grid that fails it pays for the search.
+    """
+    if not fmt.is_unorm or not (np.fmin.reduce(values, axis=None, initial=0.0) < 0.0
+                                or np.fmax.reduce(values, axis=None, initial=1.0) > 1.0):
         return
-    bad = np.argwhere((values < 0.0) | (values > 1.0))
-    if bad.size:
-        idx = tuple(int(i) for i in bad[0])
-        advice = "pass rescale=True to fit the range"
-        if rational and idx[-1] == values.shape[-1] - 1:
-            advice = ("no rescale reaches the weight channel; use weights whose texels "
-                      "(the seiler scheme's difference terms) stay in [0, 1], or float32")
-        raise RangeError(
-            f"{context}: texel {idx} has value {float(values[idx])!r}, outside [0, 1] "
-            f"for {fmt.value}; {advice}"
-        )
+    idx = tuple(int(i) for i in np.argwhere((values < 0.0) | (values > 1.0))[0])
+    advice = "pass rescale=True to fit the range"
+    if rational and idx[-1] == values.shape[-1] - 1:
+        advice = ("no rescale reaches the weight channel; use weights whose texels "
+                  "(the seiler scheme's difference terms) stay in [0, 1], or float32")
+    raise RangeError(
+        f"{context}: texel {idx} has value {float(values[idx])!r}, outside [0, 1] "
+        f"for {fmt.value}; {advice}"
+    )
 
 
 def _finish(
@@ -96,7 +103,13 @@ def _finish(
     non-finite stored texels, wrap. A rational curve's rescale leaves its
     weight channel, the last, under the identity (see `encode_rational`),
     so its stored values are range-checked like unscaled ones. Every path
-    refuses a non-finite value, such as an overflowing difference term."""
+    refuses a non-finite value, such as an overflowing difference term,
+    naming the first one in C order; the search for it runs only when a
+    whole-array test has failed.
+
+    The texels are quantized once. The grid takes that output through
+    `TexelGrid._quantized`, which skips only the lattice check, as the
+    quantizer's output is a fixed point of it."""
     channels = values.shape[-1]
     if not 1 <= channels <= MAX_CHANNELS:
         raise ChannelMismatchError(f"{context}: texels carry 1..{MAX_CHANNELS} channels, "
@@ -114,14 +127,14 @@ def _finish(
     if rational or not rescale:
         _check_range(stored, fmt, context, rational)
     data = _quantize_array(stored, fmt)
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        idx = tuple(int(i) for i in bad[0])
+    if not np.isfinite(data).all():
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(data))[0])
         raise RangeError(
             f"{context}: texel {idx} has value {float(stored[idx])!r}, which {fmt.value} "
             f"stores as {float(data[idx])!r}; only finite texels can be stored"
         )
-    grid = TexelGrid((values.shape[2], values.shape[1], values.shape[0]), channels, fmt, data)
+    grid = TexelGrid._quantized((values.shape[2], values.shape[1], values.shape[0]), channels,
+                                fmt, data)
     return EncodedCurve(
         grid=grid,
         layout=layout,

@@ -287,7 +287,7 @@ def _rational_rows(hom: ControlPolygon, t):
     """`eval_rational` of the homogeneous polygon at a validated t."""
     val = _bernstein_rows(hom, t)
     den = val[..., -1:]
-    if np.any(np.abs(den) <= 1e-12):
+    if (np.abs(den) <= 1e-12).any():
         raise HomogeneousDivideError("homogeneous weight vanished at evaluation")
     return val[..., :-1] / den
 

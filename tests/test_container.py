@@ -181,3 +181,20 @@ def test_float32_texels_that_binary32_holds_round_trip():
     values = np.array([np.float32(0.1), -0.0, 2.0**-149, np.finfo(np.float32).max], dtype=float)
     back = curve_from_bytes(curve_to_bytes(_patch(values)))
     assert back.grid.data.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("fmt", [TexelFormat.UNORM8, TexelFormat.UNORM16], ids=lambda f: f.value)
+def test_unorm_reads_keep_the_lattice_check(rng, monkeypatch, fmt):
+    # every stored code k <= L reads back as the lattice point k / L, so no
+    # real blob carries an off-lattice texel; one is injected through the
+    # payload decoder to show that a read builds its grid through the
+    # checking constructor, not the encoders' unchecked one
+    from texcurve import container
+
+    blob = curve_to_bytes(encode_dc_quadratic(random_polygon(rng, 2, 3, 0.0, 1.0), fmt))
+    decode = container._payload_values
+    monkeypatch.setattr(container, "_payload_values",
+                        lambda raw, f: decode(raw, f) + 0.25 / f.levels)
+    message = f"^unorm grid values must lie exactly on the k/{fmt.levels} lattice$"
+    with pytest.raises(RangeError, match=message):
+        curve_from_bytes(blob)

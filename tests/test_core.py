@@ -141,10 +141,64 @@ class TestControlPolygon:
             poly.points[0] = 5.0
 
 
+#: the public constructor and the encoders' one, which skips only the lattice check
+GRID_CONSTRUCTORS = pytest.mark.parametrize("make", ["TexelGrid", "_quantized"])
+
+
+def _constructor(name):
+    return TexelGrid if name == "TexelGrid" else getattr(TexelGrid, name)
+
+
 class TestTexelGrid:
     def test_count_mismatch(self):
-        with pytest.raises((LayoutError, ValueError)):
+        with pytest.raises(LayoutError, match=r"^texel count does not match dims x channels: "
+                                              r"5 values for 4$"):
             TexelGrid((2, 2, 1), 1, TexelFormat.FLOAT32, np.zeros(5))
+
+    @GRID_CONSTRUCTORS
+    @pytest.mark.parametrize("fmt", list(TexelFormat), ids=lambda f: f.value)
+    @pytest.mark.parametrize("dims, channels, count", [
+        ((2, 2, 1), 1, 5), ((2, 2, 1), 1, 3), ((2, 2, 2), 3, 12), ((3, 1, 1), 2, 0)])
+    def test_count_is_checked_before_the_reshape(self, make, fmt, dims, channels, count):
+        expect = dims[0] * dims[1] * dims[2] * channels
+        with pytest.raises(LayoutError, match=_exactly(
+                f"texel count does not match dims x channels: {count} values for {expect}")):
+            _constructor(make)(dims, channels, fmt, np.zeros(count))
+
+    @GRID_CONSTRUCTORS
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 1, 1), (), (2.5, 2, 1), (2, 2.0, 1),
+                                      (2, np.float64(2), 1), (2, "2", 1), None, 3],
+                             ids=repr)
+    def test_dims_must_be_three_integers(self, make, dims):
+        with pytest.raises(LayoutError, match=_exactly(
+                f"grid dims must be three integers, got {dims!r}")):
+            _constructor(make)(dims, 1, TexelFormat.FLOAT32, np.zeros(4))
+
+    @GRID_CONSTRUCTORS
+    def test_integer_dims_are_stored_as_ints(self, make):
+        grid = _constructor(make)(np.array([2, 1, 1]), 1, TexelFormat.FLOAT32, np.zeros(2))
+        assert grid.dims == (2, 1, 1) and all(type(v) is int for v in grid.dims)
+
+    @pytest.mark.parametrize("fmt", [TexelFormat.UNORM8, TexelFormat.UNORM16],
+                             ids=lambda f: f.value)
+    def test_only_the_quantized_constructor_skips_the_lattice(self, fmt):
+        # the public constructor checks every grid; `_quantized` trusts its
+        # caller to pass quantizer output, and runs every other check
+        data = np.array([0.0, 0.5, 1.0, 0.25])
+        with pytest.raises(RangeError, match="lattice"):
+            TexelGrid((2, 2, 1), 1, fmt, data)
+        assert TexelGrid._quantized((2, 2, 1), 1, fmt, data).data.tobytes() == data.tobytes()
+        with pytest.raises(RangeError, match=_exactly("float32 grid values must be finite")):
+            TexelGrid._quantized((2, 2, 1), 1, TexelFormat.FLOAT32, data - np.inf)
+
+    @pytest.mark.parametrize("fmt", [TexelFormat.UNORM8, TexelFormat.UNORM16],
+                             ids=lambda f: f.value)
+    def test_slice2d_runs_the_lattice_check(self, fmt):
+        # slice2d goes through the public constructor, so it re-checks the
+        # slice (a grid from `_quantized` could only hold lattice values)
+        grid = TexelGrid._quantized((2, 2, 2), 1, fmt, np.full(8, 0.5))
+        with pytest.raises(RangeError, match="lattice"):
+            grid.slice2d(1)
 
     def test_unorm_lattice_enforced(self):
         with pytest.raises(RangeError):
@@ -318,7 +372,8 @@ class TestRefusalsKeepTheirTypeMessageAndOrder:
     ], ids=["zero", "negative-zero", "nan", "inf", "-inf", "offset-nan", "offset-inf",
             "offset--inf"])
     def test_transform_values(self, scale, offset):
-        with pytest.raises(DomainError, match=_exactly("transform scale must be finite and nonzero")):
+        with pytest.raises(DomainError,
+                           match=_exactly("transform scale must be finite and nonzero")):
             ValueTransform(scale, offset)
 
     def test_transform_accepts_empty_vectors(self):
@@ -340,7 +395,8 @@ class TestRefusalsKeepTheirTypeMessageAndOrder:
         with pytest.raises(ChannelMismatchError, match=_exactly("grids carry 1..4 channels")):
             TexelGrid((2, 2, 1), channels, TexelFormat.UNORM8, np.full(4 * channels, 0.3))
 
-    @pytest.mark.parametrize("fmt", [TexelFormat.UNORM8, TexelFormat.UNORM16], ids=lambda f: f.value)
+    @pytest.mark.parametrize("fmt", [TexelFormat.UNORM8, TexelFormat.UNORM16],
+                             ids=lambda f: f.value)
     def test_grid_off_lattice_unorm(self, fmt):
         data = np.zeros(4)
         data[3] = 0.5  # no k / L equals 1/2 for an odd L
@@ -385,12 +441,14 @@ class TestRefusalsKeepTheirTypeMessageAndOrder:
 
     @pytest.mark.parametrize("degree", [1, 3])
     def test_curve_zigzag_degree(self, degree):
-        with pytest.raises(LayoutError, match=_exactly("zig-zag grids hold quadratic segments only")):
+        with pytest.raises(LayoutError,
+                           match=_exactly("zig-zag grids hold quadratic segments only")):
             EncodedCurve(self._grid((3, 2, 1)), Layout.DC_ZIGZAG, degree=degree, segment_count=2)
 
     @pytest.mark.parametrize("degree", [1, 4])
     def test_curve_rational_degree(self, degree):
-        with pytest.raises(LayoutError, match=_exactly("rational encoding supports degrees 2 and 3")):
+        with pytest.raises(LayoutError,
+                           match=_exactly("rational encoding supports degrees 2 and 3")):
             EncodedCurve(self._grid((2, 2, 1), 2), Layout.RATIONAL_HOMOGENEOUS, degree=degree,
                          inner_layout=Layout.SEILER_2D)
 

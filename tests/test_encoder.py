@@ -15,6 +15,7 @@ from texcurve import (
     RangeError,
     TexCurveError,
     TexelFormat,
+    TexelGrid,
     UnsupportedDegreeError,
     encode_bicubic_rgba,
     encode_bilinear_patch,
@@ -27,7 +28,7 @@ from texcurve import (
     quantize_texel,
     zigzag_residuals,
 )
-from texcurve import encoder
+from texcurve import core, encoder
 from texcurve.reference import homogeneous, seiler_terms
 from conftest import random_c0_quadratics
 
@@ -768,7 +769,8 @@ class TestRefusalsKeepTheirTypeMessageAndOrder:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_fit_range_non_finite(self, bad):
-        with pytest.raises(DomainError, match=_exactly("cannot fit a range over non-finite values")):
+        with pytest.raises(DomainError,
+                           match=_exactly("cannot fit a range over non-finite values")):
             fit_range(np.array([[0.5, 0.25], [bad, 2.0]]), U8)
 
     def test_fit_range_checks_the_shape_first(self):
@@ -849,3 +851,44 @@ class TestRefusalsKeepTheirTypeMessageAndOrder:
         with pytest.raises(LayoutError,
                            match=_exactly("constraint audit applies to zig-zag grids only")):
             zigzag_residuals(curve, [])
+
+
+#: every encoder, each on an input that every format can store with rescale
+_EVERY_ENCODER = {
+    "dc-quadratic": lambda fmt: encode_dc_quadratic(ControlPolygon([0.1, 0.9, 0.3]), fmt),
+    "dc-cubic": lambda fmt: encode_dc_cubic(ControlPolygon([0.1, 0.9, 0.3, 0.7]), fmt),
+    "zigzag": lambda fmt: encode_dc_zigzag(
+        [ControlPolygon([0.1, 0.5, 0.3]), ControlPolygon([0.3, 0.2, 0.6])], fmt, rescale=True),
+    "seiler-2d": lambda fmt: encode_seiler(ControlPolygon([0.1, 0.9, 0.3, 0.7]), fmt,
+                                           rescale=True),
+    "seiler-3d": lambda fmt: encode_seiler(ControlPolygon([0.1, 0.9, 0.3, 0.7, 0.2]), fmt,
+                                           rescale=True),
+    "patch": lambda fmt: encode_bilinear_patch([[0.1, 0.9], [0.3, 0.7]], fmt),
+    "bicubic": lambda fmt: encode_bicubic_rgba(np.linspace(0.0, 1.0, 16).reshape(4, 4), fmt),
+    "rational-seiler": lambda fmt: encode_rational(ControlPolygon([[0.1, 0.2], [0.9, 0.4],
+                                                                   [0.3, 0.6]]),
+                                                   np.ones(3), fmt, rescale=True),
+    "rational-dc": lambda fmt: encode_rational(ControlPolygon([0.1, 0.9, 0.3, 0.7]),
+                                               [1.0, 0.8, 0.9, 1.0], fmt, scheme="dc"),
+}
+
+
+@pytest.mark.parametrize("fmt", list(TexelFormat), ids=lambda f: f.value)
+@pytest.mark.parametrize("encode", _EVERY_ENCODER.values(), ids=_EVERY_ENCODER.keys())
+def test_every_encode_runs_the_quantizer_once(monkeypatch, encode, fmt):
+    calls = []
+    quantize = core._quantize_array
+
+    def counted(values, f):
+        calls.append(f)
+        return quantize(values, f)
+
+    for module in (core, encoder):
+        monkeypatch.setattr(module, "_quantize_array", counted)
+    curve = encode(fmt)
+    assert calls == [fmt]
+    monkeypatch.undo()
+    # the grid is the one a checking constructor accepts, with the same bytes
+    grid = curve.grid
+    again = TexelGrid(grid.dims, grid.channels, fmt, grid.data)
+    assert again.data.tobytes() == grid.data.tobytes()

@@ -121,6 +121,61 @@ class TestQuantizeArray:
                     np.float64(unorm_oracle(float(v), fmt.levels)).tobytes()
 
 
+@st.composite
+def quantizer_inputs(draw, fmt):
+    """Finite floats, signed zeros, subnormals, values a few steps from a
+    unorm midpoint (k + 1/2) / L, values outside [0, 1] and +-inf."""
+    levels = TexelFormat.UNORM16.levels if fmt is TexelFormat.FLOAT32 else fmt.levels
+
+    def near_midpoint(k, steps):
+        v = (k + 0.5) / levels
+        for _ in range(abs(steps)):
+            v = np.nextafter(v, np.inf if steps > 0 else -np.inf)
+        return float(v)
+
+    one = st.one_of(
+        st.floats(allow_nan=False),
+        st.floats(allow_nan=False, allow_infinity=False, min_value=-1.0, max_value=2.0),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf,
+                         1.0, float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0))]),
+        st.builds(near_midpoint, st.integers(0, levels - 1), st.integers(-3, 3)),
+    )
+    return np.array(draw(st.lists(one, min_size=1, max_size=16)))
+
+
+class TestQuantizerFixedPoint:
+    """`_quantize_array`'s output quantizes to itself, byte for byte. This is
+    why an encoder's grid takes that output without a lattice check."""
+
+    @pytest.mark.parametrize("fmt", list(TexelFormat), ids=lambda f: f.value)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_output_is_a_fixed_point(self, fmt, data):
+        values = data.draw(quantizer_inputs(fmt))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            once = _quantize_array(values, fmt)
+            assert _quantize_array(once, fmt).tobytes() == once.tobytes()
+        if fmt.is_unorm:
+            TexelGrid((once.size, 1, 1), 1, fmt, once)  # the lattice check agrees
+
+    @pytest.mark.parametrize("fmt", list(TexelFormat), ids=lambda f: f.value)
+    def test_clamp_keeps_the_output_bytes_on_special_values(self, fmt):
+        # -0.0 leaves the unorm clamp as +0.0, where np.clip kept its sign;
+        # the stored value is +0.0 either way. NaN keeps its bits, sign
+        # included.
+        special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0,
+                            np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 5e-324, -5e-324])
+        levels = TexelFormat.UNORM16.levels if fmt is TexelFormat.FLOAT32 else fmt.levels
+        values = np.concatenate([special, (np.arange(levels) + 0.5) / levels])
+        if fmt.is_unorm:
+            expect = np.concatenate([[0.0, 0.0], values[2:4],
+                                     [unorm_oracle(float(v), levels) for v in values[4:]]])
+        else:  # binary32 holds both zeros, both NaNs and both infinities
+            expect = values.astype(np.float32).astype(float)
+        assert _quantize_array(values, fmt).tobytes() == expect.tobytes()
+
+
 class TestQuantizeFraction:
     def test_nearest_example(self):
         # floor(0.3 * 256 + 1/2) computed with exact rationals is 77
