@@ -1,0 +1,115 @@
+"""`tools/line_reach.py`, the unreached-line finder, on a fixture package."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "line_reach.py"
+_spec = importlib.util.spec_from_file_location("line_reach", TOOL)
+line_reach = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(line_reach)
+
+#: lines that can run after import: the lambda at module level (3),
+#: `deco`'s return (7), `clip`'s body (13-16; the docstring and the `def`
+#: line are not), `area` (23) and `unused` (26-27). The module-level dict
+#: comprehension (2), the class body (20) and the decorator (10) run at
+#: import.
+FIXTURE = '''"""A module."""
+TABLE = {k: k * 2 for k in range(3)}
+SQUARE = lambda x: x * x  # noqa: E731
+
+
+def deco(f):
+    return f
+
+
+@deco
+def clip(x, lo=TABLE[0]):
+    """Docstring."""
+    if x < lo:
+        return lo
+    return [v for v in (x,) if v][0] if x else (
+        0)
+
+
+class Box:
+    size = [1, 2]
+
+    def area(self):
+        return sum(s for s in self.size)
+
+    def unused(self):
+        raise ValueError(
+            "never")
+'''
+
+FIXTURE_TESTS = '''import gc
+
+from hypothesis import settings
+
+from pkg import mod
+
+
+def test_clip():
+    assert mod.clip(3) == 3
+
+
+def test_area():
+    assert mod.Box().area() == 3
+
+
+def test_hypothesis_runs_derandomized():
+    assert settings.default.derandomize and settings.default.database is None
+
+
+def test_square_over_budget():
+    assert mod.SQUARE(2) == 4
+    assert False, "took 12.5s, budget is 10s"
+
+
+def test_cycle_count():
+    assert gc.collect() == -1  # fails as a cycle count does under tracing
+
+
+def test_real_failure():
+    assert mod.clip(-1) == 1
+'''
+
+TABLE = """\
+# Lines of src/pkg that no test of `tests` runs, as
+# `path:line: source`. Module-level statements are left out: they run at
+# import. Rewritten by `python3 tools/line_reach.py`.
+src/pkg/mod.py:16: 0)
+src/pkg/mod.py:26: raise ValueError(
+src/pkg/mod.py:27: "never")
+"""
+
+
+def test_executable_lines_leave_out_what_runs_at_import():
+    assert line_reach.executable_lines(FIXTURE) == {3, 7, 13, 14, 15, 16, 23, 26, 27}
+
+
+def test_traced_run_writes_the_table_and_reports_the_tracer_costs_apart(tmp_path):
+    # the two failures that measure the tracer are reported apart, and only
+    # the third one fails the command
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "__init__.py").write_text("")
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(FIXTURE)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(FIXTURE_TESTS)
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "pytest.ini").write_text("[pytest]\npythonpath = src\n")
+    run = subprocess.run(
+        [sys.executable, str(TOOL), "--src", "src/pkg", "--table", "tools/unreached.txt",
+         "tests"], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert (tmp_path / "tools" / "unreached.txt").read_text() == TABLE
+    tail = run.stdout[run.stdout.index("\n3 unreached lines"):]
+    assert tail == ("\n3 unreached lines, written to tools/unreached.txt\n"
+                    + TABLE.split("\n", 3)[-1]
+                    + "failed on its time budget under tracing (not counted): "
+                    "tests/test_mod.py::test_square_over_budget\n"
+                    "failed on a reference-cycle count under tracing (not counted): "
+                    "tests/test_mod.py::test_cycle_count\n"
+                    "FAILED under tracing: tests/test_mod.py::test_real_failure\n")
