@@ -1,7 +1,7 @@
 """List the lines of `src/texcurve` that no tier-1 test runs.
 
 A `sys.settrace` pytest plugin records every line of the package that
-runs while the tests run. The lines that can run are the lines of the
+runs in the main thread while the tests run (no test starts a thread). The lines that can run are the lines of the
 package's functions, methods and lambdas, and of the comprehensions inside
 them. Module-level statements are left out: the module and class bodies,
 their decorators and default values, and the comprehensions they run all
@@ -42,7 +42,6 @@ import dis
 import os
 import re
 import sys
-import threading
 import types
 from pathlib import Path
 
@@ -127,22 +126,16 @@ class LineTracer:
         return line
 
     def start(self):
-        threading.settrace(self._call)
         sys.settrace(self._call)
 
     def stop(self):
         sys.settrace(None)
-        threading.settrace(None)
 
     def pytest_load_initial_conftests(self, early_config, parser, args):
         self.start()  # before `conftest.py` imports the package
 
     def pytest_configure(self, config):
         _derandomize_hypothesis()
-
-    def pytest_runtest_setup(self, item):
-        if sys.gettrace() is not self._call:  # a test or a library took the hook
-            sys.settrace(self._call)
 
     def pytest_runtest_logreport(self, report):
         if not report.failed:
