@@ -125,14 +125,8 @@ class LineTracer:
 
         return line
 
-    def start(self):
-        sys.settrace(self._call)
-
-    def stop(self):
-        sys.settrace(None)
-
     def pytest_load_initial_conftests(self, early_config, parser, args):
-        self.start()  # before `conftest.py` imports the package
+        sys.settrace(self._call)  # before `conftest.py` imports the package
 
     def pytest_configure(self, config):
         _derandomize_hypothesis()
@@ -194,7 +188,7 @@ def main(argv=None) -> int:
     try:
         code = pytest.main(["-q", "-p", "no:cacheprovider", *args.tests], plugins=[tracer])
     finally:
-        tracer.stop()
+        sys.settrace(None)
     rows = unreached(args.src, tracer.reached)
     text = table(rows, args.src, args.tests, os.getcwd())
     Path(args.table).write_text(text, encoding="utf-8")
