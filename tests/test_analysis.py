@@ -97,6 +97,40 @@ class TestSweep:
         assert se_max == pytest.approx(0.005855837157348165, rel=1e-9)
 
 
+#: segment counts of the lattice checks: a single curve, short and long zig-zag chains
+LATTICE_SEGMENTS = (1, 2, 3, 5, 7, 64, 255, 256)
+
+
+class TestDomainLattice:
+    """The sample lattice of `sweep`, `render_deviation_image` and
+    `error_bound_estimate` equals `np.linspace(0.0, N, n)` byte for byte,
+    N the segment count. It is the CSV `t` column and places the PPM
+    columns, so these pin today's bytes of both against the library's own
+    lattice formula, whatever numpy's `linspace` does in a later release.
+    The lattice reads only the curve's segment count."""
+
+    @staticmethod
+    def assert_linspace(segments, samples):
+        got = analysis._domain_lattice(mock.Mock(segment_count=segments), samples)
+        want = np.linspace(0.0, float(segments), samples)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (segments, samples)
+
+    @pytest.mark.parametrize("segments", LATTICE_SEGMENTS)
+    def test_every_short_lattice(self, segments):
+        for samples in range(2, 4098):
+            self.assert_linspace(segments, samples)
+
+    @pytest.mark.parametrize("segments", LATTICE_SEGMENTS)
+    @pytest.mark.parametrize("samples", (1 << 17, (1 << 20) + 3))
+    def test_long_lattices(self, segments, samples):
+        self.assert_linspace(segments, samples)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 1 << 12), st.integers(2, 1 << 20))
+    def test_any_lattice(self, segments, samples):
+        self.assert_linspace(segments, samples)
+
+
 class TestCsv:
     def test_schema_golden(self):
         poly = ControlPolygon([0.0, 1.0])
@@ -568,6 +602,17 @@ def render_oracle(report, width, height):
 
 def _report(t, ref, test):
     return analysis.ErrorReport("", "reference", "dc", IDEAL, t, ref, test)
+
+
+@pytest.mark.parametrize("samples, ref_shape, test_shape", [
+    (4, (3, 1), (3, 1)),  # records shorter than t
+    (3, (3, 2), (3, 1)),  # reference and test channels differ
+    (3, (3, 1), (4, 1)),  # reference and test lengths differ
+])
+def test_report_records_must_align_with_the_lattice(samples, ref_shape, test_shape):
+    with pytest.raises(DomainError) as refused:
+        _report(np.linspace(0.0, 1.0, samples), np.zeros(ref_shape), np.zeros(test_shape))
+    assert str(refused.value) == "reference/test records must align with the sample lattice"
 
 
 #: values where repr changes notation (1e-4, 1e16), signed zero, the

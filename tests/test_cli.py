@@ -212,6 +212,43 @@ class TestRefusals:
         self.refused(capsys, 5, "--out prefix is required for bspline conversion",
                      "convert", "--bspline-to-bezier", "--in", str(path))
 
+    def test_rational_sweep_without_weights_exits_5(self, hump, capsys):
+        self.refused(capsys, 5, "rational encoding needs a weights line",
+                     "sweep", "--layout", "rational", "--in", hump)
+
+    def test_curve_file_without_points_exits_5(self, tmp_path, capsys):
+        path = tmp_path / "empty.curve"
+        path.write_text("degree 3\nchannels 1\n# no points\n")
+        self.refused(capsys, 5, "curve file has no control points",
+                     "sweep", "--layout", "dc", "--in", str(path))
+
+    @pytest.mark.parametrize("degree, knots, code, message", [
+        (0, "0 1 2 3 4", 3, "spline degree must be >= 1"),
+        (3, "0 0 0 0 1 1 1", 5, "knot count must equal control count + degree + 1"),
+        (3, "0 0 0 0 2 1 1 1", 5, "knots must be non-decreasing"),
+    ], ids=("degree-0", "knot-count", "decreasing"))
+    def test_bad_spline_conversion_exits_with_its_error(self, tmp_path, capsys, degree, knots,
+                                                        code, message):
+        path = tmp_path / "spline.curve"
+        path.write_text(f"degree {degree}\nchannels 1\nknots {knots}\n0\n0.4\n0.9\n0.3\n")
+        self.refused(capsys, code, message, "convert", "--bspline-to-bezier", "--in", str(path),
+                     "--out", str(tmp_path / "seg"))
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_power_conversion_of_degree_9_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "d9.curve"
+        path.write_text("degree 9\nchannels 1\n" + "0.5\n" * 10)
+        self.refused(capsys, 3, "basis conversion is supported up to degree 8",
+                     "convert", "--bernstein-to-power", "--in", str(path))
+
+    @pytest.mark.parametrize("command", (["encode", "--out", "x.ctex"], ["sweep"],
+                                         ["render", "--out", "x.ppm"]), ids=lambda c: c[0])
+    def test_unknown_layout_is_refused_by_the_parser(self, hump, capsys, command):
+        # argparse's `choices` refuses it before any layout is encoded
+        choices = ", ".join(map(repr, ("dc", "seiler", "zigzag", "patch", "bicubic", "rational")))
+        self.refused(capsys, 5, f"argument --layout: invalid choice: 'bogus' (choose from {choices})",
+                     *command, "--layout", "bogus", "--in", hump)
+
 
 # a cubic whose middle point overflows float32
 HUGE_CUBIC = "degree 3\nchannels 1\n0\n1e300\n1\n0\n"
@@ -392,6 +429,14 @@ def test_sweep_and_render_mode_mismatch_exits_4(tmp_path, capsys, layout, comman
 
 
 class TestConvert:
+    def test_curve_text_reads_1d_points_as_one_channel(self):
+        points = [0.0, -0.0, 0.1, 1e300]
+        text = curvefile.curve_text(3, points, knots=[0, 1], weights=[1, 2, 3, 4])
+        assert text == curvefile.curve_text(3, np.array(points)[:, None], knots=[0, 1],
+                                            weights=[1, 2, 3, 4])
+        assert text.startswith("degree 3\nchannels 1\nknots 0.0 1.0\nweights 1.0 2.0 3.0 4.0\n"
+                               "0.0\n-0.0\n0.1\n1e+300\n")
+
     def test_power_to_bernstein(self, tmp_path, capsys):
         path = tmp_path / "p.curve"
         path.write_text(LINE_AS_POWER)

@@ -262,6 +262,13 @@ class TestPatchAndBicubic:
         for c in range(1, 4):
             assert np.array_equal(enc.grid.data[..., c], enc.grid.data[..., 0])
 
+    @pytest.mark.parametrize("fmt", (TexelFormat.UNORM8, F32), ids=lambda f: f.value)
+    def test_bicubic_net_with_one_trailing_channel_packs_as_scalars(self, rng, fmt):
+        net = rng.uniform(0, 1, (4, 4))
+        scalar, column = encode_bicubic_rgba(net, fmt), encode_bicubic_rgba(net[..., None], fmt)
+        assert column.grid.data.tobytes() == scalar.grid.data.tobytes()
+        assert column.grid.dims == scalar.grid.dims and column.grid.channels == 4
+
     def test_bicubic_channel_overflow(self, rng):
         with pytest.raises(ChannelMismatchError):
             encode_bicubic_rgba(rng.uniform(0, 1, (4, 4, 2)), F32)

@@ -5,7 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "line_reach.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "line_reach.py"
 _spec = importlib.util.spec_from_file_location("line_reach", TOOL)
 line_reach = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(line_reach)
@@ -113,3 +114,42 @@ def test_traced_run_writes_the_table_and_reports_the_tracer_costs_apart(tmp_path
                     "failed on a reference-cycle count under tracing (not counted): "
                     "tests/test_mod.py::test_cycle_count\n"
                     "FAILED under tracing: tests/test_mod.py::test_real_failure\n")
+
+
+def stale_rows(table_text, base):
+    """The rows of an unreached table that do not name a line that can
+    run, of a file under `base`, whose source text is the row's."""
+    stale = []
+    for row in table_text.splitlines():
+        if row.startswith("#"):
+            continue
+        path, line, source = row.split(":", 2)
+        file, line = base / path, int(line)
+        text = file.read_text(encoding="utf-8") if file.is_file() else ""
+        lines = text.splitlines()
+        if not (0 < line <= len(lines) and lines[line - 1].strip() == source[1:]
+                and line in line_reach.executable_lines(text)):
+            stale.append(row)
+    return stale
+
+
+def test_committed_table_names_the_current_lines():
+    """Each row of `tools/unreached.txt` still names its line of
+    `src/texcurve`: an edit that moves a listed line makes the table
+    stale, and this fails until `tools/line_reach.py` rewrites it."""
+    text = (ROOT / "tools" / "unreached.txt").read_text(encoding="utf-8")
+    assert text.startswith(TABLE.split("\n", 1)[0].replace("src/pkg", "src/texcurve"))
+    rows = [row for row in text.splitlines() if not row.startswith("#")]
+    assert all(row.startswith("src/texcurve/") for row in rows)
+    assert stale_rows(text, ROOT) == []
+
+
+def test_a_moved_line_makes_its_row_stale(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    mod = tmp_path / "src" / "pkg" / "mod.py"
+    mod.write_text(FIXTURE)
+    assert stale_rows(TABLE, tmp_path) == []
+    mod.write_text("\n" + FIXTURE)
+    assert stale_rows(TABLE, tmp_path) == TABLE.splitlines()[3:]
+    mod.unlink()
+    assert stale_rows(TABLE, tmp_path) == TABLE.splitlines()[3:]

@@ -215,6 +215,11 @@ class TestTensorSurface:
         with pytest.raises(DomainError, match=message):
             eval_tensor_surface(np.ones(shape), 0.5, 0.5)
 
+    def test_grid_of_four_dimensions_refused(self):
+        with pytest.raises(DomainError, match=r"^control grid must be 2-D \(scalars\) or 3-D "
+                                              r"\(vectors\)$"):
+            eval_tensor_surface(np.ones((2, 2, 1, 1)), 0.5, 0.5)
+
 
 class TestDeBoor:
     def test_single_span_equals_bernstein(self, rng):
@@ -253,6 +258,18 @@ class TestDeBoor:
         pts[1, 0] = bad
         with pytest.raises(DomainError, match="must be finite"):
             BSplineCurve(pts, [0, 0, 0, 0, 1, 1, 1, 1], 3)
+
+    @pytest.mark.parametrize("degree, knots, error, message", [
+        (0, [0, 1, 2, 3, 4], UnsupportedDegreeError, "spline degree must be >= 1"),
+        (3, [0, 0, 0, 0, 1, 1, 1], DomainError, "knot count must equal control count + degree + 1"),
+        (3, [[0, 0, 0, 0], [1, 1, 1, 1]], DomainError,
+         "knot count must equal control count + degree + 1"),
+        (3, [0, 0, 0, 0, 2, 1, 1, 1], DomainError, "knots must be non-decreasing"),
+    ], ids=("degree-0", "knot-count", "knot-matrix", "decreasing"))
+    def test_bad_spline_refused(self, degree, knots, error, message):
+        with pytest.raises(error) as refused:
+            BSplineCurve(np.zeros(4), knots, degree)
+        assert type(refused.value) is error and str(refused.value) == message
 
 
 class TestBoehm:
@@ -336,6 +353,11 @@ class TestPowerBasis:
     def test_overflowing_coefficients_rejected(self, points):
         with pytest.raises(DomainError, match="overflow float64"):
             bernstein_to_power(ControlPolygon(points))
+
+    def test_power_conversion_of_degree_9_refused(self):
+        with pytest.raises(UnsupportedDegreeError,
+                           match="^basis conversion is supported up to degree 8$"):
+            bernstein_to_power(ControlPolygon(np.zeros(10)))
 
     def test_coefficient_shape_checked(self):
         with pytest.raises(DomainError, match="at least one"):

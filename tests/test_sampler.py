@@ -472,6 +472,18 @@ class TestOptionKernel:
         for i, f in enumerate(fx):
             assert got[i].tobytes() == blend_with_fractions(grid, [0, 0], [f, 0.5]).tobytes()
 
+    @pytest.mark.parametrize("bases, fractions, message", [
+        ([0, 0], [0.5], "one base index and one fraction per axis"),
+        ([0, 0, 0], [0.5, 0.5], "one base index and one fraction per axis"),
+        ([0], [0.5], "blend supports 2 or 3 axes"),
+        ([0] * 4, [0.5] * 4, "blend supports 2 or 3 axes"),
+    ])
+    def test_axis_counts_refused(self, bases, fractions, message):
+        grid = TexelGrid((2, 2, 2), 1, TexelFormat.FLOAT32, np.zeros((2, 2, 2, 1)))
+        with pytest.raises(LayoutError) as refused:
+            blend_with_fractions(grid, bases, fractions)
+        assert str(refused.value) == message
+
     @given(
         channels=st.integers(1, 4),
         axes=st.sampled_from((2, 3)),
