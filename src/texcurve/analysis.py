@@ -36,8 +36,21 @@ def _reference_values(reference: Callable, ts: np.ndarray, shape) -> np.ndarray:
 
 
 def _domain_lattice(curve: EncodedCurve, samples: int) -> np.ndarray:
-    """`samples` parameters from 0 to the segment count (1 but for a zig-zag)."""
-    return np.linspace(0.0, float(curve.segment_count), samples)
+    """`samples` (at least 2) parameters from 0 to the segment count N (1
+    but for a zig-zag): k · (N / (samples - 1)) for k below samples - 1,
+    then N itself.
+
+    This is numpy 2.4's `linspace(0.0, N, samples)` at start 0, written
+    out: an `arange`, an in-place multiply by the rounded step, and the
+    last point set to the stop. Its in-place `+= start` adds +0.0, which
+    changes no point of a non-negative lattice, and its branch for a zero
+    step cannot run, since N >= 1.
+    """
+    end = curve.segment_count
+    t = np.arange(samples, dtype=float)
+    t *= end / (samples - 1)
+    t[-1] = end
+    return t
 
 
 @dataclass(frozen=True)
@@ -269,12 +282,20 @@ def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np
     axis is probed at its exact fraction only, since the hybrid never
     quantizes it. The probes are decoded through a channels-last transpose
     view; decoding is elementwise, so the view moves no bit.
+
+    Each blend allocates its (channels, 2, samples) block once, zeroed,
+    and writes the exact blend into row 0 and, at bits > 0, the probes'
+    worst distance into row 1 (left 0.0 at bits 0). The block is C-ordered
+    where a stack of the two would give its transpose; every later step
+    is elementwise or a `max`, so the order moves no bit.
     """
 
     def blend(pairs, fracs):
         corners = _corners(curve.grid, pairs)
         exact = _decode(curve, _lerp_axes(corners, fracs).T)
-        dev = np.zeros_like(exact)
+        samples, channels = exact.shape
+        block = np.zeros((channels, 2, samples), dtype=exact.dtype)
+        block[:, 0] = exact.T
         if cfg.subtexel_bits > 0:
             step, n = float(1 << cfg.subtexel_bits), len(fracs)
             probe_of = {}  # id of a fraction array -> its (2, *samples) probe pair
@@ -291,8 +312,8 @@ def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np
             shape = corners.shape[: 1 + n] + (1,) * n + corners.shape[1 + n :]
             probes = _lerp_axes(corners.reshape(shape), options)  # (channels, *options, samples)
             probes = _decode(curve, probes.transpose(*range(1, probes.ndim), 0))
-            dev = np.abs(probes - exact).max(axis=tuple(range(n)))
-        return np.stack([exact, dev], axis=1).T
+            block[:, 1] = np.abs(probes - exact).max(axis=tuple(range(n))).T
+        return block
 
     return _eval_curve(curve, t, _IDEAL, blend, _rows)
 

@@ -69,7 +69,9 @@ def _encode_from_spec(spec: curvefile.CurveFile, args):
     segment stack, the tensor surface on the diagonal u = v = t of a
     patch's or a bicubic's net, the rational reference, or the Bernstein
     sum. The reference follows the layout, not the mode, so a mode that
-    cannot evaluate the layout fails in the sweep's mode check."""
+    cannot evaluate the layout fails in the sweep's mode check. The layout
+    is one of `--layout`'s choices: argparse refuses any other name first
+    (exit 5)."""
     fmt = _FORMATS[args.format]
     layout = args.layout
     rescale = args.rescale
@@ -111,9 +113,7 @@ def _encode_from_spec(spec: curvefile.CurveFile, args):
         return curve, lambda t: reference.eval_rational(poly, spec.weights, t)
     if layout == "seiler":
         curve = encoder.encode_seiler(poly, fmt, rescale=rescale)
-    elif layout != "dc":
-        raise LayoutError(f"unknown layout {layout!r}")
-    elif spec.degree == 2:
+    elif spec.degree == 2:  # the dc layout, the last of `--layout`'s choices
         curve = encoder.encode_dc_quadratic(poly, fmt, rescale=rescale)
     elif spec.degree == 3:
         curve = encoder.encode_dc_cubic(poly, fmt, rescale=rescale)
