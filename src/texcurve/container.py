@@ -31,6 +31,7 @@ from .core import (
     TexelGrid,
     ValueTransform,
     _quantize_array,
+    _unorm_codes,
 )
 
 MAGIC = b"CTEX1"
@@ -52,7 +53,8 @@ _PAYLOAD_DTYPES = {
 def _payload_bytes(grid: TexelGrid) -> bytes:
     """The payload of a grid. A float32 texel that binary32 cannot hold
     (its quantization moves it) raises RangeError: it would read back as
-    another value. Unorm grids hold only codes (`TexelGrid`)."""
+    another value. A unorm grid holds only values k/L (`TexelGrid`), and
+    its payload is their codes k (`_unorm_codes`)."""
     flat = grid.data.reshape(-1)
     if grid.fmt is TexelFormat.FLOAT32:
         stored = _quantize_array(flat, grid.fmt)
@@ -63,8 +65,7 @@ def _payload_bytes(grid: TexelGrid) -> bytes:
             raise RangeError(f"CTEX1 stores float32 texels bit for bit: texel {idx} holds "
                              f"{float(flat[k])!r}, which float32 stores as {float(stored[k])!r}")
         return flat.astype("<f4").tobytes()
-    codes = np.rint(flat * grid.fmt.levels).astype(np.uint32)
-    return codes.astype(_PAYLOAD_DTYPES[grid.fmt]).tobytes()
+    return _unorm_codes(flat, grid.fmt).astype(_PAYLOAD_DTYPES[grid.fmt]).tobytes()
 
 
 def _payload_values(raw: bytes, fmt: TexelFormat) -> np.ndarray:

@@ -2,10 +2,11 @@
 interpolation primitives.
 
 Everything in this module is plain float64 math. Storage precision is
-stated once, by the quantizer beside `TexelFormat` (`_quantize_array`):
-the encoder stores its texels through it, and `TexelGrid` accepts a unorm
-grid exactly when it leaves the grid unchanged. Coordinate precision is
-modelled by the sampler emulator.
+stated once, by the quantizer beside `TexelFormat` (`_quantize_array`),
+which the encoder stores its texels through. The unorm codes are stated
+once too (`_unorm_codes`): `TexelGrid` accepts a unorm grid exactly when
+its codes read back as it, and the CTEX1 writer stores those codes.
+Coordinate precision is modelled by the sampler emulator.
 """
 
 from __future__ import annotations
@@ -117,9 +118,8 @@ def _quantize_array(values: np.ndarray, fmt: TexelFormat) -> np.ndarray:
 
     The output is a fixed point: quantizing it again returns the same
     bytes, since k/L is on the lattice and float32 values round to
-    themselves. So `TexelGrid._quantized` can take this output without
-    checking it against the lattice again. `quantize_texel` is this kernel
-    on one value.
+    themselves. Its unorm values are the ones `TexelGrid` accepts (see
+    `_unorm_codes`). `quantize_texel` is this kernel on one value.
     """
     if fmt is TexelFormat.FLOAT32:
         with np.errstate(over="ignore"):
@@ -145,6 +145,28 @@ def quantize_texel(v: float, fmt: TexelFormat) -> float:
     float. This is `_quantize_array` on one value.
     """
     return float(_quantize_array(np.asarray(v, dtype=float), fmt))
+
+
+def _unorm_codes(values: np.ndarray, fmt: TexelFormat) -> np.ndarray:
+    """The integer code k of each unorm value k/L (L = fmt.levels), as
+    float64: rint(clip(v, 0, 1)·L). NaN stays NaN.
+
+    `TexelGrid` accepts a unorm value x exactly when codes / L == x,
+    and these are exactly the values that `_quantize_array` leaves
+    unchanged, the fl(k/L) for an integer k in [0, L]:
+
+    - If x = fl(k/L), then x = (k/L)(1 + d) with |d| <= 2^-53, and
+      fl(x·L) = k(1 + d)(1 + d') with |d'| <= 2^-53, which is within
+      2^-36 of k since k <= L < 2^17. So the rint gives k, and fl(k/L) = x.
+      The quantizer leaves x unchanged too: x·L is as close to k, so it
+      rounds to k, and stores fl(k/L) = x.
+    - If x passes, its clip c lies in [0, 1], so c·L lies in [0, L] (the
+      product with 1 is exact and rounding is monotone), its rint k is an
+      integer in [0, L], and x = fl(k/L).
+    - -0.0 passes both checks (it compares equal to +0.0); NaN fails both
+      (NaN equals nothing), and so do ±inf, which clip to 1 and 0.
+    """
+    return np.rint(values.clip(0.0, 1.0) * fmt.levels)
 
 
 class Layout(enum.Enum):
@@ -212,13 +234,14 @@ class TexelGrid:
     holds exactly width·height·depth·channels values; it is stored as
     (depth, height, width, channels) float64. For unorm formats every
     stored value must sit exactly on the k/levels lattice: the grid is
-    accepted exactly when `_quantize_array` leaves it unchanged (a -0.0
-    texel keeps its sign). float32 values must be finite; CTEX1 writes
-    only those that binary32 holds (`container.curve_to_bytes`).
+    accepted exactly when its codes (`_unorm_codes`) read back as it, which
+    is exactly when `_quantize_array` leaves it unchanged (a -0.0 texel
+    keeps its sign). float32 values must be finite; CTEX1 writes only those
+    that binary32 holds (`container.curve_to_bytes`).
 
-    This constructor checks every grid handed to it, `slice2d`'s and the
-    CTEX1 reader's included. The encoders build theirs from one quantizer
-    pass through `_quantized`, which runs every check but the lattice one.
+    This one constructor builds and checks every grid: the encoders',
+    `slice2d`'s and the CTEX1 reader's. The checks run in this order:
+    dims, channels, texel count, then the values.
     """
 
     dims: Tuple[int, int, int]
@@ -227,25 +250,6 @@ class TexelGrid:
     data: np.ndarray
 
     def __post_init__(self):
-        self._store(lattice=True)
-
-    @classmethod
-    def _quantized(cls, dims, channels: int, fmt: TexelFormat, data: np.ndarray) -> "TexelGrid":
-        """A grid of `_quantize_array(values, fmt)` output, without the
-        lattice check. That output is a fixed point of the quantizer (its
-        docstring), so the check could never fail on it. The dims, channel
-        and count checks and the float32 finite check still run."""
-        grid = cls.__new__(cls)
-        for name, value in (("dims", dims), ("channels", channels), ("fmt", fmt), ("data", data)):
-            object.__setattr__(grid, name, value)
-        grid._store(lattice=False)
-        return grid
-
-    def _store(self, lattice: bool):
-        """Check the fields, then store the dims as ints and the data frozen
-        in (depth, height, width, channels) order. The checks run in this
-        order: dims, channels, texel count, then the values (the unorm
-        lattice only when `lattice`)."""
         try:
             w, h, d = (operator.index(v) for v in self.dims)
         except (TypeError, ValueError):  # not three integers
@@ -261,7 +265,7 @@ class TexelGrid:
                               f"values for {count}")
         data = data.reshape(d, h, w, self.channels)
         if self.fmt.is_unorm:
-            if lattice and not np.array_equal(_quantize_array(data, self.fmt), data):
+            if not (_unorm_codes(data, self.fmt) / self.fmt.levels == data).all():
                 raise RangeError(
                     f"unorm grid values must lie exactly on the k/{self.fmt.levels} lattice")
         elif not np.isfinite(data).all():

@@ -8,8 +8,8 @@ the bicubic net and the rational dc scheme), `_seiler_values` the
 difference-term rows, and `_zigzag_rows` the zig-zag chain. Raw values are
 laid out first, then the optional range rescale is applied, then `_finish`
 quantizes the texels to the storage format through `core._quantize_array`,
-the quantizer that `TexelGrid` validates with, once per encode: the grid
-takes that output without a second pass.
+once per encode, and `TexelGrid` checks that output by its unorm codes
+like any other grid.
 """
 
 from __future__ import annotations
@@ -107,9 +107,9 @@ def _finish(
     naming the first one in C order; the search for it runs only when a
     whole-array test has failed.
 
-    The texels are quantized once. The grid takes that output through
-    `TexelGrid._quantized`, which skips only the lattice check, as the
-    quantizer's output is a fixed point of it."""
+    The texels are quantized once, and the grid is built through the one
+    `TexelGrid` constructor, whose code check the quantizer's output always
+    passes."""
     channels = values.shape[-1]
     if not 1 <= channels <= MAX_CHANNELS:
         raise ChannelMismatchError(f"{context}: texels carry 1..{MAX_CHANNELS} channels, "
@@ -133,8 +133,7 @@ def _finish(
             f"{context}: texel {idx} has value {float(stored[idx])!r}, which {fmt.value} "
             f"stores as {float(data[idx])!r}; only finite texels can be stored"
         )
-    grid = TexelGrid._quantized((values.shape[2], values.shape[1], values.shape[0]), channels,
-                                fmt, data)
+    grid = TexelGrid((values.shape[2], values.shape[1], values.shape[0]), channels, fmt, data)
     return EncodedCurve(
         grid=grid,
         layout=layout,

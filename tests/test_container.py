@@ -187,8 +187,8 @@ def test_float32_texels_that_binary32_holds_round_trip():
 def test_unorm_reads_keep_the_lattice_check(rng, monkeypatch, fmt):
     # every stored code k <= L reads back as the lattice point k / L, so no
     # real blob carries an off-lattice texel; one is injected through the
-    # payload decoder to show that a read builds its grid through the
-    # checking constructor, not the encoders' unchecked one
+    # payload decoder to show that a read builds its grid through the one
+    # `TexelGrid` constructor, which checks every grid
     from texcurve import container
 
     blob = curve_to_bytes(encode_dc_quadratic(random_polygon(rng, 2, 3, 0.0, 1.0), fmt))

@@ -21,7 +21,7 @@ from texcurve import (
     lerp,
     remap_unit_to_texel_span,
 )
-from texcurve.core import _unit_param
+from texcurve.core import _quantize_array, _unit_param, _unorm_codes
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -141,12 +141,9 @@ class TestControlPolygon:
             poly.points[0] = 5.0
 
 
-#: the public constructor and the encoders' one, which skips only the lattice check
-GRID_CONSTRUCTORS = pytest.mark.parametrize("make", ["TexelGrid", "_quantized"])
-
-
-def _constructor(name):
-    return TexelGrid if name == "TexelGrid" else getattr(TexelGrid, name)
+#: the one grid constructor, which every path builds its grids through (a
+#: parameter, so that these cases keep their ids)
+GRID_CONSTRUCTORS = pytest.mark.parametrize("make", [TexelGrid], ids=["TexelGrid"])
 
 
 class TestTexelGrid:
@@ -163,7 +160,7 @@ class TestTexelGrid:
         expect = dims[0] * dims[1] * dims[2] * channels
         with pytest.raises(LayoutError, match=_exactly(
                 f"texel count does not match dims x channels: {count} values for {expect}")):
-            _constructor(make)(dims, channels, fmt, np.zeros(count))
+            make(dims, channels, fmt, np.zeros(count))
 
     @GRID_CONSTRUCTORS
     @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 1, 1), (), (2.5, 2, 1), (2, 2.0, 1),
@@ -172,33 +169,12 @@ class TestTexelGrid:
     def test_dims_must_be_three_integers(self, make, dims):
         with pytest.raises(LayoutError, match=_exactly(
                 f"grid dims must be three integers, got {dims!r}")):
-            _constructor(make)(dims, 1, TexelFormat.FLOAT32, np.zeros(4))
+            make(dims, 1, TexelFormat.FLOAT32, np.zeros(4))
 
     @GRID_CONSTRUCTORS
     def test_integer_dims_are_stored_as_ints(self, make):
-        grid = _constructor(make)(np.array([2, 1, 1]), 1, TexelFormat.FLOAT32, np.zeros(2))
+        grid = make(np.array([2, 1, 1]), 1, TexelFormat.FLOAT32, np.zeros(2))
         assert grid.dims == (2, 1, 1) and all(type(v) is int for v in grid.dims)
-
-    @pytest.mark.parametrize("fmt", [TexelFormat.UNORM8, TexelFormat.UNORM16],
-                             ids=lambda f: f.value)
-    def test_only_the_quantized_constructor_skips_the_lattice(self, fmt):
-        # the public constructor checks every grid; `_quantized` trusts its
-        # caller to pass quantizer output, and runs every other check
-        data = np.array([0.0, 0.5, 1.0, 0.25])
-        with pytest.raises(RangeError, match="lattice"):
-            TexelGrid((2, 2, 1), 1, fmt, data)
-        assert TexelGrid._quantized((2, 2, 1), 1, fmt, data).data.tobytes() == data.tobytes()
-        with pytest.raises(RangeError, match=_exactly("float32 grid values must be finite")):
-            TexelGrid._quantized((2, 2, 1), 1, TexelFormat.FLOAT32, data - np.inf)
-
-    @pytest.mark.parametrize("fmt", [TexelFormat.UNORM8, TexelFormat.UNORM16],
-                             ids=lambda f: f.value)
-    def test_slice2d_runs_the_lattice_check(self, fmt):
-        # slice2d goes through the public constructor, so it re-checks the
-        # slice (a grid from `_quantized` could only hold lattice values)
-        grid = TexelGrid._quantized((2, 2, 2), 1, fmt, np.full(8, 0.5))
-        with pytest.raises(RangeError, match="lattice"):
-            grid.slice2d(1)
 
     def test_unorm_lattice_enforced(self):
         with pytest.raises(RangeError):
@@ -251,6 +227,33 @@ class TestTexelGrid:
         back = grid.slice2d(1)
         assert back.depth == 1
         assert np.array_equal(back.data[0], data[1])
+
+
+@pytest.mark.parametrize("fmt", [TexelFormat.UNORM8, TexelFormat.UNORM16], ids=lambda f: f.value)
+class TestUnormCodes:
+    """`TexelGrid`'s code check accepts a unorm value exactly when the
+    quantizer leaves it unchanged (`_unorm_codes`' docstring argues it)."""
+
+    def test_code_check_agrees_with_the_quantizer(self, fmt):
+        levels = fmt.levels
+        codes = np.arange(levels + 1) / levels
+        beyond = np.concatenate([np.arange(-levels, 0), np.arange(levels + 1, 2 * levels + 1)])
+        special = [0.0, -0.0, 5e-324, -5e-324, 1.0 + 2.0**-52, np.nan, np.inf, -np.inf]
+        values = np.concatenate([codes, np.nextafter(codes, -np.inf),
+                                 np.nextafter(codes, np.inf), beyond / levels, special])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            by_codes = _unorm_codes(values, fmt) / levels == values
+            by_quantizer = _quantize_array(values, fmt) == values
+        assert np.array_equal(by_codes, by_quantizer)
+        # every code and both zeros pass; nothing else does
+        assert by_codes.sum() == levels + 3
+
+    def test_values_only_the_clip_refuses(self, fmt):
+        for k in (-1, fmt.levels + 1):
+            with pytest.raises(RangeError, match=_exactly(
+                    f"unorm grid values must lie exactly on the k/{fmt.levels} lattice")):
+                TexelGrid((1, 1, 1), 1, fmt, [k / fmt.levels])
 
 
 class TestSamplerConfig:

@@ -144,8 +144,9 @@ def quantizer_inputs(draw, fmt):
 
 
 class TestQuantizerFixedPoint:
-    """`_quantize_array`'s output quantizes to itself, byte for byte. This is
-    why an encoder's grid takes that output without a lattice check."""
+    """`_quantize_array`'s output quantizes to itself, byte for byte, and
+    `TexelGrid`'s code check accepts it: an encoder's grid, built from that
+    output, always passes the constructor."""
 
     @pytest.mark.parametrize("fmt", list(TexelFormat), ids=lambda f: f.value)
     @settings(max_examples=150, deadline=None)
