@@ -87,6 +87,42 @@ src/pkg/mod.py:27: "never")
 """
 
 
+#: fixture tests that reach the lines the other fixture tests reach and
+#: pass, and a check of the table as it was before the run, like tier-1's
+FIXTURE_TABLE_TESTS = '''from pathlib import Path
+
+from pkg import mod
+
+
+def test_reach():
+    assert (mod.clip(3), mod.clip(-1), mod.Box().area(), mod.SQUARE(2)) == (3, 0, 3, 4)
+
+
+def test_committed_table_names_the_current_lines():
+    for row in Path("tools/unreached.txt").read_text().splitlines()[3:]:
+        path, line, source = row.split(":", 2)
+        assert Path(path).read_text().splitlines()[int(line) - 1].strip() == source[1:]
+'''
+
+
+def _fixture_repo(tmp_path, tests):
+    """A repository with the fixture package under `src/pkg`, the test
+    module `tests` and an empty `tools` directory."""
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "__init__.py").write_text("")
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(FIXTURE)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(tests)
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "pytest.ini").write_text("[pytest]\npythonpath = src\n")
+
+
+def _run(tmp_path, command):
+    return subprocess.run([sys.executable, *command, "--src", "src/pkg", "--table",
+                           "tools/unreached.txt", "tests"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+
 def test_executable_lines_leave_out_what_runs_at_import():
     assert line_reach.executable_lines(FIXTURE) == {3, 7, 13, 14, 15, 16, 23, 26, 27}
 
@@ -94,16 +130,8 @@ def test_executable_lines_leave_out_what_runs_at_import():
 def test_traced_run_writes_the_table_and_reports_the_tracer_costs_apart(tmp_path):
     # the two failures that measure the tracer are reported apart, and only
     # the third one fails the command
-    (tmp_path / "src" / "pkg").mkdir(parents=True)
-    (tmp_path / "src" / "pkg" / "__init__.py").write_text("")
-    (tmp_path / "src" / "pkg" / "mod.py").write_text(FIXTURE)
-    (tmp_path / "tests").mkdir()
-    (tmp_path / "tests" / "test_mod.py").write_text(FIXTURE_TESTS)
-    (tmp_path / "tools").mkdir()
-    (tmp_path / "pytest.ini").write_text("[pytest]\npythonpath = src\n")
-    run = subprocess.run(
-        [sys.executable, str(TOOL), "--src", "src/pkg", "--table", "tools/unreached.txt",
-         "tests"], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    _fixture_repo(tmp_path, FIXTURE_TESTS)
+    run = _run(tmp_path, [str(TOOL)])
     assert run.returncode == 1, run.stdout + run.stderr
     assert (tmp_path / "tools" / "unreached.txt").read_text() == TABLE
     tail = run.stdout[run.stdout.index("\n3 unreached lines"):]
@@ -116,21 +144,38 @@ def test_traced_run_writes_the_table_and_reports_the_tracer_costs_apart(tmp_path
                     "FAILED under tracing: tests/test_mod.py::test_real_failure\n")
 
 
-def stale_rows(table_text, base):
-    """The rows of an unreached table that do not name a line that can
-    run, of a file under `base`, whose source text is the row's."""
-    stale = []
-    for row in table_text.splitlines():
-        if row.startswith("#"):
-            continue
-        path, line, source = row.split(":", 2)
-        file, line = base / path, int(line)
-        text = file.read_text(encoding="utf-8") if file.is_file() else ""
-        lines = text.splitlines()
-        if not (0 < line <= len(lines) and lines[line - 1].strip() == source[1:]
-                and line in line_reach.executable_lines(text)):
-            stale.append(row)
-    return stale
+def test_a_stale_table_before_the_run_is_reported_apart(tmp_path):
+    # the table check fails on the old table, whose row is one line off,
+    # and does not fail the command: the table written in its place is
+    # checked instead, and is current
+    _fixture_repo(tmp_path, FIXTURE_TABLE_TESTS)
+    (tmp_path / "tools" / "unreached.txt").write_text(TABLE.replace(":16: ", ":17: "))
+    run = _run(tmp_path, [str(TOOL)])
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert (tmp_path / "tools" / "unreached.txt").read_text() == TABLE
+    assert run.stdout.endswith(
+        "\n3 unreached lines, written to tools/unreached.txt\n"
+        + TABLE.split("\n", 3)[-1]
+        + "failed on the table before this run (not counted): "
+        "tests/test_mod.py::test_committed_table_names_the_current_lines\n")
+
+
+def test_a_stale_table_written_by_the_run_fails_the_command(tmp_path):
+    # a table whose row does not name its line (here `unreached` is made to
+    # report line 17 with line 16's text) fails the command, and is named
+    _fixture_repo(tmp_path, FIXTURE_TABLE_TESTS)
+    wrapper = tmp_path / "wrapper.py"
+    wrapper.write_text(f"""import importlib.util, pathlib, sys
+spec = importlib.util.spec_from_file_location("line_reach", {str(TOOL)!r})
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+tool.unreached = lambda src, reached: [(pathlib.Path("src/pkg/mod.py"), 17, "0)")]
+sys.exit(tool.main())
+""")
+    run = _run(tmp_path, [str(wrapper)])
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert run.stdout.endswith(
+        "STALE in the table just written: src/pkg/mod.py:17: 0)\n")
 
 
 def test_committed_table_names_the_current_lines():
@@ -141,15 +186,15 @@ def test_committed_table_names_the_current_lines():
     assert text.startswith(TABLE.split("\n", 1)[0].replace("src/pkg", "src/texcurve"))
     rows = [row for row in text.splitlines() if not row.startswith("#")]
     assert all(row.startswith("src/texcurve/") for row in rows)
-    assert stale_rows(text, ROOT) == []
+    assert line_reach.stale_rows(text, ROOT) == []
 
 
 def test_a_moved_line_makes_its_row_stale(tmp_path):
     (tmp_path / "src" / "pkg").mkdir(parents=True)
     mod = tmp_path / "src" / "pkg" / "mod.py"
     mod.write_text(FIXTURE)
-    assert stale_rows(TABLE, tmp_path) == []
+    assert line_reach.stale_rows(TABLE, tmp_path) == []
     mod.write_text("\n" + FIXTURE)
-    assert stale_rows(TABLE, tmp_path) == TABLE.splitlines()[3:]
+    assert line_reach.stale_rows(TABLE, tmp_path) == TABLE.splitlines()[3:]
     mod.unlink()
-    assert stale_rows(TABLE, tmp_path) == TABLE.splitlines()[3:]
+    assert line_reach.stale_rows(TABLE, tmp_path) == TABLE.splitlines()[3:]

@@ -30,6 +30,13 @@ failing the command:
   function makes CPython keep each traced frame's locals in a dict, and an
   exception held there refers back to its frame through its traceback.
 
+The tier-1 test that checks the committed table
+(`test_committed_table_names_the_current_lines`) is reported apart too: it
+runs against the table as it was before the run, which an edit that moved
+a listed line has made stale, and the run is about to rewrite it. The
+command checks the table it has just written instead, with the same
+`stale_rows`, and fails (exit 1) if that one is stale.
+
 Any other failure fails the command (exit 1), and the table is still
 written. The traced run of tier-1 takes minutes, so it is not part of
 tier-1 itself.
@@ -56,6 +63,9 @@ _TRACER_COSTS = {
     "its time budget": re.compile(r"took [\d.]+s, budget is [\d.]+s"),
     "a reference-cycle count": re.compile(r"where \d+ = <built-in function collect>"),
 }
+
+#: the tier-1 test that checks the committed table, which the run rewrites
+_TABLE_CHECK = "test_committed_table_names_the_current_lines"
 
 _HEADER = """\
 # Lines of {src} that no test of `{tests}` runs, as
@@ -104,6 +114,7 @@ class LineTracer:
         self.reached = {}  # real path -> set of line numbers
         self.failed = []  # node ids of the tests that failed
         self.tracer_costs = []  # (node id, why) of the failures that measure the tracer
+        self.old_table = []  # node ids of the failed checks of the table before the run
         self._ours = {}  # co_filename -> real path under src, or None
 
     def _file(self, filename):
@@ -134,6 +145,9 @@ class LineTracer:
     def pytest_runtest_logreport(self, report):
         if not report.failed:
             return
+        if report.nodeid.endswith("::" + _TABLE_CHECK):
+            self.old_table.append(report.nodeid)
+            return
         for why, pattern in _TRACER_COSTS.items():
             if report.when == "call" and pattern.search(report.longreprtext):
                 self.tracer_costs.append((report.nodeid, why))
@@ -163,6 +177,23 @@ def table(rows, src, tests, base) -> str:
 
     body = "".join(f"{rel(path)}:{line}: {text}\n" for path, line, text in rows)
     return _HEADER.format(src=rel(src), tests=" ".join(rel(t) for t in tests)) + body
+
+
+def stale_rows(table_text, base) -> list:
+    """The rows of an unreached table that do not name a line that can
+    run, of a file under `base`, whose source text is the row's."""
+    stale = []
+    for row in table_text.splitlines():
+        if row.startswith("#"):
+            continue
+        path, line, source = row.split(":", 2)
+        file, line = Path(base) / path, int(line)
+        text = file.read_text(encoding="utf-8") if file.is_file() else ""
+        lines = text.splitlines()
+        if not (0 < line <= len(lines) and lines[line - 1].strip() == source[1:]
+                and line in executable_lines(text)):
+            stale.append(row)
+    return stale
 
 
 def _derandomize_hypothesis():
@@ -197,9 +228,15 @@ def main(argv=None) -> int:
     print(text.split("\n", 3)[-1], end="")
     for nodeid, why in tracer.tracer_costs:
         print(f"failed on {why} under tracing (not counted): {nodeid}")
+    for nodeid in tracer.old_table:
+        print(f"failed on the table before this run (not counted): {nodeid}")
+    stale = stale_rows(text, os.getcwd())
+    for row in stale:
+        print(f"STALE in the table just written: {row}")
     for nodeid in tracer.failed:
         print(f"FAILED under tracing: {nodeid}")
-    if tracer.failed or code not in (pytest.ExitCode.OK, pytest.ExitCode.TESTS_FAILED):
+    if tracer.failed or stale or code not in (pytest.ExitCode.OK,
+                                              pytest.ExitCode.TESTS_FAILED):
         return 1
     return 0
 
