@@ -52,3 +52,18 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     two.write_text("x = 1\n\n# comment\n")
     assert code_lines.main([str(one), str(two)]) == 0
     assert capsys.readouterr().out.split() == ["10", str(one), "1", str(two), "11", "total"]
+
+
+def test_a_directory_counts_every_python_file_under_it_in_order(tmp_path, capsys):
+    (tmp_path / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "pkg" / "b.py").write_text(FIXTURE)
+    (tmp_path / "pkg" / "a.py").write_text("x = 1\n")
+    (tmp_path / "pkg" / "sub" / "c.py").write_text("y = 2\nz = 3\n")
+    (tmp_path / "pkg" / "notes.txt").write_text("not python\n")
+    single = tmp_path / "one.py"
+    single.write_text("w = 0\n")
+    assert code_lines.main([str(tmp_path / "pkg"), str(single)]) == 0
+    pkg = tmp_path / "pkg"
+    assert capsys.readouterr().out.split() == [
+        "1", str(pkg / "a.py"), "10", str(pkg / "b.py"), "2", str(pkg / "sub" / "c.py"),
+        "1", str(single), "14", "total"]

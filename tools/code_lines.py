@@ -6,8 +6,10 @@ a module, class or function body). A string that spans several lines
 counts each line it covers.
 
     python3 tools/code_lines.py src/texcurve/texeval.py src/texcurve/analysis.py
+    python3 tools/code_lines.py src/texcurve
 
-prints each file's count, then the total.
+prints each file's count, then the total. A directory stands for every
+`*.py` file under it, in sorted order.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import ast
 import io
 import sys
 import tokenize
+from pathlib import Path
 
 #: tokens that alone do not make a line a code line
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -43,9 +46,18 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(source))
 
 
+def source_files(paths) -> list:
+    """The files that `paths` name: a file as given, a directory as every
+    `*.py` file under it, in sorted order."""
+    files = []
+    for path in paths:
+        files.extend(sorted(Path(path).rglob("*.py")) if Path(path).is_dir() else [path])
+    return files
+
+
 def main(paths) -> int:
     total = 0
-    for path in paths:
+    for path in source_files(paths):
         with open(path, encoding="utf-8") as fh:
             count = code_lines(fh.read())
         total += count
