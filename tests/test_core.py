@@ -141,9 +141,16 @@ class TestControlPolygon:
             poly.points[0] = 5.0
 
 
-#: the one grid constructor, which every path builds its grids through (a
-#: parameter, so that these cases keep their ids)
-GRID_CONSTRUCTORS = pytest.mark.parametrize("make", [TexelGrid], ids=["TexelGrid"])
+def _quantized(dims, channels, fmt, data):
+    """A grid of quantizer output, built the way `encoder._finish` builds
+    every encoder's grid: the quantizer runs before the constructor."""
+    return TexelGrid(dims, channels, fmt, _quantize_array(np.asarray(data, dtype=np.float64), fmt))
+
+
+#: the one grid constructor, called directly and on quantizer output, the
+#: route every encoder takes; the layout checks hold on both
+GRID_CONSTRUCTORS = pytest.mark.parametrize("make", [TexelGrid, _quantized],
+                                            ids=["TexelGrid", "_quantized"])
 
 
 class TestTexelGrid:
