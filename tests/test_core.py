@@ -21,7 +21,7 @@ from texcurve import (
     lerp,
     remap_unit_to_texel_span,
 )
-from texcurve.core import _quantize_array, _unit_param, _unorm_codes
+from texcurve.core import _quantize_array, _texel_span, _unit_param, _unorm_codes
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -82,6 +82,45 @@ class TestRemap:
         y = float(remap_unit_to_texel_span(x, extent))
         expect = (0.5 + x * (extent - 1)) / extent
         assert y == expect
+
+
+def floats_around(center: float, count: int = 1 << 20) -> np.ndarray:
+    """The `count` float64 values nearest `center` (0.0, or a positive
+    float), in order: around 0 the subnormals of both signs, ±0.0
+    included."""
+    half = count // 2
+    if center == 0.0:
+        below = np.arange(half, dtype=np.int64).view(np.float64)
+        return np.concatenate((-below[::-1], below))
+    return (np.float64(center).view(np.int64) + np.arange(-half, half)).view(np.float64)
+
+
+class TestTwoTexelSpan:
+    """`_texel_span` maps onto a 2-texel axis: it has the bytes of the
+    general map (0.5 + x·(extent - 1)) / extent at extent 2, and so of
+    the checked `remap_unit_to_texel_span`, at every finite float."""
+
+    @staticmethod
+    def general(x):
+        return (0.5 + x * 1) / 2
+
+    @pytest.mark.parametrize("center", (0.0, 0.5, 1.0))
+    def test_floats_around_the_ends_and_the_middle(self, center):
+        x = floats_around(center)
+        assert _texel_span(x, 2).tobytes() == self.general(x).tobytes()
+        inside = x[(x >= 0.0) & (x <= 1.0)]
+        assert remap_unit_to_texel_span(inside, 2).tobytes() == _texel_span(inside, 2).tobytes()
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_finite_float(self, x):
+        assert np.float64(_texel_span(x, 2)).tobytes() == np.float64(self.general(x)).tobytes()
+        x = np.array([x, -x])
+        assert _texel_span(x, 2).tobytes() == self.general(x).tobytes()
+
+    @given(unit)
+    def test_checked_map_at_two_texels(self, x):
+        assert np.float64(remap_unit_to_texel_span(x, 2)).tobytes() \
+            == np.float64(_texel_span(x, 2)).tobytes()
 
 
 class TestUnitParam:

@@ -19,7 +19,7 @@ from texcurve import (
     sample_bilinear,
     sample_trilinear,
 )
-from texcurve import sampler
+from texcurve import core, sampler
 from texcurve.encoder import _quantize_array
 from texcurve.sampler import blend_with_fractions
 from texcurve.texeval import _BLOCK
@@ -526,3 +526,89 @@ class TestOptionKernel:
             assert value.shape == np.shape(bases[0]) + (channels,)
             assert value.dtype == want.dtype == np.float64
             assert value.tobytes() == want.tobytes()
+
+
+#: fractions a lerp must carry bit for bit: the ends, the smallest and the
+#: largest subnormal, the smallest normal and one half
+SPECIAL_FRACTIONS = (0.0, 1.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 0.5)
+
+
+def _special_fraction(rng, shape, form="array"):
+    """Fractions in [0, 1] with `SPECIAL_FRACTIONS` mixed in; a scalar is
+    a 0-d array, an np.float64 or a Python float, as `form` says."""
+    f = rng.uniform(0.0, 1.0, shape)
+    flat = f.reshape(-1)
+    flat[: len(SPECIAL_FRACTIONS)] = rng.permutation(SPECIAL_FRACTIONS)[: flat.size]
+    if form == "array":
+        return f
+    return np.float64(f) if form == "float64" else float(f)
+
+
+def _lerp_chain(corners, fractions):
+    """The blend written as its definition: one `core.lerp` per fraction."""
+    for f in fractions:
+        corners = core.lerp(corners[:, 0], corners[:, 1], f)
+    return corners
+
+
+class TestLerpAxes:
+    """`_lerp_axes` has the bytes of a chain of `core.lerp` calls, one per
+    axis, whether axes share one fraction object or not, at the ends, at
+    subnormal fractions and on ±0.0 texels, and on the error bound's option
+    axes."""
+
+    @staticmethod
+    def corners(rng, channels, axes, shape):
+        corners = rng.uniform(-2.0, 2.0, (channels,) + (2,) * axes + shape)
+        flat = corners.reshape(-1)
+        flat[rng.integers(0, flat.size, 2)] = -0.0, 0.0
+        return corners
+
+    @given(channels=st.integers(1, 4), axes=st.sampled_from((2, 3)),
+           shape=st.sampled_from(((), (1,), (7,), (2, 3))),
+           form=st.sampled_from(("array", "float64", "float")),
+           shared=st.sampled_from(("none", "all", "last two")),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_plain_fractions(self, channels, axes, shape, form, shared, seed):
+        rng = np.random.default_rng(seed)
+        corners = self.corners(rng, channels, axes, shape)
+        fractions = [_special_fraction(rng, shape, form if shape == () else "array")
+                     for _ in range(axes)]
+        if shared == "all":
+            fractions = [fractions[0]] * axes
+        elif shared == "last two":
+            fractions[-1] = fractions[-2]
+        got = sampler._lerp_axes(corners, fractions)
+        want = _lerp_chain(corners, fractions)
+        assert got.shape == want.shape == (channels,) + shape
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @given(channels=st.integers(1, 4), axes=st.sampled_from((2, 3)),
+           shape=st.sampled_from(((1,), (7,), (2, 3))),
+           shared=st.sampled_from(("none", "all", "last two")),
+           exact_depth=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_option_axes(self, channels, axes, shape, shared, exact_depth, seed):
+        """As the bound passes them: each axis's (2, *samples) probe pair
+        reshaped onto an option axis of its own, one pair object for every
+        axis that shares a fraction, and (the hybrid) the depth axis at one
+        exact fraction."""
+        rng = np.random.default_rng(seed)
+        corners = self.corners(rng, channels, axes, shape)
+        corners = corners.reshape(corners.shape[: 1 + axes] + (1,) * axes
+                                  + corners.shape[1 + axes :])
+        pairs = [np.array([_special_fraction(rng, shape) for _ in range(2)]) for _ in range(axes)]
+        if shared == "all":
+            pairs = [pairs[0]] * axes
+        elif shared == "last two":
+            pairs[-1] = pairs[-2]
+        options = [pair.reshape((2,) + (1,) * (axes - 1 - axis) + shape)
+                   for axis, pair in enumerate(pairs)]
+        if exact_depth:
+            options[-1] = _special_fraction(rng, shape)
+        got = sampler._lerp_axes(corners, options)
+        want = _lerp_chain(corners, options)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
