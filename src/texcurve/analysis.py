@@ -276,11 +276,14 @@ def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np
     one gather of the corners. Each axis's probe fractions stack on an
     option axis of their own ahead of the samples, so one lerp per axis
     blends every combination. A probe pair (the representable fractions
-    below and above) is built once per distinct fraction array, which the
-    lookup state shares between axes of one stage: one for every axis of a
-    dc layout, one for both last axes of Seiler 3-D. The hybrid's depth
-    axis is probed at its exact fraction only, since the hybrid never
-    quantizes it. The probes are decoded through a channels-last transpose
+    below and above) and its complement 1 - pair are built once per
+    distinct fraction array, which the lookup state shares between axes of
+    one stage: one for every axis of a dc layout, one for both last axes of
+    Seiler 3-D. The pair is written into one preallocated (2, *samples)
+    array. Each axis lerps at its own reshaped views of the pair and its
+    complement, so the complement is keyed on the pair, not on a view. The
+    hybrid's depth axis is probed at its exact fraction only, since the
+    hybrid never quantizes it. The probes are decoded through a channels-last transpose
     view; decoding is elementwise, so the view moves no bit.
 
     Each blend allocates its (channels, 2, samples) block once, zeroed,
@@ -298,19 +301,26 @@ def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np
         block[:, 0] = exact.T
         if cfg.subtexel_bits > 0:
             step, n = float(1 << cfg.subtexel_bits), len(fracs)
-            probe_of = {}  # id of a fraction array -> its (2, *samples) probe pair
-            options = []
+            # id of a fraction array -> its (2, *samples) probe pair and the pair's complement
+            probe_of = {}
+            options, complements = [], []
             for axis, frac in enumerate(fracs):
                 probe = probe_of.get(id(frac))
-                if probe is None:
-                    lo = np.floor(frac * step) / step
-                    probe = probe_of[id(frac)] = np.array((lo, np.minimum(lo + 1.0 / step, 1.0)))
-                options.append(probe.reshape((2,) + (1,) * (n - 1 - axis) + frac.shape))
+                if probe is None:  # lo = floor(frac * step) / step and min(lo + 1/step, 1)
+                    pair = np.empty((2,) + frac.shape)
+                    lo = np.floor(frac * step, out=pair[0])
+                    lo /= step
+                    np.minimum(lo + 1.0 / step, 1.0, out=pair[1])
+                    probe = probe_of[id(frac)] = pair, 1.0 - pair
+                view = (2,) + (1,) * (n - 1 - axis) + frac.shape
+                options.append(probe[0].reshape(view))
+                complements.append(probe[1].reshape(view))
             if hybrid:
-                options[-1] = fracs[-1]
+                options[-1], complements[-1] = fracs[-1], 1.0 - fracs[-1]
             # one option axis per corner axis, between the corner axes and the samples
             shape = corners.shape[: 1 + n] + (1,) * n + corners.shape[1 + n :]
-            probes = _lerp_axes(corners.reshape(shape), options)  # (channels, *options, samples)
+            # (channels, *options, samples)
+            probes = _lerp_axes(corners.reshape(shape), options, complements)
             probes = _decode(curve, probes.transpose(*range(1, probes.ndim), 0))
             block[:, 1] = np.abs(probes - exact).max(axis=tuple(range(n))).T
         return block

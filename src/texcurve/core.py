@@ -451,27 +451,45 @@ def _unit_param(t):
     return t
 
 
+def _lerp(a, b, t, s):
+    """The lerp kernel a*s + b*t, with the complement s = 1 - t given and
+    nothing checked: float64 endpoints of one shape, and t and s that
+    broadcast against them. The sum is added in place into the first
+    product: the same two products and the same add, in the same order,
+    with one temporary fewer. `lerp` is this kernel after its checks, and
+    the sampler's blend (`sampler._lerp_axes`) runs every corner axis
+    through it, computing each complement once for the axes that share it.
+    """
+    value = a * s
+    value += b * t
+    return value
+
+
 def lerp(a, b, t):
     """Linear interpolation a*(1-t) + b*t in full working precision.
 
-    `t` may be a scalar or any array broadcastable against a and b. The sum
-    is added in place into the first product: the same two products and
-    the same add, in the same order, with one temporary fewer.
+    `t` may be a scalar or any array broadcastable against a and b. The
+    arithmetic is `_lerp`'s, at s = 1 - t.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ChannelMismatchError(f"lerp endpoints differ in shape: {a.shape} vs {b.shape}")
     t = np.asarray(t, dtype=float)
-    value = a * (1.0 - t)
-    value += b * t
-    return value
+    return _lerp(a, b, t, 1.0 - t)
 
 
-def _texel_span(x, extent: int):
-    """`remap_unit_to_texel_span` without its checks, for parameters the
-    caller has already validated."""
-    return (0.5 + x * (extent - 1)) / extent
+def _texel_span(x):
+    """The span map onto a 2-texel axis, (0.5 + x) * 0.5, without the
+    checks of `remap_unit_to_texel_span`, for parameters the caller has
+    already validated; every evaluator's span axis has 2 texels.
+
+    It has the bytes of the general map (0.5 + x*(extent - 1)) / extent at
+    extent 2 for every x: x*1 = x exactly (±0.0 included), and y * 0.5 and
+    y / 2 are each one correctly rounded operation on the same real y/2,
+    so they round to the same float.
+    """
+    return (0.5 + x) * 0.5
 
 
 def remap_unit_to_texel_span(x, extent: int):
@@ -481,8 +499,8 @@ def remap_unit_to_texel_span(x, extent: int):
     center of the first texel, not the texture border: the result is
     (0.5 + x*(extent-1)) / extent. For extent 2 this is the [0.25, 0.75] span.
     This is the checked map: the evaluators validate their parameters once
-    per call and map them per block through `_texel_span`, the same
-    arithmetic without the checks.
+    per call and map them per block through `_texel_span`, which has this
+    map's bytes at extent 2 without the checks.
     """
     extent = int(extent)
     if extent < 2:
@@ -490,4 +508,4 @@ def remap_unit_to_texel_span(x, extent: int):
     x = np.asarray(x, dtype=float)
     if not ((x >= 0.0) & (x <= 1.0)).all():  # also false for NaN and inf
         raise DomainError("parameter outside [0, 1]; clamp first if that is intended")
-    return _texel_span(x, extent)
+    return (0.5 + x * (extent - 1)) / extent

@@ -24,8 +24,9 @@ sums the pairs into flat texel offsets and gathers every corner texel with
 one `take` from the grid viewed as a flat (channels, texels) table, into
 one (channels, 2[x], 2[y][, 2[z]], *samples) array, and `_lerp_axes` runs the
 fixed chain of lerps, one per axis, x, then y, then z, each lerping away
-one corner axis. Each lerp runs over channel rows whose sample axis is
-contiguous.
+one corner axis through the unchecked kernel `core._lerp`, with 1 - f
+computed once per fraction array. Each lerp runs over channel rows whose
+sample axis is contiguous.
 
 The sampler reads texels as they are stored. Storage quantization lives
 beside `TexelFormat` in `core` (`quantize_texel`, `_quantize_array`), and
@@ -43,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, LayoutError, SamplerConfig, TexelGrid, lerp
+from .core import DomainError, LayoutError, SamplerConfig, TexelGrid
+from .core import _lerp as lerp  # the one lerp of every blend, unchecked
 
 
 def _numerator(frac, cfg: SamplerConfig):
@@ -187,37 +189,57 @@ def _corners(grid: TexelGrid, pairs):
 
     The texels are read as one flat (channels, texels) table: each axis's
     pair, a (2, *samples) int64 array whose samples may have fewer axes
-    than the others' (the hybrid's depth pair `_PAIR` has none), is scaled
-    by the axis stride (1, w, w*h; x needs no multiply) and reshaped onto
-    its own corner axis, the pairs broadcast into the summed offset
+    than the others' (the hybrid's depth pair `_PAIR` has none), is
+    reshaped onto its own corner axis and scaled by the axis stride (1, w,
+    w*h; x needs no multiply), the pairs broadcast into the summed offset
     x + w*y + w*h*z of every corner, and one `take` reads them all. A flat
     take costs a fraction of a 3-array fancy index. The samples are the
     last axes and contiguous, so fractions broadcast unchanged and each
     lerp's inner loop runs over the samples rather than the 1 to 4 channels.
+    The axes are written out, two or three, each in a single reshape:
+    this runs once per fetch, where a loop's own calls cost as much as
+    the arithmetic.
     """
-    texels = grid.data.reshape(-1, grid.channels).T
-    rank = len(pairs) - 1 + max(pair.ndim for pair in pairs)  # corner axes, then samples
-    offset = 0
-    for axis, (pair, stride) in enumerate(zip(pairs, (1, grid.width, grid.width * grid.height))):
-        # later corner axes and missing sample axes between the pair and its samples
-        step = pair.reshape((2,) + (1,) * (rank - axis - pair.ndim) + pair.shape[1:])
-        offset = offset + step * stride if axis else step
-    return texels.take(offset, axis=1)
+    _, h, w, channels = grid.data.shape
+    x, y, *depth = pairs
+    # corner axes, then samples; later corner axes and missing sample axes
+    # sit between each pair and its samples
+    rank = len(pairs) - 1 + max(x.ndim, y.ndim, depth[0].ndim if depth else 0)
+    offset = x.reshape((2,) + (1,) * (rank - x.ndim) + x.shape[1:]) \
+        + y.reshape((2,) + (1,) * (rank - 1 - y.ndim) + y.shape[1:]) * w
+    if depth:
+        z, = depth
+        offset = offset + z.reshape((2,) + (1,) * (rank - 2 - z.ndim) + z.shape[1:]) * (w * h)
+    return grid.data.reshape(-1, channels).T.take(offset, axis=1)
 
 
-def _lerp_axes(corners, fractions):
+def _lerp_axes(corners, fractions, complements=None):
     """The one lerp chain: lerp away one corner axis (axis 1) per fraction,
-    x, then y, then z.
+    x, then y, then z, through the unchecked kernel `core._lerp` (bound
+    here as `lerp`, the one name that counts or traces every lerp of a
+    blend).
 
-    That order is part of the emulated result, bit for bit. A fraction
+    That order is part of the emulated result, bit for bit: each lerp is
+    `core.lerp`'s a*(1 - f) + b*f with the add in place. The complement
+    1 - f is computed once per run of one fraction object over adjacent
+    axes, which covers every axis that shares one: the axes of one stage
+    share its fraction array, and they are adjacent (every axis of a dc
+    layout, the last two of Seiler 3-D). A caller may give the complements
+    instead: the error bound computes each probe pair's once and passes
+    its per-axis views. Fractions are float64 arrays or scalars. A fraction
     broadcasts against what is left of the corner array, so fractions with
     extra leading axes before the samples (one per option, as the error
     bound's probes pass them) blend every combination of options in one
     lerp per axis. Returns the array left after the fractions given,
     channel axis first: one blend, or the two depth slices after x and y.
     """
-    for f in fractions:
-        corners = lerp(corners[:, 0], corners[:, 1], f)
+    s = last = None
+    for axis, f in enumerate(fractions):
+        if complements is not None:
+            s = complements[axis]
+        elif f is not last:
+            s, last = 1.0 - f, f
+        corners = lerp(corners[:, 0], corners[:, 1], f, s)
     return corners
 
 
@@ -277,12 +299,14 @@ def blend_with_fractions(grid: TexelGrid, bases, fractions):
     on `texeval._fetch`). Runs the same lerp chain as the sampling paths
     above, so results are bitwise comparable with them and with the bound's
     probes. Bases and fractions broadcast together, so a
-    fraction array never spreads along the corner axes.
+    fraction array never spreads along the corner axes. Fractions are read
+    as float64, as `core.lerp` reads them.
     """
     if len(bases) != len(fractions):
         raise LayoutError("one base index and one fraction per axis")
     if len(bases) not in (2, 3):
         raise LayoutError("blend supports 2 or 3 axes")
+    fractions = [np.asarray(f, dtype=float) for f in fractions]
     shape = np.broadcast_shapes(*map(np.shape, bases), *map(np.shape, fractions))
     pairs = [_clamp_pair(np.broadcast_to(np.asarray(base, dtype=np.int64), shape), extent)
              for base, extent in zip(bases, grid.dims)]

@@ -18,8 +18,8 @@ two coordinates) and the bound's. Parameters are validated once per call:
 `_curve_param` checks t, and `_surface_params` checks (u, v) and that
 their shapes broadcast together. The coordinate maps (`_curve_param`'s
 and the surface evaluators') then map each block through
-`core._texel_span`, the arithmetic of `remap_unit_to_texel_span` without
-its check. No sample is checked after that: the Seiler coordinate window
+`core._texel_span`, which has the bytes of `remap_unit_to_texel_span` on
+a 2-texel axis without its check. No sample is checked after that: the Seiler coordinate window
 holds for every t in [0, 1], as `_seiler_coords` proves.
 
 `_fetch` blends once per run of equal lookup state. The filter's output is
@@ -119,7 +119,7 @@ def _curve_param(curve: EncodedCurve, t):
         return (lambda t: _seiler_coords(layout, t)), _unit_param(t)
     if layout in (Layout.DC_QUAD_2X2, Layout.DC_CUBIC_2X2X2):
         axes = 3 if layout is Layout.DC_CUBIC_2X2X2 else 2
-        return (lambda t: (_texel_span(t, 2),) * axes), _unit_param(t)
+        return (lambda t: (_texel_span(t),) * axes), _unit_param(t)
     raise LayoutError(f"{layout.value} is not a 1-parameter curve layout")
 
 
@@ -136,7 +136,7 @@ def _zigzag_coords(n: int, gt):
     lt = gt - k
     u = (k + 0.5 + lt) / (n + 1)
     odd = k * 0.5 != np.floor(k * 0.5)
-    return u, _texel_span(np.where(odd, 1.0 - lt, lt), 2)
+    return u, _texel_span(np.where(odd, 1.0 - lt, lt))
 
 
 def _seiler_coords(layout: Layout, t):
@@ -151,11 +151,11 @@ def _seiler_coords(layout: Layout, t):
     2^-54, so the product is at most 0.25 - e^2 + 2^-55 - 2^-54 * e, below
     the rounding midpoint 0.25 + 2^-55 above 0.25, and rounds to at most
     0.25. It is at least 0, a product of two non-negative factors. Then
-    `_texel_span(m, 2)` = fl(0.5 + m) / 2 lies in [0.25, 0.375], since
+    `_texel_span(m)` = fl(0.5 + m) * 0.5 lies in [0.25, 0.375], since
     rounding is monotone and both ends are floats."""
     m = (1.0 - t) * t
-    rt = _texel_span(t, 2)
-    rm = _texel_span(m, 2)
+    rt = _texel_span(t)
+    rm = _texel_span(m)
     if layout is Layout.SEILER_3D:
         return rt, rm, rm
     return rt, rm
@@ -367,7 +367,7 @@ def _surface_params(u, v):
 def eval_bilinear_patch(curve: EncodedCurve, u, v, cfg: SamplerConfig):
     """Evaluate a bilinear patch: one read at (remapped u, remapped v)."""
     _mode_eval(curve, "patch")
-    return _fetch(curve, lambda u, v: (_texel_span(u, 2), _texel_span(v, 2)),
+    return _fetch(curve, lambda u, v: (_texel_span(u), _texel_span(v)),
                   _surface_params(u, v), cfg, _decoded(curve), _rows)
 
 
@@ -377,7 +377,7 @@ def eval_bicubic_rgba(curve: EncodedCurve, u, v, cfg: SamplerConfig):
     cubic in v runs at full precision."""
     _mode_eval(curve, "bicubic")
     u, v = _surface_params(u, v)
-    iso = _fetch(curve, lambda u: (_texel_span(u, 2),) * 3, (u,), cfg, _decoded(curve), _rows)
+    iso = _fetch(curve, lambda u: (_texel_span(u),) * 3, (u,), cfg, _decoded(curve), _rows)
     return bernstein_sum(np.moveaxis(iso, -1, 0)[..., None], v)
 
 

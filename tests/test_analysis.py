@@ -31,7 +31,7 @@ from texcurve import (
 )
 from texcurve import analysis, sampler, texeval
 from texcurve.analysis import _default_mode, report_to_csv, write_csv, write_ppm
-from texcurve.core import Layout, ValueTransform
+from texcurve.core import Layout, ValueTransform, _lerp
 from texcurve.reference import elevate_degree
 from texcurve.sampler import blend_with_fractions, texel_cell
 from texcurve.texeval import _BLOCK, _decode, eval_dc, parameter_coords
@@ -492,6 +492,7 @@ def test_one_gather_and_shared_lerps_per_bound_block(monkeypatch, mode, degree, 
             return fn(*args)
         return wrapper
 
+    assert sampler.lerp is _lerp  # the one lerp of every blend
     monkeypatch.setattr(sampler, "lerp", counted(sampler.lerp, "lerp"))
     monkeypatch.setattr(analysis, "_corners", counted(analysis._corners, "gather"))
     error_bound_estimate(enc, BITS8, mode=mode, samples=256)

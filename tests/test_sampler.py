@@ -594,7 +594,8 @@ class TestLerpAxes:
         """As the bound passes them: each axis's (2, *samples) probe pair
         reshaped onto an option axis of its own, one pair object for every
         axis that shares a fraction, and (the hybrid) the depth axis at one
-        exact fraction."""
+        exact fraction; with the complements left to `_lerp_axes` or given,
+        as the bound gives them, computed once per pair and reshaped."""
         rng = np.random.default_rng(seed)
         corners = self.corners(rng, channels, axes, shape)
         corners = corners.reshape(corners.shape[: 1 + axes] + (1,) * axes
@@ -604,11 +605,29 @@ class TestLerpAxes:
             pairs = [pairs[0]] * axes
         elif shared == "last two":
             pairs[-1] = pairs[-2]
-        options = [pair.reshape((2,) + (1,) * (axes - 1 - axis) + shape)
-                   for axis, pair in enumerate(pairs)]
+        views = [(2,) + (1,) * (axes - 1 - axis) + shape for axis in range(axes)]
+        options = [pair.reshape(view) for pair, view in zip(pairs, views)]
+        # the bound's complements: one per pair object, reshaped as its options
+        complement_of = {id(pair): 1.0 - pair for pair in pairs}
+        complements = [complement_of[id(pair)].reshape(view) for pair, view in zip(pairs, views)]
         if exact_depth:
             options[-1] = _special_fraction(rng, shape)
-        got = sampler._lerp_axes(corners, options)
+            complements[-1] = 1.0 - options[-1]
         want = _lerp_chain(corners, options)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        for got in (sampler._lerp_axes(corners, options),
+                    sampler._lerp_axes(corners, options, complements)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_blend_with_fractions_reads_its_fractions_as_float64(self):
+        """Lists, integers and float32 fractions blend as `core.lerp` reads
+        them: as float64."""
+        rng = np.random.default_rng(9)
+        grid = TexelGrid((2, 2, 1), 3, TexelFormat.FLOAT32, rng.uniform(-1.0, 1.0, (1, 2, 2, 3)))
+        corners = np.moveaxis(grid.data[0], -1, 0).swapaxes(1, 2)  # (channels, 2[x], 2[y])
+        for fx, fy in (([0.1, 0.7, 1], 0), (np.float32(0.3), np.float32([0.2, 0.9]))):
+            got = blend_with_fractions(grid, [0, 0], [fx, fy])
+            fx, fy = (np.asarray(f, dtype=float) for f in (fx, fy))
+            samples = np.broadcast_shapes(fx.shape, fy.shape)
+            want = _lerp_chain(corners.reshape(corners.shape + (1,) * len(samples)), (fx, fy))
+            assert got.tobytes() == np.ascontiguousarray(np.moveaxis(want, 0, -1)).tobytes()

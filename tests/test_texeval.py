@@ -40,7 +40,7 @@ from texcurve import (
     sample_bilinear,
 )
 from texcurve import sampler, texeval
-from texcurve.core import Layout
+from texcurve.core import Layout, _lerp
 from texcurve.texeval import _BLOCK, _RUN_MIN
 from conftest import IDEAL, BITS8, one_curve_per_layout, random_c0_quadratics, random_polygon
 
@@ -517,11 +517,13 @@ def test_evaluator_rejects_every_other_layout(fn, accepts, layout):
 @pytest.fixture
 def counted(monkeypatch):
     """Counts of the blend kernel's work while a test runs: `lerps` (calls
-    of `sampler.lerp`), `blended` (samples `sampler._blend` is given),
+    of `sampler.lerp`, the unchecked kernel `core._lerp` that every lerp of
+    a blend runs through), `blended` (samples `sampler._blend` is given),
     `gathers` (calls of `sampler._corners`), `corners` (texels they take
     per channel) and `gathered` (samples whose corners they take)."""
     counts = collections.Counter()
     lerp, blend, gather = sampler.lerp, sampler._blend, sampler._corners
+    assert lerp is _lerp
 
     def counted_lerp(*args):
         counts["lerps"] += 1
@@ -623,10 +625,11 @@ def test_hybrid_runs_its_x_and_y_levels_per_run(monkeypatch):
     slice at a time."""
     sizes = []
     lerp = sampler.lerp
+    assert lerp is _lerp
 
-    def counted_lerp(a, b, f):
+    def counted_lerp(a, b, t, s):
         sizes.append(np.shape(a)[-1])
-        return lerp(a, b, f)
+        return lerp(a, b, t, s)
 
     monkeypatch.setattr(sampler, "lerp", counted_lerp)
     cfg = SamplerConfig(subtexel_bits=8, subtexel_rounding="nearest")
