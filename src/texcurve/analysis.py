@@ -283,8 +283,9 @@ def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np
     array. Each axis lerps at its own reshaped views of the pair and its
     complement, so the complement is keyed on the pair, not on a view. The
     hybrid's depth axis is probed at its exact fraction only, since the
-    hybrid never quantizes it. The probes are decoded through a channels-last transpose
-    view; decoding is elementwise, so the view moves no bit.
+    hybrid never quantizes it. The probes are decoded through a
+    channels-last transpose view; decoding is elementwise, so the view
+    moves no bit.
 
     Each blend allocates its (channels, 2, samples) block once, zeroed,
     and writes the exact blend into row 0 and, at bits > 0, the probes'

@@ -151,19 +151,15 @@ def eval_bernstein(poly: ControlPolygon, t):
 
 def _decasteljau_rows(points, t):
     """De Casteljau's lerps b_j (1-t) + b_(j+1) t, one channel at a time, so
-    that a level holds d samples-long rows, not d·channels; returned
-    channel-major (Fortran order for 1-D t). Each level is one array op on
-    the channel's stack of rows, (d + 1, *t.shape) wide at the start: every
-    element gets the products and the add of the pairwise scheme, in its
-    order, with the add in place."""
+    that a level holds d samples-long arrays, not d·channels; returned
+    channel-major (Fortran order for 1-D t)."""
     s = 1.0 - t
     out = np.empty(points.shape[1:] + t.shape)
     for ch, beta in enumerate(points.T):
-        beta = beta.reshape((-1,) + (1,) * t.ndim)
-        for _ in range(len(points) - 1):
-            level = beta[:-1] * s
-            level += beta[1:] * t
-            beta = level
+        beta = list(beta)
+        for r in range(len(beta) - 1, 0, -1):
+            for j in range(r):
+                beta[j] = beta[j] * s + beta[j + 1] * t
         out[ch] = beta[0]
     return np.moveaxis(out, 0, -1)
 

@@ -19,8 +19,9 @@ two coordinates) and the bound's. Parameters are validated once per call:
 their shapes broadcast together. The coordinate maps (`_curve_param`'s
 and the surface evaluators') then map each block through
 `core._texel_span`, which has the bytes of `remap_unit_to_texel_span` on
-a 2-texel axis without its check. No sample is checked after that: the Seiler coordinate window
-holds for every t in [0, 1], as `_seiler_coords` proves.
+a 2-texel axis without its check. No sample is checked after that: the
+Seiler coordinate window holds for every t in [0, 1], as `_seiler_coords`
+proves.
 
 `_fetch` blends once per run of equal lookup state. The filter's output is
 fixed by the texture unit's discrete state: the clamped texel pair and the
