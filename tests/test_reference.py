@@ -76,14 +76,14 @@ class TestDeCasteljau:
                 b = eval_decasteljau(poly, t)
                 assert all(ulps(x, y) for x, y in zip(a, b))
 
-
     @given(degree=st.integers(1, 8), channels=st.integers(1, 4),
            shape=st.sampled_from(((), (1,), (9,), (3, 4), "reversed")),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_one_lerp_per_point_pair(self, degree, channels, shape, seed):
-        """The lerps are those of the textbook scheme, one numpy call per
-        point pair and level, in bytes, shape and memory order."""
+        """The bytes, shape and memory order of the textbook scheme, one
+        lerp per point pair and level, at scalar, 2-D and reversed t: the
+        reference that any rewrite of the levels must keep."""
         rng = np.random.default_rng(seed)
         poly = ControlPolygon(rng.uniform(-2.0, 2.0, (degree + 1, channels)))
         t = rng.uniform(0.0, 1.0, 9)[::-1] if shape == "reversed" else rng.uniform(0.0, 1.0, shape)
@@ -97,6 +97,7 @@ class TestDeCasteljau:
                     beta[j] = beta[j] * s + beta[j + 1] * t
             want[ch] = beta[0]
         assert_same_layout(eval_decasteljau(poly, t), np.moveaxis(want, 0, -1), "decasteljau")
+
 
 class TestSeilerTerms:
     def test_cubic_hump_terms(self):
