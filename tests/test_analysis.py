@@ -234,6 +234,34 @@ class TestRender:
         assert len(blob) == len(b"P6\n32 16\n255\n") + 32 * 16 * 3
 
 
+#: the layouts and dtypes `write_ppm` must write as `astype(np.uint8)` reads them
+_PPM_VIEWS = {
+    "c": lambda img: img,
+    "fortran": np.asfortranarray,
+    "reversed": lambda img: img[::-1],
+    "strided": lambda img: img[:, ::2],
+    "int64": lambda img: img.astype(np.int64),
+    "float64": lambda img: img.astype(np.float64),
+    "bool": lambda img: img > 127,
+}
+
+
+def _ppm_oracle(image) -> bytes:
+    h, w = np.shape(image)[:2]
+    return b"P6\n%d %d\n255\n" % (w, h) + np.asarray(image).astype(np.uint8).tobytes()
+
+
+class TestWritePpm:
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.uint8, st.tuples(st.integers(1, 5), st.integers(1, 6), st.just(3))),
+           st.sampled_from(sorted(_PPM_VIEWS)))
+    def test_bytes_are_the_header_and_the_uint8_cast(self, tmp_path_factory, base, view):
+        image = _PPM_VIEWS[view](base)
+        path = tmp_path_factory.mktemp("ppm") / "img.ppm"
+        write_ppm(image, path)
+        assert path.read_bytes() == _ppm_oracle(image)
+
+
 def test_default_mode_per_layout():
     # the CLI and error_bound_estimate both take the first mode in the
     # table that lists the layout
