@@ -17,6 +17,7 @@ itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -173,8 +174,7 @@ def report_to_csv(report: ErrorReport) -> str:
 
 
 def write_csv(report: ErrorReport, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(report_to_csv(report))
+    Path(path).write_text(report_to_csv(report), newline="\n")
 
 
 #: pixel colours: white (reference, or no deviation), red (test below), green (test above)
@@ -253,11 +253,22 @@ def render_deviation_image(
 
 
 def write_ppm(image: np.ndarray, path) -> None:
-    """Write an (h, w, 3) uint8 image as a binary P6 pixmap."""
-    h, w, _ = image.shape
+    """Write an (h, w, 3) image as a binary P6 pixmap: the header, then
+    the pixels in C order as `image.astype(np.uint8)` reads them.
+
+    Any other shape raises ChannelMismatchError. The shape is checked and
+    the cast made before the file is opened, so a refused image leaves an
+    existing file as it was. A C-contiguous uint8 image, which
+    `render_deviation_image` returns, is written from its own buffer
+    without a copy.
+    """
+    pixels = np.ascontiguousarray(image, dtype=np.uint8)
+    if pixels.ndim != 3 or pixels.shape[2] != 3:
+        raise ChannelMismatchError(f"a pixmap is an (h, w, 3) array, got shape {pixels.shape}")
+    h, w, _ = pixels.shape
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(image.astype(np.uint8).tobytes())
+        fh.write(b"P6\n%d %d\n255\n" % (w, h))
+        fh.write(pixels)
 
 
 #: the bound's lattice runs at ideal coordinates; one config serves every call

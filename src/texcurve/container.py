@@ -19,6 +19,7 @@ Layout (little endian throughout):
 from __future__ import annotations
 
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -130,8 +131,9 @@ def curve_from_bytes(blob: bytes) -> EncodedCurve:
 
 
 def write_ctex(curve: EncodedCurve, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(curve_to_bytes(curve))
+    """Write the container; its bytes are built before the file is opened,
+    so a curve CTEX1 refuses leaves an existing file as it was."""
+    Path(path).write_bytes(curve_to_bytes(curve))
 
 
 def read_ctex(path) -> EncodedCurve:
@@ -157,5 +159,4 @@ def sidecar_text(curve: EncodedCurve) -> str:
 
 
 def write_sidecar(curve: EncodedCurve, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(sidecar_text(curve))
+    Path(path).write_text(sidecar_text(curve), newline="\n")

@@ -16,6 +16,7 @@ reals. `#` starts a comment. Example:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -98,5 +99,6 @@ def curve_text(degree: int, points: np.ndarray, *, knots=None, weights=None) -> 
 
 
 def write_curve_file(path, degree: int, points, *, knots=None, weights=None) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(curve_text(degree, points, knots=knots, weights=weights))
+    """Write `curve_text`; the text is built before the file is opened, so
+    points it refuses leave an existing file as it was."""
+    Path(path).write_text(curve_text(degree, points, knots=knots, weights=weights), newline="\n")

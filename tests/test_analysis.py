@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -260,6 +261,35 @@ class TestWritePpm:
         path = tmp_path_factory.mktemp("ppm") / "img.ppm"
         write_ppm(image, path)
         assert path.read_bytes() == _ppm_oracle(image)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 3), (2, 3, 3, 1)])
+    def test_other_shapes_are_refused_and_the_file_kept(self, tmp_path, shape):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"kept")
+        message = rf"^a pixmap is an \(h, w, 3\) array, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ChannelMismatchError, match=message):
+            write_ppm(np.zeros(shape, dtype=np.uint8), path)
+        assert path.read_bytes() == b"kept"
+
+    def test_a_failed_cast_keeps_the_file(self, tmp_path):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"kept")
+        with pytest.raises(TypeError):
+            write_ppm(np.full((2, 2, 3), None, dtype=object), path)
+        assert path.read_bytes() == b"kept"
+
+    def test_a_c_contiguous_uint8_image_is_written_without_a_copy(self, tmp_path):
+        # the render job's image: a copy of it would trace 768 KiB
+        image = np.full((256, 1024, 3), 255, dtype=np.uint8)
+        path = tmp_path / "img.ppm"
+        tracemalloc.start()
+        try:
+            write_ppm(image, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert path.stat().st_size == len(b"P6\n1024 256\n255\n") + image.nbytes
 
 
 def test_default_mode_per_layout():

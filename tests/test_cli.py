@@ -433,6 +433,14 @@ def test_sweep_and_render_mode_mismatch_exits_4(tmp_path, capsys, layout, comman
 
 
 class TestConvert:
+    def test_refused_points_leave_the_curve_file_as_it_was(self, tmp_path):
+        # the text is built before the file is opened
+        path = tmp_path / "c.curve"
+        path.write_bytes(b"kept")
+        with pytest.raises(ValueError):
+            curvefile.write_curve_file(path, 2, [[0.0, 1.0], [1.0], [0.0, 1.0]])
+        assert path.read_bytes() == b"kept"
+
     def test_curve_text_reads_1d_points_as_one_channel(self):
         points = [0.0, -0.0, 0.1, 1e300]
         text = curvefile.curve_text(3, points, knots=[0, 1], weights=[1, 2, 3, 4])

@@ -176,6 +176,15 @@ def test_float32_texels_that_binary32_cannot_hold_are_not_written():
         curve_to_bytes(curve)
 
 
+def test_a_refused_curve_leaves_the_file_as_it_was(tmp_path):
+    # the container's bytes are built before the file is opened
+    path = tmp_path / "c.ctex"
+    path.write_bytes(b"kept")
+    with pytest.raises(RangeError, match="bit for bit"):
+        write_ctex(_patch([0.1, 0.2, 0.3, 0.4]), path)
+    assert path.read_bytes() == b"kept"
+
+
 def test_float32_texels_that_binary32_holds_round_trip():
     # a binary32 value, a signed zero, the smallest subnormal and the largest
     values = np.array([np.float32(0.1), -0.0, 2.0**-149, np.finfo(np.float32).max], dtype=float)
