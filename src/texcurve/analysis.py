@@ -17,7 +17,6 @@ itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -174,7 +173,9 @@ def report_to_csv(report: ErrorReport) -> str:
 
 
 def write_csv(report: ErrorReport, path) -> None:
-    Path(path).write_text(report_to_csv(report), newline="\n")
+    text = report_to_csv(report)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
 
 
 #: pixel colours: white (reference, or no deviation), red (test below), green (test above)

@@ -19,7 +19,6 @@ Layout (little endian throughout):
 from __future__ import annotations
 
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -133,7 +132,9 @@ def curve_from_bytes(blob: bytes) -> EncodedCurve:
 def write_ctex(curve: EncodedCurve, path) -> None:
     """Write the container; its bytes are built before the file is opened,
     so a curve CTEX1 refuses leaves an existing file as it was."""
-    Path(path).write_bytes(curve_to_bytes(curve))
+    blob = curve_to_bytes(curve)
+    with open(path, "wb") as fh:
+        fh.write(blob)
 
 
 def read_ctex(path) -> EncodedCurve:
@@ -159,4 +160,6 @@ def sidecar_text(curve: EncodedCurve) -> str:
 
 
 def write_sidecar(curve: EncodedCurve, path) -> None:
-    Path(path).write_text(sidecar_text(curve), newline="\n")
+    text = sidecar_text(curve)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)

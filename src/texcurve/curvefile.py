@@ -16,7 +16,6 @@ reals. `#` starts a comment. Example:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -101,4 +100,6 @@ def curve_text(degree: int, points: np.ndarray, *, knots=None, weights=None) -> 
 def write_curve_file(path, degree: int, points, *, knots=None, weights=None) -> None:
     """Write `curve_text`; the text is built before the file is opened, so
     points it refuses leave an existing file as it was."""
-    Path(path).write_text(curve_text(degree, points, knots=knots, weights=weights), newline="\n")
+    text = curve_text(degree, points, knots=knots, weights=weights)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
