@@ -292,10 +292,10 @@ def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np
     distinct fraction array, which the lookup state shares between axes of
     one stage: one for every axis of a dc layout, one for both last axes of
     Seiler 3-D. The pair is written into one preallocated (2, *samples)
-    array. Each axis lerps at its own reshaped views of the pair and its
-    complement, so the complement is keyed on the pair, not on a view. The
-    hybrid's depth axis is probed at its exact fraction only, since the
-    hybrid never quantizes it. The probes are decoded through a
+    array, and each axis lerps at its own reshaped views of the pair and
+    its complement. The hybrid's depth axis is probed at its exact
+    fraction pair from the lookup state only, since the hybrid never
+    quantizes it. The probes are decoded through a
     channels-last transpose view; decoding is elementwise, so the view
     moves no bit.
 
@@ -316,8 +316,8 @@ def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np
             step, n = float(1 << cfg.subtexel_bits), len(fracs)
             # id of a fraction array -> its (2, *samples) probe pair and the pair's complement
             probe_of = {}
-            options, complements = [], []
-            for axis, frac in enumerate(fracs):
+            options = []
+            for axis, (frac, _) in enumerate(fracs):
                 probe = probe_of.get(id(frac))
                 if probe is None:  # lo = floor(frac * step) / step and min(lo + 1/step, 1)
                     pair = np.empty((2,) + frac.shape)
@@ -326,14 +326,13 @@ def _bound_block(curve: EncodedCurve, t, cfg: SamplerConfig, hybrid: bool) -> np
                     np.minimum(lo + 1.0 / step, 1.0, out=pair[1])
                     probe = probe_of[id(frac)] = pair, 1.0 - pair
                 view = (2,) + (1,) * (n - 1 - axis) + frac.shape
-                options.append(probe[0].reshape(view))
-                complements.append(probe[1].reshape(view))
+                options.append((probe[0].reshape(view), probe[1].reshape(view)))
             if hybrid:
-                options[-1], complements[-1] = fracs[-1], 1.0 - fracs[-1]
+                options[-1] = fracs[-1]
             # one option axis per corner axis, between the corner axes and the samples
             shape = corners.shape[: 1 + n] + (1,) * n + corners.shape[1 + n :]
             # (channels, *options, samples)
-            probes = _lerp_axes(corners.reshape(shape), options, complements)
+            probes = _lerp_axes(corners.reshape(shape), options)
             probes = _decode(curve, probes.transpose(*range(1, probes.ndim), 0))
             block[:, 1] = np.abs(probes - exact).max(axis=tuple(range(n))).T
         return block

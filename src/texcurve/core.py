@@ -458,7 +458,8 @@ def _lerp(a, b, t, s):
     product: the same two products and the same add, in the same order,
     with one temporary fewer. `lerp` is this kernel after its checks, and
     the sampler's blend (`sampler._lerp_axes`) runs every corner axis
-    through it, computing each complement once for the axes that share it.
+    through it, at the fraction and complement that the lookup state
+    computes once per stage.
     """
     value = a * s
     value += b * t

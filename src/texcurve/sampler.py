@@ -6,11 +6,12 @@ indices clamp to the edge; the fractional position along each axis is
 quantized to subtexel fixed point before the blend, which runs in float64.
 The stages up to the blend are written once. `_stage` maps a coordinate on
 one axis to the floor `base` of its texel position and the numerator `q` of
-its used fraction (at bits 0, the position itself); `_stages` stages each
-coordinate object once per extent, and `_state` turns the stages into the
-lookup state, per axis the clamped index pair and the used fraction. A pair
-is one (2, *samples) int64 array (`_clamp_pair`): one add of [0, 1] to the
-base and one clamp, whatever the parameters' rank.
+its used fraction (at bits 0, the exact fraction itself); `_stages` stages
+each coordinate object once per extent, and `_state` turns the stages into
+the lookup state, per axis the clamped index pair and the used fraction f
+with its complement 1 - f. A pair is one (2, *samples) int64 array
+(`_clamp_pair`): one add of [0, 1] to the base and one clamp, whatever the
+parameters' rank. Axes that share a stage share both.
 `_lookup` is the two in a row, and `texel_cell` and `quantize_fraction` are
 built from the same helpers. Equal stages mean equal lookup state, so
 `texeval._fetch` finds runs of equal state by comparing the stages
@@ -24,9 +25,9 @@ sums the pairs into flat texel offsets and gathers every corner texel with
 one `take` from the grid viewed as a flat (channels, texels) table, into
 one (channels, 2[x], 2[y][, 2[z]], *samples) array, and `_lerp_axes` runs the
 fixed chain of lerps, one per axis, x, then y, then z, each lerping away
-one corner axis through the unchecked kernel `core._lerp`, with 1 - f
-computed once per fraction array. Each lerp runs over channel rows whose
-sample axis is contiguous.
+one corner axis through the unchecked kernel `core._lerp` at the axis's
+fraction and complement. Each lerp runs over channel rows whose sample
+axis is contiguous.
 
 The sampler reads texels as they are stored. Storage quantization lives
 beside `TexelFormat` in `core` (`quantize_texel`, `_quantize_array`), and
@@ -97,19 +98,17 @@ def _stage(coord, extent: int, cfg: SamplerConfig):
     """The stage of a coordinate on an axis of `extent` texels: the floor
     `base` of its texel-space position pos = coord * extent - 0.5 and the
     numerator `q` of the used fraction of pos - base (`_numerator`); at
-    bits 0, q is pos itself. Both are floats; everything later in a lookup
-    is a function of them, so equal stages mean equal lookup state.
-    Coordinates in [0, 1] keep base in [-1, extent - 1], where every base
-    has its own clamped pair, so there equal states also have equal stages;
-    only at bits 0 can a rounded fraction pos - base merge positions in
-    (-0.5, 0)."""
+    bits 0, q is the fraction pos - base itself. Both are floats;
+    everything later in a lookup is a function of them, so equal stages
+    mean equal lookup state. On an axis of two texels or more, coordinates
+    in [0, 1] keep base in [-1, extent - 1], where every base has its own
+    clamped pair, so there equal states also have equal stages (on one
+    texel every pair is (0, 0))."""
     pos = np.asarray(coord, dtype=float) * extent
     pos -= 0.5
     base = np.floor(pos)
-    if not cfg.subtexel_bits:
-        return base, pos
-    pos -= base  # the fraction, which `_numerator` turns into q
-    return base, _numerator(pos, cfg)
+    pos -= base  # the fraction: q at bits 0, else what `_numerator` turns into q
+    return base, _numerator(pos, cfg) if cfg.subtexel_bits else pos
 
 
 def _clip_far(coord, extent: int):
@@ -123,14 +122,16 @@ def _clip_far(coord, extent: int):
 
 
 def texel_cell(coord, extent: int):
-    """Unclamped base index and fractional position along one axis. A
-    coordinate beyond ±2^53 / extent, ±inf included, is taken at that bound
-    (`_clip_far`), so its base cannot wrap int64; NaN has no cell and raises
-    DomainError."""
+    """Unclamped base index and fractional position along one axis: the
+    bits-0 stage. A finite coordinate beyond ±2^53 / extent is taken at
+    that bound (`_clip_far`), so its base cannot wrap int64. NaN and ±inf
+    have no cell and raise DomainError, as the public samplers refuse
+    them."""
     if np.isnan(coord).any():
         raise DomainError("coordinate must not be NaN")
-    base, pos = _stage(_clip_far(coord, extent), extent, SamplerConfig.ideal())
-    return base.astype(np.int64), pos - base
+    _require_finite(coord, "coordinate")
+    base, frac = _stage(_clip_far(coord, extent), extent, SamplerConfig.ideal())
+    return base.astype(np.int64), frac
 
 
 #: the unclamped index pair of a cell, as offsets from its base; also the
@@ -163,12 +164,14 @@ def _stages(grid: TexelGrid, coords, cfg: SamplerConfig):
 def _state(grid: TexelGrid, stages, axes, cfg: SamplerConfig):
     """The lookup state of `stages` and `axes` (see `_stages`): per axis the
     clamped index pair, one (2, *samples) int64 array (`_clamp_pair`), and
-    the used fraction, each stage's computed once; axes that share a stage
-    share both objects. The used fraction is q / 2^bits, an exact division,
-    or at bits 0 the exact fraction pos - base, bit for bit `texel_cell`'s."""
+    the used fraction f as the pair (f, 1 - f) that its lerp reads, each
+    stage's computed once; axes that share a stage share both objects. The
+    used fraction is q / 2^bits, an exact division, or at bits 0 q itself,
+    the exact fraction, bit for bit `texel_cell`'s."""
     bits = cfg.subtexel_bits
-    state = [(_clamp_pair(base.astype(np.int64), grid.dims[axes.index(i)]),
-              q / float(1 << bits) if bits else q - base) for i, (base, q) in enumerate(stages)]
+    used = [q / float(1 << bits) if bits else q for _, q in stages]
+    state = [(_clamp_pair(base.astype(np.int64), grid.dims[axes.index(i)]), (f, 1.0 - f))
+             for i, ((base, _), f) in enumerate(zip(stages, used))]
     return [state[i][0] for i in axes], [state[i][1] for i in axes]
 
 
@@ -176,9 +179,9 @@ def _lookup(grid: TexelGrid, coords, cfg: SamplerConfig):
     """The stages of one lookup up to the blend, written once.
 
     Normalized coordinates -> `_stages` -> `_state`: per axis in x, y[, z]
-    order the clamped index pair and the used fraction, which this returns.
-    At bits 0 the used fractions are the exact ones. The coordinates are
-    not checked here.
+    order the clamped index pair and the used fraction with its complement,
+    which this returns. At bits 0 the used fractions are the exact ones.
+    The coordinates are not checked here.
     """
     return _state(grid, *_stages(grid, coords, cfg), cfg)
 
@@ -213,40 +216,32 @@ def _corners(grid: TexelGrid, pairs):
     return grid.data.reshape(-1, channels).T.take(offset, axis=1)
 
 
-def _lerp_axes(corners, fractions, complements=None):
-    """The one lerp chain: lerp away one corner axis (axis 1) per fraction,
-    x, then y, then z, through the unchecked kernel `core._lerp` (bound
-    here as `lerp`, the one name that counts or traces every lerp of a
-    blend).
+def _lerp_axes(corners, fractions):
+    """The one lerp chain: lerp away one corner axis (axis 1) per fraction
+    pair (f, 1 - f), x, then y, then z, through the unchecked kernel
+    `core._lerp` (bound here as `lerp`, the one name that counts or traces
+    every lerp of a blend).
 
     That order is part of the emulated result, bit for bit: each lerp is
-    `core.lerp`'s a*(1 - f) + b*f with the add in place. The complement
-    1 - f is computed once per run of one fraction object over adjacent
-    axes, which covers every axis that shares one: the axes of one stage
-    share its fraction array, and they are adjacent (every axis of a dc
-    layout, the last two of Seiler 3-D). A caller may give the complements
-    instead: the error bound computes each probe pair's once and passes
-    its per-axis views. Fractions are float64 arrays or scalars. A fraction
-    broadcasts against what is left of the corner array, so fractions with
-    extra leading axes before the samples (one per option, as the error
-    bound's probes pass them) blend every combination of options in one
-    lerp per axis. Returns the array left after the fractions given,
-    channel axis first: one blend, or the two depth slices after x and y.
+    `core.lerp`'s a*(1 - f) + b*f with the add in place. Each pair comes
+    with its complement computed, once per stage in `_state`, and once per
+    probe pair in the error bound. Fractions are float64 arrays or
+    scalars. A fraction broadcasts against what is left of the corner
+    array, so fractions with extra leading axes before the samples (one per
+    option, as the error bound's probes pass them) blend every combination
+    of options in one lerp per axis. Returns the array left after the
+    fractions given, channel axis first: one blend, or the two depth slices
+    after x and y.
     """
-    s = last = None
-    for axis, f in enumerate(fractions):
-        if complements is not None:
-            s = complements[axis]
-        elif f is not last:
-            s, last = 1.0 - f, f
+    for f, s in fractions:
         corners = lerp(corners[:, 0], corners[:, 1], f, s)
     return corners
 
 
 def _blend(grid: TexelGrid, pairs, fractions):
-    """The blend at one fraction per axis over the corners of `pairs`, a
-    view with the channel axis last, so it stays channel-major. Two axes
-    read depth slice 0."""
+    """The blend at one fraction pair (f, 1 - f) per axis over the corners
+    of `pairs`, a view with the channel axis last, so it stays
+    channel-major. Two axes read depth slice 0."""
     value = _lerp_axes(_corners(grid, pairs), fractions)
     return value.transpose(*range(1, value.ndim), 0)
 
@@ -258,12 +253,13 @@ def _sample(grid: TexelGrid, coords, cfg: SamplerConfig):
     for coord, name in zip(coords, "uvw"):
         _require_finite(coord, name)
     coords = [_clip_far(coord, extent) for coord, extent in zip(coords, grid.dims)]
-    pairs, fractions = _lookup(grid, coords, cfg)
-    value = _blend(grid, pairs, fractions)
+    pairs, used = _lookup(grid, coords, cfg)
+    value = _blend(grid, pairs, used)
     if len(pairs) == 2:
         pairs.append(np.zeros_like(pairs[0][:1]))  # depth 0 alone
     corners = tuple((x, y, z) for z, y, x in itertools.product(*reversed(pairs)))
-    return value, SampleTrace(texel_indices=corners, fractions=tuple(fractions), raw_value=value)
+    return value, SampleTrace(texel_indices=corners, fractions=tuple(f for f, _ in used),
+                              raw_value=value)
 
 
 def sample_bilinear(grid: TexelGrid, u, v, cfg: SamplerConfig):
@@ -310,4 +306,4 @@ def blend_with_fractions(grid: TexelGrid, bases, fractions):
     shape = np.broadcast_shapes(*map(np.shape, bases), *map(np.shape, fractions))
     pairs = [_clamp_pair(np.broadcast_to(np.asarray(base, dtype=np.int64), shape), extent)
              for base, extent in zip(bases, grid.dims)]
-    return _blend(grid, pairs, fractions)
+    return _blend(grid, pairs, [(f, 1.0 - f) for f in fractions])

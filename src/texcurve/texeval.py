@@ -8,13 +8,13 @@ one lattice walk, `_fetch`: the staged lookup of `sampler`, then a blend of
 the lookup state, then the blend's values turned into points, and builds
 no `SampleTrace`. The plain blend (`_decoded`) is the blend kernel, then
 `_decode`: the inverse transform, and for rational curves the divide by
-the weight. The split-precision hybrid looks up x and y alone and brings
-its own blend, which lerps them over the depth pair, and its own points,
-which lerp depth at the exact t, then decode; the bound brings its exact
-blend and probes. `_curve_param` is the one per-layout choice of a
-1-parameter curve's domain and coordinate map, and `_eval_curve` the one
-1-parameter path of the plain blend, the hybrid's (which reads the first
-two coordinates) and the bound's. Parameters are validated once per call:
+the weight. The split-precision hybrid brings its own blend, which lerps
+x and y of the dc cubic's one shared stage over the depth pair, and its
+own points, which lerp depth at the exact t, then decode; the bound
+brings its exact blend and probes. `_curve_param` is the one per-layout
+choice of a 1-parameter curve's domain and coordinate map, and
+`_eval_curve` the one 1-parameter path of the plain blend, the hybrid's
+and the bound's. Parameters are validated once per call:
 `_curve_param` checks t, and `_surface_params` checks (u, v) and that
 their shapes broadcast together. The coordinate maps (`_curve_param`'s
 and the surface evaluators') then map each block through
@@ -29,22 +29,22 @@ used (fixed-point) fraction on each axis, which is every index array and
 every used fraction `sampler._state` returns. The blend, the inverse
 transform and the rational divide are elementwise functions of that state,
 and the state is a function of each axis's stage (`sampler._stage`: texel
-cell and fraction numerator; at bits 0, the texel-space position). So
+cell and fraction numerator; at bits 0, the exact fraction). So
 along a 1-D sample axis `_fetch` compares each sample's stages with its
 neighbour's, block edges included, without looking the samples up. It
 keeps the stages of the first sample of every run, so no parameter is
 mapped twice, blends and decodes those heads together, and fills each
 block by repeating every run's head by the run's length, writing each
 point once. A sorted 2^17-sample dc lattice at 8 bits is blended 257
-times instead of 131,072. The hybrid's runs compare the x and y stages
-alone, since its depth fraction is t itself: the heads' blend lerps x and
-y into one (channels, 2, heads) array of depth slices, and its points lerp
-each sample's head's two slices at its t. A block whose runs outnumber
-half its samples (every block of distinct parameters at bits 0) is
-blended whole from its stages, and scalars, N-D parameters and axes
-below `_RUN_MIN` samples are staged and blended whole, through the same
-blend as whole blocks. A whole
-block whose samples all lie in one texel cell (an equal `base` on every
+times instead of 131,072. The hybrid's runs are those of the dc cubic's
+one stage, whose depth fraction it never reads, since its own is t itself:
+the heads' blend lerps x and y into one (channels, 2, heads) array of
+depth slices, and its points lerp each sample's head's two slices at its
+t. A block whose runs outnumber half its samples (every block of
+distinct parameters at bits 0) is blended whole from its stages, and
+scalars, N-D parameters and axes below `_RUN_MIN` samples are staged and
+blended whole, through the same blend as whole blocks. A whole block
+whose samples all lie in one texel cell (an equal `base` on every
 stage, which `_runs` reads off its comparisons) is staged with that one
 base, so its pairs are clamped and its corners gathered once, as one
 (channels, 2, 2[, 2], 1) array that the lerps broadcast against every
@@ -162,16 +162,6 @@ def _seiler_coords(layout: Layout, t):
     return rt, rm
 
 
-def parameter_coords(curve: EncodedCurve, t):
-    """Normalized sample coordinates the texture path uses for parameter t:
-    `_curve_param`'s map of the validated t. Rational curves resolve
-    through their inner layout; the hybrid reads the first two at the same
-    t.
-    """
-    coords_of, t = _curve_param(curve, t)
-    return coords_of(t)
-
-
 def _decode(curve: EncodedCurve, raw):
     """Filtered texel values to curve points: the inverse transform, and for
     rational curves the divide by the weight channel.
@@ -198,13 +188,12 @@ def _runs(stages, last):
     lies in the first one's texel cell (an equal `base` on every stage). The
     comparisons take every stage's `base` before any `q`, so the cell is
     known before a block of distinct positions at bits 0 (where q is the
-    position) gives up, after one `q` comparison per stage; a block that
-    gives up among the bases is taken to span cells. Equal stages mean equal
-    lookup state, and equal states have equal stages (except in clamped
-    cells outside the texture, and at bits 0 at positions in (-0.5, 0),
-    whose rounded fractions can agree), so the runs are those of the state
-    itself. A run continues across the block edge when `last` matches the
-    block's first sample."""
+    exact fraction) gives up, after one `q` comparison per stage; a block
+    that gives up among the bases is taken to span cells. Equal stages mean
+    equal lookup state, and equal states have equal stages (except in
+    clamped cells, outside the texture or on an axis of one texel), so the
+    runs are those of the state itself. A run continues across the block
+    edge when `last` matches the block's first sample."""
     arrays = [base for base, _ in stages] + [q for _, q in stages]
     n = arrays[0].shape[0]
     change = np.zeros(n, dtype=bool)
@@ -224,9 +213,9 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, blend, po
     equal lookup state (see above), then `points` per block.
     `coords_of(*part)` maps a part of the validated parameter arrays
     `params` to coordinates. `blend(pairs, used)` maps a lookup state (per
-    axis the clamped index pair and the used fraction, `sampler._state`) to
-    values whose last axes are the samples, and depends on that state
-    alone; `points(values, t)` turns the values of a block into its
+    axis the clamped index pair and the used fraction pair (f, 1 - f),
+    `sampler._state`) to values whose last axes are the samples, and
+    depends on that state alone; `points(values, t)` turns the values of a block into its
     (*samples, ...) rows, given the block's part `t` of the first parameter
     array. Three pairs run on it: the plain decoded blend (`_decoded` and
     `_rows`), the hybrid's x and y levels with its depth lerp at t, and the
@@ -240,8 +229,8 @@ def _fetch(curve: EncodedCurve, coords_of, params, cfg: SamplerConfig, blend, po
     stages there. A block blended whole within one texel cell passes each
     stage's first `base` alone: `sampler._state` clamps and casts that one
     element, and `_corners` gathers one sample's corners, which the lerps
-    broadcast against the block's used fractions (q / 2^bits, or q - base
-    at bits 0, per sample).
+    broadcast against the block's used fractions (q / 2^bits, or q at
+    bits 0, per sample).
     The heads of all runs are then blended in chunks of `_BLOCK`, and each
     block is filled by one `np.repeat` of its runs' heads by the runs'
     lengths; a block that opens inside a run begins with that run's head.
@@ -303,12 +292,12 @@ def _rows(values, t):
     return values.T
 
 
-def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig, blend, points, axes=None):
+def _eval_curve(curve: EncodedCurve, t, cfg: SamplerConfig, blend, points):
     """The 1-parameter fetch of `blend` and `points` (see `_fetch`): t
     validated once by `_curve_param`, then mapped per block through its
-    map, of which the first `axes` coordinates are read (all by default)."""
+    map."""
     coords_of, t = _curve_param(curve, t)
-    return _fetch(curve, lambda t: coords_of(t)[:axes], (t,), cfg, blend, points)
+    return _fetch(curve, coords_of, (t,), cfg, blend, points)
 
 
 def eval_dc(curve: EncodedCurve, t, cfg: SamplerConfig):
@@ -335,22 +324,23 @@ def eval_dc_cubic_hybrid(curve: EncodedCurve, t, cfg: SamplerConfig):
 
     One 3-axis blend whose first two levels match a bilinear read of each
     quadratic slice, while the last interpolation level runs at full
-    precision with the unquantized parameter. The lookup state is that of
-    x and y alone: its blend lerps them over the depth pair into the two
-    depth slices, and its points lerp those at each sample's own t.
+    precision with the unquantized parameter. Its blend reads the x and y
+    state of the cubic's one shared stage and lerps them over the depth
+    pair into the two depth slices, and its points lerp those at each
+    sample's own t.
     """
     _mode_eval(curve, "dc-hybrid")
     grid = curve.grid
 
     def blend(pairs, used):
         """(channels, 2, *samples): depth slices 0 and 1, lerped in x and y."""
-        return sampler._lerp_axes(sampler._corners(grid, pairs + [sampler._PAIR]), used)
+        return sampler._lerp_axes(sampler._corners(grid, pairs[:2] + [sampler._PAIR]), used[:2])
 
     def points(values, t):
         """(*samples, channels): the depth slices lerped at t, then decoded."""
-        return _decode(curve, np.moveaxis(sampler._lerp_axes(values, (t,)), 0, -1))
+        return _decode(curve, np.moveaxis(sampler._lerp_axes(values, [(t, 1.0 - t)]), 0, -1))
 
-    return _eval_curve(curve, t, cfg, blend, points, axes=2)
+    return _eval_curve(curve, t, cfg, blend, points)
 
 
 def _surface_params(u, v):

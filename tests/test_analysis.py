@@ -35,7 +35,7 @@ from texcurve.analysis import _default_mode, report_to_csv, write_csv, write_ppm
 from texcurve.core import Layout, ValueTransform, _lerp
 from texcurve.reference import elevate_degree
 from texcurve.sampler import blend_with_fractions, texel_cell
-from texcurve.texeval import _BLOCK, _decode, eval_dc, parameter_coords
+from texcurve.texeval import _BLOCK, _curve_param, _decode, eval_dc
 from conftest import IDEAL, BITS8, one_curve_per_layout, random_c0_quadratics, random_polygon
 
 F32 = TexelFormat.FLOAT32
@@ -468,7 +468,8 @@ def per_combination_bound_block(curve, t, cfg, hybrid):
     """The bound block as one blend per fraction combination: the exact
     blend, then one `blend_with_fractions` probe per combination of the
     adjacent representable fractions, each decoded and compared."""
-    coords = parameter_coords(curve, t)
+    coords_of, t = _curve_param(curve, t)
+    coords = coords_of(t)
     extents = (curve.grid.width, curve.grid.height, curve.grid.depth)
     bases, fracs = zip(*(texel_cell(c, extent) for c, extent in zip(coords, extents)))
     exact = _decode(curve, blend_with_fractions(curve.grid, bases, fracs))

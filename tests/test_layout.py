@@ -61,11 +61,12 @@ def _chain(texels, offset, offsets, cols):
 
 def sample_major_blend(grid, pairs, fractions):
     """Corners taken from a (texels, channels) table, lerped x, then y,
-    then z, with each fraction shaped (..., 1) against the channels."""
+    then z, with the fraction f of each (f, 1 - f) pair shaped (..., 1)
+    against the channels."""
     texels = grid.data.reshape(-1, grid.channels)
     strides = (1, grid.width, grid.width * grid.height)
     offsets = [(i0 * s, i1 * s) for (i0, i1), s in zip(pairs, strides)]
-    cols = [np.asarray(f, dtype=float) for f in fractions]
+    cols = [np.asarray(f, dtype=float) for f, _ in fractions]
     cols = [f[..., None] if f.ndim else f for f in cols]
     return _chain(texels, 0, offsets, cols)
 

@@ -393,26 +393,40 @@ def test_huge_coordinates_sample_the_edge_of_a_wide_grid(bits):
 
 @pytest.mark.parametrize("extent", (1, 2, 3, 4096))
 def test_texel_cell_of_a_huge_coordinate_is_its_bound(extent):
-    """±1e300 and ±inf give the cell of the bound ±2^53 / extent itself: an
-    integer position of magnitude near 2^53 at fraction 0, without the int64
-    cast of its base wrapping or warning."""
+    """±1e300 gives the cell of the bound ±2^53 / extent itself: an integer
+    position of magnitude near 2^53 at fraction 0, without the int64 cast of
+    its base wrapping or warning."""
     bound = 2.0**53 / extent
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for sign in (1, -1):
             base, frac = sampler.texel_cell(sign * bound, extent)
             assert frac == 0 and 2**53 - 2 <= sign * base <= 2**53 + 2
-            for far in (1e300, np.inf):
-                assert sampler.texel_cell(sign * far, extent) == (base, frac)
+            assert sampler.texel_cell(sign * 1e300, extent) == (base, frac)
             got = sampler.texel_cell(np.array([sign * 1e300, sign * bound]), extent)
             assert got[0].tolist() == [base] * 2 and got[1].tolist() == [0.0] * 2
 
 
+@pytest.mark.parametrize("coord", (np.inf, -np.inf, np.float64(-np.inf),
+                                   np.array([0.25, np.inf, 2.0]), np.full((2, 2), -np.inf)),
+                         ids=("inf", "-inf", "np", "1-d", "2-d"))
+@pytest.mark.parametrize("extent", (1, 4096))
+def test_texel_cell_of_an_infinite_coordinate_is_a_domain_error(coord, extent):
+    """±inf has no cell, as the public samplers refuse it: DomainError,
+    raised before the clip to ±2^53 / extent, in the samplers' words."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as refused:
+            sampler.texel_cell(coord, extent)
+    assert str(refused.value) == "coordinate must be finite"
+
+
 @pytest.mark.parametrize("coord", (np.nan, np.float64(np.nan), np.array([0.25, np.nan, 2.0]),
-                                   np.full((2, 2), np.nan)), ids=("float", "np", "1-d", "2-d"))
+                                   np.full((2, 2), np.nan), np.array([np.inf, np.nan])),
+                         ids=("float", "np", "1-d", "2-d", "beside-inf"))
 def test_texel_cell_of_nan_is_a_domain_error(coord):
     """NaN has no cell: it raises DomainError, not an int64 cast warning or
-    a base of -2^63."""
+    a base of -2^63, even beside ±inf."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="NaN"):
@@ -517,7 +531,7 @@ class TestOptionKernel:
             options[-1] = options[-1][:1]
             fractions[-1] = options[-1][0]
 
-        got = sampler._lerp_axes(corners, fractions)
+        got = sampler._lerp_axes(corners, [(f, 1.0 - f) for f in fractions])
         assert got.shape == (channels,) + tuple(map(len, options)) + np.shape(bases[0])
         for index in itertools.product(*(range(len(opts)) for opts in options)):
             combo = [opts[i] for opts, i in zip(options, index)]
@@ -551,9 +565,17 @@ def _lerp_chain(corners, fractions):
     return corners
 
 
+def _complemented(fractions):
+    """Each fraction f as the pair (f, 1 - f) that `_lerp_axes` reads,
+    computed once per fraction object, so axes that share a fraction share
+    its pair as the lookup state's axes do."""
+    pair_of = {id(f): (f, 1.0 - f) for f in fractions}
+    return [pair_of[id(f)] for f in fractions]
+
+
 class TestLerpAxes:
     """`_lerp_axes` has the bytes of a chain of `core.lerp` calls, one per
-    axis, whether axes share one fraction object or not, at the ends, at
+    axis, whether axes share one fraction pair or not, at the ends, at
     subnormal fractions and on ±0.0 texels, and on the error bound's option
     axes."""
 
@@ -579,7 +601,7 @@ class TestLerpAxes:
             fractions = [fractions[0]] * axes
         elif shared == "last two":
             fractions[-1] = fractions[-2]
-        got = sampler._lerp_axes(corners, fractions)
+        got = sampler._lerp_axes(corners, _complemented(fractions))
         want = _lerp_chain(corners, fractions)
         assert got.shape == want.shape == (channels,) + shape
         assert got.dtype == want.dtype == np.float64
@@ -593,9 +615,9 @@ class TestLerpAxes:
     def test_option_axes(self, channels, axes, shape, shared, exact_depth, seed):
         """As the bound passes them: each axis's (2, *samples) probe pair
         reshaped onto an option axis of its own, one pair object for every
-        axis that shares a fraction, and (the hybrid) the depth axis at one
-        exact fraction; with the complements left to `_lerp_axes` or given,
-        as the bound gives them, computed once per pair and reshaped."""
+        axis that shares a fraction, with its complement computed once per
+        pair and reshaped the same way, and (the hybrid) the depth axis at
+        one exact fraction and its complement."""
         rng = np.random.default_rng(seed)
         corners = self.corners(rng, channels, axes, shape)
         corners = corners.reshape(corners.shape[: 1 + axes] + (1,) * axes
@@ -606,18 +628,17 @@ class TestLerpAxes:
         elif shared == "last two":
             pairs[-1] = pairs[-2]
         views = [(2,) + (1,) * (axes - 1 - axis) + shape for axis in range(axes)]
-        options = [pair.reshape(view) for pair, view in zip(pairs, views)]
-        # the bound's complements: one per pair object, reshaped as its options
+        # the bound's options: one complement per pair object, reshaped as its pair
         complement_of = {id(pair): 1.0 - pair for pair in pairs}
-        complements = [complement_of[id(pair)].reshape(view) for pair, view in zip(pairs, views)]
+        options = [(pair.reshape(view), complement_of[id(pair)].reshape(view))
+                   for pair, view in zip(pairs, views)]
         if exact_depth:
-            options[-1] = _special_fraction(rng, shape)
-            complements[-1] = 1.0 - options[-1]
-        want = _lerp_chain(corners, options)
-        for got in (sampler._lerp_axes(corners, options),
-                    sampler._lerp_axes(corners, options, complements)):
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+            depth = _special_fraction(rng, shape)
+            options[-1] = depth, 1.0 - depth
+        want = _lerp_chain(corners, [f for f, _ in options])
+        got = sampler._lerp_axes(corners, options)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_blend_with_fractions_reads_its_fractions_as_float64(self):
         """Lists, integers and float32 fractions blend as `core.lerp` reads

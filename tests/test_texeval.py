@@ -530,7 +530,7 @@ def counted(monkeypatch):
         return lerp(*args)
 
     def counted_blend(grid, pairs, fractions):
-        counts["blended"] += np.size(fractions[0])
+        counts["blended"] += np.size(fractions[0][0])
         return blend(grid, pairs, fractions)
 
     def counted_corners(grid, pairs):
@@ -604,7 +604,7 @@ def test_one_cell_blocks_gather_their_corners_once(counted, kind, fn, bits):
     the next): `_corners` gathers one sample for each of them and every
     sample of the last. At 8 bits every block is kept as runs, and it
     gathers each run head once: one per change of the stages that decide
-    the state (x and y alone for the hybrid)."""
+    the state (the dc cubic's one stage, for the hybrid too)."""
     curve = run_curve(kind, F32, 2)
     t = np.linspace(0.0, 1.0, 1 << 17)
     cfg = SamplerConfig(subtexel_bits=bits)
@@ -612,8 +612,7 @@ def test_one_cell_blocks_gather_their_corners_once(counted, kind, fn, bits):
     if bits == 0:
         assert counted["gathered"] == (1 << 17) // _BLOCK - 1 + _BLOCK
     else:
-        coords = texeval.parameter_coords(curve, t)[:2 if fn is eval_dc_cubic_hybrid else None]
-        stages, _ = sampler._stages(curve.grid, coords, cfg)
+        stages, _ = sampler._stages(curve.grid, parameter_coords(curve, t), cfg)
         arrays = [a for stage in stages for a in stage]
         assert counted["gathered"] == 1 + np.count_nonzero(
             np.any([a[1:] != a[:-1] for a in arrays], axis=0))
@@ -879,6 +878,13 @@ def _nudged(c, steps):
     return c
 
 
+def parameter_coords(curve, t):
+    """The coordinates the texture path samples at parameter t:
+    `_curve_param`'s map of the validated t."""
+    coords_of, t = texeval._curve_param(curve, t)
+    return coords_of(t)
+
+
 def composed_state(coord, extent, cfg):
     """One axis's lookup state composed from the public stages rather than
     `sampler._stages` and `_state`: the clamped pair of `texel_cell`'s base
@@ -925,20 +931,21 @@ def _same_bits(a, b):
 )
 def test_lookup_state_is_the_composed_stages(extent, other, bits, rounding, anchors, uniform,
                                               form):
-    """`_lookup`'s clamped pairs and used fractions equal, bit for bit and in
-    type and shape, the composition of `texel_cell`, `_clamp_pair` and
-    `quantize_fraction`, on numpy scalars, 1-element, empty and longer
-    coordinates, with one coordinate object on both axes (one stage when the
-    extents agree)."""
+    """`_lookup`'s clamped pairs and used fraction pairs (f, 1 - f) equal,
+    bit for bit and in type and shape, the composition of `texel_cell`,
+    `_clamp_pair` and `quantize_fraction` (and 1 - that), on numpy
+    scalars, 1-element, empty and longer coordinates, with one coordinate
+    object on both axes (one stage when the extents agree)."""
     coord = anchored_coords(extent, anchors, uniform)
     coord = {"array": coord, "scalar": coord[0], "one": coord[:1], "empty": coord[:0]}[form]
     grid = TexelGrid((extent, other, 1), 1, F32, np.zeros(extent * other))
     cfg = SamplerConfig(subtexel_bits=bits, subtexel_rounding=rounding)
     pairs, used = sampler._lookup(grid, (coord, coord), cfg)
-    for pair, fraction, axis_extent in zip(pairs, used, (extent, other)):
+    for pair, (fraction, complement), axis_extent in zip(pairs, used, (extent, other)):
         want_pair, want_fraction = composed_state(coord, axis_extent, cfg)
         assert all(map(_same_bits, pair, want_pair))
         assert _same_bits(fraction, want_fraction)
+        assert _same_bits(complement, 1.0 - want_fraction)
 
 
 @settings(max_examples=150, deadline=None)
@@ -966,6 +973,41 @@ def test_equal_stages_mean_equal_lookup_state(extent, bits, rounding, anchors, u
     assert not (same_stage & ~same_state).any()
     clamped = pair[0] == pair[1]
     assert not (~same_stage & same_state & ~clamped[:, None]).any()
+
+
+@settings(max_examples=150, deadline=None)
+@example(extent=1, bits=0, rounding="nearest", near=[0.5], uniform=[])
+@example(extent=2, bits=0, rounding="nearest", near=[0.5], uniform=[])
+@example(extent=4096, bits=0, rounding="floor", near=[0.999], uniform=[1.0])
+@given(
+    extent=st.integers(1, 4096),
+    bits=st.integers(0, 12),
+    rounding=st.sampled_from(("nearest", "floor")),
+    near=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    uniform=st.lists(st.floats(0.0, 1.0), max_size=8),
+)
+def test_a_stage_and_its_lookup_state_determine_each_other(extent, bits, rounding, near,
+                                                            uniform):
+    """A stage has one meaning at every bit depth: at bits 0, `_stage`'s q
+    is `texel_cell`'s fraction, bit for bit, and coordinates in [0, 1] with
+    equal lookup state (clamped pair and fraction pair, by their bytes)
+    have equal stages on an axis of two texels or more (on one texel both
+    of its cells clamp to the pair (0, 0)). The draws include coordinates
+    whose positions lie in (-0.5, 0), each with its four nearest floats on
+    either side: there pos - base = pos + 1 rounds, so neighbouring
+    positions can share one fraction."""
+    low = [_nudged(x * 0.5 / extent, steps) for x in near for steps in range(-4, 5)]
+    coord = np.clip(np.array(low + uniform), 0.0, 1.0)
+    cfg = SamplerConfig(subtexel_bits=bits, subtexel_rounding=rounding)
+    base, q = sampler._stage(coord, extent, cfg)
+    if not bits:
+        assert q.tobytes() == sampler.texel_cell(coord, extent)[1].tobytes()
+    grid = TexelGrid((extent, 1, 1), 1, F32, np.zeros(extent))
+    (pair, _), ((f, s), _) = sampler._lookup(grid, (coord, coord), cfg)
+    state = np.stack([pair[0], pair[1], f.view(np.int64), s.view(np.int64)], axis=1)
+    same_state = (state[:, None] == state[None, :]).all(axis=-1)
+    same_stage = (base[:, None] == base[None, :]) & (q[:, None] == q[None, :])
+    assert extent == 1 or not (same_state & ~same_stage).any()
 
 
 @pytest.mark.parametrize("kind, fn", (("dc-cubic", eval_dc), ("seiler-3d", eval_seiler_tex),
@@ -1006,8 +1048,8 @@ def test_sorted_lattice_blends_each_state_change_once(counted, kind, bits, round
           "seiler-3d": eval_seiler_tex}.get(kind, eval_rational_tex)
     cfg = SamplerConfig(subtexel_bits=bits, subtexel_rounding=rounding)
     t = np.linspace(0.0, float(curve.segment_count), 1 << 17)
-    pairs, used = sampler._lookup(curve.grid, texeval.parameter_coords(curve, t), cfg)
-    state = [f.view(np.int64) for f in used] + [a for pair in pairs for a in pair]
+    pairs, used = sampler._lookup(curve.grid, parameter_coords(curve, t), cfg)
+    state = [f.view(np.int64) for f, _ in used] + [a for pair in pairs for a in pair]
     changes = 1 + np.count_nonzero(np.any([a[1:] != a[:-1] for a in state], axis=0))
     got = fn(curve, t, cfg)
     assert counted["blended"] == changes
@@ -1072,7 +1114,7 @@ def test_parameter_coords_are_the_written_out_maps(name):
     layout = curve.inner_layout or curve.layout
     n = curve.segment_count
     for t in _map_parameters(n):
-        got = texeval.parameter_coords(curve, t)
+        got = parameter_coords(curve, t)
         flat = [_written_out_coords(layout, n, x) for x in np.ravel(t).tolist()]
         expected = [np.array(axis).reshape(np.shape(t)) for axis in zip(*flat)]
         assert len(got) == len(expected)
@@ -1096,7 +1138,7 @@ def test_parameter_coords_refuse_a_parameter_outside_the_domain(name, bad):
     value = {"below": -2.0**-60, "above": end + 2.0**-40, "nan": np.nan, "inf": np.inf}[bad]
     message = (f"zig-zag parameter outside [0, {end}]" if curve.layout is Layout.DC_ZIGZAG
                else "parameter outside [0, 1]")
-    calls = [texeval.parameter_coords]
+    calls = [parameter_coords]
     if curve.layout is Layout.DC_CUBIC_2X2X2:
         calls.append(lambda curve, t: eval_dc_cubic_hybrid(curve, t, BITS8))
     for call in calls:
@@ -1113,6 +1155,6 @@ def test_parameter_coords_refuse_a_surface_before_its_parameter(layout, t):
     """A surface layout has no 1-parameter map: LayoutError, raised before
     the parameter is checked."""
     with pytest.raises(LayoutError) as info:
-        texeval.parameter_coords(CURVES[layout], t)
+        parameter_coords(CURVES[layout], t)
     assert (type(info.value), str(info.value)) == (
         LayoutError, f"{layout.value} is not a 1-parameter curve layout")
