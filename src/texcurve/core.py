@@ -437,18 +437,26 @@ class EncodedCurve:
             raise LayoutError("inner_layout is only meaningful for rational curves")
 
 
-def _unit_param(t):
-    """t as a float array, DomainError unless every value lies in [0, 1].
+def _param_in(t, lo, hi, outside: str):
+    """t as a float array, DomainError unless every value lies in [lo, hi]:
+    the one interval check of every parameter domain.
 
     One min and one max decide it. Both propagate NaN, which fails either
-    comparison. Their initial values 0 and 1 let an empty array pass and
-    change no other verdict: min(0, m) >= 0 exactly when m >= 0, and
-    max(1, M) <= 1 exactly when M <= 1."""
+    comparison. Their initial values lo and hi let an empty array pass and
+    change no other verdict: min(lo, m) >= lo exactly when m >= lo, and
+    max(hi, M) <= hi exactly when M <= hi. Only a failed check looks for
+    the first value outside, in C order, and raises DomainError with
+    `outside` formatted with it as `t` and with the ends as `lo` and `hi`."""
     t = np.asarray(t, dtype=float)
-    if not (np.minimum.reduce(t, axis=None, initial=0.0) >= 0.0
-            and np.maximum.reduce(t, axis=None, initial=1.0) <= 1.0):
-        raise DomainError("parameter outside [0, 1]")
+    if not (np.minimum.reduce(t, axis=None, initial=lo) >= lo
+            and np.maximum.reduce(t, axis=None, initial=hi) <= hi):
+        raise DomainError(outside.format(t=t[~((t >= lo) & (t <= hi))][0], lo=lo, hi=hi))
     return t
+
+
+def _unit_param(t):
+    """t as a float array, DomainError unless every value lies in [0, 1]."""
+    return _param_in(t, 0.0, 1.0, "parameter outside [0, 1]")
 
 
 def _lerp(a, b, t, s):
@@ -506,7 +514,5 @@ def remap_unit_to_texel_span(x, extent: int):
     extent = int(extent)
     if extent < 2:
         raise DomainError("remap needs at least 2 texels along the axis")
-    x = np.asarray(x, dtype=float)
-    if not ((x >= 0.0) & (x <= 1.0)).all():  # also false for NaN and inf
-        raise DomainError("parameter outside [0, 1]; clamp first if that is intended")
+    x = _param_in(x, 0.0, 1.0, "parameter outside [0, 1]; clamp first if that is intended")
     return (0.5 + x * (extent - 1)) / extent

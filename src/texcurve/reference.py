@@ -35,6 +35,7 @@ from .core import (
     UnsupportedDegreeError,
     _BLOCK,
     _freeze,
+    _param_in,
     _unit_param,
     lerp,
 )
@@ -358,15 +359,12 @@ def _find_span(spline: BSplineCurve, t: np.ndarray, outside: str) -> np.ndarray:
     (NURBS Book A2.1): one `searchsorted`, capped so that the right domain
     end maps into the last nonzero span, the one before the first copy of
     the end knot. t off the domain raises DomainError(`outside`, formatted
-    with the first such t and the domain ends a and b), as does an empty
-    domain."""
+    with the first such t and the domain ends lo and hi, `core._param_in`),
+    as does an empty domain."""
     a, b = spline.domain
     if not a < b:
         raise DomainError("spline domain is empty")
-    bad = ~((t >= a) & (t <= b))
-    if bad.any():
-        raise DomainError(outside.format(t=t[bad][0], a=a, b=b))
-    return _span(spline.knots, b, t)
+    return _span(spline.knots, b, _param_in(t, a, b, outside))
 
 
 def _span(U, b, t):
@@ -378,7 +376,7 @@ def eval_deboor(spline: BSplineCurve, t) -> np.ndarray:
     """de Boor's recursion (NURBS Book A3.1) at scalar or array t, every
     point through the same arithmetic as a scalar call."""
     t = np.asarray(t, dtype=float)
-    k = _find_span(spline, t, "t={t} outside spline domain [{a}, {b}]")
+    k = _find_span(spline, t, "t={t} outside spline domain [{lo}, {hi}]")
     p = spline.degree
     U = spline.knots
     d = [spline.control_points[j + k - p] for j in range(p + 1)]
@@ -406,7 +404,7 @@ def _boehm_step(P, U, p: int, u: float):
 
 def insert_knot(spline: BSplineCurve, u: float) -> BSplineCurve:
     """Insert one knot at u (Boehm's construction), leaving the curve unchanged."""
-    _find_span(spline, np.asarray(u, dtype=float), "knot {t} outside spline domain [{a}, {b}]")
+    _find_span(spline, np.asarray(u, dtype=float), "knot {t} outside spline domain [{lo}, {hi}]")
     p = spline.degree
     return BSplineCurve(*_boehm_step(spline.control_points, spline.knots, p, u), p)
 
@@ -465,10 +463,7 @@ def _eval_pieces(stack, starts, ends, t, outside: str) -> np.ndarray:
     at local (t - start) / (end - start), by one gather and one
     `bernstein_sum` per `_BLOCK` slice. t off the pieces raises
     DomainError(`outside`), as does a sum that overflows float64."""
-    bad = ~((t >= starts[0]) & (t <= ends[-1]))
-    if bad.any():
-        raise DomainError(outside.format(t=t[bad][0]))
-    del bad  # not kept through the slices
+    t = _param_in(t, starts[0], ends[-1], outside)
     return _overflow_checked("Bernstein values", np.abs(stack).max(),
                              _blocked, _piece_rows, stack, starts, ends, t)
 

@@ -79,6 +79,7 @@ from .core import (
     LayoutError,
     SamplerConfig,
     _BLOCK,
+    _param_in,
     _texel_span,
     _unit_param,
 )
@@ -112,9 +113,7 @@ def _curve_param(curve: EncodedCurve, t):
         layout = curve.inner_layout
     if layout is Layout.DC_ZIGZAG:
         n = curve.segment_count
-        gt = np.asarray(t, dtype=float)
-        if not ((gt >= 0.0) & (gt <= n)).all():
-            raise DomainError(f"zig-zag parameter outside [0, {n}]")
+        gt = _param_in(t, 0.0, n, "zig-zag parameter outside [0, {hi}]")
         return (lambda gt: _zigzag_coords(n, gt)), gt
     if layout in (Layout.SEILER_2D, Layout.SEILER_3D):
         return (lambda t: _seiler_coords(layout, t)), _unit_param(t)

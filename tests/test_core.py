@@ -21,7 +21,7 @@ from texcurve import (
     lerp,
     remap_unit_to_texel_span,
 )
-from texcurve.core import _quantize_array, _texel_span, _unit_param, _unorm_codes
+from texcurve.core import _param_in, _quantize_array, _texel_span, _unit_param, _unorm_codes
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -159,6 +159,36 @@ class TestUnitParam:
     def test_empty_arrays_pass(self, shape):
         assert _unit_param(np.empty(shape)).shape == shape
         assert _unit_param([]).shape == (0,)
+
+
+class TestParamIn:
+    """`_param_in` is `_unit_param`'s check on any [lo, hi]: NaN, ±inf and
+    the floats just outside are refused, and a failure names the first
+    value outside in C order and the two ends."""
+
+    TEMPLATE = "t={t} outside [{lo}, {hi}]"
+
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf, np.nextafter(3.0, 4.0),
+                                       np.nextafter(-1.0, -2.0)))
+    def test_values_outside_are_refused_by_name(self, value):
+        for t in (value, np.array([[0.0, 2.5], [value, -1.0]])):
+            with pytest.raises(DomainError) as raised:
+                _param_in(t, -1.0, 3, self.TEMPLATE)
+            assert str(raised.value) == f"t={value} outside [-1.0, 3]"
+
+    def test_the_first_value_outside_is_in_c_order(self):
+        t = np.array([[0.5, 7.0], [-2.0, np.nan]])
+        for order in ("C", "F"):
+            with pytest.raises(DomainError, match=r"^t=7\.0 outside \[0\.0, 1\.0\]$"):
+                _param_in(np.asarray(t, order=order), 0.0, 1.0, self.TEMPLATE)
+        with pytest.raises(DomainError, match=r"^t=-2\.0 outside"):
+            _param_in(t[::-1], 0.0, 1.0, self.TEMPLATE)
+
+    def test_values_inside_keep_their_array(self):
+        t = [[-1.0, -0.0], [3.0, np.nextafter(3.0, 0.0)]]
+        got = _param_in(t, -1.0, 3, self.TEMPLATE)
+        assert got.dtype == np.float64 and got.tobytes() == np.array(t).tobytes()
+        assert _param_in(np.empty((2, 0)), 5.0, 6.0, self.TEMPLATE).shape == (2, 0)
 
 
 class TestControlPolygon:
