@@ -59,6 +59,11 @@ class HomogeneousDivideError(TexCurveError):
     """Decoded weight channel too close to zero to divide by."""
 
 
+#: the largest float32, as a float, and the float32 just below it
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_FLOAT32_TOP = np.nextafter(np.float32(_FLOAT32_MAX), np.float32(0.0))
+
+
 class TexelFormat(enum.Enum):
     UNORM8 = "unorm8"
     UNORM16 = "unorm16"
@@ -78,10 +83,18 @@ class TexelFormat(enum.Enum):
         raise ValueError("float32 has no unorm level count")
 
     def quant_step(self, reference: float = 1.0) -> float:
-        """Size of one quantization step near `reference` magnitude."""
+        """Size of one quantization step near `reference` magnitude.
+
+        float32 raises DomainError for a magnitude it cannot hold: beyond
+        its largest value, infinite or NaN. The largest value takes the
+        step of the float32 below it, which shares its binade, since
+        `np.spacing` of the largest overflows."""
         if self.is_unorm:
             return 1.0 / self.levels
-        return float(np.spacing(np.float32(abs(reference))))
+        magnitude = abs(reference)
+        if not magnitude <= _FLOAT32_MAX:  # NaN too
+            raise DomainError(f"float32 cannot hold a value of magnitude {float(magnitude)!r}")
+        return float(np.spacing(np.minimum(np.float32(magnitude), _FLOAT32_TOP)))
 
 
 #: Dekker's splitter for float64: 2^27 + 1
@@ -290,6 +303,9 @@ class TexelGrid:
         return self.width * self.height * self.depth
 
     def texel(self, x: int, y: int, z: int = 0) -> np.ndarray:
+        """The texel at column x, row y and slice z; LayoutError outside the dims."""
+        if not (0 <= x < self.width and 0 <= y < self.height and 0 <= z < self.depth):
+            raise LayoutError(f"texel ({x}, {y}, {z}) outside dims {self.dims}")
         return self.data[z, y, x]
 
     def slice2d(self, z: int) -> "TexelGrid":
@@ -303,19 +319,27 @@ class TexelGrid:
 class SamplerConfig:
     """Fully determines the emulated fixed-function interpolation.
 
-    subtexel_bits = 0 means exact coordinates (no quantization). Texel
-    storage always rounds to nearest and addressing always clamps to the
-    edge; those are the only behaviours modelled.
+    subtexel_bits = 0 means exact coordinates (no quantization). It is
+    read through `operator.index`, as `TexelGrid` reads its dims, and
+    stored as an int. Texel storage always rounds to nearest and
+    addressing always clamps to the edge; those are the only behaviours
+    modelled.
     """
 
     subtexel_bits: int = 8
     subtexel_rounding: str = "nearest"
 
     def __post_init__(self):
-        if not 0 <= self.subtexel_bits <= 24:
+        try:
+            bits = operator.index(self.subtexel_bits)
+        except TypeError:  # not an integer
+            raise DomainError(
+                f"subtexel_bits must be an integer, got {self.subtexel_bits!r}") from None
+        if not 0 <= bits <= 24:
             raise DomainError("subtexel_bits must be in [0, 24]")
         if self.subtexel_rounding not in ("nearest", "floor"):
             raise DomainError("subtexel_rounding must be 'nearest' or 'floor'")
+        object.__setattr__(self, "subtexel_bits", bits)
 
     @classmethod
     def ideal(cls) -> "SamplerConfig":

@@ -221,16 +221,18 @@ def _zigzag_rows(points: np.ndarray, seed: np.ndarray):
 def _zigzag_best_seed(points: np.ndarray) -> np.ndarray:
     """Seed minimizing the max texel excursion outside [0, 1] per channel.
 
-    Every texel is affine in the seed with slope +1, -1 or 0, so the
-    feasible seed set is an interval per channel; its midpoint is the
-    1-D Chebyshev center and remains optimal when the interval is empty.
+    Every texel is affine in the seed, with the slope it has in the chain
+    x_(k+1) = 2 P1_k - x_k: +1 on U's even columns, -1 on T's odd columns
+    and 0 on the end texels. So the feasible seed set is an interval per
+    channel; its midpoint is the 1-D Chebyshev center and remains optimal
+    when the interval is empty. The texels at seed 0 give each bound.
     U_0 is the seed itself, so both ends are finite. Each is the first
     extreme in texel order (T row, then U), which fixes a zero end's sign.
     """
-    zero = np.zeros(points.shape[2])
-    base = np.concatenate(_zigzag_rows(points, zero))
-    slope = np.concatenate(_zigzag_rows(points, zero + 1.0)) - base
-    up, down = slope > 0.5, slope < -0.5
+    base = np.concatenate(_zigzag_rows(points, np.zeros(points.shape[2])))
+    parity = np.arange(points.shape[0] + 1) % 2
+    slope = np.concatenate([-parity, 1 - parity])[:, None]  # T, then U
+    up, down = slope > 0, slope < 0
     lows = np.where(up, -base, np.where(down, base - 1.0, -np.inf))
     highs = np.where(up, 1.0 - base, np.where(down, base, np.inf))
     lo = np.take_along_axis(lows, lows.argmax(axis=0)[None], axis=0)[0]

@@ -298,6 +298,20 @@ class TestTexelGrid:
         zeros = np.array([0.0, -0.0])
         assert TexelGrid((2, 1, 1), 1, fmt, zeros).data.tobytes() == zeros.tobytes()
 
+    @pytest.mark.parametrize("index", [(-1, 0), (3, 0), (0, -1), (0, 2), (0, 0, 2),
+                                       (0, 0, -1), (-3, -2, -2)], ids=repr)
+    def test_texel_outside_the_dims_is_a_layout_error(self, index):
+        grid = TexelGrid((3, 2, 2), 1, TexelFormat.FLOAT32, np.arange(12.0))
+        x, y, z = (index + (0,))[:3]
+        with pytest.raises(LayoutError, match=_exactly(
+                f"texel ({x}, {y}, {z}) outside dims (3, 2, 2)")):
+            grid.texel(*index)
+
+    def test_texel_reads_every_index_inside(self):
+        grid = TexelGrid((3, 2, 2), 1, TexelFormat.FLOAT32, np.arange(12.0))
+        got = [float(grid.texel(x, y, z)[0]) for z in range(2) for y in range(2) for x in range(3)]
+        assert got == list(range(12))
+
     def test_slice2d(self):
         data = np.arange(8, dtype=float).reshape(2, 2, 2, 1) / 10.0
         grid = TexelGrid((2, 2, 2), 1, TexelFormat.FLOAT32, data)
@@ -345,6 +359,51 @@ class TestSamplerConfig:
     def test_rounding_values(self):
         with pytest.raises(DomainError):
             SamplerConfig(subtexel_rounding="stochastic")
+
+    @pytest.mark.parametrize("bits", [8.5, 8.0, np.float64(8.0), "8", None], ids=repr)
+    def test_bits_must_be_an_integer(self, bits):
+        with pytest.raises(DomainError, match=_exactly(
+                f"subtexel_bits must be an integer, got {bits!r}")):
+            SamplerConfig(subtexel_bits=bits)
+
+    def test_integer_bits_are_stored_as_ints(self):
+        for bits in (np.int64(8), np.uint8(8), 8):
+            cfg = SamplerConfig(subtexel_bits=bits)
+            assert type(cfg.subtexel_bits) is int and cfg == SamplerConfig()
+
+
+class TestQuantStep:
+    """float32's step is `np.spacing` of the value's float32 magnitude; a
+    magnitude float32 cannot hold raises DomainError without a warning."""
+
+    F32_MAX = float(np.finfo(np.float32).max)
+
+    @pytest.mark.parametrize("reference", [1e39, -1e39, float(np.nextafter(F32_MAX, np.inf)),
+                                           np.inf, -np.inf, np.nan], ids=repr)
+    def test_float32_refuses_what_it_cannot_hold(self, reference):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=_exactly(
+                    f"float32 cannot hold a value of magnitude {float(abs(reference))!r}")):
+                TexelFormat.FLOAT32.quant_step(reference)
+
+    @pytest.mark.parametrize("reference", [0.0, 5e-324, 1e-45, 1.0, -2.0, 3e38, 1e30],
+                             ids=repr)
+    def test_float32_step_is_the_spacing_of_the_value(self, reference):
+        assert TexelFormat.FLOAT32.quant_step(reference) \
+            == float(np.spacing(np.float32(abs(reference))))
+
+    def test_the_largest_float32_takes_its_binade_step(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for reference in (self.F32_MAX, -self.F32_MAX):
+                assert TexelFormat.FLOAT32.quant_step(reference) == 2.0**104
+
+    @pytest.mark.parametrize("fmt", [TexelFormat.UNORM8, TexelFormat.UNORM16],
+                             ids=lambda f: f.value)
+    def test_unorm_steps_ignore_the_reference(self, fmt):
+        for reference in (1.0, 1e39, np.inf, np.nan):
+            assert fmt.quant_step(reference) == 1.0 / fmt.levels
 
 
 class TestValueTransform:

@@ -596,6 +596,19 @@ class TestArrayEncoderOracles:
         assert _same_bits(want, np.array([-0.0]))
         assert _same_bits(encoder._zigzag_best_seed(points), want)
 
+    @pytest.mark.parametrize("middles, want", [((1e17,), 1e17), ((1e17, -1e17), 2e17)])
+    def test_seed_slopes_are_read_off_the_chain(self, middles, want):
+        # joins at 0 and middle points near 1e17: each chain texel but U_0
+        # is the seed or its negative plus a constant near 2e17·k, whose
+        # ulp is at least 32, so its texel at seed 1 minus its texel at
+        # seed 0 rounds to 0. Read off the chain, the last chain texel pins
+        # the seed to within 1 of c = 2e17 (one segment) or 4e17 (two).
+        # With U_0 in [0, 1] the bounds are c (c ± 1 rounds to c) and 1,
+        # and the center is c / 2.
+        segs = [ControlPolygon([0.0, m, 0.0]) for m in middles]
+        points = np.stack([seg.points for seg in segs])
+        assert _same_bits(encoder._zigzag_best_seed(points), np.array([want]))
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 12), st.lists(st.sampled_from(_KINDS), min_size=4,
                                                            max_size=4), st.integers(0, 2**32 - 1))
