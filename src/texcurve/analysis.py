@@ -21,7 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ChannelMismatchError, DomainError, EncodedCurve, LayoutError, SamplerConfig
+from .core import (ChannelMismatchError, DomainError, EncodedCurve, LayoutError, SamplerConfig,
+                   _write_file)
 from .sampler import _corners, _lerp_axes
 from .texeval import _MODES, _decode, _default_mode, _eval_curve, _mode_eval, _rows
 
@@ -173,9 +174,7 @@ def report_to_csv(report: ErrorReport) -> str:
 
 
 def write_csv(report: ErrorReport, path) -> None:
-    text = report_to_csv(report)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    _write_file(path, report_to_csv(report).encode("utf-8"))
 
 
 #: pixel colours: white (reference, or no deviation), red (test below), green (test above)
@@ -267,9 +266,7 @@ def write_ppm(image: np.ndarray, path) -> None:
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise ChannelMismatchError(f"a pixmap is an (h, w, 3) array, got shape {pixels.shape}")
     h, w, _ = pixels.shape
-    with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (w, h))
-        fh.write(pixels)
+    _write_file(path, b"P6\n%d %d\n255\n" % (w, h), pixels)
 
 
 #: the bound's lattice runs at ideal coordinates; one config serves every call

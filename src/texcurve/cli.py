@@ -29,6 +29,7 @@ from .core import (
     TexCurveError,
     TexelFormat,
     UnsupportedDegreeError,
+    _write_file,
 )
 
 _FORMATS = {"unorm8": TexelFormat.UNORM8, "unorm16": TexelFormat.UNORM16, "f32": TexelFormat.FLOAT32}
@@ -226,8 +227,7 @@ def _cmd_convert(args) -> int:
 
 def _write_or_print(out, text: str):
     if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+        _write_file(out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 

@@ -32,6 +32,7 @@ from .core import (
     ValueTransform,
     _quantize_array,
     _unorm_codes,
+    _write_file,
 )
 
 MAGIC = b"CTEX1"
@@ -132,9 +133,7 @@ def curve_from_bytes(blob: bytes) -> EncodedCurve:
 def write_ctex(curve: EncodedCurve, path) -> None:
     """Write the container; its bytes are built before the file is opened,
     so a curve CTEX1 refuses leaves an existing file as it was."""
-    blob = curve_to_bytes(curve)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    _write_file(path, curve_to_bytes(curve))
 
 
 def read_ctex(path) -> EncodedCurve:
@@ -160,6 +159,4 @@ def sidecar_text(curve: EncodedCurve) -> str:
 
 
 def write_sidecar(curve: EncodedCurve, path) -> None:
-    text = sidecar_text(curve)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    _write_file(path, sidecar_text(curve).encode("utf-8"))

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DomainError
+from .core import DomainError, _write_file
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,4 @@ def curve_text(degree: int, points: np.ndarray, *, knots=None, weights=None) -> 
 def write_curve_file(path, degree: int, points, *, knots=None, weights=None) -> None:
     """Write `curve_text`; the text is built before the file is opened, so
     points it refuses leave an existing file as it was."""
-    text = curve_text(degree, points, knots=knots, weights=weights)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    _write_file(path, curve_text(degree, points, knots=knots, weights=weights).encode("utf-8"))

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -49,3 +51,58 @@ def one_curve_per_layout():
         encode_rational(random_polygon(rng, 2, 2, lo=0.0), [1.0, 0.7, 1.0], f32),
     )
     return {curve.layout: curve for curve in curves}
+
+
+def check_writer(write, tmp_path, monkeypatch):
+    """Check `write(folder)`, which writes one or more files into `folder`,
+    against the contract of every output file:
+
+    - a new file gets `0o666 & ~umask`, as `open()` gives it;
+    - a longer old file ends holding exactly the new bytes, with no stale
+      tail, and a shorter one grows to them;
+    - a symlink is written through, and stays a link;
+    - no `os.open` call asks for `O_TRUNC`, and each file is opened once.
+    """
+    def files(folder):
+        return {path.name: path.read_bytes() for path in folder.iterdir()}
+
+    def folder(name, old=None):
+        path = tmp_path / name
+        path.mkdir()
+        for file, blob in (old or {}).items():
+            (path / file).write_bytes(blob)
+        return path
+
+    fresh = folder("fresh")
+    umask = os.umask(0o027)
+    try:
+        write(fresh)
+    finally:
+        os.umask(umask)
+    new = files(fresh)
+    assert new
+    assert {path.stat().st_mode & 0o777 for path in fresh.iterdir()} == {0o640}
+
+    longer = {name: b"#" * (len(blob) + 100) for name, blob in new.items()}
+    for name, old in (("longer", longer), ("shorter", {name: b"#" for name in new})):
+        write(into := folder(name, old))
+        assert files(into) == new, name
+
+    links, targets = folder("links"), folder("targets", longer)
+    for name in new:
+        (links / name).symlink_to(targets / name)
+    write(links)
+    assert all((links / name).is_symlink() for name in new)
+    assert files(targets) == new
+
+    flags, real_open = [], os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "open", recording_open)
+        write(folder("recorded", longer))
+    assert len(flags) == len(new)
+    assert not any(flag & os.O_TRUNC for flag in flags)

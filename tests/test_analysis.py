@@ -36,7 +36,14 @@ from texcurve.core import Layout, ValueTransform, _lerp
 from texcurve.reference import elevate_degree
 from texcurve.sampler import blend_with_fractions, texel_cell
 from texcurve.texeval import _BLOCK, _curve_param, _decode, eval_dc
-from conftest import IDEAL, BITS8, one_curve_per_layout, random_c0_quadratics, random_polygon
+from conftest import (
+    BITS8,
+    IDEAL,
+    check_writer,
+    one_curve_per_layout,
+    random_c0_quadratics,
+    random_polygon,
+)
 
 F32 = TexelFormat.FLOAT32
 U8 = TexelFormat.UNORM8
@@ -155,6 +162,12 @@ class TestCsv:
         write_csv(report, p1)
         write_csv(report, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_write_overwrites_the_old_bytes_and_cuts_to_length(self, rng, tmp_path,
+                                                                monkeypatch):
+        poly = random_polygon(rng, 2, 2)
+        report = sweep(encode_dc_quadratic(poly, F32), bernstein_ref(poly), "dc", BITS8, 16)
+        check_writer(lambda folder: write_csv(report, folder / "r.csv"), tmp_path, monkeypatch)
 
 
 class TestRender:
@@ -277,6 +290,11 @@ class TestWritePpm:
         with pytest.raises(TypeError):
             write_ppm(np.full((2, 2, 3), None, dtype=object), path)
         assert path.read_bytes() == b"kept"
+
+    def test_write_overwrites_the_old_bytes_and_cuts_to_length(self, rng, tmp_path,
+                                                                monkeypatch):
+        image = rng.integers(0, 256, (4, 5, 3), dtype=np.uint8)
+        check_writer(lambda folder: write_ppm(image, folder / "img.ppm"), tmp_path, monkeypatch)
 
     def test_a_c_contiguous_uint8_image_is_written_without_a_copy(self, tmp_path):
         # the render job's image: a copy of it would trace 768 KiB

@@ -12,6 +12,7 @@ from texcurve import ControlPolygon, TexelFormat, analysis, cli, curvefile, enco
 from texcurve.core import SamplerConfig, TexCurveError
 from texcurve.cli import _describe, _fmt_vec, main
 from texcurve.container import curve_to_bytes
+from conftest import check_writer
 
 CUBIC_HUMP = """\
 # scalar cubic with a 0.75 hump
@@ -489,6 +490,60 @@ class TestConvert:
         assert (code, out) == (5, "")
         assert err == "error: spline knots and control points must be finite\n"
         assert not (tmp_path / "seg-0.curve").exists()
+
+
+#: CLI jobs that write files: the argv ahead of `--in` and `--out`, the
+#: curve file each reads, and the files each writes, as suffixes of `--out`
+WRITING_JOBS = {
+    "encode --sidecar": (["encode", "--layout", "dc", "--sidecar"], CUBIC_HUMP, ["", ".meta"]),
+    "sweep --out": (["sweep", "--layout", "dc", "--samples", "64"], CUBIC_HUMP, [""]),
+    "render": (["render", "--layout", "dc", "--width", "16", "--height", "8"], CUBIC_HUMP, [""]),
+    "convert": (["convert", "--bspline-to-bezier"], TWO_SPAN_SPLINE, ["-0.curve", "-1.curve"]),
+}
+
+
+def run_writing_job(tmp_path, capsys, job, out):
+    argv, text, _ = WRITING_JOBS[job]
+    infile = tmp_path / "in.curve"
+    infile.write_text(text)
+    return run(capsys, *argv, "--in", str(infile), "--out", str(out))
+
+
+class TestWrites:
+    @pytest.mark.parametrize("job", sorted(WRITING_JOBS))
+    def test_overwrite_the_old_bytes_and_cut_to_length(self, tmp_path, capsys, monkeypatch,
+                                                       job):
+        def write(folder):
+            assert run_writing_job(tmp_path, capsys, job, folder / "out")[0] == 0
+
+        check_writer(write, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("argv", [["encode", "--layout", "dc"], ["sweep", "--layout", "dc"],
+                                      ["render", "--layout", "dc"],
+                                      ["convert", "--bernstein-to-power"]], ids=" ".join)
+    def test_dev_null_as_out_exits_0(self, hump, capsys, argv):
+        assert run(capsys, *argv, "--in", hump, "--out", os.devnull)[0] == 0
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_dev_stdout_as_out_writes_to_a_pipe(self, hump, capsys):
+        # a pipe reports size 0 and cannot seek
+        argv = ["sweep", "--layout", "dc", "--in", hump, "--samples", "64"]
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        done = subprocess.run([sys.executable, "-m", "texcurve", *argv, "--out", "/dev/stdout"],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.decode() == run(capsys, *argv)[1]
+
+    @pytest.mark.parametrize("job", sorted(WRITING_JOBS))
+    @pytest.mark.parametrize("fault, reason", [
+        ("missing parent", "[Errno 2] No such file or directory"),
+        ("directory", "[Errno 21] Is a directory")])
+    def test_an_unwritable_path_exits_1(self, tmp_path, capsys, job, fault, reason):
+        out = tmp_path / "missing" / "out" if fault == "missing parent" else tmp_path / "out"
+        first = f"{out}{WRITING_JOBS[job][2][0]}"
+        if fault == "directory":
+            os.mkdir(first)
+        assert run_writing_job(tmp_path, capsys, job, out) == (1, "", f"error: {reason}: {first!r}\n")
 
 
 class TestInspect:

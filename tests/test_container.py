@@ -15,7 +15,13 @@ from texcurve import (
     read_ctex,
     write_ctex,
 )
-from texcurve.container import _HEADER, curve_from_bytes, curve_to_bytes, sidecar_text
+from texcurve.container import (
+    _HEADER,
+    curve_from_bytes,
+    curve_to_bytes,
+    sidecar_text,
+    write_sidecar,
+)
 from texcurve.encoder import (
     encode_bicubic_rgba,
     encode_dc_cubic,
@@ -24,7 +30,7 @@ from texcurve.encoder import (
     encode_rational,
     encode_seiler,
 )
-from conftest import random_c0_quadratics, random_polygon
+from conftest import check_writer, random_c0_quadratics, random_polygon
 
 
 def build_corpus(rng):
@@ -183,6 +189,12 @@ def test_a_refused_curve_leaves_the_file_as_it_was(tmp_path):
     with pytest.raises(RangeError, match="bit for bit"):
         write_ctex(_patch([0.1, 0.2, 0.3, 0.4]), path)
     assert path.read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize("writer", [write_ctex, write_sidecar])
+def test_writers_overwrite_the_old_bytes_and_cut_to_length(rng, tmp_path, monkeypatch, writer):
+    curve = encode_seiler(random_polygon(rng, 3, 2), TexelFormat.FLOAT32)
+    check_writer(lambda folder: writer(curve, folder / "c.ctex"), tmp_path, monkeypatch)
 
 
 def test_float32_texels_that_binary32_holds_round_trip():

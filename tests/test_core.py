@@ -312,6 +312,27 @@ class TestTexelGrid:
         got = [float(grid.texel(x, y, z)[0]) for z in range(2) for y in range(2) for x in range(3)]
         assert got == list(range(12))
 
+    @pytest.mark.parametrize("index", [(0.5, 0), (0, 1.0), (0, 0, np.float64(0.0)), ("1", 0),
+                                       (0, None)], ids=repr)
+    def test_texel_indices_must_be_integers(self, index):
+        grid = TexelGrid((2, 2, 1), 1, TexelFormat.FLOAT32, np.arange(4.0))
+        x, y, z = (index + (0,))[:3]
+        with pytest.raises(LayoutError, match=_exactly(
+                f"texel indices must be integers, got ({x!r}, {y!r}, {z!r})")):
+            grid.texel(*index)
+
+    @pytest.mark.parametrize("z", [0.5, 1.0, np.float64(1.0), "1", None], ids=repr)
+    def test_slice_index_must_be_an_integer(self, z):
+        grid = TexelGrid((2, 2, 2), 1, TexelFormat.FLOAT32, np.zeros(8))
+        with pytest.raises(LayoutError, match=_exactly(
+                f"slice index must be an integer, got {z!r}")):
+            grid.slice2d(z)
+
+    def test_numpy_integer_indices_are_read_as_ints(self):
+        grid = TexelGrid((3, 2, 2), 1, TexelFormat.FLOAT32, np.arange(12.0))
+        assert float(grid.texel(np.int64(2), np.uint8(1), np.int32(1))[0]) == 11.0
+        assert grid.slice2d(np.int64(1)).data.tobytes() == grid.data[1].tobytes()
+
     def test_slice2d(self):
         data = np.arange(8, dtype=float).reshape(2, 2, 2, 1) / 10.0
         grid = TexelGrid((2, 2, 2), 1, TexelFormat.FLOAT32, data)
