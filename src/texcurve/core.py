@@ -1,12 +1,13 @@
 """Shared domain types, the texel storage quantizer, exact
 interpolation primitives and the one writer of output files.
 
-Everything in this module is plain float64 math. Storage precision is
+All of this module's arithmetic is plain float64 math. Storage precision is
 stated once, by the quantizer beside `TexelFormat` (`_quantize_array`),
 which the encoder stores its texels through. The unorm codes are stated
 once too (`_unorm_codes`): `TexelGrid` accepts a unorm grid exactly when
 its codes read back as it, and the CTEX1 writer stores those codes.
-Coordinate precision is modelled by the sampler emulator.
+Coordinate precision is modelled by the sampler emulator. Every output
+file of the package is written by `_write_file`.
 """
 
 from __future__ import annotations

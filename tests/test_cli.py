@@ -493,12 +493,13 @@ class TestConvert:
 
 
 #: CLI jobs that write files: the argv ahead of `--in` and `--out`, the
-#: curve file each reads, and the files each writes, as suffixes of `--out`
+#: curve file each reads, and the suffix of `--out` that names the first
+#: file each writes
 WRITING_JOBS = {
-    "encode --sidecar": (["encode", "--layout", "dc", "--sidecar"], CUBIC_HUMP, ["", ".meta"]),
-    "sweep --out": (["sweep", "--layout", "dc", "--samples", "64"], CUBIC_HUMP, [""]),
-    "render": (["render", "--layout", "dc", "--width", "16", "--height", "8"], CUBIC_HUMP, [""]),
-    "convert": (["convert", "--bspline-to-bezier"], TWO_SPAN_SPLINE, ["-0.curve", "-1.curve"]),
+    "encode --sidecar": (["encode", "--layout", "dc", "--sidecar"], CUBIC_HUMP, ""),
+    "sweep --out": (["sweep", "--layout", "dc", "--samples", "64"], CUBIC_HUMP, ""),
+    "render": (["render", "--layout", "dc", "--width", "16", "--height", "8"], CUBIC_HUMP, ""),
+    "convert": (["convert", "--bspline-to-bezier"], TWO_SPAN_SPLINE, "-0.curve"),
 }
 
 
@@ -540,7 +541,7 @@ class TestWrites:
         ("directory", "[Errno 21] Is a directory")])
     def test_an_unwritable_path_exits_1(self, tmp_path, capsys, job, fault, reason):
         out = tmp_path / "missing" / "out" if fault == "missing parent" else tmp_path / "out"
-        first = f"{out}{WRITING_JOBS[job][2][0]}"
+        first = f"{out}{WRITING_JOBS[job][2]}"
         if fault == "directory":
             os.mkdir(first)
         assert run_writing_job(tmp_path, capsys, job, out) == (1, "", f"error: {reason}: {first!r}\n")
